@@ -5,6 +5,7 @@ from .errors import (
     BehindArray,
     EstimationError,
     IllConditioned,
+    NonFiniteSnapshot,
     ParallelBearings,
     ScenarioError,
     UnderResolved,

@@ -31,5 +31,9 @@ class BehindArray(EstimationError):
     """A bearing-line intersection landed at a non-positive range."""
 
 
+class NonFiniteSnapshot(EstimationError):
+    """The observation holds a NaN or infinite sample."""
+
+
 class ScenarioError(ValueError):
     """A scenario file or specification failed validation."""

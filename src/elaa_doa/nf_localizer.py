@@ -18,6 +18,13 @@ exploits it directly: greedy matched-filter picks over position space
 with residual deflation, followed by cyclic one-at-a-time refinement.
 ``localize`` runs both and keeps whichever reconstructs the snapshot
 with the smaller least-squares residual.
+
+Every local refinement is one routine, ``_polish``: Levenberg-Marquardt
+on (sine of bearing, log range) of one atom, with all linear amplitudes
+eliminated in closed form (variable projection, Golub & Pereyra 1973)
+and the analytic Jacobian of the locally planar atom.  All atoms, for
+scans and for the polish alike, come from one vectorised builder,
+``_atoms``.
 """
 
 from __future__ import annotations
@@ -28,17 +35,11 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.optimize
 
 from .errors import BehindArray, EstimationError, ParallelBearings
-from .geometry import ArrayConfig, Target, field_regions, reference_positions
-from .signal_model import Snapshot, split_ulas, steering_nearfield
-from .ss_music import (
-    default_grid,
-    hankel_steering_matrix,
-    peak_pick,
-    pseudospectrum,
-)
+from .geometry import ArrayConfig, field_regions, reference_positions
+from .signal_model import Snapshot, split_ulas
+from .ss_music import _cached_steering, peak_pick, pseudospectrum
 from .subspace import default_pencil, hankel, split_subspaces
 
 PARALLEL_TOL = 1e-6
@@ -54,7 +55,11 @@ MAX_REFINE_CYCLES = 4
 REFINE_MOVE_TOL = 1e-5
 FIELD_EDGE_U = 0.866
 RANGE_SPLIT_SKIP_FRACTION = 0.03
-NM_OPTIONS = {"xatol": 2e-6, "maxiter": 150}
+U_LIMIT = 0.999999
+LOG_R_LIMITS = (-5.0, 12.0)
+POLISH_STEP_TOL = 2e-6
+POLISH_MAX_STEPS = 150
+COINCIDENT_GRAM = 1e-9
 
 
 @dataclass(frozen=True)
@@ -140,8 +145,7 @@ def _scan_doas(
     pencil: int | None,
 ) -> tuple[np.ndarray, np.ndarray]:
     pencil = default_pencil(cfg.elements_per_ula) if pencil is None else pencil
-    grid = default_grid(grid_step_deg)
-    a = hankel_steering_matrix(pencil + 1, cfg.spacing, cfg.wavelength, grid)
+    grid, a = _cached_steering(pencil + 1, cfg.spacing, cfg.wavelength, grid_step_deg)
     out = []
     for sub_y in split_ulas(y):
         sub = split_subspaces(hankel(sub_y, pencil), num_sources)
@@ -188,16 +192,17 @@ def associate(
     if k == 0:
         raise ValueError("per-sub-array DOA lists are empty")
     y = snap.y.astype(complex)
-    atoms: dict[tuple[int, int], np.ndarray] = {}
+    points: dict[tuple[int, int], np.ndarray] = {}
     for i in range(k):
         for j in range(k):
             try:
                 pos, _ = triangulate((float(doas1[i]), float(doas2[j])), cfg)
-                atoms[(i, j)] = steering_nearfield(
-                    cfg, Target.from_position(pos[0], pos[1])
-                ).entries
-            except (EstimationError, ValueError):
+            except EstimationError:
                 continue
+            if pos[1] > 0.0:
+                points[(i, j)] = pos
+    xy = np.array(list(points.values())).reshape(-1, 2)
+    atoms = dict(zip(points, _atoms(cfg, xy[:, 0], xy[:, 1]).T))
     best: tuple[float, tuple[int, ...], tuple[tuple[int, int], ...]] | None = None
     for perm in itertools.permutations(range(k)):
         pairs = tuple((i, perm[i]) for i in range(k) if (i, perm[i]) in atoms)
@@ -219,80 +224,46 @@ def associate(
     return Association(pairs=chosen, scores=scores)
 
 
-def _planar_atom(cfg: ArrayConfig, x: float, y: float) -> np.ndarray:
-    return steering_nearfield(cfg, Target.from_position(x, y)).entries
-
-
 @functools.lru_cache(maxsize=8)
-def _atom_builder(cfg: ArrayConfig):
-    """Precompiled locally planar atom evaluator for one array layout.
-
-    The polish loops evaluate tens of thousands of atoms per snapshot;
-    building them through the steering-vector front door costs more in
-    object plumbing than in arithmetic.  This closure keeps the per-array
-    constants ready and produces the identical vector with two hypots
-    and one complex exponential.
-    """
-    refs = np.array(reference_positions(cfg))[:, None]
+def _element_constants(cfg: ArrayConfig) -> tuple[float, np.ndarray, np.ndarray]:
+    """Wavenumber, then per-element ramp rate and reference x as columns."""
     k = 2.0 * math.pi / cfg.wavelength
-    md = (k * cfg.spacing) * np.arange(cfg.elements_per_ula)
-
-    def build(x: float, y: float) -> np.ndarray:
-        dx = x - refs
-        rng = np.hypot(dx, y)
-        return np.exp(1j * ((dx / rng) * md - k * rng)).ravel()
-
-    return build
+    ramp = np.tile((k * cfg.spacing) * np.arange(cfg.elements_per_ula), 2)[:, None]
+    refs = np.repeat(reference_positions(cfg), cfg.elements_per_ula)[:, None]
+    ramp.setflags(write=False)
+    refs.setflags(write=False)
+    return k, ramp, refs
 
 
-def _fit_residual_sq(
-    y: np.ndarray, y_sq: float, atom: np.ndarray, others: list[np.ndarray]
-) -> float:
-    """Squared joint-fit residual of ``y`` on ``[atom] + others``.
+def _atoms(cfg: ArrayConfig, xs, ys, jacobian: bool = False):
+    """Locally planar atoms for many positions at once, one per column.
 
-    Atoms have unit-modulus entries, so every Gram diagonal equals the
-    element count and the one- and two-atom solutions reduce to scalar
-    algebra; three or more fall back to a least-squares solve.  A pair
-    whose Gram matrix is close to singular (near-coincident atoms) gets
-    an over-the-top cost so a polish step never parks two estimates on
-    the same point.
+    Sub-array ``n`` contributes the exact propagation phase to its
+    reference element and a linear ramp at the direction sine seen from
+    that element, ``exp(j*k*(m*d*sin_n - rho_n))``: the entries of
+    :func:`elaa_doa.signal_model.steering_nearfield` for a target at each
+    ``(x, y)``.  With ``jacobian=True`` the derivatives of every entry's
+    phase with respect to ``x`` and to ``y`` come back as well, as
+    ``(atoms, dphase_dx, dphase_dy)`` of equal shape; the derivative of
+    the atoms themselves is ``1j * atoms * dphase``.
     """
-    n = float(len(atom))
-    b1 = np.vdot(atom, y)
-    if not others:
-        return max(y_sq - abs(b1) ** 2 / n, 0.0)
-    if len(others) == 1:
-        other = others[0]
-        b2 = np.vdot(other, y)
-        g12 = np.vdot(atom, other)
-        det = n * n - abs(g12) ** 2
-        if det <= 1e-9 * n * n:
-            return 2.0 * y_sq
-        quad = (
-            n * abs(b1) ** 2
-            + n * abs(b2) ** 2
-            - 2.0 * (g12 * np.conj(b1) * b2).real
-        ) / det
-        return max(y_sq - quad, 0.0)
-    basis = np.column_stack([atom] + others)
-    coef, *_ = np.linalg.lstsq(basis, y, rcond=None)
-    return float(np.linalg.norm(y - basis @ coef) ** 2)
-
-
-def _planar_atoms(cfg: ArrayConfig, xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
-    """Locally planar atoms for many positions at once, one per column."""
-    k = 2.0 * math.pi / cfg.wavelength
-    m = np.arange(cfg.elements_per_ula)[:, None]
-    parts = []
-    for ref in reference_positions(cfg):
-        rng = np.hypot(xs - ref, ys)
-        local_u = (xs - ref) / rng
-        parts.append(np.exp(-1j * k * rng) * np.exp(1j * k * m * cfg.spacing * local_u))
-    return np.concatenate(parts, axis=0)
+    k, ramp, refs = _element_constants(cfg)
+    dx = np.asarray(xs, dtype=float).reshape(1, -1) - refs
+    ys = np.asarray(ys, dtype=float).reshape(1, -1)
+    rho = np.hypot(dx, ys)
+    sin_n = dx / rho
+    atoms = np.exp(1j * (ramp * sin_n - k * rho))
+    if not jacobian:
+        return atoms
+    # d(sin_n)/dx = cos_n^2 / rho, d(sin_n)/dy = -sin_n cos_n / rho,
+    # d(rho)/dx = sin_n, d(rho)/dy = cos_n
+    cos_n = ys / rho
+    bend = ramp * cos_n / rho
+    return atoms, bend * cos_n - k * sin_n, -bend * sin_n - k * cos_n
 
 
 def _matched_response(res: np.ndarray, cfg: ArrayConfig, pos: np.ndarray) -> float:
-    atom = _atom_builder(cfg)(float(pos[0]), float(pos[1]))
+    atom = _atoms(cfg, pos[0], pos[1])[:, 0]
     return float(abs(np.vdot(atom, res))) / math.sqrt(len(atom))
 
 
@@ -302,7 +273,8 @@ def _project_residual(
     """Residual of the least-squares fit of ``y`` on the position atoms."""
     if not positions:
         return y, float(np.linalg.norm(y))
-    basis = np.column_stack([_planar_atom(cfg, p[0], p[1]) for p in positions])
+    xy = np.array(positions)
+    basis = _atoms(cfg, xy[:, 0], xy[:, 1])
     coef, *_ = np.linalg.lstsq(basis, y, rcond=None)
     res = y - basis @ coef
     return res, float(np.linalg.norm(res))
@@ -320,45 +292,89 @@ def _ridge_spacing_u(cfg: ArrayConfig) -> float:
     return cfg.wavelength / cfg.center_separation
 
 
-def _refine_position(
-    res: np.ndarray, cfg: ArrayConfig, seed: np.ndarray
+def _polish(
+    y: np.ndarray, cfg: ArrayConfig, seed: np.ndarray, others: list[np.ndarray]
 ) -> np.ndarray:
-    """Polish one atom's matched-filter response around a seed.
+    """Move one atom from ``seed`` to minimize the joint fit residual of ``y``.
 
-    The search runs over (sine of bearing, log range) with steps kept
-    well inside one comb crest, so the simplex climbs the crest it
-    started on instead of hopping the comb.  Along a crest the response
-    varies slowly (the inter-sub-array path difference drifts by well
-    under a cycle per meter of range), which is what makes a
-    derivative-free polish reliable here.
+    Variable projection: the amplitudes of the moving atom and of the
+    fixed atoms at ``others`` are eliminated in closed form, so the
+    squared residual is a function of the moving atom's (sine of bearing,
+    log range) alone, and Levenberg-Marquardt descends it.  The others
+    are projected out once: with ``Q`` the complement projector of their
+    span (least squares), the joint residual is the one-atom residual of
+    ``Q y`` on ``Q a``.  With no others that is
+    ``|y|^2 - |<a, y>|^2 / n``, so the polish climbs the matched
+    response.  The residual Jacobian is Kaufman's ``-P (da/dtheta) c``,
+    where ``P`` projects off every atom and ``c`` is the moving atom's
+    amplitude.
+
+    Guards: each step is capped at a fifth of the comb spacing in sine
+    and 0.05 in log range, so the polish stays on the crest it starts on
+    (crest choices belong to the global scans); points outside the
+    parameter box are rejected, and so are points where the moving atom
+    nearly lies in the span of the others (Gram determinant at most
+    ``1e-9 * n^2`` against one other atom), so two estimates never park
+    on one point.  Only steps that lower the residual are taken, and
+    the search stops after a step under ``POLISH_STEP_TOL``.
     """
-    r0 = math.hypot(float(seed[0]), float(seed[1]))
-    u0 = float(seed[0]) / r0
-    build = _atom_builder(cfg)
-    res_norm = float(np.linalg.norm(res))
+    n = len(y)
+    q = None
+    if others:
+        xy = np.array(others)
+        basis = _atoms(cfg, xy[:, 0], xy[:, 1])
+        q = np.eye(n) - basis @ np.linalg.pinv(basis)
+        y = q @ y
 
-    def cost(params: np.ndarray) -> float:
-        u, log_r = float(params[0]), float(params[1])
-        if not -0.999999 < u < 0.999999 or not -5.0 < log_r < 12.0:
-            return res_norm
+    def fit(u: float, log_r: float):
+        """Squared residual, gradient and Gauss-Newton matrix; None if barred."""
+        if not (-U_LIMIT < u < U_LIMIT and LOG_R_LIMITS[0] < log_r < LOG_R_LIMITS[1]):
+            return None
         r = math.exp(log_r)
-        return -abs(np.vdot(build(r * u, r * math.sqrt(1.0 - u * u)), res))
+        root = math.sqrt(1.0 - u * u)
+        atom, dph_dx, dph_dy = _atoms(cfg, r * u, r * root, jacobian=True)
+        # chain rule to (u, log r) through x = r u, y = r sqrt(1 - u^2)
+        chain = np.array([[r, r * u], [-r * u / root, r * root]])
+        da = (1j * atom) * (np.hstack([dph_dx, dph_dy]) @ chain)
+        a = atom[:, 0]
+        if q is not None:
+            a, da = q @ a, q @ da
+        a_sq = float(np.vdot(a, a).real)
+        if a_sq <= COINCIDENT_GRAM * n:
+            return None
+        amp = np.vdot(a, y) / a_sq
+        res = y - amp * a
+        # Kaufman Jacobian -amp * (da - a a^H da / a_sq); res is orthogonal to a
+        jac = (-amp) * (da - a[:, None] * ((a.conj() @ da) / a_sq))
+        jac_h = jac.conj().T
+        return float(np.vdot(res, res).real), (jac_h @ res).real, (jac_h @ jac).real
 
-    x0 = np.array([u0, math.log(r0)])
-    du = 0.2 * _ridge_spacing_u(cfg)
-    simplex = np.array([x0, x0 + [du, 0.0], x0 + [0.0, 0.05]])
-    opt = scipy.optimize.minimize(
-        cost,
-        x0,
-        method="Nelder-Mead",
-        options={
-            "initial_simplex": simplex,
-            "fatol": 1e-7 * max(res_norm, 1e-30),
-            **NM_OPTIONS,
-        },
-    )
-    u = min(max(float(opt.x[0]), -0.999999), 0.999999)
-    r = math.exp(min(max(float(opt.x[1]), -5.0), 12.0))
+    r0 = math.hypot(float(seed[0]), float(seed[1]))
+    theta = (float(seed[0]) / r0, math.log(r0))
+    current = fit(*theta)
+    if current is None:
+        return np.array(seed, dtype=float)
+    cap_u = 0.2 * _ridge_spacing_u(cfg)
+    damping = 1e-3
+    for _ in range(POLISH_MAX_STEPS):
+        cost, (gu, gs), gn = current
+        huu, hus, hss = gn[0, 0] * (1.0 + damping), gn[0, 1], gn[1, 1] * (1.0 + damping)
+        det = huu * hss - hus * hus
+        if not det > 0.0:
+            break
+        du = (hus * gs - hss * gu) / det
+        ds = (hus * gu - huu * gs) / det
+        shrink = min(1.0, cap_u / max(abs(du), 1e-300), 0.05 / max(abs(ds), 1e-300))
+        du, ds = du * shrink, ds * shrink
+        trial = fit(theta[0] + du, theta[1] + ds)
+        if trial is not None and trial[0] < cost:
+            theta, current = (theta[0] + du, theta[1] + ds), trial
+            damping = max(damping / 10.0, 1e-9)
+        else:
+            damping *= 10.0
+        if max(abs(du), abs(ds)) < POLISH_STEP_TOL:
+            break
+    u, r = theta[0], math.exp(theta[1])
     return np.array([r * u, r * math.sqrt(1.0 - u * u)])
 
 
@@ -374,6 +390,25 @@ def _grid_positions(us: np.ndarray, ranges: np.ndarray) -> np.ndarray:
     return np.column_stack([rr * uu, rr * np.sqrt(1.0 - uu * uu)])
 
 
+@functools.lru_cache(maxsize=8)
+def _envelope_grid(cfg: ArrayConfig) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Direction sines of the envelope scan and its per-sub-array filters.
+
+    The grid depends on the array alone, so its atoms are built once per
+    layout: conjugated, one row per (sine, range) point, one block per
+    sub-array.  The arrays are shared by every caller and read-only.
+    """
+    us = np.linspace(-FIELD_EDGE_U, FIELD_EDGE_U, ENVELOPE_U_POINTS)
+    lo, hi = _range_band(cfg)
+    pts = _grid_positions(us, np.geomspace(lo, hi, ENVELOPE_R_POINTS))
+    atoms = _atoms(cfg, pts[:, 0], pts[:, 1])
+    half = atoms.shape[0] // 2
+    out = (us, atoms[:half].conj().T.copy(), atoms[half:].conj().T.copy())
+    for arr in out:
+        arr.setflags(write=False)
+    return out
+
+
 def _envelope_directions(
     res: np.ndarray, cfg: ArrayConfig, count: int
 ) -> list[float]:
@@ -384,16 +419,10 @@ def _envelope_directions(
     beams; a coarse global grid cannot miss its beamwidth-scale maxima.
     Up to ``count`` distinct local maxima come back, strongest first.
     """
-    us = np.linspace(-FIELD_EDGE_U, FIELD_EDGE_U, ENVELOPE_U_POINTS)
-    lo, hi = _range_band(cfg)
-    ranges = np.geomspace(lo, hi, ENVELOPE_R_POINTS)
-    pts = _grid_positions(us, ranges)
-    atoms = _planar_atoms(cfg, pts[:, 0], pts[:, 1])
-    half = atoms.shape[0] // 2
-    env = np.abs(atoms[:half].conj().T @ res[:half]) + np.abs(
-        atoms[half:].conj().T @ res[half:]
-    )
-    env_u = env.reshape(len(us), len(ranges)).max(axis=1)
+    us, filters1, filters2 = _envelope_grid(cfg)
+    half = filters1.shape[1]
+    env = np.abs(filters1 @ res[:half]) + np.abs(filters2 @ res[half:])
+    env_u = env.reshape(len(us), ENVELOPE_R_POINTS).max(axis=1)
     interior = (env_u[1:-1] >= env_u[:-2]) & (env_u[1:-1] >= env_u[2:])
     peaks = [int(i) for i in np.where(interior)[0] + 1]
     peaks.sort(key=lambda i: -env_u[i])
@@ -424,7 +453,7 @@ def _comb_candidates(
     us = us[np.abs(us) < FIELD_EDGE_U]
     lo, hi = _range_band(cfg)
     pts = _grid_positions(us, np.geomspace(lo, hi, RANGE_SCAN_POINTS))
-    atoms = _planar_atoms(cfg, pts[:, 0], pts[:, 1])
+    atoms = _atoms(cfg, pts[:, 0], pts[:, 1])
     response = np.abs(atoms.conj().T @ res)
     chosen: list[np.ndarray] = []
     for i in np.argsort(response)[::-1]:
@@ -452,7 +481,7 @@ def _pick_position(res: np.ndarray, cfg: ArrayConfig) -> np.ndarray:
     u_center = _envelope_directions(res, cfg, 1)[0]
     seeds = _comb_candidates(res, cfg, u_center)[:POLISH_STARTS]
     return max(
-        (_refine_position(res, cfg, s) for s in seeds),
+        (_polish(res, cfg, s, []) for s in seeds),
         key=lambda p: _matched_response(res, cfg, p),
     )
 
@@ -483,7 +512,7 @@ def _range_split_positions(
             continue
         xs = ranges * u
         ys = ranges * math.sqrt(1.0 - u * u)
-        atoms = _planar_atoms(cfg, xs, ys)
+        atoms = _atoms(cfg, xs, ys)
         b = atoms.conj().T @ y
         gram = atoms.conj().T @ atoms
         gii = gram[ii, ii].real
@@ -513,54 +542,6 @@ def _range_split_positions(
     ]
 
 
-def _joint_refine(
-    y: np.ndarray, cfg: ArrayConfig, positions: list[np.ndarray], k: int
-) -> np.ndarray:
-    """Move one position to minimize the joint fit residual.
-
-    All amplitudes are refit at every trial point, so this is exact
-    block coordinate descent on the least-squares objective.  Maximizing
-    a single atom's response against a leave-one-out residual is not
-    equivalent when atoms overlap strongly (same-bearing targets): that
-    objective rewards the atom for absorbing its neighbour's energy and
-    drags correlated pairs back into a blend.  The step search stays
-    inside one comb crest, like the single-atom polish.
-    """
-    build = _atom_builder(cfg)
-    others = [
-        build(float(p[0]), float(p[1])) for i, p in enumerate(positions) if i != k
-    ]
-    seed = positions[k]
-    r0 = math.hypot(float(seed[0]), float(seed[1]))
-    u0 = float(seed[0]) / r0
-    y_sq = float(np.vdot(y, y).real)
-
-    def cost(params: np.ndarray) -> float:
-        u, log_r = float(params[0]), float(params[1])
-        if not -0.999999 < u < 0.999999 or not -5.0 < log_r < 12.0:
-            return 2.0 * y_sq
-        r = math.exp(log_r)
-        atom = build(r * u, r * math.sqrt(1.0 - u * u))
-        return _fit_residual_sq(y, y_sq, atom, others)
-
-    x0 = np.array([u0, math.log(r0)])
-    du = 0.2 * _ridge_spacing_u(cfg)
-    simplex = np.array([x0, x0 + [du, 0.0], x0 + [0.0, 0.05]])
-    opt = scipy.optimize.minimize(
-        cost,
-        x0,
-        method="Nelder-Mead",
-        options={
-            "initial_simplex": simplex,
-            "fatol": 1e-8 * y_sq,
-            **NM_OPTIONS,
-        },
-    )
-    u = min(max(float(opt.x[0]), -0.999999), 0.999999)
-    r = math.exp(min(max(float(opt.x[1]), -5.0), 12.0))
-    return np.array([r * u, r * math.sqrt(1.0 - u * u)])
-
-
 def _polish_cycles(
     y: np.ndarray, cfg: ArrayConfig, positions: list[np.ndarray]
 ) -> tuple[list[np.ndarray], float]:
@@ -575,7 +556,7 @@ def _polish_cycles(
     for _ in range(MAX_REFINE_CYCLES):
         moved = 0.0
         for k in range(len(positions)):
-            new = _joint_refine(y, cfg, positions, k)
+            new = _polish(y, cfg, positions[k], positions[:k] + positions[k + 1 :])
             moved = max(moved, float(np.linalg.norm(new - positions[k])))
             positions[k] = new
         if moved < REFINE_MOVE_TOL:

@@ -28,6 +28,7 @@ from dataclasses import dataclass, replace
 from .errors import ScenarioError
 from .geometry import SPEED_OF_LIGHT, ArrayConfig, Target
 from .signal_model import SteeringModel
+from .subspace import default_pencil
 
 KNOWN_ALGORITHMS = (
     "nf_localize",
@@ -78,6 +79,18 @@ class ScenarioSpec:
             raise ScenarioError("grid_step_deg must be positive")
         if self.hit_tolerance_deg <= 0 or self.hit_tolerance_m <= 0:
             raise ScenarioError("hit tolerances must be positive")
+        m = self.array.elements_per_ula
+        pencil = default_pencil(m) if self.pencil is None else self.pencil
+        if not 1 <= pencil < m:
+            raise ScenarioError(f"pencil must be in [1, {m - 1}], got {pencil}")
+        # each sub-array's (pencil + 1) x (m - pencil) Hankel matrix must
+        # keep a noise dimension after the signal subspace
+        limit = min(pencil + 1, m - pencil)
+        if len(self.targets) >= limit:
+            raise ScenarioError(
+                f"{len(self.targets)} targets; a pencil of {pencil} on "
+                f"{m}-element sub-arrays resolves at most {limit - 1}"
+            )
 
 
 def paper_array() -> ArrayConfig:

@@ -274,8 +274,11 @@ def estimate_doa_esprit(
     """
     m = cfg.elements_per_ula
     pencil = default_pencil(m) if pencil is None else pencil
-    if not 1 <= num_sources <= m // 2:
-        raise ValueError(f"num_sources must be in [1, {m // 2}]")
+    # the fine selection keeps pencil + 1 rows, and the stacked Hankel
+    # matrix needs one noise dimension among its m - pencil columns
+    limit = min(pencil + 1, m - pencil - 1)
+    if not 1 <= num_sources <= limit:
+        raise ValueError(f"num_sources must be in [1, {limit}] for pencil {pencil}")
     y1, y2 = split_ulas(snap.y)
     sub = stacked_subspace(y1, y2, pencil, num_sources, coherent=coherent)
     pairs = selection_pairs(cfg, pencil)

@@ -14,6 +14,8 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg
 
+from .errors import NonFiniteSnapshot
+
 
 @dataclass(frozen=True)
 class SubspacePair:
@@ -47,13 +49,16 @@ def split_subspaces(h: np.ndarray, num_sources: int) -> SubspacePair:
 
     ``signal`` holds the ``num_sources`` dominant left singular vectors,
     ``noise`` the full orthogonal complement (``rows - num_sources``
-    columns).
+    columns).  Every estimator reaches its snapshot through here, so a
+    NaN or infinite sample is reported once, as :class:`NonFiniteSnapshot`.
     """
     rows, cols = h.shape
     if not 1 <= num_sources < min(rows, cols):
         raise ValueError(
             f"num_sources must be in [1, {min(rows, cols) - 1}], got {num_sources}"
         )
+    if not np.isfinite(h).all():
+        raise NonFiniteSnapshot("snapshot holds a NaN or infinite sample")
     u, s, _ = np.linalg.svd(h, full_matrices=True)
     return SubspacePair(
         signal=u[:, :num_sources], noise=u[:, num_sources:], singular_values=s

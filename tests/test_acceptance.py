@@ -383,7 +383,9 @@ def test_criterion_6_geometry_identities():
     255.7 m far-field boundary) follow from taking the element spacing
     as a full wavelength, which doubles each module's aperture to 15
     wavelengths.  The as-built half-wavelength numbers are asserted
-    exactly alongside them; the mismatch is recorded in the build notes.
+    exactly alongside them, so this test is the record of the mismatch:
+    the package keeps the half-wavelength layout, and the quoted values
+    hold only under the doubled-spacing reading.
     """
     lam = 299792458.0 / 76e9
     cfg = ArrayConfig(elements_per_ula=16, gap=150.0 * lam, carrier_freq=76e9)

@@ -139,6 +139,21 @@ def test_unknown_scenario_exits_two(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("n_targets", [8, 9])
+def test_too_many_targets_exit_two(tmp_path, capsys, n_targets):
+    lines = [ln for ln in TINY.splitlines() if not ln.startswith(("target.", "algorithms"))]
+    for i in range(1, n_targets + 1):
+        lines += [f"target.{i}.range_m = 400.0", f"target.{i}.angle_deg = {3.0 * i}"]
+    lines.append("algorithms = ss_esprit, ss_music_elaa, nf_localize")
+    path = tmp_path / "crowded.scenario"
+    path.write_text("\n".join(lines) + "\n")
+    code = cli.main(["run", "--scenario", str(path), "--out", str(tmp_path / "r.csv")])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert f"error: {n_targets} targets" in err and "resolves at most 7" in err
+    assert not (tmp_path / "r.csv").exists()
+
+
 def test_spectrum_subcommand(tiny_scenario, tmp_path):
     out = tmp_path / "spec.csv"
     snap_file = tmp_path / "snap.c16"

@@ -8,6 +8,7 @@ from elaa_doa.geometry import Target
 from elaa_doa.harness import (
     METRICS_HEADER,
     MetricsRow,
+    _run_trial,
     _splitmix64,
     derive_trial_seed,
     hit_rate,
@@ -17,7 +18,8 @@ from elaa_doa.harness import (
     run_monte_carlo,
     write_metrics_csv,
 )
-from elaa_doa.scenarios import ScenarioSpec, paper_array
+from elaa_doa.scenarios import ScenarioSpec, builtin_scenarios, paper_array
+from elaa_doa.signal_model import snapshot
 
 GOLDEN = 0x9E3779B97F4A7C15
 
@@ -144,3 +146,20 @@ def test_rmse_include_failures_path(monkeypatch):
     assert rows[0].rmse == pytest.approx(90.0)
     rows = run_monte_carlo(spec)
     assert rows[0].rmse is None
+
+
+@pytest.mark.parametrize(
+    "scenario, algorithm",
+    [
+        ("fig3_small_sep", "ss_esprit"),
+        ("fig3_small_sep", "ss_music_elaa"),
+        ("fig3_small_sep", "ss_music_ula2"),
+        ("fig4_near_a", "nf_localize"),
+    ],
+)
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+def test_non_finite_snapshot_is_a_typed_failure(scenario, algorithm, bad):
+    spec = builtin_scenarios()[scenario]
+    snap = snapshot(spec.array, spec.targets, 30.0, seed=1)
+    snap.y[20] = bad
+    assert _run_trial(algorithm, snap, spec) == (None, "NonFiniteSnapshot", {})

@@ -8,10 +8,9 @@ from elaa_doa.errors import BehindArray, ParallelBearings
 from elaa_doa.geometry import Target, local_geometry, reference_positions
 from elaa_doa.nf_localizer import (
     BearingLine,
-    _atom_builder,
-    _fit_residual_sq,
-    _planar_atom,
-    _planar_atoms,
+    _atoms,
+    _matched_response,
+    _polish,
     _range_split_positions,
     _ridge_spacing_u,
     associate,
@@ -90,49 +89,81 @@ def test_triangulate_exact(r, angle):
     assert point == pytest.approx(list(target.position), rel=1e-9, abs=1e-9)
 
 
-def test_atom_builder_matches_steering(paper_cfg):
-    build = _atom_builder(paper_cfg)
+def test_atoms_match_steering(paper_cfg):
     for x, y in [(0.5, 4.0), (-2.0, 7.3), (10.0, 60.0)]:
         direct = steering_nearfield(paper_cfg, Target.from_position(x, y)).entries
-        assert np.allclose(build(x, y), direct, atol=1e-10)
+        assert np.allclose(_atoms(paper_cfg, x, y)[:, 0], direct, atol=1e-10)
 
 
-def test_planar_atoms_batch_matches_single(paper_cfg):
+def test_atoms_batch_matches_single_points(paper_cfg):
     xs = np.array([0.5, -2.0, 10.0])
     ys = np.array([4.0, 7.3, 60.0])
-    batch = _planar_atoms(paper_cfg, xs, ys)
+    batch = _atoms(paper_cfg, xs, ys)
+    assert batch.shape == (paper_cfg.n_elements, 3)
     for col, (x, y) in enumerate(zip(xs, ys)):
-        assert np.allclose(batch[:, col], _planar_atom(paper_cfg, x, y), atol=1e-10)
+        assert np.allclose(batch[:, col], _atoms(paper_cfg, x, y)[:, 0], atol=1e-10)
 
 
-def test_fit_residual_closed_forms(paper_cfg):
-    rng = np.random.default_rng(19)
+def test_atoms_jacobian_matches_central_differences(paper_cfg):
+    xs = np.array([0.5, -2.0, 10.0, 0.0])
+    ys = np.array([4.0, 7.3, 60.0, 0.6])
+    atoms, dph_dx, dph_dy = _atoms(paper_cfg, xs, ys, jacobian=True)
+    assert np.array_equal(atoms, _atoms(paper_cfg, xs, ys))
+    h = 1e-7
+    for analytic, (ex, ey) in ((dph_dx, (h, 0.0)), (dph_dy, (0.0, h))):
+        numeric = (
+            _atoms(paper_cfg, xs + ex, ys + ey) - _atoms(paper_cfg, xs - ex, ys - ey)
+        ) / (2.0 * h)
+        exact = 1j * atoms * analytic
+        assert np.max(np.abs(numeric - exact)) < 1e-5 * np.max(np.abs(exact))
+
+
+def _polar(r, deg):
+    return np.array([r * math.sin(math.radians(deg)), r * math.cos(math.radians(deg))])
+
+
+def _within_crest(cfg, p, du_frac, dlog_r):
+    """``p`` moved by a fraction of the comb spacing in sine and in log range."""
+    r = float(np.hypot(*p))
+    u = p[0] / r + du_frac * _ridge_spacing_u(cfg)
+    r *= math.exp(dlog_r)
+    return np.array([r * u, r * math.sqrt(1.0 - u * u)])
+
+
+@pytest.mark.parametrize("n_others", [0, 1, 2])
+def test_polish_reaches_noiseless_truth(paper_cfg, n_others):
+    truth = _polar(5.0, 10.0)
+    others = [_polar(5.0, -10.0), _polar(7.0, 25.0)][:n_others]
+    pts = np.array([truth] + others)
+    amps = np.array([1.0, 0.7 * np.exp(1.1j), 0.5 * np.exp(-2.0j)])[: len(pts)]
+    y = _atoms(paper_cfg, pts[:, 0], pts[:, 1]) @ amps
+    for du_frac, dlog_r in ((0.1, 0.02), (-0.15, -0.03), (0.05, 0.0)):
+        seed = _within_crest(paper_cfg, truth, du_frac, dlog_r)
+        found = _polish(y, paper_cfg, seed, others)
+        assert np.linalg.norm(found - truth) < 1e-6, (du_frac, dlog_r)
+
+
+def test_polish_never_lowers_the_matched_response(paper_cfg):
+    rng = np.random.default_rng(23)
+    truth = _polar(5.0, 10.0)
+    clean = _atoms(paper_cfg, truth[0], truth[1])[:, 0]
     n = paper_cfg.n_elements
-    y = rng.normal(size=n) + 1j * rng.normal(size=n)
-    y_sq = float(np.vdot(y, y).real)
-    build = _atom_builder(paper_cfg)
-    a1 = build(0.5, 4.0)
-    a2 = build(-0.3, 5.5)
-    a3 = build(2.0, 9.0)
-
-    def lstsq_res_sq(atoms):
-        basis = np.column_stack(atoms)
-        coef, *_ = np.linalg.lstsq(basis, y, rcond=None)
-        return float(np.linalg.norm(y - basis @ coef) ** 2)
-
-    assert _fit_residual_sq(y, y_sq, a1, []) == pytest.approx(lstsq_res_sq([a1]))
-    assert _fit_residual_sq(y, y_sq, a1, [a2]) == pytest.approx(lstsq_res_sq([a1, a2]))
-    assert _fit_residual_sq(y, y_sq, a1, [a2, a3]) == pytest.approx(
-        lstsq_res_sq([a1, a2, a3])
-    )
+    for _ in range(20):
+        y = clean + 0.3 * (rng.normal(size=n) + 1j * rng.normal(size=n))
+        seed = _within_crest(
+            paper_cfg, truth, rng.uniform(-0.5, 0.5), rng.uniform(-0.3, 0.3)
+        )
+        found = _polish(y, paper_cfg, seed, [])
+        # a polish that takes no step returns its seed up to rounding
+        before = _matched_response(y, paper_cfg, seed)
+        assert _matched_response(y, paper_cfg, found) >= before * (1.0 - 1e-12)
 
 
-def test_fit_residual_coincident_barrier(paper_cfg):
-    build = _atom_builder(paper_cfg)
-    a = build(0.5, 4.0)
-    y = a.copy()
-    y_sq = float(np.vdot(y, y).real)
-    assert _fit_residual_sq(y, y_sq, a, [a]) == pytest.approx(2.0 * y_sq)
+def test_polish_coincident_barrier(paper_cfg):
+    p = _polar(5.0, 10.0)
+    y = _atoms(paper_cfg, p[0], p[1])[:, 0]
+    # a seed on top of a fixed atom is barred, so the polish returns it as is
+    assert np.array_equal(_polish(y, paper_cfg, p, [p.copy()]), p)
 
 
 def test_ridge_spacing(paper_cfg):

@@ -163,6 +163,31 @@ def test_spec_validation():
         )
 
 
+@pytest.mark.parametrize("n_targets", [8, 9])
+def test_spec_rejects_more_targets_than_the_pencil_resolves(n_targets):
+    targets = tuple(Target(250.0, math.radians(a)) for a in range(n_targets))
+    with pytest.raises(ScenarioError, match="resolves at most 7"):
+        ScenarioSpec(name="x", array=paper_array(), targets=targets, snr_grid_db=(0.0,))
+
+
+def test_spec_source_limit_follows_the_pencil():
+    targets = tuple(Target(250.0, math.radians(a)) for a in range(7))
+    ScenarioSpec(name="x", array=paper_array(), targets=targets, snr_grid_db=(0.0,))
+    with pytest.raises(ScenarioError, match="resolves at most 4"):
+        ScenarioSpec(
+            name="x", array=paper_array(), targets=targets, snr_grid_db=(0.0,), pencil=4
+        )
+    for pencil in (0, 16):
+        with pytest.raises(ScenarioError, match="pencil must be in"):
+            ScenarioSpec(
+                name="x",
+                array=paper_array(),
+                targets=targets[:1],
+                snr_grid_db=(0.0,),
+                pencil=pencil,
+            )
+
+
 def test_with_overrides():
     spec = builtin_scenarios()["fig4_near_a"]
     same = with_overrides(spec)

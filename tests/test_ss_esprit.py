@@ -149,3 +149,13 @@ def test_esprit_source_count_validation(paper_cfg):
         estimate_doa_esprit(snap, paper_cfg, 0)
     with pytest.raises(ValueError):
         estimate_doa_esprit(snap, paper_cfg, 9)
+    # the reference pencil of 8 leaves 8 Hankel columns: at most 7 sources
+    with pytest.raises(ValueError, match=r"\[1, 7\]"):
+        estimate_doa_esprit(snap, paper_cfg, 8)
+
+
+def test_esprit_resolves_pencil_plus_one_sources(paper_cfg):
+    angles = [-20.0, 0.0, 20.0]
+    snap = snapshot(paper_cfg, _far_targets(paper_cfg, angles), math.inf, seed=5)
+    found, _ = estimate_doa_esprit(snap, paper_cfg, 3, pencil=2)
+    assert np.degrees(found) == pytest.approx(angles, abs=1e-7)
