@@ -164,13 +164,7 @@ def reference_positions(cfg: ArrayConfig) -> np.ndarray:
     return np.array([x10, x20])
 
 
-def field_regions(
-    cfg: ArrayConfig,
-    *,
-    fraunhofer: float | None = None,
-    local_farfield: float | None = None,
-    shared_doa: float | None = None,
-) -> FieldRegions:
+def field_regions(cfg: ArrayConfig) -> FieldRegions:
     """Range thresholds for the wavefront models.
 
     * ``fraunhofer``: ``2 * total_aperture**2 / wavelength``; beyond it a
@@ -180,16 +174,14 @@ def field_regions(
     * ``shared_doa``: ``max(5 * total_aperture,
       4 * total_aperture * gap / wavelength)``; beyond it the per-sub-array
       DOAs can be replaced by a single shared one.
-
-    Keyword overrides replace individual thresholds, for configurations
-    where the defaults are known to be too conservative.
     """
     lam = cfg.wavelength
     d_a = cfg.total_aperture
-    fr = 2.0 * d_a * d_a / lam if fraunhofer is None else fraunhofer
-    lf = 2.0 * cfg.sub_aperture**2 / lam if local_farfield is None else local_farfield
-    sd = max(5.0 * d_a, 4.0 * d_a * cfg.gap / lam) if shared_doa is None else shared_doa
-    return FieldRegions(fraunhofer=fr, local_farfield=lf, shared_doa=sd)
+    return FieldRegions(
+        fraunhofer=2.0 * d_a * d_a / lam,
+        local_farfield=2.0 * cfg.sub_aperture**2 / lam,
+        shared_doa=max(5.0 * d_a, 4.0 * d_a * cfg.gap / lam),
+    )
 
 
 def local_geometry(cfg: ArrayConfig, target: Target) -> LocalGeometry:

@@ -13,13 +13,14 @@ tables, and any single trial can be replayed in isolation.
 
 from __future__ import annotations
 
+import functools
 import hashlib
-import itertools
 import math
 import sys
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.optimize
 
 from .errors import EstimationError
 from .nf_localizer import localize
@@ -30,6 +31,7 @@ from .ss_music import estimate_doa_music
 
 _MASK64 = (1 << 64) - 1
 FAILURE_EXIT_THRESHOLD = 0.5
+FAILURE_ERROR_DEG = 90.0
 
 
 @dataclass(frozen=True)
@@ -67,34 +69,38 @@ def derive_trial_seed(base_seed: int, algorithm: str, snr_index: int, trial_inde
 def match_errors(estimates: np.ndarray, truth: np.ndarray) -> np.ndarray:
     """Per-target error magnitudes under the best estimate-truth pairing.
 
-    The pairing minimizes the summed squared error over all permutations
-    (the source counts here are small, so exhaustive search is fine).
-    Works for scalar angles, shape (K,), and planar positions, shape (K, 2).
+    The pairing minimizes the summed squared error, a sum of one cost per
+    pair, so a linear assignment solver finds it.  Works for scalar
+    angles, shape (K,), and planar positions, shape (K, 2).  Entry ``t``
+    is the error of the estimate paired with truth ``t``.
     """
     est = np.asarray(estimates, dtype=float)
     tru = np.asarray(truth, dtype=float)
     if est.shape != tru.shape:
         raise ValueError(f"shape mismatch {est.shape} vs {tru.shape}")
-    k = tru.shape[0]
-    best = None
-    for perm in itertools.permutations(range(k)):
-        diff = est[list(perm)] - tru
-        dist = np.abs(diff) if diff.ndim == 1 else np.linalg.norm(diff, axis=1)
-        cost = float(np.sum(dist * dist))
-        if best is None or cost < best[0]:
-            best = (cost, dist)
-    return best[1]
+    gaps = tru[:, None] - est[None, :]
+    dist = np.abs(gaps) if tru.ndim == 1 else np.linalg.norm(gaps, axis=-1)
+    _, pick = scipy.optimize.linear_sum_assignment(dist * dist)
+    diff = est[pick] - tru
+    return np.abs(diff) if diff.ndim == 1 else np.linalg.norm(diff, axis=1)
 
 
-def rmse(trial_estimates: list[np.ndarray | None], truth: np.ndarray) -> float | None:
-    """Root mean squared matched error over successful trials.
+def rmse(
+    trial_estimates: list[np.ndarray | None],
+    truth: np.ndarray,
+    failure_error: float | None = None,
+) -> float | None:
+    """Root mean squared matched error.
 
-    Failed trials (``None``) are excluded; with no successful trial the
+    Failed trials (``None``) are excluded, or, with ``failure_error``,
+    contribute that error once per target.  With nothing to average the
     RMSE is absent (``None``), not zero.
     """
     squares = []
     for est in trial_estimates:
         if est is None:
+            if failure_error is not None:
+                squares.extend([failure_error**2] * len(truth))
             continue
         err = match_errors(est, truth)
         squares.extend(float(e * e) for e in err)
@@ -128,54 +134,63 @@ class _TrialRecord:
     extra: dict
 
 
+def _esprit(snap, spec: ScenarioSpec):
+    angles, diag = estimate_doa_esprit(snap, spec.array, len(spec.targets), pencil=spec.pencil)
+    extra = {
+        "pairing_quality": diag.pairing_quality,
+        "dealias_margin_deg": math.degrees(min(r.margin for r in diag.reports)),
+    }
+    return np.degrees(angles), "ok", extra
+
+
+def _music(snap, spec: ScenarioSpec, ula: int | None):
+    angles = estimate_doa_music(
+        snap,
+        spec.array,
+        len(spec.targets),
+        fusion=spec.fusion_mode,
+        grid_step_deg=spec.grid_step_deg,
+        pencil=spec.pencil,
+        ula=ula,
+    )
+    return np.degrees(angles), "ok", {}
+
+
+def _localize(snap, spec: ScenarioSpec):
+    result = localize(
+        snap, spec.array, len(spec.targets), grid_step_deg=spec.grid_step_deg, pencil=spec.pencil
+    )
+    failed = [t for t in result.targets if t.position is None]
+    if failed:
+        return None, failed[0].error or "Unpaired", {}
+    positions = np.array([t.position for t in result.targets])
+    gaps = [t.residual for t in result.targets if t.residual is not None]
+    extra = {
+        "residual": max(gaps) if gaps else None,
+        "score": min(t.score for t in result.targets),
+    }
+    return positions, "ok", extra
+
+
+# Algorithm name -> (run function, metric unit).  Run functions reach the
+# estimators through this module's globals at call time, so rebinding an
+# estimator here (as a tracer or a test does) reaches every trial.
+ESTIMATORS = {
+    "nf_localize": (_localize, "m"),
+    "ss_esprit": (_esprit, "deg"),
+    "ss_music_elaa": (functools.partial(_music, ula=None), "deg"),
+    "ss_music_ula1": (functools.partial(_music, ula=1), "deg"),
+    "ss_music_ula2": (functools.partial(_music, ula=2), "deg"),
+}
+
+
 def _run_trial(algorithm: str, snap, spec: ScenarioSpec) -> tuple[np.ndarray | None, str, dict]:
     """Returns (estimates, status, extra).  Estimator failures are caught."""
-    k = len(spec.targets)
+    run, _ = ESTIMATORS[algorithm]
     try:
-        if algorithm == "ss_esprit":
-            angles, diag = estimate_doa_esprit(snap, spec.array, k, pencil=spec.pencil)
-            extra = {
-                "pairing_quality": diag.pairing_quality,
-                "dealias_margin_deg": math.degrees(min(r.margin for r in diag.reports)),
-            }
-            return np.degrees(angles), "ok", extra
-        if algorithm.startswith("ss_music"):
-            ula = {"ss_music_elaa": None, "ss_music_ula1": 1, "ss_music_ula2": 2}[algorithm]
-            angles = estimate_doa_music(
-                snap,
-                spec.array,
-                k,
-                fusion=spec.fusion_mode,
-                grid_step_deg=spec.grid_step_deg,
-                pencil=spec.pencil,
-                ula=ula,
-            )
-            return np.degrees(angles), "ok", {}
-        if algorithm == "nf_localize":
-            result = localize(
-                snap, spec.array, k, grid_step_deg=spec.grid_step_deg, pencil=spec.pencil
-            )
-            failed = [t for t in result.targets if t.position is None]
-            if failed:
-                return None, failed[0].error or "Unpaired", {}
-            positions = np.array([t.position for t in result.targets])
-            gaps = [t.residual for t in result.targets if t.residual is not None]
-            extra = {
-                "residual": max(gaps) if gaps else None,
-                "score": min(t.score for t in result.targets),
-            }
-            return positions, "ok", extra
-        raise ValueError(f"unknown algorithm {algorithm!r}")
+        return run(snap, spec)
     except EstimationError as exc:
         return None, type(exc).__name__, {}
-
-
-def _truth_for(algorithm: str, spec: ScenarioSpec) -> tuple[np.ndarray, str, float]:
-    if algorithm == "nf_localize":
-        truth = np.array([t.position for t in spec.targets])
-        return truth, "m", spec.hit_tolerance_m
-    truth = np.array([math.degrees(t.angle) for t in spec.targets])
-    return truth, "deg", spec.hit_tolerance_deg
 
 
 def run_monte_carlo(
@@ -188,13 +203,20 @@ def run_monte_carlo(
 
     Rows come back sorted by (algorithm, snr_db).  With
     ``rmse_include_failures`` each failed trial contributes a worst-case
-    90 degree error per target instead of being excluded; this applies to
-    angle metrics only (position failures stay excluded).
+    ``FAILURE_ERROR_DEG`` error per target instead of being excluded;
+    this applies to angle metrics only (position failures stay excluded).
     """
     rows: list[MetricsRow] = []
     debug_rows: list[str] = []
     for algorithm in sorted(spec.algorithms):
-        truth, unit, tol = _truth_for(algorithm, spec)
+        _, unit = ESTIMATORS[algorithm]
+        if unit == "m":
+            truth = np.array([t.position for t in spec.targets])
+            tol = spec.hit_tolerance_m
+        else:
+            truth = np.array([math.degrees(t.angle) for t in spec.targets])
+            tol = spec.hit_tolerance_deg
+        failure_error = FAILURE_ERROR_DEG if rmse_include_failures and unit == "deg" else None
         for snr_index, snr_db in enumerate(spec.snr_grid_db):
             records: list[_TrialRecord] = []
             for trial in range(spec.n_trials):
@@ -205,21 +227,11 @@ def run_monte_carlo(
                 estimates, status, extra = _run_trial(algorithm, snap, spec)
                 records.append(_TrialRecord(trial, seed, status, estimates, extra))
             estimates_list = [r.estimates for r in records]
-            value = rmse(estimates_list, truth)
-            if rmse_include_failures and unit == "deg":
-                squares = []
-                for est in estimates_list:
-                    if est is None:
-                        squares.extend([90.0**2] * len(truth))
-                    else:
-                        err = match_errors(est, truth)
-                        squares.extend(float(e * e) for e in err)
-                value = math.sqrt(sum(squares) / len(squares)) if squares else None
             row = MetricsRow(
                 algorithm=algorithm,
                 snr_db=float(snr_db),
                 n_trials=spec.n_trials,
-                rmse=value,
+                rmse=rmse(estimates_list, truth, failure_error),
                 hit_rate=hit_rate(estimates_list, truth, tol),
                 failure_rate=sum(r.estimates is None for r in records) / spec.n_trials,
                 metric_unit=unit,

@@ -39,8 +39,7 @@ import numpy as np
 from .errors import BehindArray, EstimationError, ParallelBearings
 from .geometry import ArrayConfig, field_regions, reference_positions
 from .signal_model import Snapshot, split_ulas
-from .ss_music import _cached_steering, peak_pick, pseudospectrum
-from .subspace import default_pencil, hankel, split_subspaces
+from .ss_music import module_spectrum, peak_pick
 
 PARALLEL_TOL = 1e-6
 ENVELOPE_U_POINTS = 120
@@ -137,22 +136,6 @@ def triangulate(angles: tuple[float, float], cfg: ArrayConfig) -> tuple[np.ndarr
     )
 
 
-def _scan_doas(
-    y: np.ndarray,
-    cfg: ArrayConfig,
-    num_sources: int,
-    grid_step_deg: float,
-    pencil: int | None,
-) -> tuple[np.ndarray, np.ndarray]:
-    pencil = default_pencil(cfg.elements_per_ula) if pencil is None else pencil
-    grid, a = _cached_steering(pencil + 1, cfg.spacing, cfg.wavelength, grid_step_deg)
-    out = []
-    for sub_y in split_ulas(y):
-        sub = split_subspaces(hankel(sub_y, pencil), num_sources)
-        out.append(np.sort(peak_pick(pseudospectrum(sub, grid, a), num_sources)))
-    return out[0], out[1]
-
-
 def local_doas(
     snap: Snapshot,
     cfg: ArrayConfig,
@@ -165,7 +148,11 @@ def local_doas(
     The sub-arrays are scanned independently, so the two lists are not
     yet associated with each other.
     """
-    return _scan_doas(snap.y, cfg, num_sources, grid_step_deg, pencil)
+    out = []
+    for y in split_ulas(snap.y):
+        spectrum = module_spectrum(y, cfg, num_sources, grid_step_deg, pencil)
+        out.append(np.sort(peak_pick(spectrum, num_sources)))
+    return out[0], out[1]
 
 
 def associate(

@@ -64,6 +64,12 @@ class ScenarioSpec:
             raise ScenarioError("scenario needs at least one target")
         if not self.snr_grid_db:
             raise ScenarioError("scenario needs at least one SNR point")
+        for snr_db in self.snr_grid_db:
+            # +inf is the noiseless snapshot; NaN and -inf have no noise level
+            if math.isnan(snr_db) or snr_db == -math.inf:
+                raise ScenarioError(
+                    f"SNR point {snr_db!r} dB is invalid; give a finite value, or inf for no noise"
+                )
         if self.n_trials < 1:
             raise ScenarioError("n_trials must be at least 1")
         if not self.algorithms:

@@ -25,7 +25,6 @@ import numpy as np
 
 from .geometry import (
     ArrayConfig,
-    FieldRegions,
     Target,
     element_positions,
     field_regions,
@@ -110,11 +109,9 @@ def steering_nearfield(
     return SteeringVector(np.concatenate(parts), model)
 
 
-def select_model(
-    cfg: ArrayConfig, target_range: float, regions: FieldRegions | None = None
-) -> SteeringModel:
+def select_model(cfg: ArrayConfig, target_range: float) -> SteeringModel:
     """Most idealized wavefront model that is valid at the given range."""
-    reg = field_regions(cfg) if regions is None else regions
+    reg = field_regions(cfg)
     if target_range >= reg.fraunhofer:
         return SteeringModel.FAR_FIELD
     if target_range >= reg.shared_doa:
@@ -125,14 +122,11 @@ def select_model(
 
 
 def steering(
-    cfg: ArrayConfig,
-    target: Target,
-    model: SteeringModel | None = None,
-    regions: FieldRegions | None = None,
+    cfg: ArrayConfig, target: Target, model: SteeringModel | None = None
 ) -> SteeringVector:
     """Steering vector under an explicit or range-auto-selected model."""
     if model is None:
-        model = select_model(cfg, target.range, regions)
+        model = select_model(cfg, target.range)
     if model is SteeringModel.EXACT:
         return steering_exact(cfg, target)
     if model is SteeringModel.FAR_FIELD:
@@ -150,7 +144,6 @@ def snapshot(
     snr_db: float,
     seed: int,
     model: SteeringModel | None = None,
-    regions: FieldRegions | None = None,
     randomize_phase: bool = True,
 ) -> Snapshot:
     """Generate one observation ``y = sum_k s_k a_k + n``.
@@ -176,7 +169,7 @@ def snapshot(
     )
     y = np.zeros(n, dtype=complex)
     for t, s in zip(targets, amps):
-        y = y + s * steering(cfg, t, model=model, regions=regions).entries
+        y = y + s * steering(cfg, t, model=model).entries
     sigma2 = 10.0 ** (-snr_db / 10.0)
     noise = (rng.standard_normal(n) + 1j * rng.standard_normal(n)) * math.sqrt(sigma2 / 2.0)
     return Snapshot(y=y + noise, snr_db=snr_db, seed=seed, truth=targets, amplitudes=amps)

@@ -30,6 +30,14 @@ from .subspace import default_pencil, stacked_subspace
 
 COND_LIMIT = 1e12
 ASIN_CLAMP = 1e-9
+# The pipeline's alias-tie threshold is tighter than the bare ``dealias``
+# default: the coarse single-shift estimate has a heavy two-source error
+# tail at moderate SNR, and refusing every near-half-spacing decision
+# turns a slice of one-bin errors (one fine spacing, about 0.36 degrees
+# for the reference geometry) into hard failures.  Flagging only
+# near-exact ties keeps those trials as ordinary errors, which downstream
+# accuracy metrics already account for.
+TIE_FRACTION = 0.02
 
 
 @dataclass(frozen=True)
@@ -255,22 +263,12 @@ def estimate_doa_esprit(
     cfg: ArrayConfig,
     num_sources: int,
     pencil: int | None = None,
-    coherent: bool = True,
-    tie_fraction: float = 0.02,
 ) -> tuple[np.ndarray, EspritDiagnostics]:
     """Far-field DOAs from one snapshot, radians, sorted ascending.
 
     Returns the dealiased fine-shift angles together with diagnostics:
     the coarse angles, the joint-diagonalization quality and the per
-    source dealiasing reports.
-
-    The pipeline default ``tie_fraction`` is tighter than the bare
-    ``dealias`` default: the coarse single-shift estimate has a heavy
-    two-source error tail at moderate SNR, and refusing every near-half
-    -spacing decision turns a slice of one-bin errors (one fine spacing,
-    about 0.36 degrees for the reference geometry) into hard failures.
-    Flagging only near-exact ties keeps those trials as ordinary errors,
-    which downstream accuracy metrics already account for.
+    source dealiasing reports.  Alias ties are judged at ``TIE_FRACTION``.
     """
     m = cfg.elements_per_ula
     pencil = default_pencil(m) if pencil is None else pencil
@@ -280,13 +278,13 @@ def estimate_doa_esprit(
     if not 1 <= num_sources <= limit:
         raise ValueError(f"num_sources must be in [1, {limit}] for pencil {pencil}")
     y1, y2 = split_ulas(snap.y)
-    sub = stacked_subspace(y1, y2, pencil, num_sources, coherent=coherent)
+    sub = stacked_subspace(y1, y2, pencil, num_sources)
     pairs = selection_pairs(cfg, pencil)
     coarse_eigs, fine_eigs, quality = pair_eigenvalues(sub.signal, pairs.coarse, pairs.fine)
     coarse_sets = angles_from_eigenvalues(coarse_eigs, pairs.coarse.delta, cfg.wavelength)
     coarse_angles = np.array([_unique_coarse_angle(cs) for cs in coarse_sets])
     fine_sets = angles_from_eigenvalues(fine_eigs, pairs.fine.delta, cfg.wavelength)
-    angles, reports = dealias(coarse_angles, fine_sets, tie_fraction=tie_fraction)
+    angles, reports = dealias(coarse_angles, fine_sets, tie_fraction=TIE_FRACTION)
     diag = EspritDiagnostics(
         coarse_angles=coarse_angles, pairing_quality=quality, reports=reports
     )

@@ -3,9 +3,11 @@
 Each sub-array observation is lifted to a Hankel matrix; the noise
 subspace of that matrix is orthogonal to a short exponential steering
 vector whose length equals the Hankel row count.  Scanning that steering
-vector over a DOA grid gives a per-sub-array pseudospectrum; the two
-sub-array spectra are fused (product by default, max as an alternative)
-and peaks are picked from the fused surface.
+vector over a DOA grid gives a per-sub-array pseudospectrum, built in one
+place, :func:`module_spectrum`.  Far-field estimation fuses the two
+sub-array spectra (product by default, max as an alternative) and picks
+peaks from the fused surface; the near-field localizer picks peaks from
+each sub-array spectrum on its own.
 """
 
 from __future__ import annotations
@@ -63,26 +65,48 @@ def hankel_steering_matrix(
 
 @functools.lru_cache(maxsize=8)
 def _cached_steering(n_rows: int, spacing: float, wavelength: float, step_deg: float):
+    """Default grid and its steering matrix, shared read-only by every caller."""
     grid = default_grid(step_deg)
-    return grid, hankel_steering_matrix(n_rows, spacing, wavelength, grid)
+    a = hankel_steering_matrix(n_rows, spacing, wavelength, grid)
+    grid.setflags(write=False)
+    a.setflags(write=False)
+    return grid, a
 
 
-def pseudospectrum(sub: SubspacePair, grid: np.ndarray, steering) -> Spectrum:
+def pseudospectrum(sub: SubspacePair, grid: np.ndarray, steering: np.ndarray) -> Spectrum:
     """MUSIC surface ``||a|| / ||U_noise^H a||`` over the grid.
 
-    ``steering`` is either a precomputed matrix with one column per grid
-    angle or a callable mapping the grid to such a matrix.  The projection
-    norm is floored at ``1e-12 * ||a||`` so noiseless nulls stay finite.
+    ``steering`` holds one steering vector per grid angle, as columns.
+    The projection norm is floored at ``1e-12 * ||a||`` so noiseless
+    nulls stay finite.
     """
     if sub.noise.shape[1] == 0:
         raise ValueError("noise subspace is empty; reduce the source count")
-    a = steering(grid) if callable(steering) else np.asarray(steering)
+    a = np.asarray(steering)
     if a.shape != (sub.noise.shape[0], len(grid)):
         raise ValueError("steering matrix shape does not match subspace/grid")
     num = np.linalg.norm(a, axis=0)
     den = np.linalg.norm(sub.noise.conj().T @ a, axis=0)
     den = np.maximum(den, DENOMINATOR_FLOOR * num)
     return Spectrum(grid=np.asarray(grid, dtype=float), values=num / den)
+
+
+def module_spectrum(
+    y_half: np.ndarray,
+    cfg: ArrayConfig,
+    num_sources: int,
+    grid_step_deg: float,
+    pencil: int | None,
+) -> Spectrum:
+    """MUSIC pseudospectrum of one sub-array's samples on the default grid.
+
+    The samples are lifted with ``pencil`` (half the sub-array length
+    when None), split into signal and noise subspaces, and scanned with
+    the steering matrix cached per (array, pencil, grid step).
+    """
+    pencil = default_pencil(cfg.elements_per_ula) if pencil is None else pencil
+    grid, a = _cached_steering(pencil + 1, cfg.spacing, cfg.wavelength, grid_step_deg)
+    return pseudospectrum(split_subspaces(hankel(y_half, pencil), num_sources), grid, a)
 
 
 def fuse(s1: Spectrum, s2: Spectrum, mode: str = "product") -> Spectrum:
@@ -159,7 +183,6 @@ def estimate_doa_music(
     grid_step_deg: float = 0.01,
     pencil: int | None = None,
     ula: int | None = None,
-    grid: np.ndarray | None = None,
 ) -> np.ndarray:
     """Far-field DOAs from a single snapshot, radians, tallest peak first.
 
@@ -168,17 +191,10 @@ def estimate_doa_music(
     """
     if ula not in (None, 1, 2):
         raise ValueError("ula must be None, 1 or 2")
-    pencil = default_pencil(cfg.elements_per_ula) if pencil is None else pencil
-    if grid is None:
-        use_grid, a = _cached_steering(pencil + 1, cfg.spacing, cfg.wavelength, grid_step_deg)
-    else:
-        use_grid = np.asarray(grid, dtype=float)
-        a = hankel_steering_matrix(pencil + 1, cfg.spacing, cfg.wavelength, use_grid)
     halves = split_ulas(snap.y)
     selected = halves if ula is None else (halves[ula - 1],)
     spectra = [
-        pseudospectrum(split_subspaces(hankel(y, pencil), num_sources), use_grid, a)
-        for y in selected
+        module_spectrum(y, cfg, num_sources, grid_step_deg, pencil) for y in selected
     ]
     surface = spectra[0] if len(spectra) == 1 else fuse(spectra[0], spectra[1], fusion)
     return peak_pick(surface, num_sources)

@@ -4,7 +4,9 @@ A single observation carries no sample covariance, so each sub-array
 vector is lifted into a Hankel matrix whose columns are sliding windows.
 For noiseless data the Hankel matrix of a sum of K complex exponentials
 has rank exactly K, which restores the signal/noise subspace split that
-covariance methods get from multiple snapshots.
+covariance methods get from multiple snapshots.  MUSIC decomposes each
+sub-array's lifting on its own; ESPRIT decomposes both liftings stacked,
+so its signal basis keeps the phase between the sub-arrays.
 """
 
 from __future__ import annotations
@@ -66,50 +68,13 @@ def split_subspaces(h: np.ndarray, num_sources: int) -> SubspacePair:
 
 
 def stacked_subspace(
-    y1: np.ndarray,
-    y2: np.ndarray,
-    pencil: int,
-    num_sources: int,
-    coherent: bool = True,
+    y1: np.ndarray, y2: np.ndarray, pencil: int, num_sources: int
 ) -> SubspacePair:
     """Joint subspace of both sub-arrays' Hankel liftings.
 
-    With ``coherent=True`` (default) the two Hankel matrices are stacked
-    row-wise and decomposed by one SVD, so the signal basis preserves the
-    inter-sub-array phase of each source.  ``coherent=False`` instead
-    concatenates independently computed per-sub-array signal bases and
-    re-orthonormalizes them; the span is the union of the per-block spans
-    but the relative phase between blocks is arbitrary.  That variant
-    exists only for comparison.
+    The two Hankel matrices are stacked row-wise and decomposed by one
+    SVD, so the signal basis preserves the inter-sub-array phase of each
+    source.
     """
-    h1 = hankel(y1, pencil)
-    h2 = hankel(y2, pencil)
-    if coherent:
-        return split_subspaces(np.vstack([h1, h2]), num_sources)
-    s1 = split_subspaces(h1, num_sources)
-    s2 = split_subspaces(h2, num_sources)
-    stacked = np.vstack([s1.signal, s2.signal])
-    q, _ = np.linalg.qr(stacked, mode="complete")
-    sv = np.linalg.svd(stacked, compute_uv=False)
-    return SubspacePair(
-        signal=q[:, :num_sources], noise=q[:, num_sources:], singular_values=sv
-    )
-
-
-def estimate_source_count(singular_values: np.ndarray, energy_tol: float = 1e-3) -> int:
-    """Smallest K whose residual spectral energy is below ``energy_tol``.
-
-    Returns the smallest K with ``sum(s[K:]**2) < energy_tol * sum(s**2)``.
-    Intended as a fallback when the source count is not known a priori.
-    """
-    s = np.asarray(singular_values, dtype=float)
-    total = float(np.sum(s * s))
-    if total == 0.0:
-        return 0
-    residual = total
-    for k in range(len(s) + 1):
-        if residual < energy_tol * total:
-            return k
-        if k < len(s):
-            residual -= float(s[k] * s[k])
-    return len(s)
+    h = np.vstack([hankel(y1, pencil), hankel(y2, pencil)])
+    return split_subspaces(h, num_sources)

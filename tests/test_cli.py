@@ -4,7 +4,9 @@ import pytest
 from elaa_doa import cli
 from elaa_doa.errors import ScenarioError
 from elaa_doa.harness import METRICS_HEADER, MetricsRow
-from elaa_doa.signal_model import load_snapshot
+from elaa_doa.scenarios import builtin_scenarios
+from elaa_doa.signal_model import load_snapshot, snapshot
+from elaa_doa.ss_music import Spectrum, estimate_doa_music, peak_pick
 
 TINY = """
 name = cli_tiny
@@ -31,15 +33,18 @@ def test_parse_snr_forms():
     assert cli._parse_snr("0:40:5") == tuple(float(s) for s in range(0, 45, 5))
     assert cli._parse_snr("16") == (16.0,)
     assert cli._parse_snr("0, 10,20") == (0.0, 10.0, 20.0)
-    for bad in ("0:40", "0:40:0", "a:b:c", "x,y"):
+    for bad in ("0:40", "0:40:0", "a:b:c", "x,y", "nan:40:5", "0:inf:5", "0:40:nan"):
         with pytest.raises(ScenarioError):
             cli._parse_snr(bad)
 
 
-def test_parse_algos():
+def test_parse_algos(tiny_scenario, tmp_path, capsys):
     assert cli._parse_algos("ss_esprit, nf_localize") == ("ss_esprit", "nf_localize")
-    with pytest.raises(ScenarioError):
-        cli._parse_algos("music")
+    out = tmp_path / "r.csv"
+    code = cli.main(["run", "--scenario", tiny_scenario, "--algos", "music", "--out", str(out)])
+    assert code == 2
+    assert "unknown algorithm 'music'" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_resolve_scenario_builtin():
@@ -152,6 +157,32 @@ def test_too_many_targets_exit_two(tmp_path, capsys, n_targets):
     err = capsys.readouterr().err
     assert f"error: {n_targets} targets" in err and "resolves at most 7" in err
     assert not (tmp_path / "r.csv").exists()
+
+
+@pytest.mark.parametrize("snr", ["nan", "-inf"])
+def test_non_finite_snr_exits_two(tiny_scenario, tmp_path, capsys, snr):
+    out = tmp_path / "out.csv"
+    common = ["--scenario", tiny_scenario, f"--snr={snr}", "--out", str(out)]
+    assert cli.main(["spectrum", *common, "--seed", "1"]) == 2
+    assert cli.main(["run", *common, "--quiet"]) == 2
+    path = tmp_path / "bad.scenario"
+    path.write_text(TINY.replace("snr_grid_db = 30", f"snr_grid_db = 30, {snr}"))
+    assert cli.main(["run", "--scenario", str(path), "--out", str(out), "--quiet"]) == 2
+    err = capsys.readouterr().err
+    assert err.count(f"error: SNR point {float(snr)!r} dB is invalid") == 3
+    assert not out.exists()
+
+
+def test_spectrum_peaks_where_music_estimates(tmp_path):
+    out = tmp_path / "spec.csv"
+    args = ["--scenario", "fig3_small_sep", "--snr", "20", "--seed", "1", "--out", str(out)]
+    assert cli.main(["spectrum", *args]) == 0
+    table = np.loadtxt(out, delimiter=",", skiprows=1)
+    surface = Spectrum(grid=np.radians(table[:, 0]), values=table[:, 1])
+    spec = builtin_scenarios()["fig3_small_sep"]
+    snap = snapshot(spec.array, spec.targets, 20.0, 1)
+    expected = estimate_doa_music(snap, spec.array, 2)
+    assert np.degrees(peak_pick(surface, 2)) == pytest.approx(np.degrees(expected), abs=1e-9)
 
 
 def test_spectrum_subcommand(tiny_scenario, tmp_path):

@@ -64,13 +64,6 @@ def test_field_regions_frozen(paper_cfg):
     assert reg.shared_doa == pytest.approx(390.51912292105266, rel=1e-12)
 
 
-def test_field_regions_overrides(paper_cfg):
-    reg = field_regions(paper_cfg, fraunhofer=99.0, shared_doa=1.0)
-    assert reg.fraunhofer == 99.0
-    assert reg.shared_doa == 1.0
-    assert reg.local_farfield == pytest.approx(0.4437717305921053, rel=1e-12)
-
-
 def test_local_geometry_hand_case():
     # ref at x0=-3, target at r=5 from origin with sin(angle)=0.6:
     # range = sqrt(25 - 2*5*(-3)*0.6 + 9) = sqrt(52)

@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -18,7 +19,7 @@ from elaa_doa.harness import (
     run_monte_carlo,
     write_metrics_csv,
 )
-from elaa_doa.scenarios import ScenarioSpec, builtin_scenarios, paper_array
+from elaa_doa.scenarios import KNOWN_ALGORITHMS, ScenarioSpec, builtin_scenarios, paper_array
 from elaa_doa.signal_model import snapshot
 
 GOLDEN = 0x9E3779B97F4A7C15
@@ -58,6 +59,27 @@ def test_match_errors_positions():
     assert err == pytest.approx([0.2, 0.1])
 
 
+def _brute_force_errors(est, tru):
+    best = None
+    for perm in itertools.permutations(range(len(tru))):
+        diff = est[list(perm)] - tru
+        dist = np.abs(diff) if diff.ndim == 1 else np.linalg.norm(diff, axis=1)
+        cost = float(np.sum(dist * dist))
+        if best is None or cost < best[0]:
+            best = (cost, dist)
+    return best[1]
+
+
+@pytest.mark.parametrize("k", [3, 4])
+@pytest.mark.parametrize("shape", [(), (2,)])
+def test_match_errors_against_all_permutations(k, shape):
+    rng = np.random.default_rng(k)
+    for _ in range(50):
+        tru = rng.normal(size=(k, *shape))
+        est = tru[rng.permutation(k)] + rng.normal(scale=0.8, size=(k, *shape))
+        np.testing.assert_array_equal(match_errors(est, tru), _brute_force_errors(est, tru))
+
+
 def test_match_errors_shape_mismatch():
     with pytest.raises(ValueError):
         match_errors(np.array([1.0]), np.array([1.0, 2.0]))
@@ -73,6 +95,8 @@ def test_rmse_excludes_failures():
     truth = np.array([0.0])
     assert rmse([None, np.array([0.5])], truth) == pytest.approx(0.5)
     assert rmse([None, None], truth) is None
+    # with a failure error, each failed trial counts it once per target
+    assert rmse([None, np.array([0.5])], truth, 1.5) == pytest.approx(math.sqrt(1.25))
 
 
 def test_hit_rate_inclusive_and_failures():
@@ -146,6 +170,10 @@ def test_rmse_include_failures_path(monkeypatch):
     assert rows[0].rmse == pytest.approx(90.0)
     rows = run_monte_carlo(spec)
     assert rows[0].rmse is None
+
+
+def test_estimator_table_covers_known_algorithms():
+    assert tuple(harness.ESTIMATORS) == KNOWN_ALGORITHMS
 
 
 @pytest.mark.parametrize(

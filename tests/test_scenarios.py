@@ -161,6 +161,13 @@ def test_spec_validation():
             snr_grid_db=(0.0,),
             fusion_mode="mean",
         )
+    for bad in (math.nan, -math.inf):
+        with pytest.raises(ScenarioError, match="SNR point"):
+            ScenarioSpec(
+                name="x", array=cfg, targets=(Target(5.0, 0.0),), snr_grid_db=(0.0, bad)
+            )
+    # +inf is the documented noiseless snapshot
+    ScenarioSpec(name="x", array=cfg, targets=(Target(5.0, 0.0),), snr_grid_db=(math.inf,))
 
 
 @pytest.mark.parametrize("n_targets", [8, 9])

@@ -128,13 +128,6 @@ def test_music_fused_resolves_below_module_beamwidth(paper_cfg):
     assert est == pytest.approx([-0.2, 0.2], abs=1e-3)
 
 
-def test_music_explicit_grid(paper_cfg):
-    snap = _far_snapshot(paper_cfg, [2.0])
-    grid = np.radians(np.linspace(-10.0, 10.0, 4001))
-    est = estimate_doa_music(snap, paper_cfg, 1, grid=grid)
-    assert math.degrees(est[0]) == pytest.approx(2.0, abs=1e-3)
-
-
 def test_music_rejects_bad_ula(paper_cfg):
     snap = _far_snapshot(paper_cfg, [2.0])
     with pytest.raises(ValueError):

@@ -5,13 +5,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from elaa_doa.subspace import (
-    default_pencil,
-    estimate_source_count,
-    hankel,
-    split_subspaces,
-    stacked_subspace,
-)
+from elaa_doa.subspace import default_pencil, hankel, split_subspaces, stacked_subspace
 
 
 def _exponentials(m, freqs, amps, seed=None):
@@ -96,20 +90,6 @@ def test_stacked_subspace_spans_both_blocks():
     assert np.all(sub.singular_values[1:] < 1e-10 * sub.singular_values[0])
 
 
-def test_stacked_subspace_incoherent_variant():
-    y1 = _exponentials(16, [0.13], [1.0])
-    y2 = _exponentials(16, [0.13], [0.5 + 0.5j])
-    sub = stacked_subspace(y1, y2, pencil=8, num_sources=1, coherent=False)
-    assert np.allclose(sub.signal.conj().T @ sub.signal, np.eye(1), atol=1e-10)
-
-
 def test_default_pencil():
     assert default_pencil(16) == 8
     assert default_pencil(7) == 3
-
-
-def test_estimate_source_count():
-    y = _exponentials(16, [0.05, -0.18], [1.0, 0.9])
-    s = np.linalg.svd(hankel(y, 8), compute_uv=False)
-    assert estimate_source_count(s) == 2
-    assert estimate_source_count(np.zeros(5)) == 0
