@@ -27,7 +27,8 @@ from dataclasses import dataclass, replace
 
 from .errors import ScenarioError
 from .geometry import SPEED_OF_LIGHT, ArrayConfig, Target
-from .signal_model import SteeringModel
+from .signal_model import SteeringModel, noise_variance
+from .ss_music import grid_points
 from .subspace import default_pencil
 
 KNOWN_ALGORITHMS = (
@@ -70,6 +71,12 @@ class ScenarioSpec:
                 raise ScenarioError(
                     f"SNR point {snr_db!r} dB is invalid; give a finite value, or inf for no noise"
                 )
+            try:
+                noise_variance(snr_db)
+            except OverflowError:
+                raise ScenarioError(
+                    f"SNR point {snr_db!r} dB is too low: its noise variance overflows"
+                ) from None
         if self.n_trials < 1:
             raise ScenarioError("n_trials must be at least 1")
         if not self.algorithms:
@@ -81,8 +88,10 @@ class ScenarioSpec:
                 )
         if self.fusion_mode not in FUSION_MODES:
             raise ScenarioError(f"fusion_mode must be one of {FUSION_MODES}")
-        if self.grid_step_deg <= 0:
-            raise ScenarioError("grid_step_deg must be positive")
+        try:
+            grid_points(self.grid_step_deg)
+        except ValueError as exc:
+            raise ScenarioError(f"grid_step_deg: {exc}") from None
         if self.hit_tolerance_deg <= 0 or self.hit_tolerance_m <= 0:
             raise ScenarioError("hit tolerances must be positive")
         m = self.array.elements_per_ula

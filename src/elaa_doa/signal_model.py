@@ -138,6 +138,14 @@ def steering(
     raise ValueError(f"unknown steering model {model!r}")
 
 
+def noise_variance(snr_db: float) -> float:
+    """Per-element noise variance ``10**(-snr_db/10)`` of a unit-magnitude source.
+
+    Raises OverflowError for SNR points below about -3083 dB.
+    """
+    return 10.0 ** (-snr_db / 10.0)
+
+
 def snapshot(
     cfg: ArrayConfig,
     targets: tuple[Target, ...] | list[Target],
@@ -170,7 +178,7 @@ def snapshot(
     y = np.zeros(n, dtype=complex)
     for t, s in zip(targets, amps):
         y = y + s * steering(cfg, t, model=model).entries
-    sigma2 = 10.0 ** (-snr_db / 10.0)
+    sigma2 = noise_variance(snr_db)
     noise = (rng.standard_normal(n) + 1j * rng.standard_normal(n)) * math.sqrt(sigma2 / 2.0)
     return Snapshot(y=y + noise, snr_db=snr_db, seed=seed, truth=targets, amplitudes=amps)
 

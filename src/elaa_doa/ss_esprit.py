@@ -10,10 +10,14 @@ Hankel signal subspace:
   bottom block), which inherits the full sparse-aperture accuracy but
   wraps many times across the visible region.
 
-Each fine eigenvalue therefore yields a lattice of alias candidates; the
-coarse estimate selects among them.  Eigenvalues of the two shift
-operators are paired by joint diagonalization so the selection stays per
-source.
+Each fine eigenvalue therefore yields a lattice of alias candidates
+(about 316 for the reference geometry); the coarse estimate selects among
+them.  The lattice is kept in closed form, and the selection evaluates
+only the few rungs around the coarse angle: rung angles grow with the
+alias index, so the two rungs bracketing the coarse angle hold the
+nearest one, and their outer neighbours hold the runner-up.  Eigenvalues
+of the two shift operators are paired by joint diagonalization so the
+selection stays per source.
 """
 
 from __future__ import annotations
@@ -56,20 +60,37 @@ class SelectionPairs:
 
 
 @dataclass(frozen=True)
-class Candidate:
-    """One alias hypothesis for a fine-shift eigenvalue."""
+class AliasLattice:
+    """The visible-region alias rungs explaining one eigenvalue's phase.
 
-    angle: float
-    alias_index: int
+    For a baseline of ``ratio`` wavelengths, an eigenvalue with phase
+    fraction ``nu = arg(xi) / (2*pi)`` is explained by every integer alias
+    ``q`` in ``[q_lo, q_hi]``, the range with
+    ``|(nu + q) / ratio| <= 1``; rung ``q`` sits at the arcsine of that
+    direction cosine.
+    """
 
+    nu: float
+    ratio: float
+    q_lo: int
+    q_hi: int
 
-@dataclass(frozen=True)
-class CandidateSet:
-    """All visible-region candidates explaining one eigenvalue."""
+    def rungs(self, lo: int, hi: int) -> list[tuple[int, float]]:
+        """(alias index, angle) of the visible rungs in ``[lo, hi]``, ascending.
 
-    eigenvalue: complex
-    delta: float
-    candidates: tuple[Candidate, ...]
+        Arguments within ``1e-9`` past the arcsine domain edge are
+        clamped to +-90 degrees.
+        """
+        out = []
+        for q in range(max(lo, self.q_lo), min(hi, self.q_hi) + 1):
+            arg = (self.nu + q) / self.ratio
+            if abs(arg) > 1.0:
+                if abs(arg) <= 1.0 + ASIN_CLAMP:
+                    arg = math.copysign(1.0, arg)
+                else:
+                    continue
+            out.append((q, math.asin(arg)))
+        return out
 
 
 @dataclass(frozen=True)
@@ -120,36 +141,23 @@ def solve_psi(signal_basis: np.ndarray, pair: ShiftPair) -> np.ndarray:
     return np.linalg.solve(gram, ua.conj().T @ ub)
 
 
-def angles_from_eigenvalues(
-    eigs: np.ndarray, delta: float, wavelength: float
-) -> list[CandidateSet]:
-    """All broadside angles consistent with each eigenvalue's phase.
-
-    For baseline ``delta``, an eigenvalue with phase fraction
-    ``nu = arg(xi) / (2*pi)`` is explained by every integer alias ``q``
-    with ``|(nu + q) * wavelength / delta| <= 1``; the candidate angle is
-    the arcsine of that direction cosine.  Arguments within ``1e-9`` past
-    the domain edge are clamped to +-90 degrees.
-    """
+def alias_lattices(eigs: np.ndarray, delta: float, wavelength: float) -> list[AliasLattice]:
+    """The alias lattice of each eigenvalue's phase for baseline ``delta``."""
     ratio = delta / wavelength
-    sets = []
+    lattices = []
     for xi in np.atleast_1d(np.asarray(eigs)):
         if xi == 0:
             raise ValueError("zero eigenvalue has no phase")
         nu = float(np.angle(xi)) / (2.0 * math.pi)
-        q_lo = math.ceil(-ratio - nu)
-        q_hi = math.floor(ratio - nu)
-        cands = []
-        for q in range(q_lo, q_hi + 1):
-            arg = (nu + q) / ratio
-            if abs(arg) > 1.0:
-                if abs(arg) <= 1.0 + ASIN_CLAMP:
-                    arg = math.copysign(1.0, arg)
-                else:
-                    continue
-            cands.append(Candidate(angle=math.asin(arg), alias_index=q))
-        sets.append(CandidateSet(eigenvalue=complex(xi), delta=delta, candidates=tuple(cands)))
-    return sets
+        lattices.append(
+            AliasLattice(
+                nu=nu,
+                ratio=ratio,
+                q_lo=math.ceil(-ratio - nu),
+                q_hi=math.floor(ratio - nu),
+            )
+        )
+    return lattices
 
 
 def _min_eigengap(evals: np.ndarray) -> float:
@@ -204,23 +212,32 @@ def pair_eigenvalues(
 
 def dealias(
     coarse_angles: np.ndarray,
-    fine_sets: list[CandidateSet],
+    fine_sets: list[AliasLattice],
     tie_fraction: float = 0.1,
 ) -> tuple[np.ndarray, tuple[DealiasReport, ...]]:
-    """Pick, per source, the fine alias candidate nearest the coarse angle.
+    """Pick, per source, the fine alias rung nearest the coarse angle.
 
-    Raises :class:`AmbiguousDealias` when the two best candidates sit
-    within ``tie_fraction`` of the local candidate spacing of each other
-    in distance to the coarse estimate.  Angles are returned sorted
-    ascending with their reports aligned.
+    Rung ``q`` lies below the coarse angle ``theta_c`` exactly when
+    ``q <= ratio * sin(theta_c) - nu``, so the floor ``q0`` of that bound
+    (clipped to the lattice) and ``q0 + 1`` bracket it.  The nearest rung
+    is one of the two, and the runner-up and the nearest rung's
+    neighbours lie within one more rung, so only ``q0 - 1 .. q0 + 2`` are
+    evaluated; the picks and margins equal those of a scan of the whole
+    lattice.  Raises :class:`AmbiguousDealias` when the two best rungs
+    sit within ``tie_fraction`` of the local rung spacing of each other in
+    distance to the coarse estimate.  Angles are returned sorted ascending
+    with their reports aligned.
     """
     if len(coarse_angles) != len(fine_sets):
-        raise ValueError("need one coarse angle per candidate set")
+        raise ValueError("need one coarse angle per alias lattice")
     picks = []
-    for theta_c, cs in zip(coarse_angles, fine_sets):
-        if not cs.candidates:
+    for theta_c, lattice in zip(coarse_angles, fine_sets):
+        q0 = math.floor(lattice.ratio * math.sin(theta_c) - lattice.nu)
+        q0 = min(max(q0, lattice.q_lo - 1), lattice.q_hi)
+        rungs = lattice.rungs(q0 - 1, q0 + 2)
+        if not rungs:
             raise AmbiguousDealias("no visible-region candidate for eigenvalue")
-        angles = np.array([c.angle for c in cs.candidates])
+        angles = np.array([angle for _, angle in rungs])
         dist = np.abs(angles - theta_c)
         order = np.argsort(dist)
         best = int(order[0])
@@ -239,7 +256,7 @@ def dealias(
             (
                 float(angles[best]),
                 DealiasReport(
-                    alias_index=cs.candidates[best].alias_index,
+                    alias_index=rungs[best][0],
                     disagreement=float(dist[best]),
                     margin=margin,
                 ),
@@ -249,13 +266,14 @@ def dealias(
     return np.array([p[0] for p in picks]), tuple(p[1] for p in picks)
 
 
-def _unique_coarse_angle(cs: CandidateSet) -> float:
+def _unique_coarse_angle(lattice: AliasLattice) -> float:
     # For spacings <= lambda/2 the coarse lattice has a single visible
-    # candidate; if an exact edge case produces two, keep the one nearest
+    # rung; if an exact edge case produces two, keep the one nearest
     # broadside.
-    if not cs.candidates:
+    rungs = lattice.rungs(lattice.q_lo, lattice.q_hi)
+    if not rungs:
         raise IllConditioned("coarse eigenvalue has no visible candidate")
-    return min((abs(c.angle), c.angle) for c in cs.candidates)[1]
+    return min((abs(angle), angle) for _, angle in rungs)[1]
 
 
 def estimate_doa_esprit(
@@ -281,10 +299,10 @@ def estimate_doa_esprit(
     sub = stacked_subspace(y1, y2, pencil, num_sources)
     pairs = selection_pairs(cfg, pencil)
     coarse_eigs, fine_eigs, quality = pair_eigenvalues(sub.signal, pairs.coarse, pairs.fine)
-    coarse_sets = angles_from_eigenvalues(coarse_eigs, pairs.coarse.delta, cfg.wavelength)
-    coarse_angles = np.array([_unique_coarse_angle(cs) for cs in coarse_sets])
-    fine_sets = angles_from_eigenvalues(fine_eigs, pairs.fine.delta, cfg.wavelength)
-    angles, reports = dealias(coarse_angles, fine_sets, tie_fraction=TIE_FRACTION)
+    coarse_lattices = alias_lattices(coarse_eigs, pairs.coarse.delta, cfg.wavelength)
+    coarse_angles = np.array([_unique_coarse_angle(lat) for lat in coarse_lattices])
+    fine_lattices = alias_lattices(fine_eigs, pairs.fine.delta, cfg.wavelength)
+    angles, reports = dealias(coarse_angles, fine_lattices, tie_fraction=TIE_FRACTION)
     diag = EspritDiagnostics(
         coarse_angles=coarse_angles, pairing_quality=quality, reports=reports
     )

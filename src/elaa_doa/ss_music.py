@@ -4,10 +4,14 @@ Each sub-array observation is lifted to a Hankel matrix; the noise
 subspace of that matrix is orthogonal to a short exponential steering
 vector whose length equals the Hankel row count.  Scanning that steering
 vector over a DOA grid gives a per-sub-array pseudospectrum, built in one
-place, :func:`module_spectrum`.  Far-field estimation fuses the two
-sub-array spectra (product by default, max as an alternative) and picks
-peaks from the fused surface; the near-field localizer picks peaks from
-each sub-array spectrum on its own.
+place, :func:`module_spectrum`.  The scan does not project every steering
+vector: the null ``a^H U_n U_n^H a`` of a Vandermonde steering vector is a
+real trigonometric polynomial in the electrical angle, the one root-MUSIC
+roots (Rao & Hari 1989), so the surface is that polynomial evaluated on the
+grid from the noise projector's diagonal sums.  Far-field estimation fuses
+the two sub-array spectra (product by default, max as an alternative) and
+picks peaks from the fused surface; the near-field localizer picks peaks
+from each sub-array spectrum on its own.
 """
 
 from __future__ import annotations
@@ -42,12 +46,23 @@ class Spectrum:
             raise ValueError("grid must be strictly increasing")
 
 
+def grid_points(step_deg: float) -> int:
+    """Number of points of the default grid with step ``step_deg`` degrees.
+
+    Raises ValueError unless the step is finite, positive and leaves at
+    least three points, the fewest on which a peak can stand.
+    """
+    if not (math.isfinite(step_deg) and step_deg > 0):
+        raise ValueError(f"grid step {step_deg!r} degrees must be finite and positive")
+    n = int(round(180.0 / step_deg))
+    if n < 3:
+        raise ValueError(f"grid step {step_deg!r} degrees leaves {n} grid points; need 3")
+    return n
+
+
 def default_grid(step_deg: float = 0.01) -> np.ndarray:
     """Uniform angle grid [-90, 90) degrees, returned in radians."""
-    if step_deg <= 0:
-        raise ValueError("step_deg must be positive")
-    n = int(round(180.0 / step_deg))
-    return np.deg2rad(-90.0 + step_deg * np.arange(n))
+    return np.deg2rad(-90.0 + step_deg * np.arange(grid_points(step_deg)))
 
 
 def hankel_steering_matrix(
@@ -76,18 +91,27 @@ def _cached_steering(n_rows: int, spacing: float, wavelength: float, step_deg: f
 def pseudospectrum(sub: SubspacePair, grid: np.ndarray, steering: np.ndarray) -> Spectrum:
     """MUSIC surface ``||a|| / ||U_noise^H a||`` over the grid.
 
-    ``steering`` holds one steering vector per grid angle, as columns.
-    The projection norm is floored at ``1e-12 * ||a||`` so noiseless
-    nulls stay finite.
+    ``steering`` holds the Vandermonde steering vector of each grid angle
+    as a column, row ``m`` being ``exp(j*m*w)`` (see
+    :func:`hankel_steering_matrix`), so ``||a|| = sqrt(n)``.  With the noise
+    projector ``P = U_noise U_noise^H`` and its diagonal sums
+    ``c_m = trace(P, offset=m)``, the squared projection norm is the real
+    trigonometric polynomial ``a^H P a = c_0 + 2*Re(sum_m c_m exp(j*m*w))``,
+    evaluated with one product against the steering rows.  It is floored
+    at ``(1e-12 * ||a||)**2`` so noiseless nulls stay finite.
     """
-    if sub.noise.shape[1] == 0:
+    noise = sub.noise
+    if noise.shape[1] == 0:
         raise ValueError("noise subspace is empty; reduce the source count")
     a = np.asarray(steering)
-    if a.shape != (sub.noise.shape[0], len(grid)):
+    n = noise.shape[0]
+    if a.shape != (n, len(grid)):
         raise ValueError("steering matrix shape does not match subspace/grid")
-    num = np.linalg.norm(a, axis=0)
-    den = np.linalg.norm(sub.noise.conj().T @ a, axis=0)
-    den = np.maximum(den, DENOMINATOR_FLOOR * num)
+    p = noise @ noise.conj().T
+    c = np.array([np.trace(p, offset=m) for m in range(n)])
+    num = math.sqrt(n)
+    den2 = c[0].real + 2.0 * (c[1:] @ a[1:]).real
+    den = np.sqrt(np.maximum(den2, (DENOMINATOR_FLOOR * num) ** 2))
     return Spectrum(grid=np.asarray(grid, dtype=float), values=num / den)
 
 
@@ -142,6 +166,14 @@ def _refine_peak(grid: np.ndarray, values: np.ndarray, idx: int) -> float:
     return float(grid[idx] + delta)
 
 
+def _peak_distance(grid: np.ndarray, min_separation_deg: float | None) -> int | None:
+    """``min_separation_deg`` in grid samples of the grid's mean step (None: no floor)."""
+    if min_separation_deg is None:
+        return None
+    step = float(grid[-1] - grid[0]) / (len(grid) - 1)
+    return max(1, int(round(math.radians(min_separation_deg) / step)))
+
+
 def peak_pick(
     spectrum: Spectrum,
     num_peaks: int,
@@ -162,12 +194,9 @@ def peak_pick(
     """
     if num_peaks < 1:
         raise ValueError("num_peaks must be at least 1")
-    if min_separation_deg is None:
-        distance = None
-    else:
-        step = float(np.median(np.diff(spectrum.grid)))
-        distance = max(1, int(round(math.radians(min_separation_deg) / step)))
-    idx, _ = scipy.signal.find_peaks(spectrum.values, distance=distance)
+    idx, _ = scipy.signal.find_peaks(
+        spectrum.values, distance=_peak_distance(spectrum.grid, min_separation_deg)
+    )
     if len(idx) < num_peaks:
         raise UnderResolved(f"found {len(idx)} peaks, need {num_peaks}")
     order = np.lexsort((spectrum.grid[idx], -spectrum.values[idx]))

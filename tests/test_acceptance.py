@@ -41,7 +41,7 @@ from elaa_doa.signal_model import (
     steering_nearfield,
 )
 from elaa_doa.ss_esprit import (
-    angles_from_eigenvalues,
+    alias_lattices,
     estimate_doa_esprit,
     pair_eigenvalues,
     selection_pairs,
@@ -308,13 +308,13 @@ def test_criterion_4_property_checks(paper_cfg):
     # floor(2 * delta / wavelength) candidates give or take one
     for u in (-0.9, -0.33, 0.0, 0.51):
         eig = cmath.exp(1j * math.pi * u)
-        (cs,) = angles_from_eigenvalues(np.array([eig]), 0.5, 1.0)
-        assert len(cs.candidates) == 1
-        assert cs.candidates[0].angle == pytest.approx(math.asin(u), abs=1e-12)
+        (lat,) = alias_lattices(np.array([eig]), 0.5, 1.0)
+        ((_, angle),) = lat.rungs(lat.q_lo, lat.q_hi)
+        assert angle == pytest.approx(math.asin(u), abs=1e-12)
     for nu in (0.0, 0.25, 0.37, 0.5):
         eig = cmath.exp(2j * math.pi * nu)
-        (cs,) = angles_from_eigenvalues(np.array([eig]), 165.0, 1.0)
-        assert abs(len(cs.candidates) - 330) <= 1
+        (lat,) = alias_lattices(np.array([eig]), 165.0, 1.0)
+        assert abs(len(lat.rungs(lat.q_lo, lat.q_hi)) - 330) <= 1
 
     # triangulation inverts the local-bearing geometry exactly
     for r, ang in ((2.0, -0.4), (5.0, 0.0), (40.0, 0.7)):

@@ -159,6 +159,27 @@ def test_too_many_targets_exit_two(tmp_path, capsys, n_targets):
     assert not (tmp_path / "r.csv").exists()
 
 
+def test_overflowing_noise_variance_exits_two(tmp_path, capsys):
+    out = tmp_path / "out.csv"
+    code = cli.main(
+        ["run", "--scenario", "fig3_small_sep", "--snr=-4000", "--trials", "1",
+         "--algos", "ss_esprit", "--quiet", "--out", str(out)]
+    )
+    assert code == 2
+    assert "error: SNR point -4000.0 dB is too low" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("step", ["nan", "1e9"])
+def test_bad_grid_step_exits_two(tmp_path, capsys, step):
+    path = tmp_path / "grid.scenario"
+    path.write_text(TINY.replace("grid_step_deg = 0.5", f"grid_step_deg = {step}"))
+    out = tmp_path / "out.csv"
+    assert cli.main(["run", "--scenario", str(path), "--out", str(out), "--quiet"]) == 2
+    assert "error: grid_step_deg: grid step" in capsys.readouterr().err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("snr", ["nan", "-inf"])
 def test_non_finite_snr_exits_two(tiny_scenario, tmp_path, capsys, snr):
     out = tmp_path / "out.csv"

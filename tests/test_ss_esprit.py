@@ -3,15 +3,16 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from elaa_doa.errors import AmbiguousDealias
 from elaa_doa.geometry import Target, field_regions
 from elaa_doa.signal_model import snapshot, split_ulas
 from elaa_doa.ss_esprit import (
-    Candidate,
-    CandidateSet,
-    angles_from_eigenvalues,
+    ASIN_CLAMP,
+    TIE_FRACTION,
+    DealiasReport,
+    alias_lattices,
     dealias,
     estimate_doa_esprit,
     pair_eigenvalues,
@@ -64,9 +65,9 @@ def test_coarse_candidate_unique_at_half_wavelength(u):
     # one spacing of half a wavelength leaves a single visible candidate,
     # and it reproduces the direction exactly
     eig = cmath.exp(1j * 2.0 * math.pi * 0.5 * u)
-    (cs,) = angles_from_eigenvalues(np.array([eig]), 0.5, 1.0)
-    assert len(cs.candidates) == 1
-    assert cs.candidates[0].angle == pytest.approx(math.asin(u), abs=1e-12)
+    (lat,) = alias_lattices(np.array([eig]), 0.5, 1.0)
+    ((_, angle),) = lat.rungs(lat.q_lo, lat.q_hi)
+    assert angle == pytest.approx(math.asin(u), abs=1e-12)
 
 
 @given(st.floats(min_value=-0.5, max_value=0.5))
@@ -74,56 +75,144 @@ def test_candidate_count_law(nu):
     # baseline of 165 wavelengths: the alias lattice has floor(2 * 165)
     # visible points, give or take one depending on the phase
     eig = cmath.exp(1j * 2.0 * math.pi * nu)
-    (cs,) = angles_from_eigenvalues(np.array([eig]), 165.0, 1.0)
-    assert abs(len(cs.candidates) - 330) <= 1
-    sines = np.sort([math.sin(c.angle) for c in cs.candidates])
-    assert np.all(np.abs(sines) <= 1.0 + 1e-12)
+    (lat,) = alias_lattices(np.array([eig]), 165.0, 1.0)
+    rungs = lat.rungs(lat.q_lo, lat.q_hi)
+    assert len(rungs) == lat.q_hi - lat.q_lo + 1
+    assert abs(len(rungs) - 330) <= 1
+    assert [q for q, _ in rungs] == list(range(lat.q_lo, lat.q_hi + 1))
+    assert np.all(np.diff([angle for _, angle in rungs]) > 0)
 
 
 def test_candidate_count_actual_center_separation(paper_cfg):
     ratio = paper_cfg.center_separation / paper_cfg.wavelength
     assert ratio == pytest.approx(157.5)
     eig = cmath.exp(1j * 0.77)
-    (cs,) = angles_from_eigenvalues(
-        np.array([eig]), paper_cfg.center_separation, paper_cfg.wavelength
-    )
-    assert abs(len(cs.candidates) - 315) <= 1
+    (lat,) = alias_lattices(np.array([eig]), paper_cfg.center_separation, paper_cfg.wavelength)
+    assert abs(len(lat.rungs(lat.q_lo, lat.q_hi)) - 315) <= 1
 
 
-def test_angles_from_eigenvalues_rejects_zero():
+def test_alias_lattices_rejects_zero():
     with pytest.raises(ValueError):
-        angles_from_eigenvalues(np.array([0.0 + 0.0j]), 0.5, 1.0)
+        alias_lattices(np.array([0.0 + 0.0j]), 0.5, 1.0)
 
 
-def _cand_set(angles):
-    return CandidateSet(
-        eigenvalue=1.0 + 0.0j,
-        delta=1.0,
-        candidates=tuple(Candidate(angle=a, alias_index=i) for i, a in enumerate(angles)),
-    )
+def _lattice(ratio, nu=0.0):
+    (lat,) = alias_lattices(np.array([cmath.exp(2j * math.pi * nu)]), ratio, 1.0)
+    return lat
 
 
 def test_dealias_picks_nearest():
-    picked, reports = dealias(np.array([0.1]), [_cand_set([0.05, 0.1004, 0.15])])
-    assert picked[0] == pytest.approx(0.1004)
+    # ten wavelengths, zero phase: rungs at sin = q / 10
+    picked, reports = dealias(np.array([0.1]), [_lattice(10.0)])
+    assert picked[0] == math.asin(0.1)
     assert reports[0].alias_index == 1
-    assert reports[0].disagreement == pytest.approx(0.0004)
+    assert reports[0].disagreement == pytest.approx(math.asin(0.1) - 0.1)
+    # the runner-up is rung 0 at broadside, 0.1 rad away
+    assert reports[0].margin == pytest.approx(0.2 - math.asin(0.1))
 
 
 def test_dealias_tie_raises():
-    with pytest.raises(AmbiguousDealias):
-        dealias(np.array([0.1]), [_cand_set([0.05, 0.15])])
+    midway = 0.5 * (math.asin(0.1) + math.asin(0.2))
+    with pytest.raises(AmbiguousDealias, match="alias tie"):
+        dealias(np.array([midway]), [_lattice(10.0)])
 
 
 def test_dealias_single_candidate_margin():
-    picked, reports = dealias(np.array([0.3]), [_cand_set([0.28])])
-    assert picked[0] == pytest.approx(0.28)
+    picked, reports = dealias(np.array([0.3]), [_lattice(0.5, 0.14)])
+    assert picked[0] == pytest.approx(math.asin(0.28))
     assert math.isinf(reports[0].margin)
+
+
+def test_dealias_empty_lattice_raises():
+    # a tenth of a wavelength cannot explain a phase fraction of 0.3
+    lat = _lattice(0.1, 0.3)
+    assert lat.q_lo > lat.q_hi
+    with pytest.raises(AmbiguousDealias, match="no visible-region candidate"):
+        dealias(np.array([0.0]), [lat])
 
 
 def test_dealias_length_mismatch():
     with pytest.raises(ValueError):
-        dealias(np.array([0.1, 0.2]), [_cand_set([0.1])])
+        dealias(np.array([0.1, 0.2]), [_lattice(10.0)])
+
+
+def _full_lattice_dealias(theta_c, lattice, tie_fraction):
+    """Reference: nearest rung by a scan of every visible rung."""
+    rungs = lattice.rungs(lattice.q_lo, lattice.q_hi)
+    if not rungs:
+        raise AmbiguousDealias("no visible-region candidate for eigenvalue")
+    angles = np.array([angle for _, angle in rungs])
+    dist = np.abs(angles - theta_c)
+    order = np.argsort(dist, kind="stable")
+    best = int(order[0])
+    if len(angles) > 1:
+        second = int(order[1])
+        spacing = float(np.min(np.abs(np.delete(angles, best) - angles[best])))
+        margin = float(dist[second] - dist[best])
+        if margin < tie_fraction * spacing:
+            raise AmbiguousDealias(
+                f"alias tie: margin {margin:.3e} rad below "
+                f"{tie_fraction:.0%} of spacing {spacing:.3e} rad"
+            )
+    else:
+        margin = math.inf
+    report = DealiasReport(
+        alias_index=rungs[best][0], disagreement=float(dist[best]), margin=margin
+    )
+    return float(angles[best]), report
+
+
+def _outcome(fn):
+    try:
+        return fn()
+    except AmbiguousDealias as exc:
+        return ("AmbiguousDealias", str(exc))
+
+
+@st.composite
+def _dealias_case(draw):
+    ratio = draw(st.sampled_from([157.5, 165.0, 10.0, 3.7, 1.25, 0.5, 0.1]))
+    edge = ratio % 1.0
+    nu = draw(
+        st.one_of(
+            st.floats(min_value=-0.5, max_value=0.5),
+            # the top or bottom rung within ASIN_CLAMP of the arcsine edge
+            st.floats(min_value=-ASIN_CLAMP, max_value=ASIN_CLAMP).map(lambda e: edge + e),
+            st.floats(min_value=-ASIN_CLAMP, max_value=ASIN_CLAMP).map(lambda e: -edge + e),
+        )
+    )
+    lattice = _lattice(ratio, nu)
+    angles = [angle for _, angle in lattice.rungs(lattice.q_lo, lattice.q_hi)]
+    half_pi = math.pi / 2.0
+    options = [
+        st.floats(min_value=-half_pi, max_value=half_pi),
+        st.sampled_from([-half_pi, half_pi]),
+        st.floats(min_value=0.0, max_value=1e-6).map(lambda d: half_pi - d),
+        st.floats(min_value=0.0, max_value=1e-6).map(lambda d: d - half_pi),
+    ]
+    if angles:
+        # on a rung, and midway between two (an exact alias tie)
+        options.append(st.sampled_from(angles))
+    if len(angles) > 1:
+        options.append(
+            st.integers(0, len(angles) - 2).map(lambda i: 0.5 * (angles[i] + angles[i + 1]))
+        )
+    theta_c = draw(st.one_of(options))
+    tie_fraction = draw(st.sampled_from([0.0, TIE_FRACTION, 0.1, 0.5]))
+    return theta_c, lattice, tie_fraction
+
+
+@settings(max_examples=400, deadline=None)
+@given(_dealias_case())
+def test_bracketed_dealias_matches_full_lattice(case):
+    theta_c, lattice, tie_fraction = case
+    got = _outcome(lambda: dealias(np.array([theta_c]), [lattice], tie_fraction))
+    want = _outcome(lambda: _full_lattice_dealias(theta_c, lattice, tie_fraction))
+    if want[0] == "AmbiguousDealias":
+        assert got == want
+    else:
+        (angle,), (report,) = got
+        assert (angle, report) == want
 
 
 def test_esprit_noiseless_two_sources(paper_cfg):

@@ -2,12 +2,16 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from elaa_doa.errors import UnderResolved
 from elaa_doa.geometry import Target, field_regions
 from elaa_doa.signal_model import snapshot, split_ulas
 from elaa_doa.ss_music import (
+    DENOMINATOR_FLOOR,
+    PEAK_SEPARATION_DEG,
     Spectrum,
+    _peak_distance,
     default_grid,
     estimate_doa_music,
     fuse,
@@ -16,7 +20,7 @@ from elaa_doa.ss_music import (
     pseudospectrum,
     write_spectrum_csv,
 )
-from elaa_doa.subspace import hankel, split_subspaces
+from elaa_doa.subspace import SubspacePair, hankel, split_subspaces
 
 
 def _far_snapshot(cfg, angles_deg, snr_db=math.inf, seed=0):
@@ -30,8 +34,10 @@ def test_default_grid_shape():
     assert len(grid) == 360
     assert grid[0] == pytest.approx(math.radians(-90.0))
     assert grid[-1] == pytest.approx(math.radians(89.5))
-    with pytest.raises(ValueError):
-        default_grid(0.0)
+    assert len(default_grid(60.0)) == 3
+    for bad in (0.0, -1.0, math.nan, math.inf, 72.0, 1e9):
+        with pytest.raises(ValueError, match="grid step"):
+            default_grid(bad)
 
 
 def test_hankel_steering_matrix_rows():
@@ -52,6 +58,48 @@ def test_pseudospectrum_null_at_truth(paper_cfg):
     spec = pseudospectrum(sub, grid, a)
     peak = grid[np.argmax(spec.values)]
     assert math.degrees(peak) == pytest.approx(4.0, abs=0.01)
+
+
+def _projection_reference(sub, a):
+    """The direct MUSIC surface ``||a|| / ||U_noise^H a||``, floored."""
+    num = np.linalg.norm(a, axis=0)
+    den = np.linalg.norm(sub.noise.conj().T @ a, axis=0)
+    return num / np.maximum(den, DENOMINATOR_FLOOR * num), den / num
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.integers(min_value=0, max_value=2**32 - 1),
+    st.integers(min_value=2, max_value=8),
+    st.data(),
+)
+def test_pseudospectrum_polynomial_matches_projection(seed, pencil, data):
+    n = pencil + 1
+    k = data.draw(st.integers(min_value=1, max_value=n - 1))
+    rng = np.random.default_rng(seed)
+    basis, _ = np.linalg.qr(rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n)))
+    sub = SubspacePair(signal=basis[:, :k], noise=basis[:, k:], singular_values=np.ones(n))
+    grid = default_grid(0.05)
+    a = hankel_steering_matrix(n, 0.5, 1.0 + rng.uniform(), grid)
+    want, relative_den = _projection_reference(sub, a)
+    got = pseudospectrum(sub, grid, a).values
+    away = relative_den > 1e-2
+    assert np.all(np.isfinite(got))
+    assert np.max(np.abs(got[away] / want[away] - 1.0)) < 1e-9
+
+
+@pytest.mark.parametrize("pencil", [2, 5, 8])
+def test_pseudospectrum_finite_at_noiseless_null(pencil):
+    n = pencil + 1
+    grid = default_grid(0.05)
+    a = hankel_steering_matrix(n, 0.5, 1.0, grid)
+    null = 1234
+    basis, _ = np.linalg.qr(np.column_stack([a[:, null], np.eye(n)[:, : n - 1]]))
+    sub = SubspacePair(signal=basis[:, :1], noise=basis[:, 1:], singular_values=np.ones(n))
+    values = pseudospectrum(sub, grid, a).values
+    assert np.all(np.isfinite(values))
+    assert int(np.argmax(values)) == null
+    assert values[null] > 1e6
 
 
 def test_pseudospectrum_shape_checks(paper_cfg):
@@ -105,6 +153,25 @@ def test_peak_pick_separation_floor():
     picks = peak_pick(Spectrum(grid=grid, values=values), 2, min_separation_deg=0.1)
     assert picks[0] == pytest.approx(grid[100])
     assert picks[1] == pytest.approx(grid[160])
+
+
+def _median_step_distance(grid, min_separation_deg):
+    step = float(np.median(np.diff(grid)))
+    return max(1, int(round(math.radians(min_separation_deg) / step)))
+
+
+@given(st.floats(min_value=0.005, max_value=1.0))
+def test_peak_distance_from_mean_step(step_deg):
+    # the mean step rounds to the same sample count as the per-step median
+    # unless the separation is an exact half-integer number of steps, where
+    # either count is a rounding tie
+    ratio = PEAK_SEPARATION_DEG / step_deg
+    assume(abs(ratio - math.floor(ratio) - 0.5) > 1e-6)
+    grid = default_grid(step_deg)
+    assert _peak_distance(grid, PEAK_SEPARATION_DEG) == _median_step_distance(
+        grid, PEAK_SEPARATION_DEG
+    )
+    assert _peak_distance(grid, None) is None
 
 
 def test_music_noiseless_single(paper_cfg):
