@@ -23,8 +23,9 @@ Every local refinement is one routine, ``_polish``: Levenberg-Marquardt
 on (sine of bearing, log range) of one atom, with all linear amplitudes
 eliminated in closed form (variable projection, Golub & Pereyra 1973)
 and the analytic Jacobian of the locally planar atom.  All atoms, for
-scans and for the polish alike, come from one vectorised builder,
-``_atoms``.
+scans and for the polish alike, come from one builder,
+``_sub_array_atoms``, which takes each sub-array's direction sine and
+range.
 """
 
 from __future__ import annotations
@@ -48,14 +49,12 @@ MIN_ENVELOPE_SEP_U = 0.05
 RANGE_SCAN_POINTS = 40
 RANGE_SPLIT_POINTS = 80
 COMB_LADDER = 8
-POOL_PER_SCAN = 12
 POLISH_STARTS = 2
 MAX_REFINE_CYCLES = 4
 REFINE_MOVE_TOL = 1e-5
 FIELD_EDGE_U = 0.866
 RANGE_SPLIT_SKIP_FRACTION = 0.03
 U_LIMIT = 0.999999
-LOG_R_LIMITS = (-5.0, 12.0)
 POLISH_STEP_TOL = 2e-6
 POLISH_MAX_STEPS = 150
 COINCIDENT_GRAM = 1e-9
@@ -211,42 +210,74 @@ def associate(
     return Association(pairs=chosen, scores=scores)
 
 
-@functools.lru_cache(maxsize=8)
-def _element_constants(cfg: ArrayConfig) -> tuple[float, np.ndarray, np.ndarray]:
-    """Wavenumber, then per-element ramp rate and reference x as columns."""
+def _sub_array_atoms(cfg: ArrayConfig, sins, rhos) -> np.ndarray:
+    """Locally planar atoms from each sub-array's direction sine and range.
+
+    ``sins`` and ``rhos`` hold the two sub-arrays along their first axis.
+    Element ``m`` of sub-array ``n`` is ``exp(-j*k*rho_n) * z_n**m`` with
+    ``z_n = exp(j*k*d*sin_n)``: the exact propagation phase to the
+    reference element times a linear ramp, the entries of
+    :func:`elaa_doa.signal_model.steering_nearfield`.  The powers are a
+    running product, so each sub-array costs two exponentials.  The
+    sub-array blocks are stacked along the first axis of the result.
+    """
     k = 2.0 * math.pi / cfg.wavelength
-    ramp = np.tile((k * cfg.spacing) * np.arange(cfg.elements_per_ula), 2)[:, None]
-    refs = np.repeat(reference_positions(cfg), cfg.elements_per_ula)[:, None]
+    sins = np.asarray(sins, dtype=float)
+    out = np.empty((2, cfg.elements_per_ula) + sins.shape[1:], dtype=complex)
+    out[:, 0] = np.exp(-1j * k * np.asarray(rhos, dtype=float))
+    out[:, 1:] = np.exp(1j * (k * cfg.spacing) * sins)[:, None]
+    np.multiply.accumulate(out, axis=1, out=out)
+    return out.reshape((cfg.n_elements,) + sins.shape[1:])
+
+
+def _atoms(cfg: ArrayConfig, xs, ys) -> np.ndarray:
+    """Locally planar atoms for many positions ``(x, y)`` at once, one per column."""
+    dx = np.asarray(xs, dtype=float).reshape(1, -1) - reference_positions(cfg)[:, None]
+    rho = np.hypot(dx, np.asarray(ys, dtype=float).reshape(1, -1))
+    return _sub_array_atoms(cfg, dx / rho, rho)
+
+
+@functools.lru_cache(maxsize=8)
+def _element_constants(cfg: ArrayConfig) -> tuple[float, np.ndarray, tuple[float, float]]:
+    """Wavenumber, one sub-array's ramp rates ``k*d*m`` and the reference x's."""
+    k = 2.0 * math.pi / cfg.wavelength
+    ramp = (k * cfg.spacing) * np.arange(cfg.elements_per_ula)
     ramp.setflags(write=False)
-    refs.setflags(write=False)
-    return k, ramp, refs
+    x1, x2 = (float(v) for v in reference_positions(cfg))
+    return k, ramp, (x1, x2)
 
 
-def _atoms(cfg: ArrayConfig, xs, ys, jacobian: bool = False):
-    """Locally planar atoms for many positions at once, one per column.
+def _polar_atom(cfg: ArrayConfig, u: float, log_r: float) -> np.ndarray:
+    """The atom at (sine of bearing, log range) and its derivatives there.
 
-    Sub-array ``n`` contributes the exact propagation phase to its
-    reference element and a linear ramp at the direction sine seen from
-    that element, ``exp(j*k*(m*d*sin_n - rho_n))``: the entries of
-    :func:`elaa_doa.signal_model.steering_nearfield` for a target at each
-    ``(x, y)``.  With ``jacobian=True`` the derivatives of every entry's
-    phase with respect to ``x`` and to ``y`` come back as well, as
-    ``(atoms, dphase_dx, dphase_dy)`` of equal shape; the derivative of
-    the atoms themselves is ``1j * atoms * dphase``.
+    Rows: the atom, its derivative in ``u`` and its derivative in
+    ``log r``.  Each sub-array's sine and range and their derivatives are
+    Python scalars; an element's phase derivative is
+    ``k*d*m*dsin_n - k*drho_n``, so ``da = 1j * atom * dphase``.
     """
     k, ramp, refs = _element_constants(cfg)
-    dx = np.asarray(xs, dtype=float).reshape(1, -1) - refs
-    ys = np.asarray(ys, dtype=float).reshape(1, -1)
-    rho = np.hypot(dx, ys)
-    sin_n = dx / rho
-    atoms = np.exp(1j * (ramp * sin_n - k * rho))
-    if not jacobian:
-        return atoms
-    # d(sin_n)/dx = cos_n^2 / rho, d(sin_n)/dy = -sin_n cos_n / rho,
-    # d(rho)/dx = sin_n, d(rho)/dy = cos_n
-    cos_n = ys / rho
-    bend = ramp * cos_n / rho
-    return atoms, bend * cos_n - k * sin_n, -bend * sin_n - k * cos_n
+    r = math.exp(log_r)
+    root = math.sqrt(1.0 - u * u)
+    x, z = r * u, r * root
+    # the position is (x, z) = r (u, root), so dx/du = r, dz/du = -x/root,
+    # dx/dlog r = x and dz/dlog r = z; per sub-array (dsin, -k*drho) for u,
+    # then for log r
+    sins, rhos, d_u, d_log_r = [], [], [], []
+    for ref in refs:
+        dx = x - ref
+        rho = math.hypot(dx, z)
+        s, c = dx / rho, z / rho
+        bend = c / rho
+        sins.append(s)
+        rhos.append(rho)
+        d_u.append((bend * (c * r + s * x / root), -k * (s * r - c * x / root)))
+        d_log_r.append((bend * (c * x - s * z), -k * (s * x + c * z)))
+    atom = _sub_array_atoms(cfg, sins, rhos)
+    rows = np.empty((3, len(atom)), dtype=complex)
+    rows[0] = atom
+    slope, offset = np.array([d_u, d_log_r]).transpose(2, 0, 1)[..., None]
+    rows[1:] = (1j * atom) * (slope * ramp + offset).reshape(2, -1)
+    return rows
 
 
 def _matched_response(res: np.ndarray, cfg: ArrayConfig, pos: np.ndarray) -> float:
@@ -298,54 +329,68 @@ def _polish(
 
     Guards: each step is capped at a fifth of the comb spacing in sine
     and 0.05 in log range, so the polish stays on the crest it starts on
-    (crest choices belong to the global scans); points outside the
-    parameter box are rejected, and so are points where the moving atom
-    nearly lies in the span of the others (Gram determinant at most
-    ``1e-9 * n^2`` against one other atom), so two estimates never park
-    on one point.  Only steps that lower the residual are taken, and
-    the search stops after a step under ``POLISH_STEP_TOL``.
+    (crest choices belong to the global scans).  The parameter box is
+    the closed range band that every scan searches, ``_range_band``; the
+    seed's range is first clipped to it, and steps leaving it are
+    rejected, so a residual that keeps falling with range ends the
+    polish at the band's edge.  Points where the moving atom nearly lies
+    in the span of the others (Gram determinant at most ``1e-9 * n^2``
+    against one other atom) are rejected too, so two estimates never
+    park on one point.  Only steps that lower the residual are taken,
+    and the search stops after a step under ``POLISH_STEP_TOL``.
     """
     n = len(y)
-    q = None
+    qt = None
     if others:
         xy = np.array(others)
         basis = _atoms(cfg, xy[:, 0], xy[:, 1])
         q = np.eye(n) - basis @ np.linalg.pinv(basis)
         y = q @ y
+        qt = q.T
+    y_sq = float(np.vdot(y, y).real)
+    log_lo, log_hi = (math.log(v) for v in _range_band(cfg))
 
     def fit(u: float, log_r: float):
         """Squared residual, gradient and Gauss-Newton matrix; None if barred."""
-        if not (-U_LIMIT < u < U_LIMIT and LOG_R_LIMITS[0] < log_r < LOG_R_LIMITS[1]):
+        if not (-U_LIMIT < u < U_LIMIT and log_lo <= log_r <= log_hi):
             return None
-        r = math.exp(log_r)
-        root = math.sqrt(1.0 - u * u)
-        atom, dph_dx, dph_dy = _atoms(cfg, r * u, r * root, jacobian=True)
-        # chain rule to (u, log r) through x = r u, y = r sqrt(1 - u^2)
-        chain = np.array([[r, r * u], [-r * u / root, r * root]])
-        da = (1j * atom) * (np.hstack([dph_dx, dph_dy]) @ chain)
-        a = atom[:, 0]
-        if q is not None:
-            a, da = q @ a, q @ da
-        a_sq = float(np.vdot(a, a).real)
+        rows = _polar_atom(cfg, u, log_r)
+        if qt is not None:
+            rows = rows @ qt
+        # inner products of the atom a and its derivatives da
+        conj = rows.conj()
+        (aa, _, _), (ua, uu, us), (sa, _, ss) = (conj @ rows.T).tolist()
+        ay, uy, sy = (conj @ y).tolist()
+        a_sq = aa.real
         if a_sq <= COINCIDENT_GRAM * n:
             return None
-        amp = np.vdot(a, y) / a_sq
-        res = y - amp * a
-        # Kaufman Jacobian -amp * (da - a a^H da / a_sq); res is orthogonal to a
-        jac = (-amp) * (da - a[:, None] * ((a.conj() @ da) / a_sq))
-        jac_h = jac.conj().T
-        return float(np.vdot(res, res).real), (jac_h @ res).real, (jac_h @ jac).real
+        amp = ay / a_sq
+        weight = (amp * amp.conjugate()).real
+        # res = y - amp a is orthogonal to a, so the Kaufman Jacobian
+        # J = -amp (da - a a^H da / a_sq) gives J^H res = -conj(amp) da^H res
+        # with da^H res = da^H y - amp da^H a, and
+        # J^H J = |amp|^2 (da^H da - da^H a a^H da / a_sq)
+        grad = (
+            (-amp.conjugate() * (uy - amp * ua)).real,
+            (-amp.conjugate() * (sy - amp * sa)).real,
+        )
+        gn = (
+            weight * (uu - ua * ua.conjugate() / a_sq).real,
+            weight * (us - ua * sa.conjugate() / a_sq).real,
+            weight * (ss - sa * sa.conjugate() / a_sq).real,
+        )
+        return y_sq - (ay * ay.conjugate()).real / a_sq, grad, gn
 
     r0 = math.hypot(float(seed[0]), float(seed[1]))
-    theta = (float(seed[0]) / r0, math.log(r0))
+    theta = (float(seed[0]) / r0, min(max(math.log(r0), log_lo), log_hi))
     current = fit(*theta)
     if current is None:
         return np.array(seed, dtype=float)
     cap_u = 0.2 * _ridge_spacing_u(cfg)
     damping = 1e-3
     for _ in range(POLISH_MAX_STEPS):
-        cost, (gu, gs), gn = current
-        huu, hus, hss = gn[0, 0] * (1.0 + damping), gn[0, 1], gn[1, 1] * (1.0 + damping)
+        cost, (gu, gs), (huu, hus, hss) = current
+        huu, hss = huu * (1.0 + damping), hss * (1.0 + damping)
         det = huu * hss - hus * hus
         if not det > 0.0:
             break
@@ -425,7 +470,7 @@ def _envelope_directions(
 def _comb_candidates(
     res: np.ndarray, cfg: ArrayConfig, u_center: float
 ) -> list[np.ndarray]:
-    """Diverse comb-crest candidates near a bearing, by coherent response.
+    """The ``POLISH_STARTS`` best diverse comb-crest candidates near a bearing.
 
     The candidate grid crosses a ladder of direction sines at comb-crest
     spacing around ``u_center`` with a log-spaced range sweep, sampled at
@@ -454,7 +499,7 @@ def _comb_candidates(
                 break
         if distinct:
             chosen.append(p)
-        if len(chosen) == POOL_PER_SCAN:
+        if len(chosen) == POLISH_STARTS:
             break
     return chosen
 
@@ -466,9 +511,8 @@ def _pick_position(res: np.ndarray, cfg: ArrayConfig) -> np.ndarray:
     local polish of the few strongest candidates.
     """
     u_center = _envelope_directions(res, cfg, 1)[0]
-    seeds = _comb_candidates(res, cfg, u_center)[:POLISH_STARTS]
     return max(
-        (_polish(res, cfg, s, []) for s in seeds),
+        (_polish(res, cfg, s, []) for s in _comb_candidates(res, cfg, u_center)),
         key=lambda p: _matched_response(res, cfg, p),
     )
 

@@ -30,6 +30,7 @@ from .subspace import SubspacePair, default_pencil, hankel, split_subspaces
 
 DENOMINATOR_FLOOR = 1e-12
 PEAK_SEPARATION_DEG = 0.2
+MAX_GRID_POINTS = 180_000
 
 
 @dataclass(frozen=True)
@@ -50,11 +51,19 @@ def grid_points(step_deg: float) -> int:
     """Number of points of the default grid with step ``step_deg`` degrees.
 
     Raises ValueError unless the step is finite, positive and leaves at
-    least three points, the fewest on which a peak can stand.
+    least three points, the fewest on which a peak can stand, and at most
+    ``MAX_GRID_POINTS`` (a 0.001 degree step), which bounds the cached
+    steering matrix (about 26 MB for the reference array's nine rows).
     """
     if not (math.isfinite(step_deg) and step_deg > 0):
         raise ValueError(f"grid step {step_deg!r} degrees must be finite and positive")
-    n = int(round(180.0 / step_deg))
+    points = 180.0 / step_deg  # inf for the smallest subnormal steps
+    if points >= MAX_GRID_POINTS + 0.5:
+        raise ValueError(
+            f"grid step {step_deg!r} degrees gives {points:.4g} grid points;"
+            f" at most {MAX_GRID_POINTS}"
+        )
+    n = int(round(points))
     if n < 3:
         raise ValueError(f"grid step {step_deg!r} degrees leaves {n} grid points; need 3")
     return n

@@ -170,7 +170,7 @@ def test_overflowing_noise_variance_exits_two(tmp_path, capsys):
     assert not out.exists()
 
 
-@pytest.mark.parametrize("step", ["nan", "1e9"])
+@pytest.mark.parametrize("step", ["nan", "1e9", "1e-300", "1e-310", "0.000999"])
 def test_bad_grid_step_exits_two(tmp_path, capsys, step):
     path = tmp_path / "grid.scenario"
     path.write_text(TINY.replace("grid_step_deg = 0.5", f"grid_step_deg = {step}"))

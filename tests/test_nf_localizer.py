@@ -4,13 +4,19 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+from elaa_doa import nf_localizer
 from elaa_doa.errors import BehindArray, ParallelBearings
 from elaa_doa.geometry import Target, local_geometry, reference_positions
 from elaa_doa.nf_localizer import (
+    FIELD_EDGE_U,
+    POLISH_MAX_STEPS,
     BearingLine,
     _atoms,
+    _grid_positions,
     _matched_response,
+    _polar_atom,
     _polish,
+    _range_band,
     _range_split_positions,
     _ridge_spacing_u,
     associate,
@@ -89,10 +95,19 @@ def test_triangulate_exact(r, angle):
     assert point == pytest.approx(list(target.position), rel=1e-9, abs=1e-9)
 
 
+def _band_corners(cfg):
+    """Points at both ends of the scanned range band, at +-FIELD_EDGE_U and 0."""
+    return _grid_positions(
+        np.array([-FIELD_EDGE_U, 0.0, FIELD_EDGE_U]), np.array(_range_band(cfg))
+    )
+
+
 def test_atoms_match_steering(paper_cfg):
-    for x, y in [(0.5, 4.0), (-2.0, 7.3), (10.0, 60.0)]:
+    points = [(0.5, 4.0), (-2.0, 7.3), (10.0, 60.0)]
+    points += [tuple(p) for p in _band_corners(paper_cfg)]
+    for x, y in points:
         direct = steering_nearfield(paper_cfg, Target.from_position(x, y)).entries
-        assert np.allclose(_atoms(paper_cfg, x, y)[:, 0], direct, atol=1e-10)
+        assert np.allclose(_atoms(paper_cfg, x, y)[:, 0], direct, rtol=0.0, atol=1e-10)
 
 
 def test_atoms_batch_matches_single_points(paper_cfg):
@@ -105,17 +120,19 @@ def test_atoms_batch_matches_single_points(paper_cfg):
 
 
 def test_atoms_jacobian_matches_central_differences(paper_cfg):
-    xs = np.array([0.5, -2.0, 10.0, 0.0])
-    ys = np.array([4.0, 7.3, 60.0, 0.6])
-    atoms, dph_dx, dph_dy = _atoms(paper_cfg, xs, ys, jacobian=True)
-    assert np.array_equal(atoms, _atoms(paper_cfg, xs, ys))
-    h = 1e-7
-    for analytic, (ex, ey) in ((dph_dx, (h, 0.0)), (dph_dy, (0.0, h))):
-        numeric = (
-            _atoms(paper_cfg, xs + ex, ys + ey) - _atoms(paper_cfg, xs - ex, ys - ey)
-        ) / (2.0 * h)
-        exact = 1j * atoms * analytic
-        assert np.max(np.abs(numeric - exact)) < 1e-5 * np.max(np.abs(exact))
+    lo, hi = _range_band(paper_cfg)
+    h = 1e-8
+    for u in (-FIELD_EDGE_U, -0.3, 0.0, 0.17, FIELD_EDGE_U):
+        for log_r in (math.log(lo), 0.0, math.log(5.0), math.log(60.0), math.log(hi)):
+            rows = _polar_atom(paper_cfg, u, log_r)
+            r, root = math.exp(log_r), math.sqrt(1.0 - u * u)
+            assert np.allclose(rows[0], _atoms(paper_cfg, r * u, r * root)[:, 0], atol=1e-10)
+            for row, (eu, es) in ((rows[1], (h, 0.0)), (rows[2], (0.0, h))):
+                numeric = (
+                    _polar_atom(paper_cfg, u + eu, log_r + es)[0]
+                    - _polar_atom(paper_cfg, u - eu, log_r - es)[0]
+                ) / (2.0 * h)
+                assert np.max(np.abs(numeric - row)) < 1e-5 * np.max(np.abs(row)), (u, log_r)
 
 
 def _polar(r, deg):
@@ -157,6 +174,63 @@ def test_polish_never_lowers_the_matched_response(paper_cfg):
         # a polish that takes no step returns its seed up to rounding
         before = _matched_response(y, paper_cfg, seed)
         assert _matched_response(y, paper_cfg, found) >= before * (1.0 - 1e-12)
+
+
+def test_polish_ends_inside_the_range_band(paper_cfg):
+    rng = np.random.default_rng(31)
+    lo, hi = _range_band(paper_cfg)
+    n = paper_cfg.n_elements
+    # targets beyond both ends of the band pull the polish toward its edges
+    pulls = _grid_positions(np.array([-0.4, 0.1]), np.array([0.2, 5.0, 2000.0]))
+    seeds = list(_band_corners(paper_cfg)) + list(
+        _grid_positions(rng.uniform(-0.8, 0.8, 6), np.geomspace(lo, hi, 5))
+    )
+    for i, seed in enumerate(seeds):
+        picks = pulls[rng.choice(len(pulls), size=2, replace=False)]
+        y = _atoms(paper_cfg, picks[:, 0], picks[:, 1]) @ rng.normal(size=2)
+        y = y + 0.3 * (rng.normal(size=n) + 1j * rng.normal(size=n))
+        others = [pulls[i % len(pulls)]] if i % 3 == 0 else []
+        found = _polish(y, paper_cfg, seed, others)
+        r = float(np.hypot(*found))
+        assert lo * (1.0 - 1e-12) <= r <= hi * (1.0 + 1e-12), (i, r)
+
+
+def _count_fits(monkeypatch):
+    """Count the polish's objective evaluations through the shared atom builder."""
+    fits = []
+    atoms = nf_localizer._sub_array_atoms
+
+    def counting(*args):
+        fits.append(1)
+        return atoms(*args)
+
+    monkeypatch.setattr(nf_localizer, "_sub_array_atoms", counting)
+    return fits
+
+
+def test_polish_takes_seeds_on_the_band_ends(paper_cfg, monkeypatch):
+    # comb seeds on the band's ends, as the scans place them; the polar
+    # round trip puts some of them an ulp outside the band
+    lo, hi = _range_band(paper_cfg)
+    seeds = _grid_positions(np.linspace(-FIELD_EDGE_U, FIELD_EDGE_U, 21), np.array([lo, hi]))
+    assert any(math.log(float(np.hypot(*p))) < math.log(lo) for p in seeds)
+    truth = _polar(5.0, 10.0)
+    y = _atoms(paper_cfg, truth[0], truth[1])[:, 0]
+    fits = _count_fits(monkeypatch)
+    for seed in seeds:
+        fits.clear()
+        _polish(y, paper_cfg, seed, [])
+        assert fits, seed
+
+
+def test_polish_stops_at_the_band_top(paper_cfg, monkeypatch):
+    # a far plane-like wave: the residual keeps falling with range
+    far = _polar(1e6, 6.0)
+    y = _atoms(paper_cfg, far[0], far[1])[:, 0]
+    fits = _count_fits(monkeypatch)
+    found = _polish(y, paper_cfg, _polar(100.0, 6.0), [])
+    assert float(np.hypot(*found)) == pytest.approx(_range_band(paper_cfg)[1], rel=1e-4)
+    assert len(fits) < POLISH_MAX_STEPS // 3
 
 
 def test_polish_coincident_barrier(paper_cfg):

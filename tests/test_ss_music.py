@@ -9,12 +9,14 @@ from elaa_doa.geometry import Target, field_regions
 from elaa_doa.signal_model import snapshot, split_ulas
 from elaa_doa.ss_music import (
     DENOMINATOR_FLOOR,
+    MAX_GRID_POINTS,
     PEAK_SEPARATION_DEG,
     Spectrum,
     _peak_distance,
     default_grid,
     estimate_doa_music,
     fuse,
+    grid_points,
     hankel_steering_matrix,
     peak_pick,
     pseudospectrum,
@@ -35,7 +37,8 @@ def test_default_grid_shape():
     assert grid[0] == pytest.approx(math.radians(-90.0))
     assert grid[-1] == pytest.approx(math.radians(89.5))
     assert len(default_grid(60.0)) == 3
-    for bad in (0.0, -1.0, math.nan, math.inf, 72.0, 1e9):
+    assert grid_points(0.001) == MAX_GRID_POINTS
+    for bad in (0.0, -1.0, math.nan, math.inf, 72.0, 1e9, 0.000999, 1e-300, 1e-310):
         with pytest.raises(ValueError, match="grid step"):
             default_grid(bad)
 
