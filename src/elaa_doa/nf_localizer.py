@@ -15,17 +15,18 @@ range information is still in the snapshot: the two sub-arrays sit at
 different offsets, so the spherical path difference between their
 reference elements varies with target range.  A second strategy
 exploits it directly: greedy matched-filter picks over position space
-with residual deflation, followed by cyclic one-at-a-time refinement.
+with residual deflation, followed by a joint refinement of all picks.
 ``localize`` runs both and keeps whichever reconstructs the snapshot
 with the smaller least-squares residual.
 
-Every local refinement is one routine, ``_polish``: Levenberg-Marquardt
-on (sine of bearing, log range) of one atom, with all linear amplitudes
-eliminated in closed form (variable projection, Golub & Pereyra 1973)
-and the analytic Jacobian of the locally planar atom.  All atoms, for
-scans and for the polish alike, come from one builder,
-``_sub_array_atoms``, which takes each sub-array's direction sine and
-range.
+Every local refinement is one routine, ``_polish``: one
+Levenberg-Marquardt descent on the (sine of bearing, log range) of all
+its atoms at once, with every linear amplitude eliminated in closed
+form (variable projection, Golub & Pereyra 1973, with Kaufman's
+Jacobian) and the analytic derivatives of the locally planar atom.  A
+single pick is its one-atom case.  All atoms, for scans and for the
+polish alike, come from one builder, ``_sub_array_atoms``, which takes
+each sub-array's direction sine and range.
 """
 
 from __future__ import annotations
@@ -36,6 +37,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.linalg.lapack import dposv, zposv
 
 from .errors import BehindArray, EstimationError, ParallelBearings
 from .geometry import ArrayConfig, field_regions, reference_positions
@@ -50,8 +52,6 @@ RANGE_SCAN_POINTS = 40
 RANGE_SPLIT_POINTS = 80
 COMB_LADDER = 8
 POLISH_STARTS = 2
-MAX_REFINE_CYCLES = 4
-REFINE_MOVE_TOL = 1e-5
 FIELD_EDGE_U = 0.866
 RANGE_SPLIT_SKIP_FRACTION = 0.03
 U_LIMIT = 0.999999
@@ -74,10 +74,18 @@ class BearingLine:
 
 @dataclass(frozen=True)
 class Association:
-    """One-to-one DOA index pairs across sub-arrays, best match first."""
+    """The chosen one-to-one matching of DOA indices across sub-arrays.
+
+    ``positions`` and ``gaps`` are each pair's triangulation, and
+    ``residual`` is the norm of the least-squares residual of the
+    snapshot on the pairs' atoms.
+    """
 
     pairs: tuple[tuple[int, int], ...]
     scores: tuple[float, ...]
+    positions: tuple[np.ndarray, ...]
+    gaps: tuple[float, ...]
+    residual: float
 
 
 @dataclass(frozen=True)
@@ -178,16 +186,16 @@ def associate(
     if k == 0:
         raise ValueError("per-sub-array DOA lists are empty")
     y = snap.y.astype(complex)
-    points: dict[tuple[int, int], np.ndarray] = {}
+    points: dict[tuple[int, int], tuple[np.ndarray, float]] = {}
     for i in range(k):
         for j in range(k):
             try:
-                pos, _ = triangulate((float(doas1[i]), float(doas2[j])), cfg)
+                pos, gap = triangulate((float(doas1[i]), float(doas2[j])), cfg)
             except EstimationError:
                 continue
             if pos[1] > 0.0:
-                points[(i, j)] = pos
-    xy = np.array(list(points.values())).reshape(-1, 2)
+                points[(i, j)] = pos, gap
+    xy = np.array([pos for pos, _ in points.values()]).reshape(-1, 2)
     atoms = dict(zip(points, _atoms(cfg, xy[:, 0], xy[:, 1]).T))
     best: tuple[float, tuple[int, ...], tuple[tuple[int, int], ...]] | None = None
     for perm in itertools.permutations(range(k)):
@@ -201,13 +209,19 @@ def associate(
         key = (residual, perm, pairs)
         if best is None or key[:2] < best[:2]:
             best = key
-    chosen = best[2]
+    residual, _, chosen = best
     y_norm = float(np.linalg.norm(y))
     scores = tuple(
         float(abs(np.vdot(atoms[p], y)) / (np.linalg.norm(atoms[p]) * y_norm))
         for p in chosen
     )
-    return Association(pairs=chosen, scores=scores)
+    return Association(
+        pairs=chosen,
+        scores=scores,
+        positions=tuple(points[p][0] for p in chosen),
+        gaps=tuple(points[p][1] for p in chosen),
+        residual=residual,
+    )
 
 
 def _sub_array_atoms(cfg: ArrayConfig, sins, rhos) -> np.ndarray:
@@ -247,36 +261,46 @@ def _element_constants(cfg: ArrayConfig) -> tuple[float, np.ndarray, tuple[float
     return k, ramp, (x1, x2)
 
 
-def _polar_atom(cfg: ArrayConfig, u: float, log_r: float) -> np.ndarray:
-    """The atom at (sine of bearing, log range) and its derivatives there.
+def _polar_atom(cfg: ArrayConfig, us, log_rs, y: np.ndarray) -> np.ndarray:
+    """Atoms at (sine of bearing, log range), their derivatives, and ``y``.
 
-    Rows: the atom, its derivative in ``u`` and its derivative in
-    ``log r``.  Each sub-array's sine and range and their derivatives are
-    Python scalars; an element's phase derivative is
-    ``k*d*m*dsin_n - k*drho_n``, so ``da = 1j * atom * dphase``.
+    For ``K`` atoms the ``3K + 1`` rows are the atoms, their derivatives
+    in ``u``, their derivatives in ``log r`` and last ``y``, so one Gram
+    product gives every inner product the polish needs.  Each
+    sub-array's sine and range and their derivatives are Python scalars;
+    an element's phase derivative is ``k*d*m*dsin_n - k*drho_n``, so
+    ``da = 1j * atom * dphase``.
     """
     k, ramp, refs = _element_constants(cfg)
-    r = math.exp(log_r)
-    root = math.sqrt(1.0 - u * u)
-    x, z = r * u, r * root
+    n_atoms = len(us)
     # the position is (x, z) = r (u, root), so dx/du = r, dz/du = -x/root,
-    # dx/dlog r = x and dz/dlog r = z; per sub-array (dsin, -k*drho) for u,
-    # then for log r
-    sins, rhos, d_u, d_log_r = [], [], [], []
-    for ref in refs:
-        dx = x - ref
-        rho = math.hypot(dx, z)
-        s, c = dx / rho, z / rho
-        bend = c / rho
-        sins.append(s)
-        rhos.append(rho)
-        d_u.append((bend * (c * r + s * x / root), -k * (s * r - c * x / root)))
-        d_log_r.append((bend * (c * x - s * z), -k * (s * x + c * z)))
-    atom = _sub_array_atoms(cfg, sins, rhos)
-    rows = np.empty((3, len(atom)), dtype=complex)
-    rows[0] = atom
-    slope, offset = np.array([d_u, d_log_r]).transpose(2, 0, 1)[..., None]
-    rows[1:] = (1j * atom) * (slope * ramp + offset).reshape(2, -1)
+    # dx/dlog r = x and dz/dlog r = z; per atom and sub-array: sine, range,
+    # then (dsin, -k*drho) for u and for log r
+    geo = []
+    for u, log_r in zip(us, log_rs):
+        r = math.exp(log_r)
+        root = math.sqrt(1.0 - u * u)
+        x, z = r * u, r * root
+        for ref in refs:
+            dx = x - ref
+            rho = math.hypot(dx, z)
+            s, c = dx / rho, z / rho
+            bend = c / rho
+            geo.append((
+                s,
+                rho,
+                bend * (c * r + s * x / root),
+                -k * (s * r - c * x / root),
+                bend * (c * x - s * z),
+                -k * (s * x + c * z),
+            ))
+    geo = np.array(geo).reshape(n_atoms, 2, 6).transpose(2, 0, 1)
+    atoms = _sub_array_atoms(cfg, geo[0].T, geo[1].T).T
+    phase = geo[2::2, ..., None] * ramp + geo[3::2, ..., None]
+    rows = np.empty((3 * n_atoms + 1, len(y)), dtype=complex)
+    rows[:n_atoms] = atoms
+    rows[n_atoms:-1] = ((1j * atoms) * phase.reshape(2, n_atoms, -1)).reshape(2 * n_atoms, -1)
+    rows[-1] = y
     return rows
 
 
@@ -311,103 +335,102 @@ def _ridge_spacing_u(cfg: ArrayConfig) -> float:
 
 
 def _polish(
-    y: np.ndarray, cfg: ArrayConfig, seed: np.ndarray, others: list[np.ndarray]
-) -> np.ndarray:
-    """Move one atom from ``seed`` to minimize the joint fit residual of ``y``.
+    y: np.ndarray, cfg: ArrayConfig, seeds: list[np.ndarray]
+) -> tuple[list[np.ndarray], float]:
+    """Move the atoms from ``seeds`` to minimize the joint fit residual of ``y``.
 
-    Variable projection: the amplitudes of the moving atom and of the
-    fixed atoms at ``others`` are eliminated in closed form, so the
-    squared residual is a function of the moving atom's (sine of bearing,
-    log range) alone, and Levenberg-Marquardt descends it.  The others
-    are projected out once: with ``Q`` the complement projector of their
-    span (least squares), the joint residual is the one-atom residual of
-    ``Q y`` on ``Q a``.  With no others that is
-    ``|y|^2 - |<a, y>|^2 / n``, so the polish climbs the matched
-    response.  The residual Jacobian is Kaufman's ``-P (da/dtheta) c``,
-    where ``P`` projects off every atom and ``c`` is the moving atom's
-    amplitude.
+    Variable projection: the amplitudes ``c`` of all ``K`` atoms are
+    eliminated in closed form, so the squared residual is a function of
+    the ``2K`` parameters (sine of bearing, log range) alone, and one
+    Levenberg-Marquardt descent moves every atom at once.  With ``A``
+    the atoms and ``P`` the projector off their span, the residual
+    Jacobian column of a parameter of atom ``i`` is Kaufman's
+    ``-P (da_i/dtheta) c_i``.  With one atom this climbs the matched
+    response.  Returns the positions and the residual norm.
 
-    Guards: each step is capped at a fifth of the comb spacing in sine
-    and 0.05 in log range, so the polish stays on the crest it starts on
-    (crest choices belong to the global scans).  The parameter box is
-    the closed range band that every scan searches, ``_range_band``; the
-    seed's range is first clipped to it, and steps leaving it are
-    rejected, so a residual that keeps falling with range ends the
-    polish at the band's edge.  Points where the moving atom nearly lies
-    in the span of the others (Gram determinant at most ``1e-9 * n^2``
-    against one other atom) are rejected too, so two estimates never
-    park on one point.  Only steps that lower the residual are taken,
-    and the search stops after a step under ``POLISH_STEP_TOL``.
+    Guards: each step is shrunk as a whole until it moves no sine by
+    more than a fifth of the comb spacing and no log range by more than
+    0.05, so each atom stays on the crest it starts on (crest choices
+    belong to the global scans).  The parameter box is the closed range
+    band that every scan searches, ``_range_band``; the seeds' ranges
+    are first clipped to it, and steps leaving it are rejected, so a
+    residual that keeps falling with range ends at the band's edge.
+    Points where the atoms are nearly dependent (Gram determinant at
+    most ``COINCIDENT_GRAM`` times the product of its diagonal, or no
+    Cholesky factor) are rejected too, so two estimates never park on
+    one point; seeds that are already such a point come back as they
+    are.  Only steps that lower the residual are taken, and the search
+    stops after a step under ``POLISH_STEP_TOL``.
     """
-    n = len(y)
-    qt = None
-    if others:
-        xy = np.array(others)
-        basis = _atoms(cfg, xy[:, 0], xy[:, 1])
-        q = np.eye(n) - basis @ np.linalg.pinv(basis)
-        y = q @ y
-        qt = q.T
-    y_sq = float(np.vdot(y, y).real)
+    n_atoms = len(seeds)
     log_lo, log_hi = (math.log(v) for v in _range_band(cfg))
+    # each derivative row belongs to atom ``owner``
+    owner = np.tile(np.arange(n_atoms), 2)
 
-    def fit(u: float, log_r: float):
-        """Squared residual, gradient and Gauss-Newton matrix; None if barred."""
-        if not (-U_LIMIT < u < U_LIMIT and log_lo <= log_r <= log_hi):
+    def fit(theta: np.ndarray):
+        """Squared residual, gradient, Gauss-Newton matrix, atoms and amplitudes."""
+        values = theta.tolist()
+        us, log_rs = values[:n_atoms], values[n_atoms:]
+        if not (
+            all(-U_LIMIT < u < U_LIMIT for u in us)
+            and all(log_lo <= v <= log_hi for v in log_rs)
+        ):
             return None
-        rows = _polar_atom(cfg, u, log_r)
-        if qt is not None:
-            rows = rows @ qt
-        # inner products of the atom a and its derivatives da
-        conj = rows.conj()
-        (aa, _, _), (ua, uu, us), (sa, _, ss) = (conj @ rows.T).tolist()
-        ay, uy, sy = (conj @ y).tolist()
-        a_sq = aa.real
-        if a_sq <= COINCIDENT_GRAM * n:
+        rows = _polar_atom(cfg, us, log_rs, y)
+        gram = rows.conj() @ rows.T
+        g_atoms = gram[:n_atoms, :n_atoms]
+        # one Cholesky solve gives G^-1 A^H [da, y]; its last column is c
+        factor, sol, info = zposv(g_atoms, gram[:n_atoms, n_atoms:])
+        # det G is the squared product of the Cholesky pivots
+        pivots = zip(factor.diagonal().tolist(), g_atoms.diagonal().tolist())
+        if info or math.prod(f.real**2 / g.real for f, g in pivots) <= COINCIDENT_GRAM:
             return None
-        amp = ay / a_sq
-        weight = (amp * amp.conjugate()).real
-        # res = y - amp a is orthogonal to a, so the Kaufman Jacobian
-        # J = -amp (da - a a^H da / a_sq) gives J^H res = -conj(amp) da^H res
-        # with da^H res = da^H y - amp da^H a, and
-        # J^H J = |amp|^2 (da^H da - da^H a a^H da / a_sq)
-        grad = (
-            (-amp.conjugate() * (uy - amp * ua)).real,
-            (-amp.conjugate() * (sy - amp * sa)).real,
-        )
-        gn = (
-            weight * (uu - ua * ua.conjugate() / a_sq).real,
-            weight * (us - ua * sa.conjugate() / a_sq).real,
-            weight * (ss - sa * sa.conjugate() / a_sq).real,
-        )
-        return y_sq - (ay * ay.conjugate()).real / a_sq, grad, gn
+        # [da, y]^H P [da, y]: the corner is |P y|^2, the squared residual;
+        # P y is orthogonal to every atom, so with J = -P da c the
+        # gradient J^H P y is -conj(c) da^H P y and J^H J is
+        # conj(c_i) c_j da_i^H P da_j
+        proj = gram[n_atoms:, n_atoms:] - gram[n_atoms:, :n_atoms] @ sol
+        amp = sol[:, -1]
+        amps = amp[owner]
+        scaled = amps.conj()[:, None] * proj[:-1]
+        gn = (scaled[:, :-1] * amps).real
+        return proj[-1, -1].real, -scaled[:, -1].real, gn, rows[:n_atoms], amp
 
-    r0 = math.hypot(float(seed[0]), float(seed[1]))
-    theta = (float(seed[0]) / r0, min(max(math.log(r0), log_lo), log_hi))
-    current = fit(*theta)
+    polar = np.array([(p[0], math.hypot(p[0], p[1])) for p in seeds], dtype=float)
+    theta = np.concatenate(
+        [polar[:, 0] / polar[:, 1], np.clip(np.log(polar[:, 1]), log_lo, log_hi)]
+    )
+    current = fit(theta)
     if current is None:
-        return np.array(seed, dtype=float)
-    cap_u = 0.2 * _ridge_spacing_u(cfg)
+        seeds = [np.array(p, dtype=float) for p in seeds]
+        return seeds, _project_residual(y, seeds, cfg)[1]
+    caps = [0.2 * _ridge_spacing_u(cfg)] * n_atoms + [0.05] * n_atoms
+    eye = np.eye(2 * n_atoms)
     damping = 1e-3
     for _ in range(POLISH_MAX_STEPS):
-        cost, (gu, gs), (huu, hus, hss) = current
-        huu, hss = huu * (1.0 + damping), hss * (1.0 + damping)
-        det = huu * hss - hus * hus
-        if not det > 0.0:
+        cost, grad, gn = current[:3]
+        # Marquardt's damping scales the diagonal
+        _, step, info = dposv(gn * (1.0 + damping * eye), -grad)
+        if info:
             break
-        du = (hus * gs - hss * gu) / det
-        ds = (hus * gu - huu * gs) / det
-        shrink = min(1.0, cap_u / max(abs(du), 1e-300), 0.05 / max(abs(ds), 1e-300))
-        du, ds = du * shrink, ds * shrink
-        trial = fit(theta[0] + du, theta[1] + ds)
+        sizes = np.abs(step).tolist()
+        shrink = min(1.0, *(cap / max(size, 1e-300) for cap, size in zip(caps, sizes)))
+        step *= shrink
+        moved = theta + step
+        trial = fit(moved)
         if trial is not None and trial[0] < cost:
-            theta, current = (theta[0] + du, theta[1] + ds), trial
+            theta, current = moved, trial
             damping = max(damping / 10.0, 1e-9)
         else:
             damping *= 10.0
-        if max(abs(du), abs(ds)) < POLISH_STEP_TOL:
+        if max(sizes) * shrink < POLISH_STEP_TOL:
             break
-    u, r = theta[0], math.exp(theta[1])
-    return np.array([r * u, r * math.sqrt(1.0 - u * u)])
+    atoms, amp = current[3:]
+    positions = [
+        math.exp(log_r) * np.array([u, math.sqrt(1.0 - u * u)])
+        for u, log_r in zip(theta[:n_atoms].tolist(), theta[n_atoms:].tolist())
+    ]
+    return positions, float(np.linalg.norm(y - amp @ atoms))
 
 
 def _range_band(cfg: ArrayConfig) -> tuple[float, float]:
@@ -511,10 +534,8 @@ def _pick_position(res: np.ndarray, cfg: ArrayConfig) -> np.ndarray:
     local polish of the few strongest candidates.
     """
     u_center = _envelope_directions(res, cfg, 1)[0]
-    return max(
-        (_polish(res, cfg, s, []) for s in _comb_candidates(res, cfg, u_center)),
-        key=lambda p: _matched_response(res, cfg, p),
-    )
+    fits = [_polish(res, cfg, [s]) for s in _comb_candidates(res, cfg, u_center)]
+    return min(fits, key=lambda fit: fit[1])[0][0]
 
 
 def _range_split_positions(
@@ -573,29 +594,6 @@ def _range_split_positions(
     ]
 
 
-def _polish_cycles(
-    y: np.ndarray, cfg: ArrayConfig, positions: list[np.ndarray]
-) -> tuple[list[np.ndarray], float]:
-    """Relaxation: refine each position in turn on the joint objective.
-
-    The refinement stays on the comb crest each position starts on;
-    crest decisions belong to the callers' global searches.  Stops when
-    the estimates stop moving.  Returns positions and the joint
-    residual.
-    """
-    positions = [p.copy() for p in positions]
-    for _ in range(MAX_REFINE_CYCLES):
-        moved = 0.0
-        for k in range(len(positions)):
-            new = _polish(y, cfg, positions[k], positions[:k] + positions[k + 1 :])
-            moved = max(moved, float(np.linalg.norm(new - positions[k])))
-            positions[k] = new
-        if moved < REFINE_MOVE_TOL:
-            break
-    _, res_norm = _project_residual(y, positions, cfg)
-    return positions, res_norm
-
-
 def _matched_filter_positions(
     y: np.ndarray, cfg: ArrayConfig, num_sources: int
 ) -> tuple[list[np.ndarray], float]:
@@ -605,32 +603,41 @@ def _matched_filter_positions(
     current residual, remove the joint fit, repeat.  It handles targets
     on distinct bearings but blends targets that share one.  Route two
     handles that shared-bearing case head-on for two sources: an
-    exhaustive same-bearing range-pair fit around each greedy bearing.
-    Route two is skipped when route one already explains the snapshot
-    down to a small fraction of its energy, since a blend leaves behind
-    a signal-level residual no matter the noise.  Both routes end with
-    relaxation polish, and the smaller joint residual wins.  Returns the
-    positions and that residual norm.
+    exhaustive same-bearing range-pair fit around each greedy bearing,
+    except the bearings of picks that ran to either end of the range
+    band.  Route two is skipped when route one already explains the
+    snapshot down to a small fraction of its energy, since a blend
+    leaves behind a signal-level residual no matter the noise.  Both
+    routes end with one joint polish of their atoms, and the smaller
+    joint residual wins.  Returns the positions and that residual norm.
     """
     picks: list[np.ndarray] = []
     for _ in range(num_sources):
         res, _ = _project_residual(y, picks, cfg)
         picks.append(_pick_position(res, cfg))
-    best = _polish_cycles(y, cfg, picks)
+    best = _polish(y, cfg, picks)
     if num_sources == 2 and best[1] > RANGE_SPLIT_SKIP_FRACTION * float(
         np.linalg.norm(y)
     ):
         spacing = _ridge_spacing_u(cfg)
+        log_lo, log_hi = (math.log(v) for v in _range_band(cfg))
+        half_cell = 0.5 * (log_hi - log_lo) / (RANGE_SCAN_POINTS - 1)
         tried: list[float] = []
         for p in picks:
-            u = float(p[0] / math.hypot(p[0], p[1]))
+            r = math.hypot(p[0], p[1])
+            # a pick in the end cell of the comb's range grid ran to the
+            # band's edge: a plane-wave fit whose bearing has no range
+            # information to anchor the ladder on
+            if not log_lo + half_cell < math.log(r) < log_hi - half_cell:
+                continue
+            u = float(p[0] / r)
             if any(abs(u - t) < 0.3 * spacing for t in tried):
                 continue
             tried.append(u)
             split = _range_split_positions(y, cfg, u)
             if split is None:
                 continue
-            candidate = _polish_cycles(y, cfg, split)
+            candidate = _polish(y, cfg, split)
             if candidate[1] < best[1]:
                 best = candidate
     return best
@@ -649,42 +656,28 @@ def localize(
     per-sub-array DOA pairs, and the matched-filter deflation search.
     Whichever fits the snapshot with the smaller least-squares residual
     is reported.  Entries come back in descending score order.  On the
-    pair route, a pairing whose triangulation fails is kept as a flagged
-    entry with no position, and sources the association pass could not
-    pair appear as flagged placeholders, so the result always has
+    pair route each entry carries its pair and triangulation gap, and
+    sources the association pass could not pair appear as flagged
+    placeholders with no position, so the result always has
     ``num_sources`` entries; deflation entries carry ``pair=None``.
     """
     doas1, doas2 = local_doas(snap, cfg, num_sources, grid_step_deg, pencil)
     assoc = associate(doas1, doas2, snap, cfg)
     y = snap.y.astype(complex)
-    entries: list[LocalizedTarget] = []
-    pair_positions: list[np.ndarray] = []
-    for (i, j), score in zip(assoc.pairs, assoc.scores):
-        try:
-            pos, gap = triangulate((float(doas1[i]), float(doas2[j])), cfg)
-            pair_positions.append(pos)
-            entries.append(
-                LocalizedTarget(position=pos, residual=gap, score=score, pair=(i, j))
-            )
-        except EstimationError as exc:
-            entries.append(
-                LocalizedTarget(
-                    position=None,
-                    residual=None,
-                    score=score,
-                    pair=(i, j),
-                    error=type(exc).__name__,
-                )
-            )
+    entries = [
+        LocalizedTarget(position=pos, residual=gap, score=score, pair=pair)
+        for pair, score, pos, gap in zip(
+            assoc.pairs, assoc.scores, assoc.positions, assoc.gaps
+        )
+    ]
     for _ in range(num_sources - len(entries)):
         entries.append(
             LocalizedTarget(
                 position=None, residual=None, score=0.0, pair=None, error="Unpaired"
             )
         )
-    _, pair_res = _project_residual(y, pair_positions, cfg)
     defl_positions, defl_res = _matched_filter_positions(y, cfg, num_sources)
-    if defl_res < pair_res:
+    if defl_res < assoc.residual:
         y_norm = float(np.linalg.norm(y))
         entries = [
             LocalizedTarget(

@@ -321,33 +321,6 @@ def load_scenario(path) -> ScenarioSpec:
         return parse_scenario(fh.read())
 
 
-def dump_scenario(spec: ScenarioSpec) -> str:
-    """Serialize a spec to the scenario file format (SI units, degrees)."""
-    lines = [
-        f"name = {spec.name}",
-        f"array.elements_per_ula = {spec.array.elements_per_ula}",
-        f"array.wavelength_m = {spec.array.wavelength!r}",
-        f"array.spacing_m = {spec.array.spacing!r}",
-        f"array.gap_m = {spec.array.gap!r}",
-    ]
-    for i, t in enumerate(spec.targets, start=1):
-        lines.append(f"target.{i}.range_m = {t.range!r}")
-        lines.append(f"target.{i}.angle_deg = {math.degrees(t.angle)!r}")
-    lines.append("snr_grid_db = " + ", ".join(repr(s) for s in spec.snr_grid_db))
-    lines.append(f"n_trials = {spec.n_trials}")
-    lines.append("algorithms = " + ", ".join(spec.algorithms))
-    lines.append(f"fusion_mode = {spec.fusion_mode}")
-    lines.append(f"grid_step_deg = {spec.grid_step_deg!r}")
-    if spec.pencil is not None:
-        lines.append(f"pencil = {spec.pencil}")
-    lines.append(f"hit_tolerance_deg = {spec.hit_tolerance_deg!r}")
-    lines.append(f"hit_tolerance_m = {spec.hit_tolerance_m!r}")
-    lines.append(f"base_seed = {spec.base_seed}")
-    if spec.steering_model is not None:
-        lines.append(f"steering_model = {spec.steering_model.value}")
-    return "\n".join(lines) + "\n"
-
-
 def with_overrides(
     spec: ScenarioSpec,
     n_trials: int | None = None,

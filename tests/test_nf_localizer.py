@@ -16,6 +16,7 @@ from elaa_doa.nf_localizer import (
     _matched_response,
     _polar_atom,
     _polish,
+    _project_residual,
     _range_band,
     _range_split_positions,
     _ridge_spacing_u,
@@ -122,15 +123,27 @@ def test_atoms_batch_matches_single_points(paper_cfg):
 def test_atoms_jacobian_matches_central_differences(paper_cfg):
     lo, hi = _range_band(paper_cfg)
     h = 1e-8
-    for u in (-FIELD_EDGE_U, -0.3, 0.0, 0.17, FIELD_EDGE_U):
-        for log_r in (math.log(lo), 0.0, math.log(5.0), math.log(60.0), math.log(hi)):
-            rows = _polar_atom(paper_cfg, u, log_r)
+    y = np.arange(paper_cfg.n_elements) * (1.0 - 0.5j)
+    points = [
+        (u, log_r)
+        for u in (-FIELD_EDGE_U, -0.3, 0.0, 0.17, FIELD_EDGE_U)
+        for log_r in (math.log(lo), 0.0, math.log(5.0), math.log(60.0), math.log(hi))
+    ]
+    # the same points one at a time and as one two-atom call
+    groups = [[p] for p in points] + [list(pair) for pair in zip(points, points[::-1])]
+    for group in groups:
+        us, log_rs = [u for u, _ in group], [s for _, s in group]
+        n_atoms = len(group)
+        rows = _polar_atom(paper_cfg, us, log_rs, y)
+        assert rows.shape == (3 * n_atoms + 1, paper_cfg.n_elements)
+        assert np.array_equal(rows[-1], y)
+        for i, (u, log_r) in enumerate(group):
             r, root = math.exp(log_r), math.sqrt(1.0 - u * u)
-            assert np.allclose(rows[0], _atoms(paper_cfg, r * u, r * root)[:, 0], atol=1e-10)
-            for row, (eu, es) in ((rows[1], (h, 0.0)), (rows[2], (0.0, h))):
+            assert np.allclose(rows[i], _atoms(paper_cfg, r * u, r * root)[:, 0], atol=1e-10)
+            for row, (eu, es) in ((rows[n_atoms + i], (h, 0.0)), (rows[2 * n_atoms + i], (0.0, h))):
                 numeric = (
-                    _polar_atom(paper_cfg, u + eu, log_r + es)[0]
-                    - _polar_atom(paper_cfg, u - eu, log_r - es)[0]
+                    _polar_atom(paper_cfg, [u + eu], [log_r + es], y)[0]
+                    - _polar_atom(paper_cfg, [u - eu], [log_r - es], y)[0]
                 ) / (2.0 * h)
                 assert np.max(np.abs(numeric - row)) < 1e-5 * np.max(np.abs(row)), (u, log_r)
 
@@ -147,17 +160,64 @@ def _within_crest(cfg, p, du_frac, dlog_r):
     return np.array([r * u, r * math.sqrt(1.0 - u * u)])
 
 
-@pytest.mark.parametrize("n_others", [0, 1, 2])
-def test_polish_reaches_noiseless_truth(paper_cfg, n_others):
-    truth = _polar(5.0, 10.0)
-    others = [_polar(5.0, -10.0), _polar(7.0, 25.0)][:n_others]
-    pts = np.array([truth] + others)
-    amps = np.array([1.0, 0.7 * np.exp(1.1j), 0.5 * np.exp(-2.0j)])[: len(pts)]
+@pytest.mark.parametrize("n_atoms", [1, 2, 3])
+def test_polish_reaches_noiseless_truth(paper_cfg, n_atoms):
+    truths = [_polar(5.0, 10.0), _polar(5.0, -10.0), _polar(7.0, 25.0)][:n_atoms]
+    pts = np.array(truths)
+    amps = np.array([1.0, 0.7 * np.exp(1.1j), 0.5 * np.exp(-2.0j)])[:n_atoms]
     y = _atoms(paper_cfg, pts[:, 0], pts[:, 1]) @ amps
     for du_frac, dlog_r in ((0.1, 0.02), (-0.15, -0.03), (0.05, 0.0)):
-        seed = _within_crest(paper_cfg, truth, du_frac, dlog_r)
-        found = _polish(y, paper_cfg, seed, others)
-        assert np.linalg.norm(found - truth) < 1e-6, (du_frac, dlog_r)
+        seeds = [_within_crest(paper_cfg, p, du_frac, dlog_r) for p in truths]
+        found, residual = _polish(y, paper_cfg, seeds)
+        assert len(found) == n_atoms
+        for p, truth in zip(found, truths):
+            assert np.linalg.norm(p - truth) < 1e-6, (du_frac, dlog_r)
+        assert residual < 1e-6 * np.linalg.norm(y)
+
+
+def test_polish_moves_a_boresight_pair_jointly(paper_cfg):
+    # two returns stacked on one bearing: both atoms move in one descent
+    truths = [np.array([0.0, 4.0]), np.array([0.0, 6.0])]
+    pts = np.array(truths)
+    y = _atoms(paper_cfg, pts[:, 0], pts[:, 1]) @ np.array([1.0, 0.8 * np.exp(0.4j)])
+    seeds = [
+        _within_crest(paper_cfg, truths[0], 0.1, 0.02),
+        _within_crest(paper_cfg, truths[1], -0.1, -0.02),
+    ]
+    found, _ = _polish(y, paper_cfg, seeds)
+    for p, truth in zip(found, truths):
+        assert np.linalg.norm(p - truth) < 1e-6
+
+
+def _record_points(monkeypatch):
+    """Record every (u..., log r...) point the polish evaluates."""
+    points = []
+    polar_atom = nf_localizer._polar_atom
+
+    def recording(cfg, us, log_rs, y):
+        points.append(np.array(list(us) + list(log_rs)))
+        return polar_atom(cfg, us, log_rs, y)
+
+    monkeypatch.setattr(nf_localizer, "_polar_atom", recording)
+    return points
+
+
+def test_polish_shrinks_the_whole_step(paper_cfg, monkeypatch):
+    # seeds far out in range ask for a first step beyond the caps; it is
+    # shrunk as one vector, so exactly one component lands on its cap
+    truths = [_polar(5.0, 10.0), _polar(5.0, -10.0)]
+    pts = np.array(truths)
+    y = _atoms(paper_cfg, pts[:, 0], pts[:, 1]) @ np.array([1.0, 0.7 * np.exp(1.1j)])
+    seeds = [
+        _within_crest(paper_cfg, truths[0], 0.0, 0.3),
+        _within_crest(paper_cfg, truths[1], 0.0, 0.1),
+    ]
+    points = _record_points(monkeypatch)
+    _polish(y, paper_cfg, seeds)
+    caps = np.repeat([0.2 * _ridge_spacing_u(paper_cfg), 0.05], 2)
+    ratios = np.abs(points[1] - points[0]) / caps
+    assert ratios.max() == pytest.approx(1.0, rel=1e-9)
+    assert np.sum(ratios > 1.0 - 1e-9) == 1, ratios
 
 
 def test_polish_never_lowers_the_matched_response(paper_cfg):
@@ -170,10 +230,35 @@ def test_polish_never_lowers_the_matched_response(paper_cfg):
         seed = _within_crest(
             paper_cfg, truth, rng.uniform(-0.5, 0.5), rng.uniform(-0.3, 0.3)
         )
-        found = _polish(y, paper_cfg, seed, [])
+        (found,), _ = _polish(y, paper_cfg, [seed])
         # a polish that takes no step returns its seed up to rounding
         before = _matched_response(y, paper_cfg, seed)
         assert _matched_response(y, paper_cfg, found) >= before * (1.0 - 1e-12)
+
+
+@pytest.mark.parametrize("n_atoms", [1, 2, 3])
+def test_polish_residual_is_the_fit_of_its_positions(paper_cfg, monkeypatch, n_atoms):
+    points = _record_points(monkeypatch)
+    rng = np.random.default_rng(40 + n_atoms)
+    lo, hi = _range_band(paper_cfg)
+    n = paper_cfg.n_elements
+    for _ in range(10):
+        y = rng.normal(size=n) + 1j * rng.normal(size=n)
+        seeds = list(
+            _grid_positions(rng.uniform(-0.8, 0.8, n_atoms), np.ones(1))
+            * np.exp(rng.uniform(math.log(lo), math.log(hi), (n_atoms, 1)))
+        )
+        points.clear()
+        found, residual = _polish(y, paper_cfg, seeds)
+        _, before = _project_residual(y, seeds, paper_cfg)
+        _, after = _project_residual(y, found, paper_cfg)
+        assert residual <= before * (1.0 + 1e-12)
+        assert residual == pytest.approx(after, rel=1e-9)
+        # descent only: no point the polish looked at fits better
+        for theta in points:
+            us, rs = theta[:n_atoms], np.exp(theta[n_atoms:])
+            at = list(np.column_stack([rs * us, rs * np.sqrt(1.0 - us * us)]))
+            assert residual <= _project_residual(y, at, paper_cfg)[1] * (1.0 + 1e-9)
 
 
 def test_polish_ends_inside_the_range_band(paper_cfg):
@@ -189,10 +274,12 @@ def test_polish_ends_inside_the_range_band(paper_cfg):
         picks = pulls[rng.choice(len(pulls), size=2, replace=False)]
         y = _atoms(paper_cfg, picks[:, 0], picks[:, 1]) @ rng.normal(size=2)
         y = y + 0.3 * (rng.normal(size=n) + 1j * rng.normal(size=n))
-        others = [pulls[i % len(pulls)]] if i % 3 == 0 else []
-        found = _polish(y, paper_cfg, seed, others)
-        r = float(np.hypot(*found))
-        assert lo * (1.0 - 1e-12) <= r <= hi * (1.0 + 1e-12), (i, r)
+        # every third seed moves jointly with a second atom on a pull
+        group = [seed, pulls[i % len(pulls)]] if i % 3 == 0 else [seed]
+        found, _ = _polish(y, paper_cfg, group)
+        for p in found:
+            r = float(np.hypot(*p))
+            assert lo * (1.0 - 1e-12) <= r <= hi * (1.0 + 1e-12), (i, r)
 
 
 def _count_fits(monkeypatch):
@@ -219,7 +306,7 @@ def test_polish_takes_seeds_on_the_band_ends(paper_cfg, monkeypatch):
     fits = _count_fits(monkeypatch)
     for seed in seeds:
         fits.clear()
-        _polish(y, paper_cfg, seed, [])
+        _polish(y, paper_cfg, [seed])
         assert fits, seed
 
 
@@ -228,7 +315,7 @@ def test_polish_stops_at_the_band_top(paper_cfg, monkeypatch):
     far = _polar(1e6, 6.0)
     y = _atoms(paper_cfg, far[0], far[1])[:, 0]
     fits = _count_fits(monkeypatch)
-    found = _polish(y, paper_cfg, _polar(100.0, 6.0), [])
+    (found,), _ = _polish(y, paper_cfg, [_polar(100.0, 6.0)])
     assert float(np.hypot(*found)) == pytest.approx(_range_band(paper_cfg)[1], rel=1e-4)
     assert len(fits) < POLISH_MAX_STEPS // 3
 
@@ -236,8 +323,33 @@ def test_polish_stops_at_the_band_top(paper_cfg, monkeypatch):
 def test_polish_coincident_barrier(paper_cfg):
     p = _polar(5.0, 10.0)
     y = _atoms(paper_cfg, p[0], p[1])[:, 0]
-    # a seed on top of a fixed atom is barred, so the polish returns it as is
-    assert np.array_equal(_polish(y, paper_cfg, p, [p.copy()]), p)
+    # two seeds on one point are barred, so the polish returns them as they are
+    found, residual = _polish(y, paper_cfg, [p, p.copy()])
+    assert all(np.array_equal(q, p) for q in found)
+    assert residual == _project_residual(y, [p, p], paper_cfg)[1]
+
+
+def test_range_split_skips_picks_on_the_band_edge(paper_cfg, monkeypatch):
+    # a greedy pick that ran to the band's top carries no range, so only
+    # the interior pick's bearing anchors the range-split ladder
+    lo, hi = _range_band(paper_cfg)
+    edge, interior = _grid_positions(np.array([-0.3, 0.1]), np.array([hi, 5.0]))[[0, 3]]
+    assert float(np.hypot(*edge)) == pytest.approx(hi)
+    assert float(np.hypot(*interior)) == pytest.approx(5.0)
+    picks = iter([edge, interior])
+    monkeypatch.setattr(nf_localizer, "_pick_position", lambda res, cfg: next(picks))
+    anchors = []
+
+    def split(y, cfg, u_center):
+        anchors.append(u_center)
+        return None
+
+    monkeypatch.setattr(nf_localizer, "_range_split_positions", split)
+    rng = np.random.default_rng(5)
+    n = paper_cfg.n_elements
+    y = rng.normal(size=n) + 1j * rng.normal(size=n)
+    nf_localizer._matched_filter_positions(y, paper_cfg, 2)
+    assert anchors == [pytest.approx(0.1)]
 
 
 def test_ridge_spacing(paper_cfg):
