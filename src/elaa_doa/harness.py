@@ -168,6 +168,8 @@ def _localize(snap, spec: ScenarioSpec):
     extra = {
         "residual": max(gaps) if gaps else None,
         "score": min(t.score for t in result.targets),
+        "route": result.route,
+        "noise_ratio": result.noise_ratio,
     }
     return positions, "ok", extra
 
@@ -255,7 +257,7 @@ def run_monte_carlo(
 
 DEBUG_HEADER = (
     "algorithm,snr_db,trial,seed,status,target_id,truth,estimate,error,"
-    "x_hat,y_hat,residual,score,pairing_quality,dealias_margin_deg"
+    "x_hat,y_hat,residual,score,pairing_quality,dealias_margin_deg,route,noise_ratio"
 )
 
 
@@ -271,7 +273,7 @@ def _debug_lines(algorithm, snr_db, records, truth, unit) -> list[str]:
         if rec.estimates is None:
             lines.append(
                 f"{algorithm},{snr_db!r},{rec.trial},{rec.seed},{rec.status},"
-                ",,,,,,,,,"
+                ",,,,,,,,,,,"
             )
             continue
         errors = match_errors(rec.estimates, truth)
@@ -288,6 +290,8 @@ def _debug_lines(algorithm, snr_db, records, truth, unit) -> list[str]:
                     _fmt(rec.extra.get("score")),
                     "",
                     "",
+                    rec.extra.get("route") or "",
+                    _fmt(rec.extra.get("noise_ratio")),
                 ]
             else:
                 fields = [
@@ -300,6 +304,8 @@ def _debug_lines(algorithm, snr_db, records, truth, unit) -> list[str]:
                     "",
                     _fmt(rec.extra.get("pairing_quality")),
                     _fmt(rec.extra.get("dealias_margin_deg")),
+                    "",
+                    "",
                 ]
             lines.append(
                 f"{algorithm},{snr_db!r},{rec.trial},{rec.seed},{rec.status},{tid},"

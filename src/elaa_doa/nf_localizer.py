@@ -16,8 +16,12 @@ different offsets, so the spherical path difference between their
 reference elements varies with target range.  A second strategy
 exploits it directly: greedy matched-filter picks over position space
 with residual deflation, followed by a joint refinement of all picks.
-``localize`` runs both and keeps whichever reconstructs the snapshot
-with the smaller least-squares residual.
+``localize`` polishes the pairs first and answers with them alone when
+their fit residual is down at the noise floor of the per-sub-array
+Hankel matrices and the polish left every range where triangulation
+put it; only otherwise does it run the deflation search, and then it
+keeps whichever of deflation and the triangulated pairs reconstructs
+the snapshot with the smaller least-squares residual.
 
 Every local refinement is one routine, ``_polish``: one
 Levenberg-Marquardt descent on the (sine of bearing, log range) of all
@@ -43,6 +47,7 @@ from .errors import BehindArray, EstimationError, ParallelBearings
 from .geometry import ArrayConfig, field_regions, reference_positions
 from .signal_model import Snapshot, split_ulas
 from .ss_music import module_spectrum, peak_pick
+from .subspace import default_pencil
 
 PARALLEL_TOL = 1e-6
 ENVELOPE_U_POINTS = 120
@@ -58,6 +63,8 @@ U_LIMIT = 0.999999
 POLISH_STEP_TOL = 2e-6
 POLISH_MAX_STEPS = 150
 COINCIDENT_GRAM = 1e-9
+POLISH_LOG_R_CAP = 0.05
+PAIR_NOISE_GATE = 1.5
 
 
 @dataclass(frozen=True)
@@ -82,7 +89,6 @@ class Association:
     """
 
     pairs: tuple[tuple[int, int], ...]
-    scores: tuple[float, ...]
     positions: tuple[np.ndarray, ...]
     gaps: tuple[float, ...]
     residual: float
@@ -99,10 +105,22 @@ class LocalizedTarget:
 
 @dataclass(frozen=True)
 class LocalizationResult:
+    """The reported targets and how they were reached.
+
+    ``route`` is ``pair`` or ``deflation``, the route whose entries are
+    reported; pair entries are the polished pairs when they answered
+    alone and the triangulated ones otherwise.  ``noise_ratio`` is the
+    polished pairs' squared residual over the Hankel noise reference
+    (see :func:`localize`), None when the association pass did not pair
+    every source.
+    """
+
     targets: tuple[LocalizedTarget, ...]
     doas_ula1: np.ndarray
     doas_ula2: np.ndarray
     association: Association
+    route: str
+    noise_ratio: float | None
 
 
 def bearing_line(cfg: ArrayConfig, ula: int, local_angle: float) -> BearingLine:
@@ -149,17 +167,22 @@ def local_doas(
     num_sources: int,
     grid_step_deg: float = 0.01,
     pencil: int | None = None,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Per-sub-array DOA estimates, each sorted ascending.
+) -> tuple[np.ndarray, np.ndarray, float]:
+    """Per-sub-array DOA estimates, each sorted ascending, and the noise reference.
 
     The sub-arrays are scanned independently, so the two lists are not
-    yet associated with each other.
+    yet associated with each other.  The noise reference is the sum,
+    over both sub-arrays, of the squared Hankel singular values beyond
+    the first ``num_sources``: the energy the signal subspaces leave
+    out, read off the SVDs the scans already run.
     """
     out = []
+    noise_ref = 0.0
     for y in split_ulas(snap.y):
-        spectrum = module_spectrum(y, cfg, num_sources, grid_step_deg, pencil)
+        spectrum, sub = module_spectrum(y, cfg, num_sources, grid_step_deg, pencil)
         out.append(np.sort(peak_pick(spectrum, num_sources)))
-    return out[0], out[1]
+        noise_ref += float(np.sum(sub.singular_values[num_sources:] ** 2))
+    return out[0], out[1], noise_ref
 
 
 def associate(
@@ -177,8 +200,7 @@ def associate(
     one-atom-at-a-time pick can prefer a phantom intersection lying
     between two real targets.  Pairs whose triangulation fails contribute
     no atom, so a matching forced through them is penalized by its larger
-    residual and the result may hold fewer pairs than sources.  Reported
-    scores are each atom's normalized correlation with the snapshot.
+    residual and the result may hold fewer pairs than sources.
     """
     if len(doas1) != len(doas2):
         raise ValueError("per-sub-array DOA lists must have equal length")
@@ -210,14 +232,8 @@ def associate(
         if best is None or key[:2] < best[:2]:
             best = key
     residual, _, chosen = best
-    y_norm = float(np.linalg.norm(y))
-    scores = tuple(
-        float(abs(np.vdot(atoms[p], y)) / (np.linalg.norm(atoms[p]) * y_norm))
-        for p in chosen
-    )
     return Association(
         pairs=chosen,
-        scores=scores,
         positions=tuple(points[p][0] for p in chosen),
         gaps=tuple(points[p][1] for p in chosen),
         residual=residual,
@@ -350,8 +366,8 @@ def _polish(
 
     Guards: each step is shrunk as a whole until it moves no sine by
     more than a fifth of the comb spacing and no log range by more than
-    0.05, so each atom stays on the crest it starts on (crest choices
-    belong to the global scans).  The parameter box is the closed range
+    ``POLISH_LOG_R_CAP``, so each atom stays on the crest it starts on
+    (crest choices belong to the global scans).  The parameter box is the closed range
     band that every scan searches, ``_range_band``; the seeds' ranges
     are first clipped to it, and steps leaving it are rejected, so a
     residual that keeps falling with range ends at the band's edge.
@@ -404,7 +420,7 @@ def _polish(
     if current is None:
         seeds = [np.array(p, dtype=float) for p in seeds]
         return seeds, _project_residual(y, seeds, cfg)[1]
-    caps = [0.2 * _ridge_spacing_u(cfg)] * n_atoms + [0.05] * n_atoms
+    caps = [0.2 * _ridge_spacing_u(cfg)] * n_atoms + [POLISH_LOG_R_CAP] * n_atoms
     eye = np.eye(2 * n_atoms)
     damping = 1e-3
     for _ in range(POLISH_MAX_STEPS):
@@ -567,17 +583,18 @@ def _range_split_positions(
         atoms = _atoms(cfg, xs, ys)
         b = atoms.conj().T @ y
         gram = atoms.conj().T @ atoms
-        gii = gram[ii, ii].real
-        gjj = gram[jj, jj].real
+        diag = gram.diagonal().real
+        b_sq = np.abs(b) ** 2
+        gii = diag[ii]
+        gjj = diag[jj]
         gij = gram[ii, jj]
         det = gii * gjj - np.abs(gij) ** 2
-        valid = det > 1e-9 * gii * gjj
-        quad = np.full(len(ii), -np.inf)
-        quad[valid] = (
-            gjj[valid] * np.abs(b[ii[valid]]) ** 2
-            + gii[valid] * np.abs(b[jj[valid]]) ** 2
-            - 2.0 * np.real(gij[valid] * np.conj(b[ii[valid]]) * b[jj[valid]])
-        ) / det[valid]
+        # every pair is computed, then the ill-conditioned ones are barred
+        with np.errstate(divide="ignore", invalid="ignore"):
+            quad = (
+                gjj * b_sq[ii] + gii * b_sq[jj] - 2.0 * np.real(gij * np.conj(b[ii]) * b[jj])
+            ) / det
+        quad[~(det > 1e-9 * gii * gjj)] = -np.inf
         k = int(np.argmax(quad))
         if quad[k] == -np.inf:
             continue
@@ -643,6 +660,27 @@ def _matched_filter_positions(
     return best
 
 
+def _pair_gate(cfg: ArrayConfig, num_sources: int, pencil: int | None) -> float:
+    """The largest noise ratio with which the polished pairs answer alone.
+
+    Under a correct model the polished residual holds the noise of
+    ``n - 2K`` complex degrees of freedom of the ``n``-sample snapshot
+    (each atom fits a complex amplitude and two real parameters), and an
+    ``(L, M)`` sub-array Hankel matrix holds it in about ``(L - K)(M -
+    K)`` outside its signal subspace.  Their quotient is the ratio's
+    expected value, and the gate is ``PAIR_NOISE_GATE`` times it; with
+    two 16-element sub-arrays, the default pencil and two sources that
+    is ``1.5 * 28 / (2 * 7 * 6) = 0.5``.  Zero when the Hankel matrices
+    leave no noise subspace.
+    """
+    m = cfg.elements_per_ula
+    rows = (default_pencil(m) if pencil is None else pencil) + 1
+    noise_dof = 2 * max(rows - num_sources, 0) * max(m - rows + 1 - num_sources, 0)
+    if noise_dof == 0:
+        return 0.0
+    return PAIR_NOISE_GATE * (2 * m - 2 * num_sources) / noise_dof
+
+
 def localize(
     snap: Snapshot,
     cfg: ArrayConfig,
@@ -652,43 +690,62 @@ def localize(
 ) -> LocalizationResult:
     """Estimate target positions from one snapshot.
 
-    Two reconstructions are attempted: triangulation of the associated
-    per-sub-array DOA pairs, and the matched-filter deflation search.
-    Whichever fits the snapshot with the smaller least-squares residual
-    is reported.  Entries come back in descending score order.  On the
-    pair route each entry carries its pair and triangulation gap, and
-    sources the association pass could not pair appear as flagged
-    placeholders with no position, so the result always has
-    ``num_sources`` entries; deflation entries carry ``pair=None``.
+    The pair route goes first: the associated per-sub-array DOA pairs
+    are triangulated and, when every source is paired, their positions
+    are polished jointly.  The polished pairs are reported at once when
+    two things hold.  Their squared residual is at most
+    :func:`_pair_gate` times the Hankel noise reference of
+    :func:`local_doas` (a correct model sits near a third of it with
+    two sources), and the polish moved no range by more than one capped
+    step, ``POLISH_LOG_R_CAP`` in log range, from its triangulation.  A
+    blend of two targets leaves signal-level energy behind, a noiseless
+    snapshot has only roundoff as its reference, and a pair the polish
+    has to walk away was not where its bearings put it, so none of these
+    passes.  Otherwise the matched-filter deflation search runs, and
+    whichever of it and the triangulated (unpolished) pairs fits the
+    snapshot with the smaller least-squares residual is reported.
+    Entries come back in descending score order.  On the pair route each
+    entry carries its pair and triangulation gap, and sources the
+    association pass could not pair appear as flagged placeholders with
+    no position, so the result always has ``num_sources`` entries;
+    deflation entries carry ``pair=None``.
     """
-    doas1, doas2 = local_doas(snap, cfg, num_sources, grid_step_deg, pencil)
+    doas1, doas2, noise_ref = local_doas(snap, cfg, num_sources, grid_step_deg, pencil)
     assoc = associate(doas1, doas2, snap, cfg)
     y = snap.y.astype(complex)
+    y_norm = float(np.linalg.norm(y))
+    positions, pairs, gaps, route = list(assoc.positions), assoc.pairs, assoc.gaps, "pair"
+    noise_ratio, answered = None, False
+    if len(positions) == num_sources:
+        polished, pair_res = _polish(y, cfg, positions)
+        noise_ratio = pair_res**2 / noise_ref if noise_ref > 0.0 else math.inf
+        answered = noise_ratio <= _pair_gate(cfg, num_sources, pencil) and all(
+            abs(math.log(math.hypot(*p) / math.hypot(*q))) <= POLISH_LOG_R_CAP
+            for p, q in zip(polished, positions)
+        )
+        if answered:
+            positions = polished
+    if not answered:
+        defl_positions, defl_res = _matched_filter_positions(y, cfg, num_sources)
+        if defl_res < assoc.residual:
+            positions, route = defl_positions, "deflation"
+            pairs = gaps = (None,) * num_sources
     entries = [
-        LocalizedTarget(position=pos, residual=gap, score=score, pair=pair)
-        for pair, score, pos, gap in zip(
-            assoc.pairs, assoc.scores, assoc.positions, assoc.gaps
+        LocalizedTarget(
+            position=p, residual=gap, score=_matched_response(y, cfg, p) / y_norm, pair=pair
         )
+        for p, gap, pair in zip(positions, gaps, pairs)
     ]
-    for _ in range(num_sources - len(entries)):
-        entries.append(
-            LocalizedTarget(
-                position=None, residual=None, score=0.0, pair=None, error="Unpaired"
-            )
-        )
-    defl_positions, defl_res = _matched_filter_positions(y, cfg, num_sources)
-    if defl_res < assoc.residual:
-        y_norm = float(np.linalg.norm(y))
-        entries = [
-            LocalizedTarget(
-                position=p,
-                residual=None,
-                score=_matched_response(y, cfg, p) / y_norm,
-                pair=None,
-            )
-            for p in defl_positions
-        ]
+    unpaired = LocalizedTarget(
+        position=None, residual=None, score=0.0, pair=None, error="Unpaired"
+    )
+    entries += [unpaired] * (num_sources - len(entries))
     entries.sort(key=lambda t: -t.score)
     return LocalizationResult(
-        targets=tuple(entries), doas_ula1=doas1, doas_ula2=doas2, association=assoc
+        targets=tuple(entries),
+        doas_ula1=doas1,
+        doas_ula2=doas2,
+        association=assoc,
+        route=route,
+        noise_ratio=noise_ratio,
     )

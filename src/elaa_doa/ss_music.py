@@ -130,16 +130,19 @@ def module_spectrum(
     num_sources: int,
     grid_step_deg: float,
     pencil: int | None,
-) -> Spectrum:
+) -> tuple[Spectrum, SubspacePair]:
     """MUSIC pseudospectrum of one sub-array's samples on the default grid.
 
     The samples are lifted with ``pencil`` (half the sub-array length
     when None), split into signal and noise subspaces, and scanned with
-    the steering matrix cached per (array, pencil, grid step).
+    the steering matrix cached per (array, pencil, grid step).  The
+    subspace split comes back too, for callers that read its singular
+    values.
     """
     pencil = default_pencil(cfg.elements_per_ula) if pencil is None else pencil
     grid, a = _cached_steering(pencil + 1, cfg.spacing, cfg.wavelength, grid_step_deg)
-    return pseudospectrum(split_subspaces(hankel(y_half, pencil), num_sources), grid, a)
+    sub = split_subspaces(hankel(y_half, pencil), num_sources)
+    return pseudospectrum(sub, grid, a), sub
 
 
 def fuse(s1: Spectrum, s2: Spectrum, mode: str = "product") -> Spectrum:
@@ -232,7 +235,7 @@ def estimate_doa_music(
     halves = split_ulas(snap.y)
     selected = halves if ula is None else (halves[ula - 1],)
     spectra = [
-        module_spectrum(y, cfg, num_sources, grid_step_deg, pencil) for y in selected
+        module_spectrum(y, cfg, num_sources, grid_step_deg, pencil)[0] for y in selected
     ]
     surface = spectra[0] if len(spectra) == 1 else fuse(spectra[0], spectra[1], fusion)
     return peak_pick(surface, num_sources)

@@ -1,5 +1,6 @@
 import itertools
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -19,6 +20,7 @@ from elaa_doa.harness import (
     run_monte_carlo,
     write_metrics_csv,
 )
+from elaa_doa.nf_localizer import _pair_gate
 from elaa_doa.scenarios import KNOWN_ALGORITHMS, ScenarioSpec, builtin_scenarios, paper_array
 from elaa_doa.signal_model import snapshot
 
@@ -160,6 +162,29 @@ def test_run_monte_carlo_debug_csv(tmp_path):
     assert first[0] == "ss_esprit"
     assert first[4] == "ok"
     assert float(first[6]) == pytest.approx(3.0)
+
+
+def test_debug_csv_route_columns(tmp_path, monkeypatch):
+    near = replace(builtin_scenarios()["fig4_near_a"], n_trials=2)
+    debug = tmp_path / "near.csv"
+    run_monte_carlo(near, debug_path=debug)
+    header, *lines = debug.read_text().splitlines()
+    assert header.endswith(",route,noise_ratio")
+    assert len(lines) == 4
+    for line in lines:
+        fields = line.split(",")
+        assert len(fields) == len(header.split(","))
+        assert fields[-2] == "pair"
+        assert float(fields[-1]) <= _pair_gate(near.array, 2, near.pencil)
+    far = tmp_path / "far.csv"
+    run_monte_carlo(_tiny_spec(snr_grid_db=(30.0,)), debug_path=far)
+    for line in far.read_text().splitlines()[1:]:
+        assert line.endswith(",,")
+    monkeypatch.setattr(harness, "_run_trial", lambda *a: (None, "Unpaired", {}))
+    failed = tmp_path / "failed.csv"
+    run_monte_carlo(near, debug_path=failed)
+    for line in failed.read_text().splitlines()[1:]:
+        assert len(line.split(",")) == len(header.split(","))
 
 
 def test_rmse_include_failures_path(monkeypatch):

@@ -1,18 +1,23 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from elaa_doa import nf_localizer
+from elaa_doa import nf_localizer, ss_music
 from elaa_doa.errors import BehindArray, ParallelBearings
 from elaa_doa.geometry import Target, local_geometry, reference_positions
 from elaa_doa.nf_localizer import (
     FIELD_EDGE_U,
+    PAIR_NOISE_GATE,
+    POLISH_LOG_R_CAP,
     POLISH_MAX_STEPS,
+    Association,
     BearingLine,
     _atoms,
     _grid_positions,
+    _pair_gate,
     _matched_response,
     _polar_atom,
     _polish,
@@ -27,6 +32,7 @@ from elaa_doa.nf_localizer import (
     localize,
     triangulate,
 )
+from elaa_doa.scenarios import builtin_scenarios
 from elaa_doa.signal_model import snapshot, steering_nearfield
 
 
@@ -364,7 +370,7 @@ def test_local_doas_near_field(paper_cfg):
         for a in (-10.0, 10.0)
     ]
     snap = snapshot(paper_cfg, targets, math.inf, seed=2)
-    doas1, doas2 = local_doas(snap, paper_cfg, 2)
+    doas1, doas2, _ = local_doas(snap, paper_cfg, 2)
     expect1 = sorted(float(local_geometry(paper_cfg, t).angles[0]) for t in targets)
     expect2 = sorted(float(local_geometry(paper_cfg, t).angles[1]) for t in targets)
     assert np.degrees(doas1) == pytest.approx(np.degrees(expect1), abs=0.05)
@@ -377,10 +383,9 @@ def test_associate_identity_pairing(paper_cfg):
         for a in (-10.0, 10.0)
     ]
     snap = snapshot(paper_cfg, targets, math.inf, seed=2)
-    doas1, doas2 = local_doas(snap, paper_cfg, 2)
+    doas1, doas2, _ = local_doas(snap, paper_cfg, 2)
     assoc = associate(doas1, doas2, snap, paper_cfg)
     assert set(assoc.pairs) == {(0, 0), (1, 1)}
-    assert all(0.0 < s <= 1.0 + 1e-9 for s in assoc.scores)
 
 
 def test_associate_validates_lengths(paper_cfg):
@@ -438,3 +443,138 @@ def test_localize_scores_descending(paper_cfg):
     result = localize(snap, paper_cfg, 2)
     scores = [t.score for t in result.targets]
     assert scores == sorted(scores, reverse=True)
+    assert all(0.0 < s <= 1.0 + 1e-9 for s in scores)
+
+
+def _fig4_near_a_snapshot(snr_db, seed):
+    spec = builtin_scenarios()["fig4_near_a"]
+    return spec.array, snapshot(spec.array, spec.targets, snr_db, seed=seed)
+
+
+def _record_calls(monkeypatch, module, name):
+    calls = []
+    original = getattr(module, name)
+
+    def recorded(*args, **kwargs):
+        out = original(*args, **kwargs)
+        calls.append(out)
+        return out
+
+    monkeypatch.setattr(module, name, recorded)
+    return calls
+
+
+def test_localize_pair_route_skips_deflation_at_the_noise_floor(monkeypatch):
+    cfg, snap = _fig4_near_a_snapshot(30.0, seed=3)
+
+    def deflation(*args):
+        raise AssertionError("deflation ran although the pair fit reached the noise floor")
+
+    monkeypatch.setattr(nf_localizer, "_matched_filter_positions", deflation)
+    result = localize(snap, cfg, 2)
+    assert result.route == "pair"
+    assert result.noise_ratio <= _pair_gate(cfg, 2, None)
+    assert all(t.pair is not None and t.position is not None for t in result.targets)
+    assert sorted(t.pair for t in result.targets) == sorted(result.association.pairs)
+
+
+def test_localize_noiseless_snapshot_runs_deflation(monkeypatch):
+    cfg, snap = _fig4_near_a_snapshot(math.inf, seed=3)
+    calls = _record_calls(monkeypatch, nf_localizer, "_matched_filter_positions")
+    result = localize(snap, cfg, 2)
+    assert len(calls) == 1
+    # no noise to reach: the reference is roundoff, far below any fit residual
+    assert result.noise_ratio > _pair_gate(cfg, 2, None)
+
+
+def test_localize_unpaired_source_runs_deflation(monkeypatch):
+    cfg, snap = _fig4_near_a_snapshot(30.0, seed=3)
+    original = nf_localizer.associate
+
+    def one_pair(*args):
+        full = original(*args)
+        return Association(
+            pairs=full.pairs[:1],
+            positions=full.positions[:1],
+            gaps=full.gaps[:1],
+            residual=full.residual,
+        )
+
+    monkeypatch.setattr(nf_localizer, "associate", one_pair)
+    calls = _record_calls(monkeypatch, nf_localizer, "_matched_filter_positions")
+    result = localize(snap, cfg, 2)
+    assert len(calls) == 1
+    assert result.noise_ratio is None
+    assert result.route == "deflation"
+
+
+def test_localize_noise_ratio_from_the_two_scan_svds(monkeypatch):
+    cfg, snap = _fig4_near_a_snapshot(30.0, seed=3)
+    subs = _record_calls(monkeypatch, ss_music, "split_subspaces")
+    fits = _record_calls(monkeypatch, nf_localizer, "_polish")
+    result = localize(snap, cfg, 2)
+    assert len(subs) == 2
+    noise_ref = sum(float(np.sum(s.singular_values[2:] ** 2)) for s in subs)
+    (_, pair_res), = fits
+    assert result.noise_ratio == pytest.approx(pair_res**2 / noise_ref, rel=1e-12)
+
+
+def test_pair_gate_from_degrees_of_freedom(paper_cfg):
+    # 16-element sub-arrays, default pencil 8: (9, 8) Hankel matrices
+    assert _pair_gate(paper_cfg, 2, None) == pytest.approx(PAIR_NOISE_GATE * 28 / 84)
+    assert _pair_gate(paper_cfg, 1, None) == pytest.approx(PAIR_NOISE_GATE * 30 / 112)
+    assert _pair_gate(paper_cfg, 3, None) == pytest.approx(PAIR_NOISE_GATE * 26 / 60)
+    # pencil 12: (13, 4) Hankel matrices
+    assert _pair_gate(paper_cfg, 2, 12) == pytest.approx(PAIR_NOISE_GATE * 28 / 44)
+    # no noise subspace left, so nothing passes
+    assert _pair_gate(paper_cfg, 4, 12) == 0.0
+
+
+@pytest.mark.parametrize("steps, deflates", [(0.9, False), (1.1, True)])
+def test_localize_pair_the_polish_walks_runs_deflation(monkeypatch, steps, deflates):
+    cfg, snap = _fig4_near_a_snapshot(30.0, seed=3)
+    original = nf_localizer._polish
+
+    def walked(y, cfg, seeds):
+        positions, res = original(y, cfg, seeds)
+        # the first atom ends ``steps`` capped log-range steps off its seed
+        positions[0] = np.asarray(seeds[0]) * math.exp(steps * POLISH_LOG_R_CAP)
+        return positions, res
+
+    monkeypatch.setattr(nf_localizer, "_polish", walked)
+    calls = _record_calls(monkeypatch, nf_localizer, "_matched_filter_positions")
+    result = localize(snap, cfg, 2)
+    assert result.noise_ratio <= _pair_gate(cfg, 2, None)
+    assert len(calls) == int(deflates)
+
+
+def test_localize_fallback_weighs_deflation_against_the_triangulated_pairs(monkeypatch):
+    cfg, snap = _fig4_near_a_snapshot(30.0, seed=3)
+    assoc = associate(*local_doas(snap, cfg, 2)[:2], snap, cfg)
+    _, pair_res = nf_localizer._polish(snap.y.astype(complex), cfg, list(assoc.positions))
+    assert pair_res < assoc.residual
+    monkeypatch.setattr(nf_localizer, "_pair_gate", lambda *args: -1.0)
+    far = [np.array([-20.0, 100.0]), np.array([20.0, 100.0])]
+    # deflation beats the triangulated pairs, though not the polished ones
+    between = 0.5 * (pair_res + assoc.residual)
+    monkeypatch.setattr(nf_localizer, "_matched_filter_positions", lambda *a: (far, between))
+    result = localize(snap, cfg, 2)
+    assert result.route == "deflation"
+    assert all(t.pair is None for t in result.targets)
+    # the triangulated pairs win and are reported as triangulated
+    above = 1.01 * assoc.residual
+    monkeypatch.setattr(nf_localizer, "_matched_filter_positions", lambda *a: (far, above))
+    result = localize(snap, cfg, 2)
+    assert result.route == "pair"
+    reported = sorted(tuple(t.position) for t in result.targets)
+    assert reported == sorted(tuple(p) for p in assoc.positions)
+
+
+def test_range_split_zero_width_band_has_no_pair(paper_cfg, monkeypatch):
+    # one range repeated: every same-bearing pair is one atom twice
+    monkeypatch.setattr(nf_localizer, "_range_band", lambda cfg: (5.0, 5.0))
+    truth = _polar(5.0, 0.0)
+    y = _atoms(paper_cfg, truth[0], truth[1])[:, 0]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert _range_split_positions(y, paper_cfg, 0.0) is None

@@ -213,3 +213,10 @@ def test_spectrum_csv(tmp_path):
     assert lines[0] == "angle_deg,value"
     assert len(lines) == 4
     assert float(lines[2].split(",")[1]) == 2.0
+
+
+def test_spectrum_rejects_a_non_increasing_grid():
+    with pytest.raises(ValueError):
+        Spectrum(grid=np.array([0.0, 0.2, 0.2]), values=np.ones(3))
+    with pytest.raises(ValueError):
+        Spectrum(grid=np.array([0.0, 0.2, 0.1]), values=np.ones(3))
