@@ -106,7 +106,7 @@ def _cmd_spectrum(args) -> int:
     if args.dump_snapshot:
         save_snapshot(args.dump_snapshot, snap.y)
     s1, s2 = (
-        module_spectrum(y, spec.array, len(spec.targets), spec.grid_step_deg, spec.pencil)[0]
+        module_spectrum(y, spec.array, len(spec.targets), spec.grid_step_deg, spec.pencil)
         for y in split_ulas(snap.y)
     )
     surface = fuse(s1, s2, spec.fusion_mode)

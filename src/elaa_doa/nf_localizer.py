@@ -46,7 +46,7 @@ from scipy.linalg.lapack import dposv, zposv
 from .errors import BehindArray, EstimationError, ParallelBearings
 from .geometry import ArrayConfig, field_regions, reference_positions
 from .signal_model import Snapshot, split_ulas
-from .ss_music import module_spectrum, peak_pick
+from .ss_music import module_subspace, pick_doas
 from .subspace import default_pencil
 
 PARALLEL_TOL = 1e-6
@@ -179,8 +179,8 @@ def local_doas(
     out = []
     noise_ref = 0.0
     for y in split_ulas(snap.y):
-        spectrum, sub = module_spectrum(y, cfg, num_sources, grid_step_deg, pencil)
-        out.append(np.sort(peak_pick(spectrum, num_sources)))
+        sub, scan = module_subspace(y, cfg, num_sources, grid_step_deg, pencil)
+        out.append(np.sort(pick_doas([sub], scan, num_sources)))
         noise_ref += float(np.sum(sub.singular_values[num_sources:] ** 2))
     return out[0], out[1], noise_ref
 

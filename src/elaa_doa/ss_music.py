@@ -3,15 +3,25 @@
 Each sub-array observation is lifted to a Hankel matrix; the noise
 subspace of that matrix is orthogonal to a short exponential steering
 vector whose length equals the Hankel row count.  Scanning that steering
-vector over a DOA grid gives a per-sub-array pseudospectrum, built in one
-place, :func:`module_spectrum`.  The scan does not project every steering
-vector: the null ``a^H U_n U_n^H a`` of a Vandermonde steering vector is a
-real trigonometric polynomial in the electrical angle, the one root-MUSIC
-roots (Rao & Hari 1989), so the surface is that polynomial evaluated on the
-grid from the noise projector's diagonal sums.  Far-field estimation fuses
-the two sub-array spectra (product by default, max as an alternative) and
-picks peaks from the fused surface; the near-field localizer picks peaks
-from each sub-array spectrum on its own.
+vector over a DOA grid gives a per-sub-array pseudospectrum.  The scan does
+not project every steering vector: the null ``a^H U_n U_n^H a`` of a
+Vandermonde steering vector is a real trigonometric polynomial in the
+electrical angle, the one root-MUSIC roots (Rao & Hari 1989), so the
+surface is that polynomial evaluated on the grid from the noise
+projector's diagonal sums.  Far-field estimation fuses the two sub-array
+spectra (product by default, max as an alternative) and picks peaks from
+the fused surface; the near-field localizer picks peaks from each
+sub-array spectrum on its own.
+
+Estimates never evaluate the whole grid (:func:`pick_doas`).  The
+polynomial is evaluated on a coarse subgrid (every fifth angle of the
+0.01 degree grid), then on the fine grid only in windows around the
+coarse local maxima, of the fused surface and of each module's own
+surface, and peaks are picked from those windows as from the whole grid.
+The per-module windows matter under max fusion, where a fused maximum can
+sit on the other module's flank with no fused coarse maximum near it.
+Only the ``spectrum`` command builds the whole-grid surface
+(:func:`module_spectrum`).
 """
 
 from __future__ import annotations
@@ -19,6 +29,7 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 import scipy.signal
@@ -31,6 +42,7 @@ from .subspace import SubspacePair, default_pencil, hankel, split_subspaces
 DENOMINATOR_FLOOR = 1e-12
 PEAK_SEPARATION_DEG = 0.2
 MAX_GRID_POINTS = 180_000
+WINDOW_COARSE_STEPS = 2
 
 
 @dataclass(frozen=True)
@@ -43,7 +55,7 @@ class Spectrum:
     def __post_init__(self) -> None:
         if self.grid.shape != self.values.shape:
             raise ValueError("grid and values must have the same shape")
-        if np.any(np.diff(self.grid) <= 0):
+        if (self.grid[1:] <= self.grid[:-1]).any():
             raise ValueError("grid must be strictly increasing")
 
 
@@ -87,14 +99,41 @@ def hankel_steering_matrix(
     return np.exp(1j * k * np.outer(np.arange(n_rows), np.sin(grid)))
 
 
+class Scan(NamedTuple):
+    """A default grid, its steering columns, and the coarse subgrid scanned first.
+
+    The coarse subgrid is every ``stride``-th grid angle, starting at the
+    first, with contiguous copies of those steering columns.
+    """
+
+    grid: np.ndarray
+    steering: np.ndarray
+    stride: int
+    coarse_grid: np.ndarray
+    coarse_steering: np.ndarray
+
+
 @functools.lru_cache(maxsize=8)
-def _cached_steering(n_rows: int, spacing: float, wavelength: float, step_deg: float):
-    """Default grid and its steering matrix, shared read-only by every caller."""
+def _cached_steering(n_rows: int, spacing: float, wavelength: float, step_deg: float) -> Scan:
+    """Default grid, steering matrix and coarse subgrid, shared read-only by every caller.
+
+    The stride is a quarter of the peak separation in grid steps (5 at
+    0.01 degrees, 1 at 0.05 degrees and coarser), so the separation floor
+    spans four coarse steps.
+    """
     grid = default_grid(step_deg)
     a = hankel_steering_matrix(n_rows, spacing, wavelength, grid)
-    grid.setflags(write=False)
-    a.setflags(write=False)
-    return grid, a
+    stride = max(1, _peak_distance(grid, PEAK_SEPARATION_DEG) // 4)
+    scan = Scan(
+        grid,
+        a,
+        stride,
+        np.ascontiguousarray(grid[::stride]),
+        np.ascontiguousarray(a[:, ::stride]),
+    )
+    for array in (scan.grid, scan.steering, scan.coarse_grid, scan.coarse_steering):
+        array.setflags(write=False)
+    return scan
 
 
 def pseudospectrum(sub: SubspacePair, grid: np.ndarray, steering: np.ndarray) -> Spectrum:
@@ -116,12 +155,34 @@ def pseudospectrum(sub: SubspacePair, grid: np.ndarray, steering: np.ndarray) ->
     n = noise.shape[0]
     if a.shape != (n, len(grid)):
         raise ValueError("steering matrix shape does not match subspace/grid")
-    p = noise @ noise.conj().T
-    c = np.array([np.trace(p, offset=m) for m in range(n)])
+    # Laid out with rows of 2n + 1 entries, element (i, i + m) of P lands in
+    # column m of row i, and the zero padding fills the columns past the
+    # diagonal's end, so one column sum gives each c_m.
+    padded = np.zeros((n + 1, 2 * n), dtype=complex)
+    padded[:n, :n] = noise @ noise.conj().T
+    c = padded.ravel()[: n * (2 * n + 1)].reshape(n, 2 * n + 1)[:, :n].sum(axis=0)
     num = math.sqrt(n)
     den2 = c[0].real + 2.0 * (c[1:] @ a[1:]).real
     den = np.sqrt(np.maximum(den2, (DENOMINATOR_FLOOR * num) ** 2))
     return Spectrum(grid=np.asarray(grid, dtype=float), values=num / den)
+
+
+def module_subspace(
+    y_half: np.ndarray,
+    cfg: ArrayConfig,
+    num_sources: int,
+    grid_step_deg: float,
+    pencil: int | None,
+) -> tuple[SubspacePair, Scan]:
+    """Signal and noise subspaces of one sub-array's samples, with the scan they use.
+
+    The samples are lifted with ``pencil`` (half the sub-array length
+    when None) and split; the scan is cached per (array, pencil, grid
+    step).
+    """
+    pencil = default_pencil(cfg.elements_per_ula) if pencil is None else pencil
+    scan = _cached_steering(pencil + 1, cfg.spacing, cfg.wavelength, grid_step_deg)
+    return split_subspaces(hankel(y_half, pencil), num_sources), scan
 
 
 def module_spectrum(
@@ -130,32 +191,25 @@ def module_spectrum(
     num_sources: int,
     grid_step_deg: float,
     pencil: int | None,
-) -> tuple[Spectrum, SubspacePair]:
-    """MUSIC pseudospectrum of one sub-array's samples on the default grid.
+) -> Spectrum:
+    """MUSIC pseudospectrum of one sub-array's samples on the whole default grid."""
+    sub, scan = module_subspace(y_half, cfg, num_sources, grid_step_deg, pencil)
+    return pseudospectrum(sub, scan.grid, scan.steering)
 
-    The samples are lifted with ``pencil`` (half the sub-array length
-    when None), split into signal and noise subspaces, and scanned with
-    the steering matrix cached per (array, pencil, grid step).  The
-    subspace split comes back too, for callers that read its singular
-    values.
-    """
-    pencil = default_pencil(cfg.elements_per_ula) if pencil is None else pencil
-    grid, a = _cached_steering(pencil + 1, cfg.spacing, cfg.wavelength, grid_step_deg)
-    sub = split_subspaces(hankel(y_half, pencil), num_sources)
-    return pseudospectrum(sub, grid, a), sub
+
+def _fuse_values(v1: np.ndarray, v2: np.ndarray, mode: str) -> np.ndarray:
+    if mode == "product":
+        return v1 * v2
+    if mode == "max":
+        return np.maximum(v1, v2)
+    raise ValueError(f"unknown fusion mode {mode!r}")
 
 
 def fuse(s1: Spectrum, s2: Spectrum, mode: str = "product") -> Spectrum:
     """Combine two sub-array spectra pointwise (``product`` or ``max``)."""
     if not np.array_equal(s1.grid, s2.grid):
         raise ValueError("spectra must share the same grid")
-    if mode == "product":
-        values = s1.values * s2.values
-    elif mode == "max":
-        values = np.maximum(s1.values, s2.values)
-    else:
-        raise ValueError(f"unknown fusion mode {mode!r}")
-    return Spectrum(grid=s1.grid, values=values)
+    return Spectrum(grid=s1.grid, values=_fuse_values(s1.values, s2.values, mode))
 
 
 def _refine_peak(grid: np.ndarray, values: np.ndarray, idx: int) -> float:
@@ -178,11 +232,18 @@ def _refine_peak(grid: np.ndarray, values: np.ndarray, idx: int) -> float:
     return float(grid[idx] + delta)
 
 
-def _peak_distance(grid: np.ndarray, min_separation_deg: float | None) -> int | None:
-    """``min_separation_deg`` in grid samples of the grid's mean step (None: no floor)."""
+def _peak_distance(
+    grid: np.ndarray, min_separation_deg: float | None, index: np.ndarray | None = None
+) -> int | None:
+    """``min_separation_deg`` in samples of the grid's mean step (None: no floor).
+
+    With ``index``, ``grid`` holds the samples at those positions of a
+    uniform grid, and the step is that grid's.
+    """
     if min_separation_deg is None:
         return None
-    step = float(grid[-1] - grid[0]) / (len(grid) - 1)
+    span = len(grid) - 1 if index is None else int(index[-1] - index[0])
+    step = float(grid[-1] - grid[0]) / span
     return max(1, int(round(math.radians(min_separation_deg) / step)))
 
 
@@ -190,6 +251,7 @@ def peak_pick(
     spectrum: Spectrum,
     num_peaks: int,
     min_separation_deg: float | None = PEAK_SEPARATION_DEG,
+    index: np.ndarray | None = None,
 ) -> np.ndarray:
     """Angles of the ``num_peaks`` tallest local maxima, tallest first.
 
@@ -201,19 +263,116 @@ def peak_pick(
     floor are below the aperture's resolution limit anyway.  Ties are
     broken toward the lower angle.  Each pick is refined off-grid by
     three-point parabolic interpolation of the reciprocal squared surface.
-    Raises :class:`UnderResolved` when the surface has fewer qualifying
-    maxima than requested.
+
+    ``index`` gives each sample's position on the uniform grid the
+    spectrum was cut from, when it covers only windows of that grid
+    (None: the spectrum is the whole grid).  A sample is then a maximum
+    only if both its grid neighbours are in the spectrum, and separations
+    are counted in steps of the uniform grid.  Raises
+    :class:`UnderResolved` when the surface has fewer qualifying maxima
+    than requested.
     """
     if num_peaks < 1:
         raise ValueError("num_peaks must be at least 1")
-    idx, _ = scipy.signal.find_peaks(
-        spectrum.values, distance=_peak_distance(spectrum.grid, min_separation_deg)
+    values = spectrum.values
+    idx, _ = scipy.signal.find_peaks(values)
+    position = idx
+    if index is not None:
+        idx = idx[index[idx + 1] - index[idx - 1] == 2]
+        position = index[idx]
+    distance = _peak_distance(spectrum.grid, min_separation_deg, index) or 1
+    order = np.lexsort((position, -values[idx]))
+    keep: list[int] = []
+    kept: list[int] = []
+    for i, pos in zip(idx[order].tolist(), position[order].tolist()):
+        if all(abs(pos - k) >= distance for k in kept):
+            keep.append(i)
+            kept.append(pos)
+            if len(keep) == num_peaks:
+                break
+    if len(keep) < num_peaks:
+        raise UnderResolved(f"found {len(keep)} peaks, need {num_peaks}")
+    return np.array([_refine_peak(spectrum.grid, values, i) for i in keep])
+
+
+def _local_maxima(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(row, column) of each entry no lower than its row neighbours (its one at the ends)."""
+    padded = np.full((len(values), values.shape[1] + 2), -np.inf)
+    padded[:, 1:-1] = values
+    at = np.flatnonzero((values >= padded[:, :-2]) & (values >= padded[:, 2:]))
+    return np.divmod(at, values.shape[1])
+
+
+def _surfaces(
+    subs: list[SubspacePair], grid: np.ndarray, steering: np.ndarray, fusion: str
+) -> np.ndarray:
+    """Rows: the picked surface, then each module's own surface when there are two."""
+    values = [pseudospectrum(sub, grid, steering).values for sub in subs]
+    if len(values) == 2:
+        values.insert(0, _fuse_values(values[0], values[1], fusion))
+    return np.array(values)
+
+
+def pick_doas(
+    subs: list[SubspacePair], scan: Scan, num_peaks: int, fusion: str = "product"
+) -> np.ndarray:
+    """Peaks of one module's MUSIC surface, or of two modules' fused surface.
+
+    Picks as :func:`peak_pick` on the surface over the whole grid would,
+    without evaluating it there.  Each module's polynomial is evaluated on
+    the coarse subgrid first.  The fine grid is then evaluated only in
+    windows of ``WINDOW_COARSE_STEPS`` coarse steps either side of every
+    coarse local maximum, of the fused surface and of each module's own
+    surface.  The per-module windows are needed under max fusion: where
+    one module's peak rises just above the other module's falling flank,
+    the fused coarse samples stay monotone across a fused maximum.
+
+    A window whose surface peaks on its edge is widened up to that
+    surface's next coarse maximum beyond the edge: the edge is no lower
+    than the coarse sample inside it, so unless it is a coarse maximum
+    itself, the coarse samples rise from it to that next one.  Widening
+    repeats until every window's maximum lies inside it.
+    """
+    grid, n_points = scan.grid, len(scan.grid)
+    reach = WINDOW_COARSE_STEPS * scan.stride
+    offsets = np.arange(-reach, reach + 1)
+    # each window: the surface row it serves and its centre's grid index
+    surface, centers = _local_maxima(
+        _surfaces(subs, scan.coarse_grid, scan.coarse_steering, fusion)
     )
-    if len(idx) < num_peaks:
-        raise UnderResolved(f"found {len(idx)} peaks, need {num_peaks}")
-    order = np.lexsort((spectrum.grid[idx], -spectrum.values[idx]))
-    keep = idx[order][:num_peaks]
-    return np.array([_refine_peak(spectrum.grid, spectrum.values, i) for i in keep])
+    centers *= scan.stride
+    peaks = surface * n_points + centers  # sorted keys of the coarse maxima
+    while True:
+        # the mask runs ``reach`` past both grid ends, where windows are cut
+        inside = np.zeros(n_points + 2 * reach, dtype=bool)
+        inside[(centers[:, None] + (offsets + reach)).ravel()] = True
+        index = np.flatnonzero(inside[reach:-reach])
+        # a C-ordered gather keeps each column's product bit-identical to the
+        # product over the whole grid (a fancy-indexed one comes out F-ordered)
+        fine_grid = grid[index]
+        fine = _surfaces(subs, fine_grid, np.take(scan.steering, index, axis=1), fusion)
+        # each window lies whole in the union, a run of positions around its
+        # centre's, cut at the grid's ends
+        pos = np.searchsorted(index, centers)[:, None] + offsets
+        pos = np.minimum(np.maximum(pos, 0), len(index) - 1)
+        top = pos[np.arange(len(pos)), np.argmax(fine[surface[:, None], pos], axis=1)]
+        inner = (index[top] > 0) & (index[top] < n_points - 1)
+        high = (top == pos[:, -1]) & inner
+        grown = []
+        for w in np.flatnonzero(high | ((top == pos[:, 0]) & inner)).tolist():
+            key = int(surface[w]) * n_points + int(index[top[w]])
+            at = int(np.searchsorted(peaks, key))
+            if at < len(peaks) and peaks[at] == key:
+                continue  # a coarse maximum has its own window
+            if high[w]:
+                grown.extend(range(key, int(peaks[at]), reach))
+            else:
+                grown.extend(range(key, int(peaks[at - 1]), -reach))
+        if grown:
+            grown = np.setdiff1d(grown, surface * n_points + centers)
+        if not len(grown):
+            return peak_pick(Spectrum(grid=fine_grid, values=fine[0]), num_peaks, index=index)
+        surface, centers = np.divmod(np.union1d(surface * n_points + centers, grown), n_points)
 
 
 def estimate_doa_music(
@@ -234,11 +393,8 @@ def estimate_doa_music(
         raise ValueError("ula must be None, 1 or 2")
     halves = split_ulas(snap.y)
     selected = halves if ula is None else (halves[ula - 1],)
-    spectra = [
-        module_spectrum(y, cfg, num_sources, grid_step_deg, pencil)[0] for y in selected
-    ]
-    surface = spectra[0] if len(spectra) == 1 else fuse(spectra[0], spectra[1], fusion)
-    return peak_pick(surface, num_sources)
+    modules = [module_subspace(y, cfg, num_sources, grid_step_deg, pencil) for y in selected]
+    return pick_doas([sub for sub, _ in modules], modules[0][1], num_sources, fusion)
 
 
 def write_spectrum_csv(spectrum: Spectrum, path) -> None:

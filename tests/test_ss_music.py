@@ -4,21 +4,26 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
+from elaa_doa import nf_localizer, ss_music
 from elaa_doa.errors import UnderResolved
 from elaa_doa.geometry import Target, field_regions
+from elaa_doa.scenarios import builtin_scenarios
 from elaa_doa.signal_model import snapshot, split_ulas
 from elaa_doa.ss_music import (
     DENOMINATOR_FLOOR,
     MAX_GRID_POINTS,
     PEAK_SEPARATION_DEG,
     Spectrum,
+    _cached_steering,
     _peak_distance,
     default_grid,
     estimate_doa_music,
     fuse,
     grid_points,
     hankel_steering_matrix,
+    module_subspace,
     peak_pick,
+    pick_doas,
     pseudospectrum,
     write_spectrum_csv,
 )
@@ -220,3 +225,193 @@ def test_spectrum_rejects_a_non_increasing_grid():
         Spectrum(grid=np.array([0.0, 0.2, 0.2]), values=np.ones(3))
     with pytest.raises(ValueError):
         Spectrum(grid=np.array([0.0, 0.2, 0.1]), values=np.ones(3))
+
+
+def test_peak_pick_windows_need_both_neighbours():
+    # samples 10-14 and 20-24 of a uniform grid: 14 and 20 stand at a gap
+    # and 12 is the only maximum with both neighbours present
+    index = np.array([10, 11, 12, 13, 14, 20, 21, 22, 23, 24])
+    grid = np.radians(0.01 * index)
+    values = np.array([1.0, 2.0, 3.0, 2.0, 9.0, 9.0, 1.0, 0.5, 0.4, 0.3])
+    spectrum = Spectrum(grid=grid, values=values)
+    assert peak_pick(spectrum, 1, index=index) == pytest.approx(grid[2])
+    with pytest.raises(UnderResolved, match="found 1 peaks"):
+        peak_pick(spectrum, 2, index=index)
+
+
+def test_peak_pick_windows_count_separation_on_the_whole_grid():
+    # maxima at samples 100 and 119 of a 0.01 degree grid are 19 steps
+    # apart, inside the 20-step separation floor, though only 6 samples
+    # lie between them in the windowed spectrum
+    index = np.concatenate([np.arange(97, 104), np.arange(116, 123)])
+    grid = np.radians(0.01 * index)
+    values = np.ones(len(index))
+    values[3], values[10] = 5.0, 4.0
+    spectrum = Spectrum(grid=grid, values=values)
+    with pytest.raises(UnderResolved):
+        peak_pick(spectrum, 2, index=index)
+    assert peak_pick(spectrum, 2, min_separation_deg=0.19, index=index) == pytest.approx(
+        grid[[3, 10]]
+    )
+
+
+@pytest.mark.parametrize("step_deg, stride", [(0.01, 5), (0.007, 7), (0.05, 1), (0.5, 1)])
+def test_coarse_subgrid_stride(step_deg, stride):
+    scan = _cached_steering(9, 0.5, 1.0, step_deg)
+    assert scan.stride == stride
+    assert np.array_equal(scan.coarse_grid, scan.grid[::stride])
+    assert np.array_equal(scan.coarse_steering, scan.steering[:, ::stride])
+    assert scan.coarse_steering.flags.c_contiguous
+    for array in scan[:2] + scan[3:]:
+        assert not array.flags.writeable
+
+
+def _full_grid_pick(subs, scan, num_peaks, fusion):
+    """The pick over the whole grid, the reference the windowed pick must equal."""
+    spectra = [ss_music.pseudospectrum(sub, scan.grid, scan.steering) for sub in subs]
+    surface = spectra[0] if len(spectra) == 1 else fuse(spectra[0], spectra[1], fusion)
+    return peak_pick(surface, num_peaks)
+
+
+def _outcome(pick, *args):
+    try:
+        return pick(*args)
+    except UnderResolved:
+        return None
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.sampled_from(["fig3_small_sep", "fig3_large_sep", "fig4_near_a", "fig4_near_b"]),
+    st.one_of(st.floats(min_value=0.0, max_value=40.0), st.just(math.inf)),
+    st.integers(min_value=0, max_value=2**32 - 1),
+    st.sampled_from([((0, 1), "product"), ((0, 1), "max"), ((0,), "product"), ((1,), "product")]),
+    st.sampled_from([0.01, 0.007, 0.05]),
+)
+def test_windowed_pick_matches_the_full_grid(name, snr_db, seed, modules, step_deg):
+    spec = builtin_scenarios()[name]
+    k = len(spec.targets)
+    snap = snapshot(spec.array, spec.targets, snr_db, seed, model=spec.steering_model)
+    halves = split_ulas(snap.y)
+    split = [module_subspace(halves[m], spec.array, k, step_deg, spec.pencil) for m in modules[0]]
+    subs, scan = [sub for sub, _ in split], split[0][1]
+    want = _outcome(_full_grid_pick, subs, scan, k, modules[1])
+    got = _outcome(pick_doas, subs, scan, k, modules[1])
+    assert (got is None) == (want is None)
+    if want is not None:
+        if math.isinf(snr_db):
+            # noiseless nulls reach rounding level, where the window products
+            # and the full product may rank two equal peaks either way
+            got, want = np.sort(got), np.sort(want)
+        assert np.max(np.abs(got - want)) < 1e-9
+
+
+def test_max_fusion_finds_a_peak_on_the_other_modules_flank():
+    # module 2 peaks at 0.231 degrees just above module 1's falling flank;
+    # the fused coarse samples stay monotone across that peak, so only the
+    # window around module 2's own coarse maximum finds it
+    spec = builtin_scenarios()["fig3_small_sep"]
+    snap = snapshot(spec.array, spec.targets, 20.0, 10_008)
+    est = np.degrees(np.sort(estimate_doa_music(snap, spec.array, 2, fusion="max")))
+    assert est == pytest.approx([-0.093, 0.231], abs=1e-3)
+    split = [module_subspace(y, spec.array, 2, 0.01, None) for y in split_ulas(snap.y)]
+    subs, scan = [sub for sub, _ in split], split[0][1]
+    assert np.degrees(np.sort(_full_grid_pick(subs, scan, 2, "max"))) == pytest.approx(
+        est, abs=1e-9
+    )
+    coarse = [pseudospectrum(sub, scan.coarse_grid, scan.coarse_steering).values for sub in subs]
+    fused = np.maximum(*coarse)
+    near = np.flatnonzero(np.abs(np.degrees(scan.coarse_grid) - 0.231) < 0.1)
+    assert np.all(np.diff(fused[near]) < 0) or np.all(np.diff(fused[near]) > 0)
+
+
+def _fake_surface(monkeypatch, scan, surface):
+    """Make every evaluation read ``surface`` at the grid angles asked for; count them."""
+    evaluated = []
+
+    def fake_pseudospectrum(sub, grid, steering):
+        evaluated.append(len(grid))
+        return Spectrum(grid=grid, values=surface[np.searchsorted(scan.grid, grid)])
+
+    monkeypatch.setattr(ss_music, "pseudospectrum", fake_pseudospectrum)
+    return evaluated
+
+
+def test_window_peaking_on_its_edge_widens_to_the_next_coarse_maximum(monkeypatch):
+    # one surface on the 0.01 degree grid (coarse stride 5, windows of 10
+    # samples either side): a small peak at sample 9000, then a ramp from
+    # 9010 up to a summit at 9100, with a bump at 9052 that no coarse
+    # sample sees.  The window around 9000 tops out on its edge, and only
+    # widening it along the ramp finds the bump, the second-tallest maximum
+    scan = _cached_steering(9, 0.5, 1.0, 0.01)
+    surface = 1.0 + 1e-6 * np.arange(len(scan.grid))
+    surface[8996:9005] = 2.0 - 0.1 * np.abs(np.arange(-4, 5))
+    surface[9010:9101] = np.linspace(2.5, 5.0, 91)
+    surface[9101:9200] = np.linspace(4.9, 1.1, 99)
+    surface[9052] += 0.05
+    evaluated = _fake_surface(monkeypatch, scan, surface)
+    picks = pick_doas([None], scan, 2)
+    assert picks == pytest.approx(scan.grid[[9100, 9052]], abs=math.radians(0.005))
+    # the ramp is filled once; the summit, a coarse maximum, widens nothing
+    assert len(evaluated) == 3 and sum(evaluated) < 3600 + 300
+    assert np.array_equal(picks, _full_grid_pick([None], scan, 2, "product"))
+
+
+def test_flat_topped_peak_and_a_peak_in_the_partial_last_cell(monkeypatch):
+    # at 0.007 degrees the grid has 25 714 points and the stride is 7, so
+    # the last coarse sample is 25 711 and the cell after it holds only
+    # three samples; a peak at 25 712 is seen only by counting the last
+    # coarse sample as a maximum.  The flat top spans two coarse samples.
+    scan = _cached_steering(9, 0.5, 1.0, 0.007)
+    assert (len(scan.grid), scan.stride) == (25_714, 7)
+    surface = 1.0 - 1e-6 * np.arange(len(scan.grid))
+    surface[25_700:25_713] = np.linspace(1.5, 2.7, 13)
+    surface[25_712] = 3.0
+    surface[5_000:5_040] = 1.0 + 0.05 * np.arange(40)
+    surface[5_040:5_055] = 3.5
+    surface[5_055:5_080] = np.linspace(3.0, 1.1, 25)
+    evaluated = _fake_surface(monkeypatch, scan, surface)
+    picks = pick_doas([None], scan, 2)
+    assert picks == pytest.approx(scan.grid[[5_047, 25_712]], abs=math.radians(0.004))
+    assert sum(evaluated) < len(scan.coarse_grid) + 200
+    assert np.array_equal(picks, _full_grid_pick([None], scan, 2, "product"))
+
+
+def _recorder(monkeypatch, module, name):
+    calls = []
+    original = getattr(module, name)
+
+    def record(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, record)
+    return calls
+
+
+def test_every_evaluation_and_pick_goes_through_the_module_globals(monkeypatch):
+    spec = builtin_scenarios()["fig3_small_sep"]
+    snap = snapshot(spec.array, spec.targets, 20.0, 1)
+    evaluated = _recorder(monkeypatch, ss_music, "pseudospectrum")
+    picked = _recorder(monkeypatch, ss_music, "peak_pick")
+    estimate_doa_music(snap, spec.array, 2)
+    # coarse then windows, for each module; one pick on the fused windows
+    assert len(evaluated) == 4 and len(picked) == 1
+    for sub, grid, steering in evaluated:
+        assert steering.shape == (sub.noise.shape[0], len(grid))
+    assert len(evaluated[0][1]) == len(evaluated[1][1]) == 3600
+    assert len(evaluated[2][1]) == len(evaluated[3][1]) < 500
+    assert np.array_equal(picked[0][0].grid, evaluated[2][1])
+    evaluated.clear()
+    picked.clear()
+    nf_localizer.local_doas(snap, spec.array, 2)
+    assert len(evaluated) == 4 and len(picked) == 2
+
+    def under_resolved(*args, **kwargs):
+        raise UnderResolved("stub")
+
+    monkeypatch.setattr(ss_music, "peak_pick", under_resolved)
+    with pytest.raises(UnderResolved, match="stub"):
+        estimate_doa_music(snap, spec.array, 2)
+    with pytest.raises(UnderResolved, match="stub"):
+        nf_localizer.local_doas(snap, spec.array, 2)
