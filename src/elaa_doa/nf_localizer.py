@@ -18,10 +18,11 @@ exploits it directly: greedy matched-filter picks over position space
 with residual deflation, followed by a joint refinement of all picks.
 ``localize`` polishes the pairs first and answers with them alone when
 their fit residual is down at the noise floor of the per-sub-array
-Hankel matrices and the polish left every range where triangulation
-put it; only otherwise does it run the deflation search, and then it
-keeps whichever of deflation and the triangulated pairs reconstructs
-the snapshot with the smaller least-squares residual.
+Hankel matrices and the polish kept every range where triangulation
+put it (the polish stops as soon as it does not); only otherwise does
+it run the deflation search, and then it keeps whichever of deflation
+and the triangulated pairs reconstructs the snapshot with the smaller
+least-squares residual.
 
 Every local refinement is one routine, ``_polish``: one
 Levenberg-Marquardt descent on the (sine of bearing, log range) of all
@@ -112,7 +113,8 @@ class LocalizationResult:
     alone and the triangulated ones otherwise.  ``noise_ratio`` is the
     polished pairs' squared residual over the Hankel noise reference
     (see :func:`localize`), None when the association pass did not pair
-    every source.
+    every source.  When the pair polish stopped because a range left
+    its leash, it is the squared residual at the step where it stopped.
     """
 
     targets: tuple[LocalizedTarget, ...]
@@ -351,8 +353,11 @@ def _ridge_spacing_u(cfg: ArrayConfig) -> float:
 
 
 def _polish(
-    y: np.ndarray, cfg: ArrayConfig, seeds: list[np.ndarray]
-) -> tuple[list[np.ndarray], float]:
+    y: np.ndarray,
+    cfg: ArrayConfig,
+    seeds: list[np.ndarray],
+    leash: list[np.ndarray] | None = None,
+) -> tuple[list[np.ndarray] | None, float]:
     """Move the atoms from ``seeds`` to minimize the joint fit residual of ``y``.
 
     Variable projection: the amplitudes ``c`` of all ``K`` atoms are
@@ -363,6 +368,12 @@ def _polish(
     Jacobian column of a parameter of atom ``i`` is Kaufman's
     ``-P (da_i/dtheta) c_i``.  With one atom this climbs the matched
     response.  Returns the positions and the residual norm.
+
+    With ``leash`` (one position per seed), the descent stops at the
+    first point it accepts, the start included, where some atom's range
+    is more than ``POLISH_LOG_R_CAP`` in log range from its leash
+    position's; it then returns None for the positions and the residual
+    norm at that point.
 
     Guards: each step is shrunk as a whole until it moves no sine by
     more than a fifth of the comb spacing and no log range by more than
@@ -380,6 +391,25 @@ def _polish(
     """
     n_atoms = len(seeds)
     log_lo, log_hi = (math.log(v) for v in _range_band(cfg))
+    leash_ranges = None if leash is None else [math.hypot(*q) for q in leash]
+
+    def off_leash(theta: np.ndarray) -> bool:
+        """Some atom's range is beyond the cap from its leash position's.
+
+        The range is the one of the position the polish would return,
+        so the test is the same expression on the same floats as a test
+        of the returned positions.
+        """
+        if leash_ranges is None:
+            return False
+        values = theta.tolist()
+        for u, log_r, r_leash in zip(values[:n_atoms], values[n_atoms:], leash_ranges):
+            r = math.exp(log_r)
+            r_polished = math.hypot(r * u, r * math.sqrt(1.0 - u * u))
+            if abs(math.log(r_polished / r_leash)) > POLISH_LOG_R_CAP:
+                return True
+        return False
+
     # each derivative row belongs to atom ``owner``
     owner = np.tile(np.arange(n_atoms), 2)
 
@@ -424,6 +454,8 @@ def _polish(
     eye = np.eye(2 * n_atoms)
     damping = 1e-3
     for _ in range(POLISH_MAX_STEPS):
+        if off_leash(theta):
+            break
         cost, grad, gn = current[:3]
         # Marquardt's damping scales the diagonal
         _, step, info = dposv(gn * (1.0 + damping * eye), -grad)
@@ -442,13 +474,17 @@ def _polish(
         if max(sizes) * shrink < POLISH_STEP_TOL:
             break
     atoms, amp = current[3:]
+    residual = float(np.linalg.norm(y - amp @ atoms))
+    if off_leash(theta):
+        return None, residual
     positions = [
         math.exp(log_r) * np.array([u, math.sqrt(1.0 - u * u)])
         for u, log_r in zip(theta[:n_atoms].tolist(), theta[n_atoms:].tolist())
     ]
-    return positions, float(np.linalg.norm(y - amp @ atoms))
+    return positions, residual
 
 
+@functools.lru_cache(maxsize=8)
 def _range_band(cfg: ArrayConfig) -> tuple[float, float]:
     reg = field_regions(cfg)
     return max(reg.local_farfield, 10.0 * cfg.wavelength), reg.fraunhofer
@@ -506,6 +542,27 @@ def _envelope_directions(
     return chosen or [float(us[int(np.argmax(env_u))])]
 
 
+@functools.lru_cache(maxsize=4)
+def _comb_grid(cfg: ArrayConfig, u_center: float) -> tuple[np.ndarray, np.ndarray]:
+    """The comb scan's grid points around ``u_center`` and their conjugated atoms.
+
+    ``u_center`` is one of the envelope scan's fixed directions, so the
+    few grids a trial's picks need are built once and shared read-only.
+    """
+    spacing = _ridge_spacing_u(cfg)
+    qs = np.arange(-2 * COMB_LADDER, 2 * COMB_LADDER + 1) * (spacing / 2.0)
+    us = u_center + qs
+    us = us[np.abs(us) < FIELD_EDGE_U]
+    lo, hi = _range_band(cfg)
+    pts = _grid_positions(us, np.geomspace(lo, hi, RANGE_SCAN_POINTS))
+    filters = _atoms(cfg, pts[:, 0], pts[:, 1])
+    # in place: no second atom-sized array to count in peak memory
+    out = (pts, np.conjugate(filters, out=filters))
+    for arr in out:
+        arr.setflags(write=False)
+    return out
+
+
 def _comb_candidates(
     res: np.ndarray, cfg: ArrayConfig, u_center: float
 ) -> list[np.ndarray]:
@@ -519,13 +576,8 @@ def _comb_candidates(
     are kept even when one target dominates the response.
     """
     spacing = _ridge_spacing_u(cfg)
-    qs = np.arange(-2 * COMB_LADDER, 2 * COMB_LADDER + 1) * (spacing / 2.0)
-    us = u_center + qs
-    us = us[np.abs(us) < FIELD_EDGE_U]
-    lo, hi = _range_band(cfg)
-    pts = _grid_positions(us, np.geomspace(lo, hi, RANGE_SCAN_POINTS))
-    atoms = _atoms(cfg, pts[:, 0], pts[:, 1])
-    response = np.abs(atoms.conj().T @ res)
+    pts, filters = _comb_grid(cfg, u_center)
+    response = np.abs(filters.T @ res)
     chosen: list[np.ndarray] = []
     for i in np.argsort(response)[::-1]:
         p = pts[i]
@@ -554,6 +606,22 @@ def _pick_position(res: np.ndarray, cfg: ArrayConfig) -> np.ndarray:
     return min(fits, key=lambda fit: fit[1])[0][0]
 
 
+@functools.lru_cache(maxsize=8)
+def _split_ladder(lo: float, hi: float) -> tuple[np.ndarray, ...]:
+    """The range split's range ladder over a band and its pair indices.
+
+    Returns the ranges, the pair indices ``i < j`` and their flat
+    indices ``i * RANGE_SPLIT_POINTS + j`` into a Gram matrix, shared
+    read-only.
+    """
+    ranges = np.geomspace(lo, hi, RANGE_SPLIT_POINTS)
+    ii, jj = np.triu_indices(RANGE_SPLIT_POINTS, k=1)
+    out = (ranges, ii, jj, ii * RANGE_SPLIT_POINTS + jj)
+    for arr in out:
+        arr.setflags(write=False)
+    return out
+
+
 def _range_split_positions(
     y: np.ndarray, cfg: ArrayConfig, u_center: float
 ) -> list[np.ndarray] | None:
@@ -569,30 +637,33 @@ def _range_split_positions(
     Returns the best pair, or None when no pair is well-conditioned.
     """
     spacing = _ridge_spacing_u(cfg)
-    lo, hi = _range_band(cfg)
-    ranges = np.geomspace(lo, hi, RANGE_SPLIT_POINTS)
-    ii, jj = np.triu_indices(RANGE_SPLIT_POINTS, k=1)
+    ranges, ii, jj, flat = _split_ladder(*_range_band(cfg))
+    us = [u_center + q * spacing for q in range(-COMB_LADDER, COMB_LADDER + 1)]
+    us = [u for u in us if -FIELD_EDGE_U < u < FIELD_EDGE_U]
+    roots = [math.sqrt(1.0 - u * u) for u in us]
+    # every rung's atoms from one call; each rung is copied contiguous so
+    # its products see the layout, and give the bits, of a rung built alone
+    rungs = _atoms(cfg, np.outer(us, ranges), np.outer(roots, ranges))
+    rungs = rungs.reshape(cfg.n_elements, len(us), RANGE_SPLIT_POINTS).transpose(1, 0, 2)
     y_sq = float(np.vdot(y, y).real)
     best: tuple[float, float, int, int] | None = None
-    for q in range(-COMB_LADDER, COMB_LADDER + 1):
-        u = u_center + q * spacing
-        if not -FIELD_EDGE_U < u < FIELD_EDGE_U:
-            continue
-        xs = ranges * u
-        ys = ranges * math.sqrt(1.0 - u * u)
-        atoms = _atoms(cfg, xs, ys)
-        b = atoms.conj().T @ y
-        gram = atoms.conj().T @ atoms
+    for u, atoms in zip(us, rungs):
+        atoms = np.ascontiguousarray(atoms)
+        filters = atoms.conj()
+        b = filters.T @ y
+        gram = filters.T @ atoms
         diag = gram.diagonal().real
         b_sq = np.abs(b) ** 2
-        gii = diag[ii]
-        gjj = diag[jj]
-        gij = gram[ii, jj]
+        gii = diag.take(ii)
+        gjj = diag.take(jj)
+        gij = gram.take(flat)
         det = gii * gjj - np.abs(gij) ** 2
         # every pair is computed, then the ill-conditioned ones are barred
         with np.errstate(divide="ignore", invalid="ignore"):
             quad = (
-                gjj * b_sq[ii] + gii * b_sq[jj] - 2.0 * np.real(gij * np.conj(b[ii]) * b[jj])
+                gjj * b_sq.take(ii)
+                + gii * b_sq.take(jj)
+                - 2.0 * np.real(gij * np.conj(b.take(ii)) * b.take(jj))
             ) / det
         quad[~(det > 1e-9 * gii * gjj)] = -np.inf
         k = int(np.argmax(quad))
@@ -697,7 +768,10 @@ def localize(
     :func:`_pair_gate` times the Hankel noise reference of
     :func:`local_doas` (a correct model sits near a third of it with
     two sources), and the polish moved no range by more than one capped
-    step, ``POLISH_LOG_R_CAP`` in log range, from its triangulation.  A
+    step, ``POLISH_LOG_R_CAP`` in log range, from its triangulation.
+    The range condition is the polish's leash, checked on every step it
+    accepts: the polish stops at the first step that breaks it, the
+    pairs do not answer, and the noise ratio is the one at that step.  A
     blend of two targets leaves signal-level energy behind, a noiseless
     snapshot has only roundoff as its reference, and a pair the polish
     has to walk away was not where its bearings put it, so none of these
@@ -717,11 +791,10 @@ def localize(
     positions, pairs, gaps, route = list(assoc.positions), assoc.pairs, assoc.gaps, "pair"
     noise_ratio, answered = None, False
     if len(positions) == num_sources:
-        polished, pair_res = _polish(y, cfg, positions)
+        polished, pair_res = _polish(y, cfg, positions, leash=positions)
         noise_ratio = pair_res**2 / noise_ref if noise_ref > 0.0 else math.inf
-        answered = noise_ratio <= _pair_gate(cfg, num_sources, pencil) and all(
-            abs(math.log(math.hypot(*p) / math.hypot(*q))) <= POLISH_LOG_R_CAP
-            for p, q in zip(polished, positions)
+        answered = polished is not None and noise_ratio <= _pair_gate(
+            cfg, num_sources, pencil
         )
         if answered:
             positions = polished

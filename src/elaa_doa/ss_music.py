@@ -226,10 +226,9 @@ def _refine_peak(grid: np.ndarray, values: np.ndarray, idx: int) -> float:
     denom = q[0] - 2.0 * q[1] + q[2]
     if denom <= 0.0:
         return float(grid[idx])
-    h = (grid[idx + 1] - grid[idx - 1]) / 2.0
-    delta = 0.5 * h * (q[0] - q[2]) / denom
-    delta = float(np.clip(delta, -h, h))
-    return float(grid[idx] + delta)
+    h = float(grid[idx + 1] - grid[idx - 1]) / 2.0
+    delta = float(0.5 * h * (q[0] - q[2]) / denom)
+    return float(grid[idx] + min(max(delta, -h), h))
 
 
 def _peak_distance(

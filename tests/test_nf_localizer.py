@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import warnings
 
@@ -8,14 +9,20 @@ from hypothesis import given, strategies as st
 from elaa_doa import nf_localizer, ss_music
 from elaa_doa.errors import BehindArray, ParallelBearings
 from elaa_doa.geometry import Target, local_geometry, reference_positions
+from elaa_doa.harness import derive_trial_seed
 from elaa_doa.nf_localizer import (
+    COMB_LADDER,
     FIELD_EDGE_U,
     PAIR_NOISE_GATE,
     POLISH_LOG_R_CAP,
     POLISH_MAX_STEPS,
+    RANGE_SCAN_POINTS,
+    RANGE_SPLIT_POINTS,
     Association,
     BearingLine,
     _atoms,
+    _comb_grid,
+    _envelope_grid,
     _grid_positions,
     _pair_gate,
     _matched_response,
@@ -25,6 +32,7 @@ from elaa_doa.nf_localizer import (
     _range_band,
     _range_split_positions,
     _ridge_spacing_u,
+    _split_ladder,
     associate,
     bearing_line,
     intersect_bearings,
@@ -326,6 +334,66 @@ def test_polish_stops_at_the_band_top(paper_cfg, monkeypatch):
     assert len(fits) < POLISH_MAX_STEPS // 3
 
 
+def _theta_positions(theta):
+    n_atoms = len(theta) // 2
+    us, rs = theta[:n_atoms], np.exp(theta[n_atoms:])
+    return list(np.column_stack([rs * us, rs * np.sqrt(1.0 - us * us)]))
+
+
+def _off_leash(theta, leash):
+    """Some atom of the point ``theta`` is beyond the range cap from its leash."""
+    return any(
+        abs(math.log(math.hypot(*p) / math.hypot(*q))) > POLISH_LOG_R_CAP
+        for p, q in zip(_theta_positions(theta), leash)
+    )
+
+
+def test_leashed_polish_stops_at_the_first_accepted_step_off_its_leash(
+    paper_cfg, monkeypatch
+):
+    truths = [_polar(5.0, 10.0), _polar(5.0, -10.0)]
+    pts = np.array(truths)
+    y = _atoms(paper_cfg, pts[:, 0], pts[:, 1]) @ np.array([1.0, 0.7 * np.exp(1.1j)])
+    # the first seed sits about three capped steps out in range
+    seeds = [_within_crest(paper_cfg, truths[0], 0.0, 0.15), truths[1]]
+    points = _record_points(monkeypatch)
+    fits = _count_fits(monkeypatch)
+    found, _ = _polish(y, paper_cfg, seeds)
+    assert np.linalg.norm(found[0] - truths[0]) < 1e-6
+    free_points, free_fits = list(points), len(fits)
+    points.clear()
+    fits.clear()
+    stopped, residual = _polish(y, paper_cfg, seeds, leash=seeds)
+    assert stopped is None
+    # the same descent, cut short
+    assert len(fits) == len(points) < free_fits
+    assert all(np.array_equal(a, b) for a, b in zip(points, free_points))
+    # accepted points lower the residual; only the last one is off the leash
+    fit_of = [_project_residual(y, _theta_positions(theta), paper_cfg)[1] for theta in points]
+    accepted = [0] + [i for i in range(1, len(points)) if fit_of[i] < min(fit_of[:i])]
+    assert accepted[-1] == len(points) - 1
+    assert len(accepted) > 2, accepted
+    off = [_off_leash(points[i], seeds) for i in accepted]
+    assert off == [False] * (len(accepted) - 1) + [True]
+    assert residual == pytest.approx(fit_of[-1], rel=1e-9)
+
+
+def test_leashed_polish_within_its_leash_matches_the_free_one(paper_cfg):
+    truths = [_polar(5.0, 10.0), _polar(5.0, -10.0)]
+    pts = np.array(truths)
+    y = _atoms(paper_cfg, pts[:, 0], pts[:, 1]) @ np.array([1.0, 0.7 * np.exp(1.1j)])
+    seeds = [_within_crest(paper_cfg, p, 0.1, 0.02) for p in truths]
+    free = _polish(y, paper_cfg, seeds)
+    leashed = _polish(y, paper_cfg, seeds, leash=seeds)
+    assert leashed[1] == free[1]
+    assert all(np.array_equal(a, b) for a, b in zip(leashed[0], free[0]))
+    # a start already off the leash stops before any step
+    far = [p * math.exp(1.5 * POLISH_LOG_R_CAP) for p in seeds]
+    stopped, residual = _polish(y, paper_cfg, seeds, leash=far)
+    assert stopped is None
+    assert residual == pytest.approx(_project_residual(y, seeds, paper_cfg)[1], rel=1e-9)
+
+
 def test_polish_coincident_barrier(paper_cfg):
     p = _polar(5.0, 10.0)
     y = _atoms(paper_cfg, p[0], p[1])[:, 0]
@@ -533,19 +601,55 @@ def test_pair_gate_from_degrees_of_freedom(paper_cfg):
 @pytest.mark.parametrize("steps, deflates", [(0.9, False), (1.1, True)])
 def test_localize_pair_the_polish_walks_runs_deflation(monkeypatch, steps, deflates):
     cfg, snap = _fig4_near_a_snapshot(30.0, seed=3)
-    original = nf_localizer._polish
-
-    def walked(y, cfg, seeds):
-        positions, res = original(y, cfg, seeds)
-        # the first atom ends ``steps`` capped log-range steps off its seed
-        positions[0] = np.asarray(seeds[0]) * math.exp(steps * POLISH_LOG_R_CAP)
-        return positions, res
-
-    monkeypatch.setattr(nf_localizer, "_polish", walked)
+    y = snap.y.astype(complex)
+    full = associate(*local_doas(snap, cfg, 2)[:2], snap, cfg)
+    best, _ = _polish(y, cfg, list(full.positions))
+    # triangulation put the first atom ``steps`` capped log-range steps
+    # beyond where the fit is best, so the polish has to walk it back
+    moved = (best[0] * math.exp(steps * POLISH_LOG_R_CAP), best[1])
+    monkeypatch.setattr(
+        nf_localizer, "associate", lambda *args: dataclasses.replace(full, positions=moved)
+    )
+    fits = _record_calls(monkeypatch, nf_localizer, "_polish")
     calls = _record_calls(monkeypatch, nf_localizer, "_matched_filter_positions")
     result = localize(snap, cfg, 2)
+    # the fit reached the noise floor either way: the range alone decides
     assert result.noise_ratio <= _pair_gate(cfg, 2, None)
     assert len(calls) == int(deflates)
+    polished, _ = fits[0]
+    assert (polished is None) == deflates
+    if not deflates:
+        assert result.route == "pair"
+        reported = sorted(tuple(t.position) for t in result.targets)
+        assert np.allclose(reported, sorted(tuple(p) for p in best), rtol=0.0, atol=1e-6)
+
+
+def test_localize_pins_fig4_near_b_trials():
+    # positions and routes recorded before the pair polish was leashed and
+    # the scan grids cached; neither changes a digit on these trials
+    spec = builtin_scenarios()["fig4_near_b"]
+    pinned = [
+        (42, 2, "deflation", [(2.463152759943726e-05, 4.014110369225186),
+                              (3.5900212482592534e-05, 6.059887223989796)]),
+        (42, 3, "deflation", [(6.465663482680108e-06, 4.0662065381836845),
+                              (7.860946963275806e-05, 6.141755767539226)]),
+        (42, 4, "deflation", [(4.931796237419376e-05, 5.802480833024256),
+                              (-4.008832205934446e-05, 3.9499200748128223)]),
+        (42, 323, "pair", [(0.1389648108940638, 4.837636809062943),
+                           (-0.14581894967151224, 5.063166052191361)]),
+        (7, 350, "pair", [(-0.1466565055459237, 4.304783464450319),
+                          (0.12945954544489302, 4.49140360296933)]),
+    ]
+    for base_seed, trial, route, positions in pinned:
+        seed = derive_trial_seed(base_seed, "nf_localize", 0, trial)
+        snap = snapshot(spec.array, spec.targets, 30.0, seed, model=spec.steering_model)
+        result = localize(snap, spec.array, 2)
+        assert result.route == route, (base_seed, trial)
+        for t, expected in zip(result.targets, positions):
+            assert tuple(t.position) == pytest.approx(expected, rel=0, abs=1e-9), (
+                base_seed,
+                trial,
+            )
 
 
 def test_localize_fallback_weighs_deflation_against_the_triangulated_pairs(monkeypatch):
@@ -578,3 +682,32 @@ def test_range_split_zero_width_band_has_no_pair(paper_cfg, monkeypatch):
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         assert _range_split_positions(y, paper_cfg, 0.0) is None
+
+
+def test_comb_grid_is_built_once_and_read_only(paper_cfg):
+    spacing = _ridge_spacing_u(paper_cfg)
+    lo, hi = _range_band(paper_cfg)
+    us = _envelope_grid(paper_cfg)[0]
+    for u_center in (float(us[0]), float(us[60]), float(us[-1])):
+        pts, filters = _comb_grid(paper_cfg, u_center)
+        assert _comb_grid(paper_cfg, u_center)[1] is filters
+        assert not pts.flags.writeable and not filters.flags.writeable
+        ladder = u_center + np.arange(-2 * COMB_LADDER, 2 * COMB_LADDER + 1) * (spacing / 2.0)
+        fresh = _grid_positions(
+            ladder[np.abs(ladder) < FIELD_EDGE_U], np.geomspace(lo, hi, RANGE_SCAN_POINTS)
+        )
+        assert np.array_equal(pts, fresh)
+        assert np.array_equal(filters, _atoms(paper_cfg, fresh[:, 0], fresh[:, 1]).conj())
+
+
+def test_split_ladder_is_built_once_and_read_only(paper_cfg):
+    lo, hi = _range_band(paper_cfg)
+    ladder = _split_ladder(lo, hi)
+    assert _split_ladder(lo, hi)[0] is ladder[0]
+    assert not any(arr.flags.writeable for arr in ladder)
+    ranges, ii, jj, flat = ladder
+    assert np.array_equal(ranges, np.geomspace(lo, hi, RANGE_SPLIT_POINTS))
+    fresh_ii, fresh_jj = np.triu_indices(RANGE_SPLIT_POINTS, k=1)
+    assert np.array_equal(ii, fresh_ii) and np.array_equal(jj, fresh_jj)
+    square = np.arange(RANGE_SPLIT_POINTS**2).reshape(RANGE_SPLIT_POINTS, -1)
+    assert np.array_equal(square.take(flat), square[fresh_ii, fresh_jj])

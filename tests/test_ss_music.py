@@ -16,6 +16,7 @@ from elaa_doa.ss_music import (
     Spectrum,
     _cached_steering,
     _peak_distance,
+    _refine_peak,
     default_grid,
     estimate_doa_music,
     fuse,
@@ -166,6 +167,24 @@ def test_peak_pick_separation_floor():
 def _median_step_distance(grid, min_separation_deg):
     step = float(np.median(np.diff(grid)))
     return max(1, int(round(math.radians(min_separation_deg) / step)))
+
+
+@pytest.mark.parametrize("h", [0.01, 0.05, 1e-4])
+def test_refine_peak_clamps_like_np_clip(h):
+    # the null surface 1/values**2 is the parabola (x - vertex)**2 + 1, so
+    # the three-point vertex is exact; beyond +-h the step is clamped
+    center = 0.3
+    grid = center + h * np.arange(-1.0, 2.0)
+    for offset in (0.0, 0.3, -0.7, 0.999, 1.0, -1.0, 1.5, -2.5, 40.0, -40.0):
+        vertex = center + offset * h
+        values = 1.0 / np.sqrt((grid - vertex) ** 2 + 1.0)
+        q = 1.0 / values**2
+        half = (grid[2] - grid[0]) / 2.0
+        delta = 0.5 * half * (q[0] - q[2]) / (q[0] - 2.0 * q[1] + q[2])
+        expected = float(grid[1] + float(np.clip(delta, -half, half)))
+        got = _refine_peak(grid, values, 1)
+        assert got == expected, offset
+        assert got == pytest.approx(center + max(-h, min(offset * h, h)), rel=0, abs=1e-9)
 
 
 @given(st.floats(min_value=0.005, max_value=1.0))
