@@ -15,12 +15,12 @@ from __future__ import annotations
 
 import functools
 import hashlib
+import itertools
 import math
 import sys
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.optimize
 
 from .errors import EstimationError
 from .nf_localizer import localize
@@ -66,23 +66,37 @@ def derive_trial_seed(base_seed: int, algorithm: str, snr_index: int, trial_inde
     return x
 
 
-def match_errors(estimates: np.ndarray, truth: np.ndarray) -> np.ndarray:
-    """Per-target error magnitudes under the best estimate-truth pairing.
+def _matched(estimates: np.ndarray, truth: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The estimate paired with each truth, and its error magnitude.
 
-    The pairing minimizes the summed squared error, a sum of one cost per
-    pair, so a linear assignment solver finds it.  Works for scalar
-    angles, shape (K,), and planar positions, shape (K, 2).  Entry ``t``
-    is the error of the estimate paired with truth ``t``.
+    The pairing minimizes the summed squared error.  For angles, shape
+    (K,), the sorted pairing does: it is the unique optimum when the
+    values are distinct, and a tie changes no error.  Positions, shape
+    (K, 2), are paired by searching every permutation.
     """
     est = np.asarray(estimates, dtype=float)
     tru = np.asarray(truth, dtype=float)
     if est.shape != tru.shape:
         raise ValueError(f"shape mismatch {est.shape} vs {tru.shape}")
-    gaps = tru[:, None] - est[None, :]
-    dist = np.abs(gaps) if tru.ndim == 1 else np.linalg.norm(gaps, axis=-1)
-    _, pick = scipy.optimize.linear_sum_assignment(dist * dist)
-    diff = est[pick] - tru
-    return np.abs(diff) if diff.ndim == 1 else np.linalg.norm(diff, axis=1)
+    if est.ndim == 1:
+        matched = np.empty_like(est)
+        matched[np.argsort(tru)] = np.sort(est)
+        return matched, np.abs(matched - tru)
+    points = est.tolist()
+    cost = [[math.dist(t, e) ** 2 for e in points] for t in tru.tolist()]
+    perms = itertools.permutations(range(len(tru)))
+    pick = min(perms, key=lambda perm: sum(row[j] for row, j in zip(cost, perm)))
+    matched = est[list(pick)]
+    return matched, np.linalg.norm(matched - tru, axis=1)
+
+
+def match_errors(estimates: np.ndarray, truth: np.ndarray) -> np.ndarray:
+    """Per-target error magnitudes under the best estimate-truth pairing.
+
+    Entry ``t`` is the error of the estimate paired with truth ``t`` (see
+    :func:`_matched`), for angles or positions alike.
+    """
+    return _matched(estimates, truth)[1]
 
 
 def rmse(
@@ -268,6 +282,7 @@ def _fmt(value) -> str:
 
 
 def _debug_lines(algorithm, snr_db, records, truth, unit) -> list[str]:
+    """One row per target of each trial, with the estimate matched to that target."""
     lines = []
     for rec in records:
         if rec.estimates is None:
@@ -276,10 +291,10 @@ def _debug_lines(algorithm, snr_db, records, truth, unit) -> list[str]:
                 ",,,,,,,,,,,"
             )
             continue
-        errors = match_errors(rec.estimates, truth)
+        matched, errors = _matched(rec.estimates, truth)
         for tid in range(len(truth)):
             if unit == "m":
-                xh, yh = rec.estimates[tid]
+                xh, yh = matched[tid]
                 fields = [
                     "",
                     "",
@@ -296,7 +311,7 @@ def _debug_lines(algorithm, snr_db, records, truth, unit) -> list[str]:
             else:
                 fields = [
                     _fmt(truth[tid]),
-                    _fmt(rec.estimates[tid]),
+                    _fmt(matched[tid]),
                     _fmt(errors[tid]),
                     "",
                     "",

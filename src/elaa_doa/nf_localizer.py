@@ -69,18 +69,6 @@ PAIR_NOISE_GATE = 1.5
 
 
 @dataclass(frozen=True)
-class BearingLine:
-    """A ray from an anchor point along a unit direction."""
-
-    origin: np.ndarray
-    direction: np.ndarray
-
-    def __post_init__(self) -> None:
-        if abs(float(np.linalg.norm(self.direction)) - 1.0) > 1e-9:
-            raise ValueError("direction must be a unit vector")
-
-
-@dataclass(frozen=True)
 class Association:
     """The chosen one-to-one matching of DOA indices across sub-arrays.
 
@@ -125,42 +113,25 @@ class LocalizationResult:
     noise_ratio: float | None
 
 
-def bearing_line(cfg: ArrayConfig, ula: int, local_angle: float) -> BearingLine:
-    """Ray from sub-array ``ula``'s reference element toward a local DOA."""
-    if ula not in (1, 2):
-        raise ValueError("ula must be 1 or 2")
-    refs = reference_positions(cfg)
-    origin = np.array([refs[ula - 1], 0.0])
-    direction = np.array([math.sin(local_angle), math.cos(local_angle)])
-    return BearingLine(origin=origin, direction=direction)
+def triangulate(angles: tuple[float, float], cfg: ArrayConfig) -> tuple[np.ndarray, float]:
+    """Closest-approach midpoint of a (ULA1, ULA2) local-DOA pair's bearings, and their gap.
 
-
-def intersect_bearings(line1: BearingLine, line2: BearingLine) -> tuple[np.ndarray, float]:
-    """Closest-approach midpoint of two rays and their gap.
-
-    Solves the 2x2 system for the ranges along each ray minimizing the
-    distance between the two line points.  In the plane, non-parallel
-    lines intersect, so the gap is numerically zero; the least-squares
-    form is kept for stability near parallelism.
+    Each bearing is a ray from its sub-array's reference element.  The
+    ranges along the rays solve the 2x2 system that minimizes the distance
+    between their points; in the plane non-parallel lines meet, so the gap
+    is numerically zero, and the form is kept for stability near parallelism.
     """
-    d1, d2 = line1.direction, line2.direction
+    refs = reference_positions(cfg)
+    d1, d2 = (np.array([math.sin(a), math.cos(a)]) for a in angles)
     cross = d1[0] * d2[1] - d1[1] * d2[0]
     if abs(cross) < PARALLEL_TOL:
         raise ParallelBearings(f"|sin| of bearing angle difference {abs(cross):.2e}")
-    a = np.column_stack([d1, -d2])
-    ranges = np.linalg.solve(a, line2.origin - line1.origin)
+    ranges = np.linalg.solve(np.column_stack([d1, -d2]), [refs[1] - refs[0], 0.0])
     if ranges[0] <= 0 or ranges[1] <= 0:
         raise BehindArray(f"intersection ranges {ranges[0]:.3g}, {ranges[1]:.3g}")
-    p1 = line1.origin + ranges[0] * d1
-    p2 = line2.origin + ranges[1] * d2
+    p1 = np.array([refs[0], 0.0]) + ranges[0] * d1
+    p2 = np.array([refs[1], 0.0]) + ranges[1] * d2
     return (p1 + p2) / 2.0, float(np.linalg.norm(p1 - p2))
-
-
-def triangulate(angles: tuple[float, float], cfg: ArrayConfig) -> tuple[np.ndarray, float]:
-    """Intersect the bearings implied by a (ULA1, ULA2) local-DOA pair."""
-    return intersect_bearings(
-        bearing_line(cfg, 1, angles[0]), bearing_line(cfg, 2, angles[1])
-    )
 
 
 def local_doas(

@@ -32,7 +32,6 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
-import scipy.signal
 
 from .errors import UnderResolved
 from .geometry import ArrayConfig
@@ -232,15 +231,13 @@ def _refine_peak(grid: np.ndarray, values: np.ndarray, idx: int) -> float:
 
 
 def _peak_distance(
-    grid: np.ndarray, min_separation_deg: float | None, index: np.ndarray | None = None
-) -> int | None:
-    """``min_separation_deg`` in samples of the grid's mean step (None: no floor).
+    grid: np.ndarray, min_separation_deg: float, index: np.ndarray | None = None
+) -> int:
+    """``min_separation_deg`` in samples of the grid's mean step, at least one.
 
     With ``index``, ``grid`` holds the samples at those positions of a
     uniform grid, and the step is that grid's.
     """
-    if min_separation_deg is None:
-        return None
     span = len(grid) - 1 if index is None else int(index[-1] - index[0])
     step = float(grid[-1] - grid[0]) / span
     return max(1, int(round(math.radians(min_separation_deg) / step)))
@@ -249,19 +246,19 @@ def _peak_distance(
 def peak_pick(
     spectrum: Spectrum,
     num_peaks: int,
-    min_separation_deg: float | None = PEAK_SEPARATION_DEG,
+    min_separation_deg: float = PEAK_SEPARATION_DEG,
     index: np.ndarray | None = None,
 ) -> np.ndarray:
     """Angles of the ``num_peaks`` tallest local maxima, tallest first.
 
-    Maxima closer than ``min_separation_deg`` collapse to the tallest of
-    the cluster (``None`` keeps every local maximum).  When two fused
-    factor surfaces place their nulls a few hundredths of a degree apart,
-    one target's peak splits into two countable maxima that can crowd out
-    a genuine second target; genuine targets closer than the separation
-    floor are below the aperture's resolution limit anyway.  Ties are
-    broken toward the lower angle.  Each pick is refined off-grid by
-    three-point parabolic interpolation of the reciprocal squared surface.
+    Maxima (:func:`_peaks`) closer than ``min_separation_deg`` collapse to
+    the tallest of the cluster.  When two fused factor surfaces place
+    their nulls a few hundredths of a degree apart, one target's peak
+    splits into two countable maxima that can crowd out a genuine second
+    target; genuine targets closer than the separation floor are below the
+    aperture's resolution limit anyway.  Ties are broken toward the lower
+    angle.  Each pick is refined off-grid by three-point parabolic
+    interpolation of the reciprocal squared surface.
 
     ``index`` gives each sample's position on the uniform grid the
     spectrum was cut from, when it covers only windows of that grid
@@ -274,12 +271,12 @@ def peak_pick(
     if num_peaks < 1:
         raise ValueError("num_peaks must be at least 1")
     values = spectrum.values
-    idx, _ = scipy.signal.find_peaks(values)
+    idx = _peaks(values)
     position = idx
     if index is not None:
         idx = idx[index[idx + 1] - index[idx - 1] == 2]
         position = index[idx]
-    distance = _peak_distance(spectrum.grid, min_separation_deg, index) or 1
+    distance = _peak_distance(spectrum.grid, min_separation_deg, index)
     order = np.lexsort((position, -values[idx]))
     keep: list[int] = []
     kept: list[int] = []
@@ -300,6 +297,22 @@ def _local_maxima(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     padded[:, 1:-1] = values
     at = np.flatnonzero((values >= padded[:, :-2]) & (values >= padded[:, 2:]))
     return np.divmod(at, values.shape[1])
+
+
+def _peaks(values: np.ndarray) -> np.ndarray:
+    """Indices of a surface's local maxima.
+
+    A maximum is a strict rise, an optional plateau of equal samples,
+    then a strict fall; a plateau reports its middle sample, rounded
+    down.  The first and last samples are never maxima.
+    """
+    if (values[1:] == values[:-1]).any():
+        # plateaus: the maxima of the runs' levels, which have no equal neighbours
+        starts = np.flatnonzero(np.r_[True, values[1:] != values[:-1]])
+        top = _peaks(values[starts])
+        return (starts[top] + starts[top + 1] - 1) // 2
+    inner = values[1:-1]
+    return np.flatnonzero((inner > values[:-2]) & (inner > values[2:])) + 1
 
 
 def _surfaces(

@@ -1,6 +1,11 @@
 import itertools
 import math
+import os
+import subprocess
+import sys
+import time
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -80,6 +85,33 @@ def test_match_errors_against_all_permutations(k, shape):
         tru = rng.normal(size=(k, *shape))
         est = tru[rng.permutation(k)] + rng.normal(scale=0.8, size=(k, *shape))
         np.testing.assert_array_equal(match_errors(est, tru), _brute_force_errors(est, tru))
+
+
+def _assignment_errors(est, tru):
+    from scipy.optimize import linear_sum_assignment
+
+    dist = np.abs(tru[:, None] - est[None, :])
+    _, pick = linear_sum_assignment(dist * dist)
+    return np.abs(est[pick] - tru)
+
+
+@pytest.mark.parametrize("k", range(1, 9))
+def test_match_errors_on_angles_equals_linear_assignment(k):
+    rng = np.random.default_rng(100 + k)
+    for _ in range(50):
+        tru = rng.uniform(-60.0, 60.0, size=k)
+        est = tru[rng.permutation(k)] + rng.normal(scale=5.0, size=k)
+        np.testing.assert_array_equal(match_errors(est, tru), _assignment_errors(est, tru))
+
+
+def test_match_errors_on_many_angles_is_immediate():
+    rng = np.random.default_rng(40)
+    tru = rng.uniform(-60.0, 60.0, size=40)
+    est = tru[rng.permutation(40)] + rng.normal(scale=2.0, size=40)
+    start = time.perf_counter()
+    err = match_errors(est, tru)
+    assert time.perf_counter() - start < 0.5
+    np.testing.assert_array_equal(err, _assignment_errors(est, tru))
 
 
 def test_match_errors_shape_mismatch():
@@ -185,6 +217,54 @@ def test_debug_csv_route_columns(tmp_path, monkeypatch):
     run_monte_carlo(near, debug_path=failed)
     for line in failed.read_text().splitlines()[1:]:
         assert len(line.split(",")) == len(header.split(","))
+
+
+def test_debug_rows_carry_the_estimate_matched_to_their_target(tmp_path):
+    # MUSIC returns the tallest peak first and the localizer sorts by score,
+    # so output order differs from truth order on some of these trials
+    far = replace(
+        builtin_scenarios()["fig3_small_sep"],
+        n_trials=3,
+        snr_grid_db=(30.0,),
+        algorithms=("ss_music_elaa", "ss_esprit"),
+    )
+    near = replace(builtin_scenarios()["fig4_near_a"], n_trials=3)
+    checked = 0
+    for spec in (far, near):
+        debug = tmp_path / f"{spec.name}.csv"
+        run_monte_carlo(spec, debug_path=debug)
+        header, *lines = debug.read_text().splitlines()
+        column = {name: i for i, name in enumerate(header.split(","))}
+        for line in lines:
+            row = line.split(",")
+            if row[column["status"]] != "ok":
+                continue
+            error = float(row[column["error"]])
+            target = spec.targets[int(row[column["target_id"]])]
+            if spec is far:
+                truth = float(row[column["truth"]])
+                assert truth == math.degrees(target.angle)
+                assert abs(float(row[column["estimate"]]) - truth) == error
+            else:
+                dx = float(row[column["x_hat"]]) - target.position[0]
+                dy = float(row[column["y_hat"]]) - target.position[1]
+                assert math.sqrt(dx * dx + dy * dy) == error
+            checked += 1
+    assert checked == 3 * 2 * 2 + 3 * 2
+
+
+def test_package_imports_no_signal_optimize_or_stats():
+    code = (
+        "import sys, elaa_doa.cli, elaa_doa.harness\n"
+        "print(sorted(m for m in sys.modules if m.split('.')[:2] in"
+        " (['scipy', 'signal'], ['scipy', 'optimize'], ['scipy', 'stats'])))"
+    )
+    src = str(Path(harness.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": src}
+    out = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, check=True, env=env
+    ).stdout
+    assert out.strip() == "[]"
 
 
 def test_rmse_include_failures_path(monkeypatch):

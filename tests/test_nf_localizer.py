@@ -19,7 +19,6 @@ from elaa_doa.nf_localizer import (
     RANGE_SCAN_POINTS,
     RANGE_SPLIT_POINTS,
     Association,
-    BearingLine,
     _atoms,
     _comb_grid,
     _envelope_grid,
@@ -34,8 +33,6 @@ from elaa_doa.nf_localizer import (
     _ridge_spacing_u,
     _split_ladder,
     associate,
-    bearing_line,
-    intersect_bearings,
     local_doas,
     localize,
     triangulate,
@@ -58,41 +55,25 @@ def _match(positions, truths):
     return best
 
 
-def test_bearing_line_anchors(paper_cfg):
-    refs = reference_positions(paper_cfg)
-    line = bearing_line(paper_cfg, 2, 0.3)
-    assert line.origin == pytest.approx([refs[1], 0.0])
-    assert line.direction == pytest.approx([math.sin(0.3), math.cos(0.3)])
-    with pytest.raises(ValueError):
-        bearing_line(paper_cfg, 0, 0.3)
-
-
-def test_bearing_line_unit_direction():
-    with pytest.raises(ValueError):
-        BearingLine(origin=np.zeros(2), direction=np.array([1.0, 1.0]))
-
-
-def test_intersect_bearings_hand_case():
+def test_triangulate_hand_case(paper_cfg):
+    # bearings at +-45 degrees from the two reference elements meet above
+    # their midpoint, half their separation away
     quarter = math.pi / 4.0
-    l1 = BearingLine(np.array([-1.0, 0.0]), np.array([math.sin(quarter), math.cos(quarter)]))
-    l2 = BearingLine(np.array([1.0, 0.0]), np.array([-math.sin(quarter), math.cos(quarter)]))
-    point, gap = intersect_bearings(l1, l2)
-    assert point == pytest.approx([0.0, 1.0], abs=1e-12)
+    left, right = reference_positions(paper_cfg)
+    point, gap = triangulate((quarter, -quarter), paper_cfg)
+    assert point == pytest.approx([(left + right) / 2.0, (right - left) / 2.0], abs=1e-12)
     assert gap == pytest.approx(0.0, abs=1e-12)
 
 
-def test_intersect_parallel_raises():
-    d = np.array([0.0, 1.0])
+def test_triangulate_parallel_raises(paper_cfg):
     with pytest.raises(ParallelBearings):
-        intersect_bearings(BearingLine(np.array([-1.0, 0.0]), d), BearingLine(np.array([1.0, 0.0]), d))
+        triangulate((0.3, 0.3), paper_cfg)
 
 
-def test_intersect_behind_array_raises():
+def test_triangulate_behind_array_raises(paper_cfg):
     quarter = math.pi / 4.0
-    l1 = BearingLine(np.array([-1.0, 0.0]), np.array([-math.sin(quarter), math.cos(quarter)]))
-    l2 = BearingLine(np.array([1.0, 0.0]), np.array([math.sin(quarter), math.cos(quarter)]))
     with pytest.raises(BehindArray):
-        intersect_bearings(l1, l2)
+        triangulate((-quarter, quarter), paper_cfg)
 
 
 @given(

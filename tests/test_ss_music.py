@@ -16,6 +16,7 @@ from elaa_doa.ss_music import (
     Spectrum,
     _cached_steering,
     _peak_distance,
+    _peaks,
     _refine_peak,
     default_grid,
     estimate_doa_music,
@@ -164,6 +165,25 @@ def test_peak_pick_separation_floor():
     assert picks[1] == pytest.approx(grid[160])
 
 
+# runs of repeated levels: plateaus, plateaus at either end, and single samples
+_RUNS = st.lists(
+    st.tuples(
+        st.one_of(st.integers(0, 3).map(float), st.floats(allow_nan=True)),
+        st.integers(1, 4),
+    ),
+    max_size=24,
+)
+
+
+@given(_RUNS)
+@settings(max_examples=400)
+def test_peaks_match_scipy_find_peaks(runs):
+    import scipy.signal
+
+    values = np.repeat([v for v, _ in runs], [n for _, n in runs]).astype(float)
+    np.testing.assert_array_equal(_peaks(values), scipy.signal.find_peaks(values)[0])
+
+
 def _median_step_distance(grid, min_separation_deg):
     step = float(np.median(np.diff(grid)))
     return max(1, int(round(math.radians(min_separation_deg) / step)))
@@ -198,7 +218,6 @@ def test_peak_distance_from_mean_step(step_deg):
     assert _peak_distance(grid, PEAK_SEPARATION_DEG) == _median_step_distance(
         grid, PEAK_SEPARATION_DEG
     )
-    assert _peak_distance(grid, None) is None
 
 
 def test_music_noiseless_single(paper_cfg):
