@@ -178,9 +178,8 @@ def _localize(snap, spec: ScenarioSpec):
     if failed:
         return None, failed[0].error or "Unpaired", {}
     positions = np.array([t.position for t in result.targets])
-    gaps = [t.residual for t in result.targets if t.residual is not None]
     extra = {
-        "residual": max(gaps) if gaps else None,
+        "residual": result.residual,
         "score": min(t.score for t in result.targets),
         "route": result.route,
         "noise_ratio": result.noise_ratio,

@@ -40,9 +40,9 @@ import functools
 import itertools
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
-from scipy.linalg.lapack import dposv, zposv
 
 from .errors import BehindArray, EstimationError, ParallelBearings
 from .geometry import ArrayConfig, field_regions, reference_positions
@@ -72,21 +72,18 @@ PAIR_NOISE_GATE = 1.5
 class Association:
     """The chosen one-to-one matching of DOA indices across sub-arrays.
 
-    ``positions`` and ``gaps`` are each pair's triangulation, and
-    ``residual`` is the norm of the least-squares residual of the
-    snapshot on the pairs' atoms.
+    ``positions`` are the pairs' triangulations, and ``residual`` is the
+    norm of the least-squares residual of the snapshot on their atoms.
     """
 
     pairs: tuple[tuple[int, int], ...]
     positions: tuple[np.ndarray, ...]
-    gaps: tuple[float, ...]
     residual: float
 
 
 @dataclass(frozen=True)
 class LocalizedTarget:
     position: np.ndarray | None
-    residual: float | None
     score: float
     pair: tuple[int, int] | None
     error: str | None = None
@@ -103,6 +100,8 @@ class LocalizationResult:
     (see :func:`localize`), None when the association pass did not pair
     every source.  When the pair polish stopped because a range left
     its leash, it is the squared residual at the step where it stopped.
+    ``residual`` is the norm of the snapshot's least-squares residual on
+    the reported positions' atoms, as the route that answered fitted it.
     """
 
     targets: tuple[LocalizedTarget, ...]
@@ -111,15 +110,16 @@ class LocalizationResult:
     association: Association
     route: str
     noise_ratio: float | None
+    residual: float
 
 
-def triangulate(angles: tuple[float, float], cfg: ArrayConfig) -> tuple[np.ndarray, float]:
-    """Closest-approach midpoint of a (ULA1, ULA2) local-DOA pair's bearings, and their gap.
+def triangulate(angles: tuple[float, float], cfg: ArrayConfig) -> np.ndarray:
+    """Intersection of a (ULA1, ULA2) local-DOA pair's bearings.
 
     Each bearing is a ray from its sub-array's reference element.  The
-    ranges along the rays solve the 2x2 system that minimizes the distance
-    between their points; in the plane non-parallel lines meet, so the gap
-    is numerically zero, and the form is kept for stability near parallelism.
+    ranges along the rays solve the 2x2 system that makes their points
+    meet; in the plane non-parallel lines always do, and the midpoint of
+    the two points is returned.
     """
     refs = reference_positions(cfg)
     d1, d2 = (np.array([math.sin(a), math.cos(a)]) for a in angles)
@@ -131,7 +131,7 @@ def triangulate(angles: tuple[float, float], cfg: ArrayConfig) -> tuple[np.ndarr
         raise BehindArray(f"intersection ranges {ranges[0]:.3g}, {ranges[1]:.3g}")
     p1 = np.array([refs[0], 0.0]) + ranges[0] * d1
     p2 = np.array([refs[1], 0.0]) + ranges[1] * d2
-    return (p1 + p2) / 2.0, float(np.linalg.norm(p1 - p2))
+    return (p1 + p2) / 2.0
 
 
 def local_doas(
@@ -181,16 +181,16 @@ def associate(
     if k == 0:
         raise ValueError("per-sub-array DOA lists are empty")
     y = snap.y.astype(complex)
-    points: dict[tuple[int, int], tuple[np.ndarray, float]] = {}
+    points: dict[tuple[int, int], np.ndarray] = {}
     for i in range(k):
         for j in range(k):
             try:
-                pos, gap = triangulate((float(doas1[i]), float(doas2[j])), cfg)
+                pos = triangulate((float(doas1[i]), float(doas2[j])), cfg)
             except EstimationError:
                 continue
             if pos[1] > 0.0:
-                points[(i, j)] = pos, gap
-    xy = np.array([pos for pos, _ in points.values()]).reshape(-1, 2)
+                points[(i, j)] = pos
+    xy = np.array(list(points.values())).reshape(-1, 2)
     atoms = dict(zip(points, _atoms(cfg, xy[:, 0], xy[:, 1]).T))
     best: tuple[float, tuple[int, ...], tuple[tuple[int, int], ...]] | None = None
     for perm in itertools.permutations(range(k)):
@@ -206,51 +206,74 @@ def associate(
             best = key
     residual, _, chosen = best
     return Association(
-        pairs=chosen,
-        positions=tuple(points[p][0] for p in chosen),
-        gaps=tuple(points[p][1] for p in chosen),
-        residual=residual,
+        pairs=chosen, positions=tuple(points[p] for p in chosen), residual=residual
     )
 
 
-def _sub_array_atoms(cfg: ArrayConfig, sins, rhos) -> np.ndarray:
+class _Layout(NamedTuple):
+    """An array's constants for the atom builders, resolved once per array."""
+
+    k: float  # wavenumber
+    kd: float  # phase step per element of a unit direction sine, k*d
+    m: int  # elements per sub-array
+    ramp: np.ndarray  # one sub-array's ramp rates k*d*m, read-only
+    refs: tuple[float, float]  # the reference elements' x
+
+
+@functools.lru_cache(maxsize=8)
+def _layout(cfg: ArrayConfig) -> _Layout:
+    k = 2.0 * math.pi / cfg.wavelength
+    kd = k * cfg.spacing
+    ramp = kd * np.arange(cfg.elements_per_ula)
+    ramp.setflags(write=False)
+    x1, x2 = (float(v) for v in reference_positions(cfg))
+    return _Layout(k, kd, cfg.elements_per_ula, ramp, (x1, x2))
+
+
+def _sub_array_atoms(layout: _Layout, sins, rhos, out=None) -> np.ndarray:
     """Locally planar atoms from each sub-array's direction sine and range.
 
-    ``sins`` and ``rhos`` hold the two sub-arrays along their first axis.
     Element ``m`` of sub-array ``n`` is ``exp(-j*k*rho_n) * z_n**m`` with
     ``z_n = exp(j*k*d*sin_n)``: the exact propagation phase to the
     reference element times a linear ramp, the entries of
     :func:`elaa_doa.signal_model.steering_nearfield`.  The powers are a
-    running product, so each sub-array costs two exponentials.  The
-    sub-array blocks are stacked along the first axis of the result.
+    running product, so each sub-array costs two exponentials.
+
+    Without ``out``, ``sins`` and ``rhos`` hold the two sub-arrays along
+    their first axis, and the sub-array blocks come back stacked along
+    the first axis of the result, one atom per trailing index.  With
+    ``out``, the element axis is last: ``sins`` and ``rhos`` have the
+    shape ``out.shape[:-1]``, whose last axis is the sub-array, and the
+    atoms are written into ``out``, so a caller's rows are filled in
+    place.  Every element is the same product in either layout.
     """
-    k = 2.0 * math.pi / cfg.wavelength
     sins = np.asarray(sins, dtype=float)
-    out = np.empty((2, cfg.elements_per_ula) + sins.shape[1:], dtype=complex)
-    out[:, 0] = np.exp(-1j * k * np.asarray(rhos, dtype=float))
-    out[:, 1:] = np.exp(1j * (k * cfg.spacing) * sins)[:, None]
-    np.multiply.accumulate(out, axis=1, out=out)
-    return out.reshape((cfg.n_elements,) + sins.shape[1:])
+    blocks = None
+    if out is None:
+        blocks = np.empty((2, layout.m) + sins.shape[1:], dtype=complex)
+        out = np.moveaxis(blocks, 1, -1)
+    # both exponents go into the imaginary parts of the first two
+    # elements, so neither product needs a float-to-complex cast
+    head = out[..., :2]
+    head.real = 0.0
+    np.multiply(rhos, -layout.k, out=head.imag[..., 0])
+    np.multiply(sins, layout.kd, out=head.imag[..., 1])
+    np.exp(head, out=head)
+    out[..., 2:] = head[..., 1, None]
+    np.multiply.accumulate(out, axis=-1, out=out)
+    if blocks is None:
+        return out
+    return blocks.reshape((2 * layout.m,) + sins.shape[1:])
 
 
 def _atoms(cfg: ArrayConfig, xs, ys) -> np.ndarray:
     """Locally planar atoms for many positions ``(x, y)`` at once, one per column."""
     dx = np.asarray(xs, dtype=float).reshape(1, -1) - reference_positions(cfg)[:, None]
     rho = np.hypot(dx, np.asarray(ys, dtype=float).reshape(1, -1))
-    return _sub_array_atoms(cfg, dx / rho, rho)
+    return _sub_array_atoms(_layout(cfg), dx / rho, rho)
 
 
-@functools.lru_cache(maxsize=8)
-def _element_constants(cfg: ArrayConfig) -> tuple[float, np.ndarray, tuple[float, float]]:
-    """Wavenumber, one sub-array's ramp rates ``k*d*m`` and the reference x's."""
-    k = 2.0 * math.pi / cfg.wavelength
-    ramp = (k * cfg.spacing) * np.arange(cfg.elements_per_ula)
-    ramp.setflags(write=False)
-    x1, x2 = (float(v) for v in reference_positions(cfg))
-    return k, ramp, (x1, x2)
-
-
-def _polar_atom(cfg: ArrayConfig, us, log_rs, y: np.ndarray) -> np.ndarray:
+def _polar_atom(layout: _Layout, us, log_rs, y: np.ndarray) -> np.ndarray:
     """Atoms at (sine of bearing, log range), their derivatives, and ``y``.
 
     For ``K`` atoms the ``3K + 1`` rows are the atoms, their derivatives
@@ -258,9 +281,11 @@ def _polar_atom(cfg: ArrayConfig, us, log_rs, y: np.ndarray) -> np.ndarray:
     product gives every inner product the polish needs.  Each
     sub-array's sine and range and their derivatives are Python scalars;
     an element's phase derivative is ``k*d*m*dsin_n - k*drho_n``, so
-    ``da = 1j * atom * dphase``.
+    ``da = 1j * atom * dphase``.  The rows are one buffer: the builder
+    writes the atoms into it element axis last, and the derivative rows
+    are one broadcast product into the rest.
     """
-    k, ramp, refs = _element_constants(cfg)
+    k, _, m, ramp, refs = layout
     n_atoms = len(us)
     # the position is (x, z) = r (u, root), so dx/du = r, dz/du = -x/root,
     # dx/dlog r = x and dz/dlog r = z; per atom and sub-array: sine, range,
@@ -284,11 +309,15 @@ def _polar_atom(cfg: ArrayConfig, us, log_rs, y: np.ndarray) -> np.ndarray:
                 -k * (s * x + c * z),
             ))
     geo = np.array(geo).reshape(n_atoms, 2, 6).transpose(2, 0, 1)
-    atoms = _sub_array_atoms(cfg, geo[0].T, geo[1].T).T
-    phase = geo[2::2, ..., None] * ramp + geo[3::2, ..., None]
-    rows = np.empty((3 * n_atoms + 1, len(y)), dtype=complex)
-    rows[:n_atoms] = atoms
-    rows[n_atoms:-1] = ((1j * atoms) * phase.reshape(2, n_atoms, -1)).reshape(2 * n_atoms, -1)
+    # zeroed, so each derivative row starts as 1j * dphase with no cast
+    rows = np.zeros((3 * n_atoms + 1, 2 * m), dtype=complex)
+    atoms = rows[:n_atoms].reshape(n_atoms, 2, m)
+    _sub_array_atoms(layout, geo[0], geo[1], atoms)
+    derivs = rows[n_atoms:-1].reshape(2, n_atoms, 2, m)
+    dphase = derivs.imag
+    np.multiply(geo[2::2, ..., None], ramp, out=dphase)
+    np.add(dphase, geo[3::2, ..., None], out=dphase)
+    np.multiply(derivs, atoms, out=derivs)
     rows[-1] = y
     return rows
 
@@ -340,6 +369,14 @@ def _polish(
     ``-P (da_i/dtheta) c_i``.  With one atom this climbs the matched
     response.  Returns the positions and the residual norm.
 
+    One evaluation is one Gram product of :func:`_polar_atom`'s rows,
+    Gaussian elimination of its ``K x K`` atom block in numpy (which
+    leaves ``[da, y]^H P [da, y]`` in the trailing block and the
+    amplitudes by back substitution), and one weighted product for the
+    gradient and the Gauss-Newton matrix; the ``2K x 2K`` damped step is
+    a Cholesky solve on Python floats.  The array's constants are
+    resolved once per call, not once per evaluation.
+
     With ``leash`` (one position per seed), the descent stops at the
     first point it accepts, the start included, where some atom's range
     is more than ``POLISH_LOG_R_CAP`` in log range from its leash
@@ -349,22 +386,25 @@ def _polish(
     Guards: each step is shrunk as a whole until it moves no sine by
     more than a fifth of the comb spacing and no log range by more than
     ``POLISH_LOG_R_CAP``, so each atom stays on the crest it starts on
-    (crest choices belong to the global scans).  The parameter box is the closed range
-    band that every scan searches, ``_range_band``; the seeds' ranges
-    are first clipped to it, and steps leaving it are rejected, so a
-    residual that keeps falling with range ends at the band's edge.
+    (crest choices belong to the global scans).  The parameter box is
+    the closed range band that every scan searches, ``_range_band``;
+    the seeds' ranges are first clipped to it, and steps leaving it are
+    rejected, so a residual that keeps falling with range ends at the
+    band's edge.
     Points where the atoms are nearly dependent (Gram determinant at
-    most ``COINCIDENT_GRAM`` times the product of its diagonal, or no
-    Cholesky factor) are rejected too, so two estimates never park on
-    one point; seeds that are already such a point come back as they
-    are.  Only steps that lower the residual are taken, and the search
-    stops after a step under ``POLISH_STEP_TOL``.
+    most ``COINCIDENT_GRAM`` times the product of its diagonal, or a
+    pivot that is not positive) are rejected too, so two estimates never
+    park on one point; seeds that are already such a point come back as
+    they are.  A damped matrix with no Cholesky factor ends the descent.
+    Only steps that lower the residual are taken, and the search stops
+    after a step under ``POLISH_STEP_TOL`` or ``POLISH_MAX_STEPS`` steps.
     """
     n_atoms = len(seeds)
+    layout = _layout(cfg)
     log_lo, log_hi = (math.log(v) for v in _range_band(cfg))
     leash_ranges = None if leash is None else [math.hypot(*q) for q in leash]
 
-    def off_leash(theta: np.ndarray) -> bool:
+    def off_leash(theta: list[float]) -> bool:
         """Some atom's range is beyond the cap from its leash position's.
 
         The range is the one of the position the polish would return,
@@ -373,8 +413,7 @@ def _polish(
         """
         if leash_ranges is None:
             return False
-        values = theta.tolist()
-        for u, log_r, r_leash in zip(values[:n_atoms], values[n_atoms:], leash_ranges):
+        for u, log_r, r_leash in zip(theta[:n_atoms], theta[n_atoms:], leash_ranges):
             r = math.exp(log_r)
             r_polished = math.hypot(r * u, r * math.sqrt(1.0 - u * u))
             if abs(math.log(r_polished / r_leash)) > POLISH_LOG_R_CAP:
@@ -382,77 +421,132 @@ def _polish(
         return False
 
     # each derivative row belongs to atom ``owner``
-    owner = np.tile(np.arange(n_atoms), 2)
+    owner = list(range(n_atoms)) * 2
 
-    def fit(theta: np.ndarray):
+    def fit(theta: list[float]):
         """Squared residual, gradient, Gauss-Newton matrix, atoms and amplitudes."""
-        values = theta.tolist()
-        us, log_rs = values[:n_atoms], values[n_atoms:]
-        if not (
-            all(-U_LIMIT < u < U_LIMIT for u in us)
-            and all(log_lo <= v <= log_hi for v in log_rs)
-        ):
-            return None
-        rows = _polar_atom(cfg, us, log_rs, y)
+        us, log_rs = theta[:n_atoms], theta[n_atoms:]
+        for u, v in zip(us, log_rs):
+            if not (-U_LIMIT < u < U_LIMIT and log_lo <= v <= log_hi):
+                return None
+        rows = _polar_atom(layout, us, log_rs, y)
         gram = rows.conj() @ rows.T
-        g_atoms = gram[:n_atoms, :n_atoms]
-        # one Cholesky solve gives G^-1 A^H [da, y]; its last column is c
-        factor, sol, info = zposv(g_atoms, gram[:n_atoms, n_atoms:])
-        # det G is the squared product of the Cholesky pivots
-        pivots = zip(factor.diagonal().tolist(), g_atoms.diagonal().tolist())
-        if info or math.prod(f.real**2 / g.real for f, g in pivots) <= COINCIDENT_GRAM:
+        diagonal = gram.diagonal().real.tolist()
+        # Gaussian elimination of the atom block: its pivots are the squared
+        # Cholesky diagonal, so det G over the product of its diagonal is
+        # the product of pivot over diagonal, and the trailing block becomes
+        # [da, y]^H P [da, y]
+        pivots = []
+        for i in range(n_atoms):
+            pivot = float(gram[i, i].real)
+            if not pivot > 0.0:
+                return None
+            pivots.append(pivot)
+            gram[i + 1 :, i + 1 :] -= gram[i + 1 :, i, None] * (gram[i, i + 1 :] / pivot)
+        if math.prod(p / g for p, g in zip(pivots, diagonal)) <= COINCIDENT_GRAM:
             return None
-        # [da, y]^H P [da, y]: the corner is |P y|^2, the squared residual;
-        # P y is orthogonal to every atom, so with J = -P da c the
-        # gradient J^H P y is -conj(c) da^H P y and J^H J is
-        # conj(c_i) c_j da_i^H P da_j
-        proj = gram[n_atoms:, n_atoms:] - gram[n_atoms:, :n_atoms] @ sol
-        amp = sol[:, -1]
-        amps = amp[owner]
-        scaled = amps.conj()[:, None] * proj[:-1]
-        gn = (scaled[:, :-1] * amps).real
-        return proj[-1, -1].real, -scaled[:, -1].real, gn, rows[:n_atoms], amp
+        # back substitution on the eliminated atom rows: c = G^-1 A^H y
+        upper = gram[:n_atoms].tolist()
+        amp = [0j] * n_atoms
+        for i in range(n_atoms - 1, -1, -1):
+            row = upper[i]
+            acc = row[-1]
+            for j in range(i + 1, n_atoms):
+                acc -= row[j] * amp[j]
+            amp[i] = acc / pivots[i]
+        # the corner is |P y|^2, the squared residual; P y is orthogonal
+        # to every atom, so with J = -P da c the gradient J^H P y is
+        # -conj(c) da^H P y and J^H J is conj(c_i) c_j da_i^H P da_j.  One
+        # product weighs row a and column b of the block by conj(w_a) and
+        # w_b, with w the derivative rows' amplitudes and -1 for y.
+        weights = np.array([amp[i] for i in owner] + [-1.0])
+        scaled = ((weights.conj()[:, None] * gram[n_atoms:, n_atoms:]) * weights).real.tolist()
+        corner = scaled.pop()
+        return corner[-1], [row.pop() for row in scaled], scaled, rows[:n_atoms], amp
 
     polar = np.array([(p[0], math.hypot(p[0], p[1])) for p in seeds], dtype=float)
     theta = np.concatenate(
         [polar[:, 0] / polar[:, 1], np.clip(np.log(polar[:, 1]), log_lo, log_hi)]
-    )
+    ).tolist()
     current = fit(theta)
     if current is None:
         seeds = [np.array(p, dtype=float) for p in seeds]
         return seeds, _project_residual(y, seeds, cfg)[1]
     caps = [0.2 * _ridge_spacing_u(cfg)] * n_atoms + [POLISH_LOG_R_CAP] * n_atoms
-    eye = np.eye(2 * n_atoms)
     damping = 1e-3
     for _ in range(POLISH_MAX_STEPS):
         if off_leash(theta):
             break
         cost, grad, gn = current[:3]
         # Marquardt's damping scales the diagonal
-        _, step, info = dposv(gn * (1.0 + damping * eye), -grad)
-        if info:
+        step = _damped_newton_step(gn, grad, 1.0 + damping)
+        if step is None:
             break
-        sizes = np.abs(step).tolist()
-        shrink = min(1.0, *(cap / max(size, 1e-300) for cap, size in zip(caps, sizes)))
-        step *= shrink
-        moved = theta + step
+        shrink, largest = 1.0, 0.0
+        for cap, v in zip(caps, step):
+            size = abs(v)
+            if size > largest:
+                largest = size
+            if size > 1e-300 and cap / size < shrink:
+                shrink = cap / size
+        moved = [t + v * shrink for t, v in zip(theta, step)]
         trial = fit(moved)
         if trial is not None and trial[0] < cost:
             theta, current = moved, trial
             damping = max(damping / 10.0, 1e-9)
         else:
             damping *= 10.0
-        if max(sizes) * shrink < POLISH_STEP_TOL:
+        if largest * shrink < POLISH_STEP_TOL:
             break
     atoms, amp = current[3:]
-    residual = float(np.linalg.norm(y - amp @ atoms))
+    residual = float(np.linalg.norm(y - np.array(amp) @ atoms))
     if off_leash(theta):
         return None, residual
     positions = [
         math.exp(log_r) * np.array([u, math.sqrt(1.0 - u * u)])
-        for u, log_r in zip(theta[:n_atoms].tolist(), theta[n_atoms:].tolist())
+        for u, log_r in zip(theta[:n_atoms], theta[n_atoms:])
     ]
     return positions, residual
+
+
+def _damped_newton_step(gn: list[list[float]], grad: list[float], scale: float):
+    """Solve ``(gn with its diagonal times scale) step = -grad`` by Cholesky.
+
+    ``gn`` is symmetric and only its upper triangle is read.  The system
+    has a few unknowns, so the factor is built from Python floats, with
+    the forward substitution fused into it.  Returns None when the
+    damped matrix is not positive definite.
+    """
+    n = len(grad)
+    low: list[list[float]] = []
+    z: list[float] = []
+    for i in range(n):
+        row = []
+        for j in range(i):
+            lj = low[j]
+            acc = gn[j][i]
+            for t in range(j):
+                acc -= row[t] * lj[t]
+            row.append(acc / lj[j])
+        square = gn[i][i] * scale
+        rhs = -grad[i]
+        for t in range(i):
+            a = row[t]
+            square -= a * a
+            rhs -= a * z[t]
+        if not square > 0.0:
+            return None
+        pivot = math.sqrt(square)
+        row.append(pivot)
+        low.append(row)
+        z.append(rhs / pivot)
+    # back substitution with the transposed factor, in place
+    for i in range(n - 1, -1, -1):
+        acc = z[i]
+        for j in range(i + 1, n):
+            acc -= low[j][i] * z[j]
+        z[i] = acc / low[i][i]
+    return z
 
 
 @functools.lru_cache(maxsize=8)
@@ -750,8 +844,8 @@ def localize(
     whichever of it and the triangulated (unpolished) pairs fits the
     snapshot with the smaller least-squares residual is reported.
     Entries come back in descending score order.  On the pair route each
-    entry carries its pair and triangulation gap, and sources the
-    association pass could not pair appear as flagged placeholders with
+    entry carries its pair, and sources the association pass could not
+    pair appear as flagged placeholders with
     no position, so the result always has ``num_sources`` entries;
     deflation entries carry ``pair=None``.
     """
@@ -759,7 +853,8 @@ def localize(
     assoc = associate(doas1, doas2, snap, cfg)
     y = snap.y.astype(complex)
     y_norm = float(np.linalg.norm(y))
-    positions, pairs, gaps, route = list(assoc.positions), assoc.pairs, assoc.gaps, "pair"
+    positions, pairs, route = list(assoc.positions), assoc.pairs, "pair"
+    residual = assoc.residual
     noise_ratio, answered = None, False
     if len(positions) == num_sources:
         polished, pair_res = _polish(y, cfg, positions, leash=positions)
@@ -768,21 +863,17 @@ def localize(
             cfg, num_sources, pencil
         )
         if answered:
-            positions = polished
+            positions, residual = polished, pair_res
     if not answered:
         defl_positions, defl_res = _matched_filter_positions(y, cfg, num_sources)
         if defl_res < assoc.residual:
-            positions, route = defl_positions, "deflation"
-            pairs = gaps = (None,) * num_sources
+            positions, route, residual = defl_positions, "deflation", defl_res
+            pairs = (None,) * num_sources
     entries = [
-        LocalizedTarget(
-            position=p, residual=gap, score=_matched_response(y, cfg, p) / y_norm, pair=pair
-        )
-        for p, gap, pair in zip(positions, gaps, pairs)
+        LocalizedTarget(position=p, score=_matched_response(y, cfg, p) / y_norm, pair=pair)
+        for p, pair in zip(positions, pairs)
     ]
-    unpaired = LocalizedTarget(
-        position=None, residual=None, score=0.0, pair=None, error="Unpaired"
-    )
+    unpaired = LocalizedTarget(position=None, score=0.0, pair=None, error="Unpaired")
     entries += [unpaired] * (num_sources - len(entries))
     entries.sort(key=lambda t: -t.score)
     return LocalizationResult(
@@ -792,4 +883,5 @@ def localize(
         association=assoc,
         route=route,
         noise_ratio=noise_ratio,
+        residual=residual,
     )

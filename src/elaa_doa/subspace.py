@@ -11,10 +11,10 @@ so its signal basis keeps the phase between the sub-arrays.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 from .errors import NonFiniteSnapshot
 
@@ -37,13 +37,23 @@ def hankel(y: np.ndarray, pencil: int) -> np.ndarray:
     """Hankel lifting of a length-M vector into ``(pencil+1, M-pencil)``.
 
     Entry ``[i, j]`` is ``y[i + j]``; every window of ``pencil + 1``
-    consecutive samples appears as one column.
+    consecutive samples appears as one column.  The entries are gathered
+    through an index array cached per shape, so the result is a fresh
+    copy of the samples.
     """
-    y = np.asarray(y)
+    y = np.asarray(y).ravel()
     m = y.size
     if not 1 <= pencil < m:
         raise ValueError(f"pencil must be in [1, {m - 1}], got {pencil}")
-    return scipy.linalg.hankel(y[: pencil + 1], y[pencil:])
+    return y[_hankel_index(m, pencil)]
+
+
+@functools.lru_cache(maxsize=16)
+def _hankel_index(m: int, pencil: int) -> np.ndarray:
+    """Read-only ``(pencil+1, m-pencil)`` array whose entry ``[i, j]`` is ``i + j``."""
+    index = np.add.outer(np.arange(pencil + 1), np.arange(m - pencil))
+    index.setflags(write=False)
+    return index
 
 
 def split_subspaces(h: np.ndarray, num_sources: int) -> SubspacePair:

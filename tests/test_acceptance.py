@@ -29,7 +29,7 @@ from elaa_doa.harness import (
     rmse,
     run_monte_carlo,
 )
-from elaa_doa.nf_localizer import localize, triangulate
+from elaa_doa.nf_localizer import _polish, localize, triangulate
 from elaa_doa.scenarios import ScenarioSpec, builtin_scenarios
 from elaa_doa.signal_model import (
     SteeringModel,
@@ -238,9 +238,32 @@ def test_criterion_3_nearfield_hit_rates(fig4_trials):
         "SNR, the joint position uncertainty (Cramer-Rao, median over "
         "nuisance phases) is 0.12 m for the 4 m target and 0.26 m for the "
         "6 m target, and a maximum-likelihood polish initialized at the "
-        "true positions lands both inside 0.1 m in only ~27% of trials. "
+        "true positions lands both inside 0.1 m in only 20% of trials "
+        "(101 of 500, test_truth_seeded_polish_hits_a_fifth_of_fig4_near_b). "
         "The criterion is asserted as stated and left honestly red."
     )
+
+
+def test_truth_seeded_polish_hits_a_fifth_of_fig4_near_b():
+    """The maximum-likelihood reference behind criterion 3's message.
+
+    The joint polish, started at the true positions of every trial of
+    ``fig4_near_b`` (the criterion's seeds), places both targets within
+    0.1 m in about a fifth of the trials: the snapshot, not the search,
+    limits the hit rate.
+    """
+    spec = builtin_scenarios()["fig4_near_b"]
+    truth = np.array([t.position for t in spec.targets])
+    hits = 0
+    for trial in range(spec.n_trials):
+        seed = derive_trial_seed(spec.base_seed, "nf_localize", 0, trial)
+        snap = snapshot(
+            spec.array, spec.targets, spec.snr_grid_db[0], seed, model=spec.steering_model
+        )
+        found, _ = _polish(snap.y.astype(complex), spec.array, list(truth))
+        hits += bool(np.all(match_errors(np.array(found), truth) <= 0.1))
+    assert (spec.n_trials, spec.base_seed) == (500, 42)
+    assert abs(hits - 101) <= 5, hits
 
 
 def test_criterion_4_property_checks(paper_cfg):
@@ -319,8 +342,7 @@ def test_criterion_4_property_checks(paper_cfg):
     # triangulation inverts the local-bearing geometry exactly
     for r, ang in ((2.0, -0.4), (5.0, 0.0), (40.0, 0.7)):
         geo = local_geometry(paper_cfg, Target(range=r, angle=ang))
-        point, gap = triangulate((float(geo.angles[0]), float(geo.angles[1])), paper_cfg)
-        assert gap < 1e-9
+        point = triangulate((float(geo.angles[0]), float(geo.angles[1])), paper_cfg)
         assert point == pytest.approx(
             [r * math.sin(ang), r * math.cos(ang)], rel=1e-9, abs=1e-9
         )

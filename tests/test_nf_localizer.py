@@ -23,6 +23,7 @@ from elaa_doa.nf_localizer import (
     _comb_grid,
     _envelope_grid,
     _grid_positions,
+    _layout,
     _pair_gate,
     _matched_response,
     _polar_atom,
@@ -60,9 +61,8 @@ def test_triangulate_hand_case(paper_cfg):
     # their midpoint, half their separation away
     quarter = math.pi / 4.0
     left, right = reference_positions(paper_cfg)
-    point, gap = triangulate((quarter, -quarter), paper_cfg)
+    point = triangulate((quarter, -quarter), paper_cfg)
     assert point == pytest.approx([(left + right) / 2.0, (right - left) / 2.0], abs=1e-12)
-    assert gap == pytest.approx(0.0, abs=1e-12)
 
 
 def test_triangulate_parallel_raises(paper_cfg):
@@ -86,8 +86,7 @@ def test_triangulate_exact(r, angle):
     cfg = paper_array()
     target = Target(range=r, angle=angle)
     geo = local_geometry(cfg, target)
-    point, gap = triangulate((float(geo.angles[0]), float(geo.angles[1])), cfg)
-    assert gap == pytest.approx(0.0, abs=1e-9)
+    point = triangulate((float(geo.angles[0]), float(geo.angles[1])), cfg)
     assert point == pytest.approx(list(target.position), rel=1e-9, abs=1e-9)
 
 
@@ -126,10 +125,11 @@ def test_atoms_jacobian_matches_central_differences(paper_cfg):
     ]
     # the same points one at a time and as one two-atom call
     groups = [[p] for p in points] + [list(pair) for pair in zip(points, points[::-1])]
+    layout = _layout(paper_cfg)
     for group in groups:
         us, log_rs = [u for u, _ in group], [s for _, s in group]
         n_atoms = len(group)
-        rows = _polar_atom(paper_cfg, us, log_rs, y)
+        rows = _polar_atom(layout, us, log_rs, y)
         assert rows.shape == (3 * n_atoms + 1, paper_cfg.n_elements)
         assert np.array_equal(rows[-1], y)
         for i, (u, log_r) in enumerate(group):
@@ -137,10 +137,26 @@ def test_atoms_jacobian_matches_central_differences(paper_cfg):
             assert np.allclose(rows[i], _atoms(paper_cfg, r * u, r * root)[:, 0], atol=1e-10)
             for row, (eu, es) in ((rows[n_atoms + i], (h, 0.0)), (rows[2 * n_atoms + i], (0.0, h))):
                 numeric = (
-                    _polar_atom(paper_cfg, [u + eu], [log_r + es], y)[0]
-                    - _polar_atom(paper_cfg, [u - eu], [log_r - es], y)[0]
+                    _polar_atom(layout, [u + eu], [log_r + es], y)[0]
+                    - _polar_atom(layout, [u - eu], [log_r - es], y)[0]
                 ) / (2.0 * h)
                 assert np.max(np.abs(numeric - row)) < 1e-5 * np.max(np.abs(row)), (u, log_r)
+
+
+def test_polar_atom_rows_of_a_pair_are_its_one_atom_rows(paper_cfg):
+    # the atom-major buffer: a two-atom call's rows are, bit for bit, the
+    # rows the two one-atom calls build for each atom alone
+    layout = _layout(paper_cfg)
+    y = np.arange(paper_cfg.n_elements) * (0.3 + 1.0j)
+    for (u0, s0), (u1, s1) in [((0.0, math.log(4.0)), (0.0, math.log(6.0))),
+                               ((-0.4, math.log(2.5)), (0.31, math.log(40.0)))]:
+        pair = _polar_atom(layout, [u0, u1], [s0, s1], y)
+        first = _polar_atom(layout, [u0], [s0], y)
+        second = _polar_atom(layout, [u1], [s1], y)
+        for kind in range(3):
+            assert np.array_equal(pair[2 * kind], first[kind])
+            assert np.array_equal(pair[2 * kind + 1], second[kind])
+        assert np.array_equal(pair[-1], y)
 
 
 def _polar(r, deg):
@@ -525,6 +541,10 @@ def test_localize_pair_route_skips_deflation_at_the_noise_floor(monkeypatch):
     assert result.noise_ratio <= _pair_gate(cfg, 2, None)
     assert all(t.pair is not None and t.position is not None for t in result.targets)
     assert sorted(t.pair for t in result.targets) == sorted(result.association.pairs)
+    # the residual is the fit of the polished pairs the result reports
+    reported = [t.position for t in result.targets]
+    y = snap.y.astype(complex)
+    assert result.residual == pytest.approx(_project_residual(y, reported, cfg)[1], rel=1e-9)
 
 
 def test_localize_noiseless_snapshot_runs_deflation(monkeypatch):
@@ -545,7 +565,6 @@ def test_localize_unpaired_source_runs_deflation(monkeypatch):
         return Association(
             pairs=full.pairs[:1],
             positions=full.positions[:1],
-            gaps=full.gaps[:1],
             residual=full.residual,
         )
 
@@ -607,15 +626,16 @@ def test_localize_pair_the_polish_walks_runs_deflation(monkeypatch, steps, defla
 
 def test_localize_pins_fig4_near_b_trials():
     # positions and routes recorded before the pair polish was leashed and
-    # the scan grids cached; neither changes a digit on these trials
+    # the scan grids cached; neither changes a digit on these trials.  The
+    # deflation trials are recorded again since the polish solves in numpy
     spec = builtin_scenarios()["fig4_near_b"]
     pinned = [
-        (42, 2, "deflation", [(2.463152759943726e-05, 4.014110369225186),
-                              (3.5900212482592534e-05, 6.059887223989796)]),
-        (42, 3, "deflation", [(6.465663482680108e-06, 4.0662065381836845),
-                              (7.860946963275806e-05, 6.141755767539226)]),
-        (42, 4, "deflation", [(4.931796237419376e-05, 5.802480833024256),
-                              (-4.008832205934446e-05, 3.9499200748128223)]),
+        (42, 2, "deflation", [(2.4631527586510143e-05, 4.014110369537565),
+                              (3.5900212459654414e-05, 6.0598872244391355)]),
+        (42, 3, "deflation", [(6.4656634614885806e-06, 4.066206537620463),
+                              (7.860946969701462e-05, 6.14175576899405)]),
+        (42, 4, "deflation", [(4.9318229229334866e-05, 5.802480447500195),
+                              (-4.0088477014539013e-05, 3.9499205887886166)]),
         (42, 323, "pair", [(0.1389648108940638, 4.837636809062943),
                            (-0.14581894967151224, 5.063166052191361)]),
         (7, 350, "pair", [(-0.1466565055459237, 4.304783464450319),
@@ -646,6 +666,7 @@ def test_localize_fallback_weighs_deflation_against_the_triangulated_pairs(monke
     result = localize(snap, cfg, 2)
     assert result.route == "deflation"
     assert all(t.pair is None for t in result.targets)
+    assert result.residual == between
     # the triangulated pairs win and are reported as triangulated
     above = 1.01 * assoc.residual
     monkeypatch.setattr(nf_localizer, "_matched_filter_positions", lambda *a: (far, above))
@@ -653,6 +674,7 @@ def test_localize_fallback_weighs_deflation_against_the_triangulated_pairs(monke
     assert result.route == "pair"
     reported = sorted(tuple(t.position) for t in result.targets)
     assert reported == sorted(tuple(p) for p in assoc.positions)
+    assert result.residual == assoc.residual
 
 
 def test_range_split_zero_width_band_has_no_pair(paper_cfg, monkeypatch):

@@ -27,6 +27,20 @@ def test_hankel_layout():
     assert np.array_equal(h, expected)
 
 
+def test_hankel_matches_scipy_and_is_a_copy():
+    import scipy.linalg
+
+    rng = np.random.default_rng(8)
+    for m in (2, 5, 16):
+        y = rng.normal(size=m) + 1j * rng.normal(size=m)
+        for pencil in range(1, m):
+            h = hankel(y, pencil)
+            assert h.dtype == y.dtype
+            assert np.array_equal(h, scipy.linalg.hankel(y[: pencil + 1], y[pencil:]))
+            h[0, 0] = 0.0
+            assert y[0] != 0.0
+
+
 def test_hankel_pencil_bounds():
     with pytest.raises(ValueError):
         hankel(np.arange(4), pencil=0)
