@@ -248,10 +248,18 @@ def _sub_array_atoms(layout: _Layout, sins, rhos, out=None) -> np.ndarray:
     place.  Every element is the same product in either layout.
     """
     sins = np.asarray(sins, dtype=float)
-    blocks = None
     if out is None:
+        # the exponentials of a whole grid run on one contiguous array,
+        # not on a strided view of the blocks
+        heads = np.zeros((2,) + sins.shape, dtype=complex)
+        np.multiply(rhos, -layout.k, out=heads.imag[0])
+        np.multiply(sins, layout.kd, out=heads.imag[1])
+        np.exp(heads, out=heads)
         blocks = np.empty((2, layout.m) + sins.shape[1:], dtype=complex)
-        out = np.moveaxis(blocks, 1, -1)
+        blocks[:, 0] = heads[0]
+        blocks[:, 1:] = heads[1][:, None]
+        np.multiply.accumulate(blocks, axis=1, out=blocks)
+        return blocks.reshape((2 * layout.m,) + sins.shape[1:])
     # both exponents go into the imaginary parts of the first two
     # elements, so neither product needs a float-to-complex cast
     head = out[..., :2]
@@ -261,9 +269,7 @@ def _sub_array_atoms(layout: _Layout, sins, rhos, out=None) -> np.ndarray:
     np.exp(head, out=head)
     out[..., 2:] = head[..., 1, None]
     np.multiply.accumulate(out, axis=-1, out=out)
-    if blocks is None:
-        return out
-    return blocks.reshape((2 * layout.m,) + sins.shape[1:])
+    return out
 
 
 def _atoms(cfg: ArrayConfig, xs, ys) -> np.ndarray:
