@@ -18,6 +18,7 @@ directly callable so tests can mix models deliberately.
 from __future__ import annotations
 
 import enum
+import functools
 import math
 from dataclasses import dataclass
 
@@ -138,6 +139,20 @@ def steering(
     raise ValueError(f"unknown steering model {model!r}")
 
 
+@functools.lru_cache(maxsize=32)
+def _steering_entries(
+    cfg: ArrayConfig, target: Target, model: SteeringModel | None
+) -> np.ndarray:
+    """A target's steering entries, built once per (array, target, model), read-only.
+
+    A Monte Carlo cell draws every trial from the same targets, so their
+    steering is shared rather than rebuilt per snapshot.
+    """
+    entries = steering(cfg, target, model=model).entries
+    entries.setflags(write=False)
+    return entries
+
+
 def noise_variance(snr_db: float) -> float:
     """Per-element noise variance ``10**(-snr_db/10)`` of a unit-magnitude source.
 
@@ -162,7 +177,8 @@ def snapshot(
     complex Gaussian with per-element variance ``10**(-snr_db/10)``, so
     ``snr_db`` is the per-element SNR for a unit-magnitude source.
     ``snr_db = math.inf`` disables the noise exactly.  Identical arguments
-    give bitwise-identical output.
+    give bitwise-identical output.  Each target's steering entries are
+    built once per (array, target, model) and reused by later calls.
     """
     targets = tuple(targets)
     rng = np.random.default_rng(seed)
@@ -177,7 +193,7 @@ def snapshot(
     )
     y = np.zeros(n, dtype=complex)
     for t, s in zip(targets, amps):
-        y = y + s * steering(cfg, t, model=model).entries
+        y = y + s * _steering_entries(cfg, t, model)
     sigma2 = noise_variance(snr_db)
     noise = (rng.standard_normal(n) + 1j * rng.standard_normal(n)) * math.sqrt(sigma2 / 2.0)
     return Snapshot(y=y + noise, snr_db=snr_db, seed=seed, truth=targets, amplitudes=amps)

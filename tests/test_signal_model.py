@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from elaa_doa.geometry import Target, field_regions
 from elaa_doa.signal_model import (
     SteeringModel,
+    _steering_entries,
     array_factor,
     load_snapshot,
     save_snapshot,
@@ -95,6 +96,19 @@ def test_snapshot_deterministic(paper_cfg):
     assert np.array_equal(a.y, b.y)
     c = snapshot(paper_cfg, t, 10.0, seed=1235)
     assert not np.array_equal(a.y, c.y)
+
+
+@pytest.mark.parametrize("model", [None, *SteeringModel])
+def test_snapshot_reuses_read_only_steering(paper_cfg, model):
+    t = Target(range=7.0, angle=0.2)
+    entries = _steering_entries(paper_cfg, t, model)
+    assert _steering_entries(paper_cfg, t, model) is entries
+    assert not entries.flags.writeable
+    assert np.array_equal(entries, steering(paper_cfg, t, model=model).entries)
+    # every later snapshot sums the shared entries, bit for bit a fresh build
+    snap = snapshot(paper_cfg, [t], math.inf, seed=2, model=model)
+    fresh = snap.amplitudes[0] * steering(paper_cfg, t, model=model).entries
+    assert np.array_equal(snap.y, fresh)
 
 
 def test_snapshot_noise_power_matches_snr(paper_cfg):
