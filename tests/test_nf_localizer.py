@@ -14,6 +14,7 @@ from elaa_doa.nf_localizer import (
     COMB_LADDER,
     FIELD_EDGE_U,
     PAIR_NOISE_GATE,
+    POLISH_COST_TOL,
     POLISH_LOG_R_CAP,
     POLISH_MAX_STEPS,
     RANGE_SCAN_POINTS,
@@ -331,18 +332,54 @@ def test_polish_stops_at_the_band_top(paper_cfg, monkeypatch):
     assert len(fits) < POLISH_MAX_STEPS // 3
 
 
+def test_polish_cost_stop_saves_evaluations_not_fit(monkeypatch):
+    # fig4_near_b's first 200 trials, polished from the truth, from a
+    # perturbed truth and from one boresight pick between the targets
+    spec = builtin_scenarios()["fig4_near_b"]
+    cfg = spec.array
+    truth = [t.position for t in spec.targets]
+    perturbed = [
+        _within_crest(cfg, truth[0], 0.05, 0.02),
+        _within_crest(cfg, truth[1], -0.05, -0.02),
+    ]
+    starts = (truth, perturbed, [np.array([0.0, 4.0])])
+    ys = [
+        snapshot(
+            cfg,
+            spec.targets,
+            30.0,
+            derive_trial_seed(spec.base_seed, "nf_localize", 0, trial),
+            model=spec.steering_model,
+        ).y.astype(complex)
+        for trial in range(200)
+    ]
+    points = _record_points(monkeypatch)
+
+    def polish_all(cost_tol):
+        monkeypatch.setattr(nf_localizer, "POLISH_COST_TOL", cost_tol)
+        points.clear()
+        residuals = [_polish(y, cfg, list(seeds))[1] for y in ys for seeds in starts]
+        return len(points), np.array(residuals)
+
+    crawl_fits, crawl_residuals = polish_all(0.0)
+    fits, residuals = polish_all(POLISH_COST_TOL)
+    assert fits <= 0.75 * crawl_fits, (fits, crawl_fits)
+    change = np.abs(residuals - crawl_residuals) / crawl_residuals
+    assert np.median(change) < 1e-8, np.median(change)
+
+
 def _theta_positions(theta):
     n_atoms = len(theta) // 2
     us, rs = theta[:n_atoms], np.exp(theta[n_atoms:])
     return list(np.column_stack([rs * us, rs * np.sqrt(1.0 - us * us)]))
 
 
-def _off_leash(theta, leash):
-    """Some atom of the point ``theta`` is beyond the range cap from its leash."""
-    return any(
-        abs(math.log(math.hypot(*p) / math.hypot(*q))) > POLISH_LOG_R_CAP
+def _leash_distances(theta, leash):
+    """Each atom's log-range distance from its leash position at the point ``theta``."""
+    return [
+        abs(math.log(math.hypot(*p) / math.hypot(*q)))
         for p, q in zip(_theta_positions(theta), leash)
-    )
+    ]
 
 
 def test_leashed_polish_stops_at_the_first_accepted_step_off_its_leash(
@@ -351,8 +388,12 @@ def test_leashed_polish_stops_at_the_first_accepted_step_off_its_leash(
     truths = [_polar(5.0, 10.0), _polar(5.0, -10.0)]
     pts = np.array(truths)
     y = _atoms(paper_cfg, pts[:, 0], pts[:, 1]) @ np.array([1.0, 0.7 * np.exp(1.1j)])
-    # the first seed sits about three capped steps out in range
+    # the first seed sits three capped steps out in range, and its leash
+    # half a capped step in: the start and the first capped step land half
+    # a cap inside the leash, the second half a cap beyond it, so no
+    # decision hangs on rounding
     seeds = [_within_crest(paper_cfg, truths[0], 0.0, 0.15), truths[1]]
+    leash = [seeds[0] * math.exp(-0.5 * POLISH_LOG_R_CAP), seeds[1]]
     points = _record_points(monkeypatch)
     fits = _count_fits(monkeypatch)
     found, _ = _polish(y, paper_cfg, seeds)
@@ -360,7 +401,7 @@ def test_leashed_polish_stops_at_the_first_accepted_step_off_its_leash(
     free_points, free_fits = list(points), len(fits)
     points.clear()
     fits.clear()
-    stopped, residual = _polish(y, paper_cfg, seeds, leash=seeds)
+    stopped, residual = _polish(y, paper_cfg, seeds, leash=leash)
     assert stopped is None
     # the same descent, cut short
     assert len(fits) == len(points) < free_fits
@@ -370,7 +411,9 @@ def test_leashed_polish_stops_at_the_first_accepted_step_off_its_leash(
     accepted = [0] + [i for i in range(1, len(points)) if fit_of[i] < min(fit_of[:i])]
     assert accepted[-1] == len(points) - 1
     assert len(accepted) > 2, accepted
-    off = [_off_leash(points[i], seeds) for i in accepted]
+    distances = [max(_leash_distances(points[i], leash)) for i in accepted]
+    assert all(abs(d - POLISH_LOG_R_CAP) > 0.4 * POLISH_LOG_R_CAP for d in distances)
+    off = [d > POLISH_LOG_R_CAP for d in distances]
     assert off == [False] * (len(accepted) - 1) + [True]
     assert residual == pytest.approx(fit_of[-1], rel=1e-9)
 
@@ -627,15 +670,16 @@ def test_localize_pair_the_polish_walks_runs_deflation(monkeypatch, steps, defla
 def test_localize_pins_fig4_near_b_trials():
     # positions and routes recorded before the pair polish was leashed and
     # the scan grids cached; neither changes a digit on these trials.  The
-    # deflation trials are recorded again since the polish solves in numpy
+    # deflation trials are recorded again since the polish stops on its
+    # relative cost decrease
     spec = builtin_scenarios()["fig4_near_b"]
     pinned = [
-        (42, 2, "deflation", [(2.4631527586510143e-05, 4.014110369537565),
-                              (3.5900212459654414e-05, 6.0598872244391355)]),
-        (42, 3, "deflation", [(6.4656634614885806e-06, 4.066206537620463),
-                              (7.860946969701462e-05, 6.14175576899405)]),
-        (42, 4, "deflation", [(4.9318229229334866e-05, 5.802480447500195),
-                              (-4.0088477014539013e-05, 3.9499205887886166)]),
+        (42, 2, "deflation", [(2.4631768243024848e-05, 4.014109268598566),
+                              (3.5899793793578764e-05, 6.059888384563069)]),
+        (42, 3, "deflation", [(6.464324102802946e-06, 4.066197598031745),
+                              (7.861281029578155e-05, 6.141763609838426)]),
+        (42, 4, "deflation", [(4.9321177214757e-05, 5.8024642145102385),
+                              (-4.009041667742401e-05, 3.9499310222532644)]),
         (42, 323, "pair", [(0.1389648108940638, 4.837636809062943),
                            (-0.14581894967151224, 5.063166052191361)]),
         (7, 350, "pair", [(-0.1466565055459237, 4.304783464450319),
