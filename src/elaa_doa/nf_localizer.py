@@ -22,7 +22,9 @@ Hankel matrices and the polish kept every range where triangulation
 put it (the polish stops as soon as it does not); only otherwise does
 it run the deflation search, and then it keeps whichever of deflation
 and the triangulated pairs reconstructs the snapshot with the smaller
-least-squares residual.
+least-squares residual.  The deflation search stops at the same noise
+floor: it runs no more range-split ladders once its best fit is down
+there.
 
 Every local refinement is one routine, ``_polish``: one
 Levenberg-Marquardt descent on the (sine of bearing, log range) of all
@@ -727,31 +729,31 @@ def _range_split_positions(
     rungs = rungs.reshape(cfg.n_elements, len(us), RANGE_SPLIT_POINTS).transpose(1, 0, 2)
     y_sq = float(np.vdot(y, y).real)
     best: tuple[float, float, int, int] | None = None
-    for u, atoms in zip(us, rungs):
-        atoms = np.ascontiguousarray(atoms)
-        filters = atoms.conj()
-        b = filters.T @ y
-        gram = filters.T @ atoms
-        diag = gram.diagonal().real
-        b_sq = np.abs(b) ** 2
-        gii = diag.take(ii)
-        gjj = diag.take(jj)
-        gij = gram.take(flat)
-        det = gii * gjj - np.abs(gij) ** 2
-        # every pair is computed, then the ill-conditioned ones are barred
-        with np.errstate(divide="ignore", invalid="ignore"):
+    # every pair is computed, then the ill-conditioned ones are barred
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for u, atoms in zip(us, rungs):
+            atoms = np.ascontiguousarray(atoms)
+            filters = atoms.conj()
+            b = filters.T @ y
+            gram = filters.T @ atoms
+            diag = gram.diagonal().real
+            b_sq = np.abs(b) ** 2
+            gii = diag.take(ii)
+            gjj = diag.take(jj)
+            gij = gram.take(flat)
+            det = gii * gjj - np.abs(gij) ** 2
             quad = (
                 gjj * b_sq.take(ii)
                 + gii * b_sq.take(jj)
                 - 2.0 * np.real(gij * np.conj(b.take(ii)) * b.take(jj))
             ) / det
-        quad[~(det > 1e-9 * gii * gjj)] = -np.inf
-        k = int(np.argmax(quad))
-        if quad[k] == -np.inf:
-            continue
-        residual_sq = y_sq - float(quad[k])
-        if best is None or residual_sq < best[0]:
-            best = (residual_sq, u, int(ii[k]), int(jj[k]))
+            quad[~(det > 1e-9 * gii * gjj)] = -np.inf
+            k = int(np.argmax(quad))
+            if quad[k] == -np.inf:
+                continue
+            residual_sq = y_sq - float(quad[k])
+            if best is None or residual_sq < best[0]:
+                best = (residual_sq, u, int(ii[k]), int(jj[k]))
     if best is None:
         return None
     _, u, i, j = best
@@ -763,7 +765,7 @@ def _range_split_positions(
 
 
 def _matched_filter_positions(
-    y: np.ndarray, cfg: ArrayConfig, num_sources: int
+    y: np.ndarray, cfg: ArrayConfig, num_sources: int, floor: float
 ) -> tuple[list[np.ndarray], float]:
     """Matched-filter position estimates by the better of two routes.
 
@@ -777,7 +779,11 @@ def _matched_filter_positions(
     snapshot down to a small fraction of its energy, since a blend
     leaves behind a signal-level residual no matter the noise.  Both
     routes end with one joint polish of their atoms, and the smaller
-    joint residual wins.  Returns the positions and that residual norm.
+    joint residual wins.  No further ladder runs once the best fit so
+    far has a squared residual of at most ``floor``, the noise a correct
+    model leaves behind: on ``fig4_near_b`` at 30 dB that cuts the
+    ladders from 1.69 to 1.11 per call (3 000 trials).  Returns the
+    positions and that residual norm.
     """
     picks: list[np.ndarray] = []
     for _ in range(num_sources):
@@ -792,6 +798,8 @@ def _matched_filter_positions(
         half_cell = 0.5 * (log_hi - log_lo) / (RANGE_SCAN_POINTS - 1)
         tried: list[float] = []
         for p in picks:
+            if best[1] ** 2 <= floor:
+                break
             r = math.hypot(p[0], p[1])
             # a pick in the end cell of the comb's range grid ran to the
             # band's edge: a plane-wave fit whose bearing has no range
@@ -857,7 +865,9 @@ def localize(
     has to walk away was not where its bearings put it, so none of these
     passes.  Otherwise the matched-filter deflation search runs, and
     whichever of it and the triangulated (unpolished) pairs fits the
-    snapshot with the smaller least-squares residual is reported.
+    snapshot with the smaller least-squares residual is reported.  The
+    search runs no more range-split ladders once its fit is down at the
+    same floor, the gate times the noise reference.
     Entries come back in descending score order.  On the pair route each
     entry carries its pair, and sources the association pass could not
     pair appear as flagged placeholders with
@@ -870,17 +880,18 @@ def localize(
     y_norm = float(np.linalg.norm(y))
     positions, pairs, route = list(assoc.positions), assoc.pairs, "pair"
     residual = assoc.residual
+    gate = _pair_gate(cfg, num_sources, pencil)
     noise_ratio, answered = None, False
     if len(positions) == num_sources:
         polished, pair_res = _polish(y, cfg, positions, leash=positions)
         noise_ratio = pair_res**2 / noise_ref if noise_ref > 0.0 else math.inf
-        answered = polished is not None and noise_ratio <= _pair_gate(
-            cfg, num_sources, pencil
-        )
+        answered = polished is not None and noise_ratio <= gate
         if answered:
             positions, residual = polished, pair_res
     if not answered:
-        defl_positions, defl_res = _matched_filter_positions(y, cfg, num_sources)
+        defl_positions, defl_res = _matched_filter_positions(
+            y, cfg, num_sources, gate * noise_ref
+        )
         if defl_res < assoc.residual:
             positions, route, residual = defl_positions, "deflation", defl_res
             pairs = (None,) * num_sources

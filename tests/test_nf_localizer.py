@@ -9,7 +9,7 @@ from hypothesis import given, strategies as st
 from elaa_doa import nf_localizer, ss_music
 from elaa_doa.errors import BehindArray, ParallelBearings
 from elaa_doa.geometry import Target, local_geometry, reference_positions
-from elaa_doa.harness import derive_trial_seed
+from elaa_doa.harness import derive_trial_seed, run_monte_carlo
 from elaa_doa.nf_localizer import (
     COMB_LADDER,
     FIELD_EDGE_U,
@@ -462,8 +462,52 @@ def test_range_split_skips_picks_on_the_band_edge(paper_cfg, monkeypatch):
     rng = np.random.default_rng(5)
     n = paper_cfg.n_elements
     y = rng.normal(size=n) + 1j * rng.normal(size=n)
-    nf_localizer._matched_filter_positions(y, paper_cfg, 2)
+    nf_localizer._matched_filter_positions(y, paper_cfg, 2, floor=0.0)
     assert anchors == [pytest.approx(0.1)]
+
+
+@pytest.mark.parametrize("floor, ladders", [(0.5, 0), (0.2, 1), (0.0, 2)])
+def test_deflation_ladders_stop_at_the_noise_floor(paper_cfg, monkeypatch, floor, ladders):
+    # two in-band picks on distinct bearings; the joint polish leaves a
+    # squared residual of 0.25 and the first ladder's polish 0.16, so a
+    # floor between them stops the search after one ladder
+    picks = iter(_grid_positions(np.array([-0.3, 0.1]), np.array([5.0])))
+    monkeypatch.setattr(nf_localizer, "_pick_position", lambda res, cfg: next(picks))
+    fits = iter([0.5, 0.4, 0.3])
+    monkeypatch.setattr(
+        nf_localizer, "_polish", lambda y, cfg, seeds: (list(seeds), next(fits))
+    )
+    anchors = []
+
+    def split(y, cfg, u_center):
+        anchors.append(u_center)
+        return [np.array([0.0, 4.0]), np.array([0.0, 6.0])]
+
+    monkeypatch.setattr(nf_localizer, "_range_split_positions", split)
+    # a signal-level residual, far above the skip fraction of the snapshot
+    y = np.full(paper_cfg.n_elements, 0.1 + 0j)
+    _, residual = nf_localizer._matched_filter_positions(y, paper_cfg, 2, floor)
+    assert anchors == [pytest.approx(-0.3), pytest.approx(0.1)][:ladders]
+    assert residual == [0.5, 0.4, 0.3][ladders]
+
+
+def test_deflation_floor_saves_ladders_not_hits(monkeypatch):
+    # fig4_near_b's first 200 trials, every one with the deflation search
+    # stopped at the pair gate's floor and again with a floor of zero
+    spec = dataclasses.replace(builtin_scenarios()["fig4_near_b"], n_trials=200)
+    ladders = _record_calls(monkeypatch, nf_localizer, "_range_split_positions")
+    (row,) = run_monte_carlo(spec)
+    floored = len(ladders)
+    search = nf_localizer._matched_filter_positions
+    monkeypatch.setattr(
+        nf_localizer,
+        "_matched_filter_positions",
+        lambda y, cfg, num_sources, floor: search(y, cfg, num_sources, 0.0),
+    )
+    ladders.clear()
+    (unfloored,) = run_monte_carlo(spec)
+    assert floored <= 0.75 * len(ladders), (floored, len(ladders))
+    assert row.hit_rate == unfloored.hit_rate
 
 
 def test_ridge_spacing(paper_cfg):
