@@ -22,8 +22,8 @@ from .harness import (
     write_metrics_csv,
 )
 from .scenarios import ScenarioSpec, builtin_scenarios, load_scenario, with_overrides
-from .signal_model import array_factor, save_snapshot, snapshot, split_ulas
-from .ss_music import default_grid, fuse, module_spectrum, write_spectrum_csv
+from .signal_model import array_factor, save_snapshot, snapshot
+from .ss_music import default_grid, fused_spectrum, write_spectrum_csv
 
 FULL_TRIALS = 5000
 
@@ -105,11 +105,9 @@ def _cmd_spectrum(args) -> int:
     )
     if args.dump_snapshot:
         save_snapshot(args.dump_snapshot, snap.y)
-    s1, s2 = (
-        module_spectrum(y, spec.array, len(spec.targets), spec.grid_step_deg, spec.pencil)
-        for y in split_ulas(snap.y)
+    surface = fused_spectrum(
+        snap.y, spec.array, len(spec.targets), spec.fusion_mode, spec.grid_step_deg, spec.pencil
     )
-    surface = fuse(s1, s2, spec.fusion_mode)
     write_spectrum_csv(surface, args.out)
     print(f"wrote spectrum ({len(surface.grid)} angles) to {args.out}")
     return 0

@@ -19,6 +19,11 @@ import numpy as np
 SPEED_OF_LIGHT = 299792458.0
 
 
+def _require_finite_positive(name: str, value: float) -> None:
+    if not (math.isfinite(value) and value > 0):
+        raise ValueError(f"{name} must be finite and positive, got {value!r}")
+
+
 @dataclass(frozen=True)
 class ArrayConfig:
     """Two equal ULAs on the x axis separated by a wide gap.
@@ -48,21 +53,18 @@ class ArrayConfig:
         if (self.carrier_freq is None) == (self.wavelength is None):
             raise ValueError("give exactly one of carrier_freq and wavelength")
         if self.carrier_freq is not None:
-            if self.carrier_freq <= 0:
-                raise ValueError("carrier_freq must be positive")
+            _require_finite_positive("carrier_freq", self.carrier_freq)
             object.__setattr__(self, "wavelength", SPEED_OF_LIGHT / self.carrier_freq)
         else:
-            if self.wavelength is None or self.wavelength <= 0:
-                raise ValueError("wavelength must be positive")
+            _require_finite_positive("wavelength", self.wavelength)
             object.__setattr__(self, "carrier_freq", SPEED_OF_LIGHT / self.wavelength)
         if self.spacing is None:
             object.__setattr__(self, "spacing", self.wavelength / 2.0)
         if self.elements_per_ula < 2:
             raise ValueError("need at least 2 elements per ULA")
-        if self.spacing <= 0:
-            raise ValueError("spacing must be positive")
-        if self.gap <= 0:
-            raise ValueError("gap must be positive")
+        # the derived carrier or wavelength overflows for subnormal inputs
+        for name in ("carrier_freq", "wavelength", "spacing", "gap"):
+            _require_finite_positive(name, getattr(self, name))
 
     @property
     def n_elements(self) -> int:
@@ -100,8 +102,7 @@ class Target:
     amplitude: complex = 1.0 + 0.0j
 
     def __post_init__(self) -> None:
-        if self.range <= 0:
-            raise ValueError("range must be positive")
+        _require_finite_positive("range", self.range)
         if not -math.pi / 2 < self.angle < math.pi / 2:
             raise ValueError("angle must lie in (-pi/2, pi/2)")
 

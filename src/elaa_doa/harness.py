@@ -1,5 +1,9 @@
 """Monte Carlo driver: seeded trials, matching, RMSE / hit / failure rates.
 
+``ESTIMATORS`` is the one table of algorithm names.  Each trial's
+estimates are matched to the truth once, and a cell's RMSE and hit rate
+come from those errors.  The debug CSV has the columns ``DEBUG_COLUMNS``.
+
 Seeding is reproducible and documented bit-exactly: the per-trial seed is
 
     seed = splitmix64(splitmix64(splitmix64(base_seed ^ algo_hash)
@@ -19,15 +23,18 @@ import itertools
 import math
 import sys
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from .errors import EstimationError
 from .nf_localizer import localize
-from .scenarios import ScenarioSpec
 from .signal_model import snapshot
 from .ss_esprit import estimate_doa_esprit
 from .ss_music import estimate_doa_music
+
+if TYPE_CHECKING:
+    from .scenarios import ScenarioSpec
 
 _MASK64 = (1 << 64) - 1
 FAILURE_EXIT_THRESHOLD = 0.5
@@ -100,43 +107,37 @@ def match_errors(estimates: np.ndarray, truth: np.ndarray) -> np.ndarray:
 
 
 def rmse(
-    trial_estimates: list[np.ndarray | None],
-    truth: np.ndarray,
+    trial_errors: list[np.ndarray | None],
+    n_targets: int,
     failure_error: float | None = None,
 ) -> float | None:
-    """Root mean squared matched error.
+    """Root mean squared matched error over trials' per-target errors.
 
     Failed trials (``None``) are excluded, or, with ``failure_error``,
-    contribute that error once per target.  With nothing to average the
-    RMSE is absent (``None``), not zero.
+    contribute that error once for each of the ``n_targets`` targets.
+    With nothing to average the RMSE is absent (``None``), not zero.
     """
     squares = []
-    for est in trial_estimates:
-        if est is None:
+    for err in trial_errors:
+        if err is None:
             if failure_error is not None:
-                squares.extend([failure_error**2] * len(truth))
+                squares.extend([failure_error**2] * n_targets)
             continue
-        err = match_errors(est, truth)
         squares.extend(float(e * e) for e in err)
     if not squares:
         return None
     return math.sqrt(sum(squares) / len(squares))
 
 
-def hit_rate(trial_estimates: list[np.ndarray | None], truth: np.ndarray, tol: float) -> float:
+def hit_rate(trial_errors: list[np.ndarray | None], tol: float) -> float:
     """Fraction of trials with every matched error within ``tol`` (inclusive).
 
-    Failed trials count as misses.
+    Failed trials (``None``) count as misses.
     """
-    if not trial_estimates:
+    if not trial_errors:
         return 0.0
-    hits = 0
-    for est in trial_estimates:
-        if est is None:
-            continue
-        if bool(np.all(match_errors(est, truth) <= tol)):
-            hits += 1
-    return hits / len(trial_estimates)
+    hits = sum(err is not None and bool(np.all(err <= tol)) for err in trial_errors)
+    return hits / len(trial_errors)
 
 
 @dataclass
@@ -145,6 +146,7 @@ class _TrialRecord:
     seed: int
     status: str
     estimates: np.ndarray | None
+    errors: np.ndarray | None
     extra: dict
 
 
@@ -187,9 +189,10 @@ def _localize(snap, spec: ScenarioSpec):
     return positions, "ok", extra
 
 
-# Algorithm name -> (run function, metric unit).  Run functions reach the
-# estimators through this module's globals at call time, so rebinding an
-# estimator here (as a tracer or a test does) reaches every trial.
+# Algorithm name -> (run function, metric unit); ``extra`` keys are debug
+# column names.  Run functions reach the estimators through this module's
+# globals at call time, so rebinding an estimator here (as a tracer or a
+# test does) reaches every trial.
 ESTIMATORS = {
     "nf_localize": (_localize, "m"),
     "ss_esprit": (_esprit, "deg"),
@@ -240,15 +243,16 @@ def run_monte_carlo(
                     spec.array, spec.targets, snr_db, seed, model=spec.steering_model
                 )
                 estimates, status, extra = _run_trial(algorithm, snap, spec)
-                records.append(_TrialRecord(trial, seed, status, estimates, extra))
-            estimates_list = [r.estimates for r in records]
+                errors = None if estimates is None else match_errors(estimates, truth)
+                records.append(_TrialRecord(trial, seed, status, estimates, errors, extra))
+            trial_errors = [r.errors for r in records]
             row = MetricsRow(
                 algorithm=algorithm,
                 snr_db=float(snr_db),
                 n_trials=spec.n_trials,
-                rmse=rmse(estimates_list, truth, failure_error),
-                hit_rate=hit_rate(estimates_list, truth, tol),
-                failure_rate=sum(r.estimates is None for r in records) / spec.n_trials,
+                rmse=rmse(trial_errors, len(truth), failure_error),
+                hit_rate=hit_rate(trial_errors, tol),
+                failure_rate=sum(err is None for err in trial_errors) / spec.n_trials,
                 metric_unit=unit,
             )
             rows.append(row)
@@ -263,69 +267,49 @@ def run_monte_carlo(
     rows.sort(key=lambda r: (r.algorithm, r.snr_db))
     if debug_path is not None:
         with open(debug_path, "w") as fh:
-            fh.write(DEBUG_HEADER + "\n")
+            fh.write(",".join(DEBUG_COLUMNS) + "\n")
             fh.writelines(line + "\n" for line in debug_rows)
     return rows
 
 
-DEBUG_HEADER = (
-    "algorithm,snr_db,trial,seed,status,target_id,truth,estimate,error,"
-    "x_hat,y_hat,residual,score,pairing_quality,dealias_margin_deg,route,noise_ratio"
+DEBUG_COLUMNS = (
+    "algorithm", "snr_db", "trial", "seed", "status", "target_id", "truth", "estimate",
+    "error", "x_hat", "y_hat", "residual", "score", "pairing_quality", "dealias_margin_deg",
+    "route", "noise_ratio",
 )
 
 
-def _fmt(value) -> str:
+def _cell(value) -> str:
+    """A debug field: empty when missing, text and ints as they are, floats by ``repr``."""
     if value is None:
         return ""
+    if isinstance(value, (str, int)):
+        return str(value)
     return repr(float(value))
 
 
 def _debug_lines(algorithm, snr_db, records, truth, unit) -> list[str]:
-    """One row per target of each trial, with the estimate matched to that target."""
-    lines = []
+    """One row per target of each trial, with the estimate matched to that target.
+
+    A failed trial gets one row with its status and no target.  The
+    record's ``trial``, ``seed`` and ``status`` fields and the run
+    functions' ``extra`` keys are column names.
+    """
+    rows = []
     for rec in records:
+        head = {"algorithm": algorithm, "snr_db": snr_db, **vars(rec)}
         if rec.estimates is None:
-            lines.append(
-                f"{algorithm},{snr_db!r},{rec.trial},{rec.seed},{rec.status},"
-                ",,,,,,,,,,,"
-            )
+            rows.append(head)
             continue
-        matched, errors = _matched(rec.estimates, truth)
+        matched = _matched(rec.estimates, truth)[0]
         for tid in range(len(truth)):
+            row = {**head, **rec.extra, "target_id": tid, "error": rec.errors[tid]}
             if unit == "m":
-                xh, yh = matched[tid]
-                fields = [
-                    "",
-                    "",
-                    _fmt(errors[tid]),
-                    _fmt(xh),
-                    _fmt(yh),
-                    _fmt(rec.extra.get("residual")),
-                    _fmt(rec.extra.get("score")),
-                    "",
-                    "",
-                    rec.extra.get("route") or "",
-                    _fmt(rec.extra.get("noise_ratio")),
-                ]
+                row["x_hat"], row["y_hat"] = matched[tid]
             else:
-                fields = [
-                    _fmt(truth[tid]),
-                    _fmt(matched[tid]),
-                    _fmt(errors[tid]),
-                    "",
-                    "",
-                    "",
-                    "",
-                    _fmt(rec.extra.get("pairing_quality")),
-                    _fmt(rec.extra.get("dealias_margin_deg")),
-                    "",
-                    "",
-                ]
-            lines.append(
-                f"{algorithm},{snr_db!r},{rec.trial},{rec.seed},{rec.status},{tid},"
-                + ",".join(fields)
-            )
-    return lines
+                row["truth"], row["estimate"] = truth[tid], matched[tid]
+            rows.append(row)
+    return [",".join(_cell(row.get(name)) for name in DEBUG_COLUMNS) for row in rows]
 
 
 METRICS_HEADER = "algorithm,snr_db,n_trials,rmse,hit_rate,failure_rate,metric_unit"

@@ -55,7 +55,6 @@ from .subspace import default_pencil
 PARALLEL_TOL = 1e-6
 ENVELOPE_U_POINTS = 120
 ENVELOPE_R_POINTS = 12
-MIN_ENVELOPE_SEP_U = 0.05
 RANGE_SCAN_POINTS = 40
 RANGE_SPLIT_POINTS = 80
 COMB_LADDER = 8
@@ -598,30 +597,23 @@ def _envelope_grid(cfg: ArrayConfig) -> tuple[np.ndarray, np.ndarray, np.ndarray
     return out
 
 
-def _envelope_directions(
-    res: np.ndarray, cfg: ArrayConfig, count: int
-) -> list[float]:
-    """Direction sines of the strongest beam-envelope bumps.
+def _envelope_direction(res: np.ndarray, cfg: ArrayConfig) -> float:
+    """Direction sine of the strongest beam-envelope bump.
 
     Summing the two per-sub-array matched-filter magnitudes discards the
     inter-sub-array phase, leaving the smooth product of the sub-array
     beams; a coarse global grid cannot miss its beamwidth-scale maxima.
-    Up to ``count`` distinct local maxima come back, strongest first.
+    The strongest interior local maximum wins, the first of equals; with
+    none, the envelope's maximum.
     """
     us, filters1, filters2 = _envelope_grid(cfg)
     half = filters1.shape[1]
     env = np.abs(filters1 @ res[:half]) + np.abs(filters2 @ res[half:])
     env_u = env.reshape(len(us), ENVELOPE_R_POINTS).max(axis=1)
     interior = (env_u[1:-1] >= env_u[:-2]) & (env_u[1:-1] >= env_u[2:])
-    peaks = [int(i) for i in np.where(interior)[0] + 1]
-    peaks.sort(key=lambda i: -env_u[i])
-    chosen: list[float] = []
-    for i in peaks:
-        if all(abs(us[i] - u) > MIN_ENVELOPE_SEP_U for u in chosen):
-            chosen.append(float(us[i]))
-        if len(chosen) == count:
-            break
-    return chosen or [float(us[int(np.argmax(env_u))])]
+    peaks = np.flatnonzero(interior) + 1
+    best = peaks[np.argmax(env_u[peaks])] if len(peaks) else np.argmax(env_u)
+    return float(us[best])
 
 
 @functools.lru_cache(maxsize=4)
@@ -683,7 +675,7 @@ def _pick_position(res: np.ndarray, cfg: ArrayConfig) -> np.ndarray:
     Envelope scan for the bearing, comb scan for the crest and range,
     local polish of the few strongest candidates.
     """
-    u_center = _envelope_directions(res, cfg, 1)[0]
+    u_center = _envelope_direction(res, cfg)
     fits = [_polish(res, cfg, [s]) for s in _comb_candidates(res, cfg, u_center)]
     return min(fits, key=lambda fit: fit[1])[0][0]
 

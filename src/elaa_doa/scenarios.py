@@ -4,6 +4,8 @@ Scenario files are flat ``key = value`` text with dotted key sections,
 ``#`` comments and blank lines.  Distances are meters, angles degrees.
 Array keys accept either SI values (``array.gap_m``) or wavelength
 multiples (``array.gap_wavelengths``) for exact carrier-relative setups.
+Every other key sets the :class:`ScenarioSpec` field of its name.  Names
+and modes are checked against ``harness.ESTIMATORS`` and ``ss_music.FUSION_MODES``.
 
 Example::
 
@@ -22,24 +24,16 @@ Example::
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, replace
 
 from .errors import ScenarioError
 from .geometry import SPEED_OF_LIGHT, ArrayConfig, Target
+from .harness import ESTIMATORS
 from .signal_model import SteeringModel, noise_variance
-from .ss_music import grid_points
+from .ss_music import FUSION_MODES, grid_points
 from .subspace import default_pencil
-
-KNOWN_ALGORITHMS = (
-    "nf_localize",
-    "ss_esprit",
-    "ss_music_elaa",
-    "ss_music_ula1",
-    "ss_music_ula2",
-)
-FUSION_MODES = ("product", "max")
-DEFAULT_BASE_SEED = 42
 
 
 @dataclass(frozen=True)
@@ -57,7 +51,7 @@ class ScenarioSpec:
     pencil: int | None = None
     hit_tolerance_deg: float = 0.5
     hit_tolerance_m: float = 0.1
-    base_seed: int = DEFAULT_BASE_SEED
+    base_seed: int = 42
     steering_model: SteeringModel | None = None
 
     def __post_init__(self) -> None:
@@ -82,18 +76,17 @@ class ScenarioSpec:
         if not self.algorithms:
             raise ScenarioError("scenario needs at least one algorithm")
         for algo in self.algorithms:
-            if algo not in KNOWN_ALGORITHMS:
-                raise ScenarioError(
-                    f"unknown algorithm {algo!r}; known: {', '.join(KNOWN_ALGORITHMS)}"
-                )
+            if algo not in ESTIMATORS:
+                raise ScenarioError(f"unknown algorithm {algo!r}; known: {', '.join(ESTIMATORS)}")
         if self.fusion_mode not in FUSION_MODES:
-            raise ScenarioError(f"fusion_mode must be one of {FUSION_MODES}")
+            raise ScenarioError(f"fusion_mode must be one of {tuple(FUSION_MODES)}")
         try:
             grid_points(self.grid_step_deg)
         except ValueError as exc:
             raise ScenarioError(f"grid_step_deg: {exc}") from None
-        if self.hit_tolerance_deg <= 0 or self.hit_tolerance_m <= 0:
-            raise ScenarioError("hit tolerances must be positive")
+        for tol in (self.hit_tolerance_deg, self.hit_tolerance_m):
+            if not (math.isfinite(tol) and tol > 0):
+                raise ScenarioError(f"hit tolerances must be finite and positive, got {tol!r}")
         m = self.array.elements_per_ula
         pencil = default_pencil(m) if self.pencil is None else self.pencil
         if not 1 <= pencil < m:
@@ -130,34 +123,19 @@ def builtin_scenarios() -> dict[str, ScenarioSpec]:
 
     def far(name: str, sep_deg: float) -> ScenarioSpec:
         half = math.radians(sep_deg / 2.0)
-        return ScenarioSpec(
-            name=name,
-            array=cfg,
-            targets=(Target(250.0, -half), Target(250.0, half)),
-            snr_grid_db=snr_sweep,
-            algorithms=farfield_algos,
-        )
+        targets = (Target(250.0, -half), Target(250.0, half))
+        return ScenarioSpec(name, cfg, targets, snr_sweep, algorithms=farfield_algos)
 
-    near_a = ScenarioSpec(
-        name="fig4_near_a",
-        array=cfg,
-        targets=(Target(5.0, math.radians(-10.0)), Target(5.0, math.radians(10.0))),
-        snr_grid_db=(30.0,),
-        algorithms=("nf_localize",),
+    def near(name: str, *targets: Target) -> ScenarioSpec:
+        return ScenarioSpec(name, cfg, targets, (30.0,), algorithms=("nf_localize",))
+
+    specs = (
+        far("fig3_small_sep", 0.4),
+        far("fig3_large_sep", 10.0),
+        near("fig4_near_a", Target(5.0, math.radians(-10.0)), Target(5.0, math.radians(10.0))),
+        near("fig4_near_b", Target(4.0, 0.0), Target(6.0, 0.0)),
     )
-    near_b = ScenarioSpec(
-        name="fig4_near_b",
-        array=cfg,
-        targets=(Target(4.0, 0.0), Target(6.0, 0.0)),
-        snr_grid_db=(30.0,),
-        algorithms=("nf_localize",),
-    )
-    return {
-        "fig3_small_sep": far("fig3_small_sep", 0.4),
-        "fig3_large_sep": far("fig3_large_sep", 10.0),
-        "fig4_near_a": near_a,
-        "fig4_near_b": near_b,
-    }
+    return {spec.name: spec for spec in specs}
 
 
 def _parse_kv(text: str) -> dict[str, tuple[int, str]]:
@@ -195,6 +173,47 @@ def _as_int(key: str, lineno: int, value: str) -> int:
         raise ScenarioError(f"line {lineno}: {key} must be an integer, got {value!r}") from exc
 
 
+def _as_text(key: str, lineno: int, value: str) -> str:
+    return value
+
+
+def _as_list(key: str, lineno: int, value: str) -> tuple[str, ...]:
+    return tuple(p.strip() for p in value.split(",") if p.strip())
+
+
+def _as_floats(key: str, lineno: int, value: str) -> tuple[float, ...]:
+    try:
+        return tuple(float(p) for p in _as_list(key, lineno, value))
+    except ValueError as exc:
+        raise ScenarioError(f"line {lineno}: bad {key} {value!r}") from exc
+
+
+def _as_model(key: str, lineno: int, value: str) -> SteeringModel | None:
+    if value == "auto":
+        return None
+    try:
+        return SteeringModel(value)
+    except ValueError as exc:
+        raise ScenarioError(f"line {lineno}: unknown {key} {value!r}") from exc
+
+
+# ScenarioSpec field -> parser of its scenario-file value, for every key
+# outside the array and target sections
+_SPEC_KEYS = {
+    "name": _as_text,
+    "snr_grid_db": _as_floats,
+    "n_trials": _as_int,
+    "algorithms": _as_list,
+    "fusion_mode": _as_text,
+    "grid_step_deg": _as_float,
+    "pencil": _as_int,
+    "hit_tolerance_deg": _as_float,
+    "hit_tolerance_m": _as_float,
+    "base_seed": _as_int,
+    "steering_model": _as_model,
+}
+
+
 def parse_scenario(text: str) -> ScenarioSpec:
     """Parse scenario text; raises :class:`ScenarioError` with line numbers."""
     table = _parse_kv(text)
@@ -211,11 +230,16 @@ def parse_scenario(text: str) -> ScenarioSpec:
             "give exactly one of array.carrier_freq_hz and array.wavelength_m"
         )
     if freq_v is not None:
-        wavelength = SPEED_OF_LIGHT / _as_float("array.carrier_freq_hz", freq_ln, freq_v)
+        freq = _as_float("array.carrier_freq_hz", freq_ln, freq_v)
+        if not (math.isfinite(freq) and freq > 0):
+            raise ScenarioError(
+                f"line {freq_ln}: array.carrier_freq_hz must be finite and positive, got {freq!r}"
+            )
+        wavelength = SPEED_OF_LIGHT / freq
     else:
         wavelength = _as_float("array.wavelength_m", wl_ln, wl_v)
 
-    def length_key(base: str, default: float | None) -> float | None:
+    def length_key(base: str) -> float | None:
         si_ln, si_v = _pop(table, f"{base}_m")
         wl_ln2, wl_v2 = _pop(table, f"{base}_wavelengths")
         if si_v is not None and wl_v2 is not None:
@@ -224,12 +248,12 @@ def parse_scenario(text: str) -> ScenarioSpec:
             return _as_float(f"{base}_m", si_ln, si_v)
         if wl_v2 is not None:
             return _as_float(f"{base}_wavelengths", wl_ln2, wl_v2) * wavelength
-        return default
+        return None
 
-    gap = length_key("array.gap", None)
+    gap = length_key("array.gap")
     if gap is None:
         raise ScenarioError("missing key array.gap_m (or array.gap_wavelengths)")
-    spacing = length_key("array.spacing", None)
+    spacing = length_key("array.spacing")
 
     try:
         array = ArrayConfig(
@@ -239,8 +263,7 @@ def parse_scenario(text: str) -> ScenarioSpec:
         raise ScenarioError(str(exc)) from exc
 
     targets = []
-    index = 1
-    while True:
+    for index in itertools.count(1):
         r_ln, r_v = _pop(table, f"target.{index}.range_m")
         a_ln, a_v = _pop(table, f"target.{index}.angle_deg")
         if r_v is None and a_v is None:
@@ -256,64 +279,22 @@ def parse_scenario(text: str) -> ScenarioSpec:
             )
         except ValueError as exc:
             raise ScenarioError(f"target.{index}: {exc}") from exc
-        index += 1
     if not targets:
         raise ScenarioError("scenario needs target.1.range_m and target.1.angle_deg")
 
-    kwargs: dict = {}
-
-    ln, v = _pop(table, "name")
-    kwargs["name"] = v if v is not None else "scenario"
-
-    ln, v = _pop(table, "snr_grid_db")
-    if v is None:
+    if "snr_grid_db" not in table:
         raise ScenarioError("missing key snr_grid_db")
-    try:
-        kwargs["snr_grid_db"] = tuple(float(p.strip()) for p in v.split(",") if p.strip())
-    except ValueError as exc:
-        raise ScenarioError(f"line {ln}: bad snr_grid_db {v!r}") from exc
-
-    ln, v = _pop(table, "n_trials")
-    if v is not None:
-        kwargs["n_trials"] = _as_int("n_trials", ln, v)
-    ln, v = _pop(table, "algorithms")
-    if v is not None:
-        kwargs["algorithms"] = tuple(p.strip() for p in v.split(",") if p.strip())
-    ln, v = _pop(table, "fusion_mode")
-    if v is not None:
-        kwargs["fusion_mode"] = v
-    ln, v = _pop(table, "grid_step_deg")
-    if v is not None:
-        kwargs["grid_step_deg"] = _as_float("grid_step_deg", ln, v)
-    ln, v = _pop(table, "pencil")
-    if v is not None:
-        kwargs["pencil"] = _as_int("pencil", ln, v)
-    ln, v = _pop(table, "hit_tolerance_deg")
-    if v is not None:
-        kwargs["hit_tolerance_deg"] = _as_float("hit_tolerance_deg", ln, v)
-    ln, v = _pop(table, "hit_tolerance_m")
-    if v is not None:
-        kwargs["hit_tolerance_m"] = _as_float("hit_tolerance_m", ln, v)
-    ln, v = _pop(table, "base_seed")
-    if v is not None:
-        kwargs["base_seed"] = _as_int("base_seed", ln, v)
-    ln, v = _pop(table, "steering_model")
-    if v is not None and v != "auto":
-        try:
-            kwargs["steering_model"] = SteeringModel(v)
-        except ValueError as exc:
-            raise ScenarioError(f"line {ln}: unknown steering_model {v!r}") from exc
+    kwargs = {"name": "scenario"}
+    for key, parse in _SPEC_KEYS.items():
+        lineno, value = _pop(table, key)
+        if value is not None:
+            kwargs[key] = parse(key, lineno, value)
 
     if table:
         key, (lineno, _) = next(iter(table.items()))
         raise ScenarioError(f"line {lineno}: unknown key {key!r}")
 
-    try:
-        return ScenarioSpec(array=array, targets=tuple(targets), **kwargs)
-    except ScenarioError:
-        raise
-    except ValueError as exc:
-        raise ScenarioError(str(exc)) from exc
+    return ScenarioSpec(array=array, targets=tuple(targets), **kwargs)
 
 
 def load_scenario(path) -> ScenarioSpec:
@@ -328,14 +309,9 @@ def with_overrides(
     algorithms: tuple[str, ...] | None = None,
     base_seed: int | None = None,
 ) -> ScenarioSpec:
-    """Copy a spec with CLI-style overrides applied."""
-    kwargs = {}
-    if n_trials is not None:
-        kwargs["n_trials"] = n_trials
-    if snr_grid_db is not None:
-        kwargs["snr_grid_db"] = snr_grid_db
-    if algorithms is not None:
-        kwargs["algorithms"] = algorithms
-    if base_seed is not None:
-        kwargs["base_seed"] = base_seed
+    """Copy a spec with the given (not None) CLI-style overrides applied."""
+    given = dict(
+        n_trials=n_trials, snr_grid_db=snr_grid_db, algorithms=algorithms, base_seed=base_seed
+    )
+    kwargs = {key: value for key, value in given.items() if value is not None}
     return replace(spec, **kwargs) if kwargs else spec

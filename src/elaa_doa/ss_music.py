@@ -21,7 +21,7 @@ surface, and peaks are picked from those windows as from the whole grid.
 The per-module windows matter under max fusion, where a fused maximum can
 sit on the other module's flank with no fused coarse maximum near it.
 Only the ``spectrum`` command builds the whole-grid surface
-(:func:`module_spectrum`).
+(:func:`fused_spectrum`).
 """
 
 from __future__ import annotations
@@ -42,6 +42,8 @@ DENOMINATOR_FLOOR = 1e-12
 PEAK_SEPARATION_DEG = 0.2
 MAX_GRID_POINTS = 180_000
 WINDOW_COARSE_STEPS = 2
+# fusion mode -> the pointwise combination of the two sub-array surfaces
+FUSION_MODES = {"product": np.multiply, "max": np.maximum}
 
 
 @dataclass(frozen=True)
@@ -184,31 +186,10 @@ def module_subspace(
     return split_subspaces(hankel(y_half, pencil), num_sources), scan
 
 
-def module_spectrum(
-    y_half: np.ndarray,
-    cfg: ArrayConfig,
-    num_sources: int,
-    grid_step_deg: float,
-    pencil: int | None,
-) -> Spectrum:
-    """MUSIC pseudospectrum of one sub-array's samples on the whole default grid."""
-    sub, scan = module_subspace(y_half, cfg, num_sources, grid_step_deg, pencil)
-    return pseudospectrum(sub, scan.grid, scan.steering)
-
-
 def _fuse_values(v1: np.ndarray, v2: np.ndarray, mode: str) -> np.ndarray:
-    if mode == "product":
-        return v1 * v2
-    if mode == "max":
-        return np.maximum(v1, v2)
-    raise ValueError(f"unknown fusion mode {mode!r}")
-
-
-def fuse(s1: Spectrum, s2: Spectrum, mode: str = "product") -> Spectrum:
-    """Combine two sub-array spectra pointwise (``product`` or ``max``)."""
-    if not np.array_equal(s1.grid, s2.grid):
-        raise ValueError("spectra must share the same grid")
-    return Spectrum(grid=s1.grid, values=_fuse_values(s1.values, s2.values, mode))
+    if mode not in FUSION_MODES:
+        raise ValueError(f"unknown fusion mode {mode!r}")
+    return FUSION_MODES[mode](v1, v2)
 
 
 def _refine_peak(grid: np.ndarray, values: np.ndarray, idx: int) -> float:
@@ -385,6 +366,21 @@ def pick_doas(
         if not len(grown):
             return peak_pick(Spectrum(grid=fine_grid, values=fine[0]), num_peaks, index=index)
         surface, centers = np.divmod(np.union1d(surface * n_points + centers, grown), n_points)
+
+
+def fused_spectrum(
+    y: np.ndarray,
+    cfg: ArrayConfig,
+    num_sources: int,
+    fusion: str,
+    grid_step_deg: float,
+    pencil: int | None,
+) -> Spectrum:
+    """The fused MUSIC pseudospectrum of a snapshot's two sub-arrays on the whole grid."""
+    modules = [module_subspace(h, cfg, num_sources, grid_step_deg, pencil) for h in split_ulas(y)]
+    scan = modules[0][1]
+    values = _surfaces([sub for sub, _ in modules], scan.grid, scan.steering, fusion)[0]
+    return Spectrum(grid=scan.grid, values=values)
 
 
 def estimate_doa_music(

@@ -221,10 +221,8 @@ def test_criterion_3_nearfield_hit_rates(fig4_trials):
 
     results = {}
     for name, (estimates, truth) in trials.items():
-        results[name] = (
-            hit_rate(estimates, truth, 0.1),
-            _association_rate(estimates, truth),
-        )
+        errors = [None if est is None else match_errors(est, truth) for est in estimates]
+        results[name] = (hit_rate(errors, 0.1), _association_rate(estimates, truth))
 
     hit_a, assoc_a = results["fig4_near_a"]
     assert hit_a >= 0.95, f"fig4_near_a hit rate {hit_a:.3f}"
@@ -349,9 +347,11 @@ def test_criterion_4_property_checks(paper_cfg):
 
     # metric hand cases
     truth = np.array([0.0, 1.0])
-    assert rmse([np.array([0.3, 1.4])], truth) == pytest.approx(0.3535533905932738)
-    assert rmse([None, None], truth) is None
-    assert hit_rate([np.array([0.5, 1.0]), None], truth, 0.5) == pytest.approx(0.5)
+    assert rmse([match_errors(np.array([0.3, 1.4]), truth)], 2) == pytest.approx(
+        0.3535533905932738
+    )
+    assert rmse([None, None], 2) is None
+    assert hit_rate([match_errors(np.array([0.5, 1.0]), truth), None], 0.5) == pytest.approx(0.5)
 
     # identical runs render byte-identical result tables
     spec = ScenarioSpec(

@@ -93,6 +93,9 @@ def test_local_geometry_matches_cartesian(r, angle):
 def test_target_validation():
     with pytest.raises(ValueError):
         Target(range=-1.0, angle=0.0)
+    for bad in (math.inf, math.nan):
+        with pytest.raises(ValueError, match="range must be finite and positive"):
+            Target(range=bad, angle=0.0)
     with pytest.raises(ValueError):
         Target(range=1.0, angle=math.pi / 2)
     with pytest.raises(ValueError):
@@ -114,6 +117,26 @@ def test_config_validation():
         ArrayConfig(elements_per_ula=1, gap=1.0, carrier_freq=76e9)
     with pytest.raises(ValueError):
         ArrayConfig(elements_per_ula=16, gap=-1.0, carrier_freq=76e9)
+
+
+@pytest.mark.parametrize(
+    "kwargs, name",
+    [
+        (dict(gap=math.nan, carrier_freq=76e9), "gap"),
+        (dict(gap=math.inf, carrier_freq=76e9), "gap"),
+        (dict(gap=1.0, carrier_freq=76e9, spacing=math.nan), "spacing"),
+        (dict(gap=1.0, carrier_freq=math.nan), "carrier_freq"),
+        (dict(gap=1.0, carrier_freq=math.inf), "carrier_freq"),
+        (dict(gap=1.0, wavelength=math.nan), "wavelength"),
+        (dict(gap=1.0, wavelength=math.inf), "wavelength"),
+        # the derived wavelength or carrier overflows
+        (dict(gap=1.0, carrier_freq=1e-320), "wavelength"),
+        (dict(gap=1.0, wavelength=1e-320), "carrier_freq"),
+    ],
+)
+def test_config_rejects_non_finite_lengths(kwargs, name):
+    with pytest.raises(ValueError, match=f"^{name} must be finite and positive"):
+        ArrayConfig(elements_per_ula=16, **kwargs)
 
 
 def test_speed_of_light_si():

@@ -26,7 +26,7 @@ from elaa_doa.harness import (
     write_metrics_csv,
 )
 from elaa_doa.nf_localizer import _pair_gate
-from elaa_doa.scenarios import KNOWN_ALGORITHMS, ScenarioSpec, builtin_scenarios, paper_array
+from elaa_doa.scenarios import ScenarioSpec, builtin_scenarios, paper_array
 from elaa_doa.signal_model import snapshot
 
 GOLDEN = 0x9E3779B97F4A7C15
@@ -122,22 +122,33 @@ def test_match_errors_shape_mismatch():
 def test_rmse_hand_case():
     truth = np.array([0.0, 1.0])
     est = np.array([0.3, 1.4])
-    assert rmse([est], truth) == pytest.approx(0.3535533905932738)
+    assert rmse([match_errors(est, truth)], 2) == pytest.approx(0.3535533905932738)
 
 
 def test_rmse_excludes_failures():
-    truth = np.array([0.0])
-    assert rmse([None, np.array([0.5])], truth) == pytest.approx(0.5)
-    assert rmse([None, None], truth) is None
+    assert rmse([None, np.array([0.5])], 1) == pytest.approx(0.5)
+    assert rmse([None, None], 1) is None
     # with a failure error, each failed trial counts it once per target
-    assert rmse([None, np.array([0.5])], truth, 1.5) == pytest.approx(math.sqrt(1.25))
+    assert rmse([None, np.array([0.5])], 1, 1.5) == pytest.approx(math.sqrt(1.25))
+    assert rmse([None, np.array([0.5, 0.5])], 2, 1.5) == pytest.approx(math.sqrt(1.25))
 
 
 def test_hit_rate_inclusive_and_failures():
-    truth = np.array([0.0])
-    trials = [np.array([0.5]), np.array([0.51]), None, np.array([-0.2])]
-    assert hit_rate(trials, truth, 0.5) == pytest.approx(0.5)
-    assert hit_rate([], truth, 0.5) == 0.0
+    trials = [np.array([0.5]), np.array([0.51]), None, np.array([0.2])]
+    assert hit_rate(trials, 0.5) == pytest.approx(0.5)
+    assert hit_rate([], 0.5) == 0.0
+
+
+def test_each_trial_is_matched_once(monkeypatch):
+    calls = []
+
+    def counted(estimates, truth):
+        calls.append(1)
+        return match_errors(estimates, truth)
+
+    monkeypatch.setattr(harness, "match_errors", counted)
+    run_monte_carlo(_tiny_spec(n_trials=4, snr_grid_db=(30.0,)))
+    assert len(calls) == 4
 
 
 def test_metrics_csv_formatting():
@@ -187,7 +198,7 @@ def test_run_monte_carlo_debug_csv(tmp_path):
     debug = tmp_path / "trials.csv"
     run_monte_carlo(spec, debug_path=debug)
     lines = debug.read_text().splitlines()
-    assert lines[0] == harness.DEBUG_HEADER
+    assert lines[0] == ",".join(harness.DEBUG_COLUMNS)
     # one target, three successful trials
     assert len(lines) == 4
     first = lines[1].split(",")
@@ -274,10 +285,6 @@ def test_rmse_include_failures_path(monkeypatch):
     assert rows[0].rmse == pytest.approx(90.0)
     rows = run_monte_carlo(spec)
     assert rows[0].rmse is None
-
-
-def test_estimator_table_covers_known_algorithms():
-    assert tuple(harness.ESTIMATORS) == KNOWN_ALGORITHMS
 
 
 @pytest.mark.parametrize(

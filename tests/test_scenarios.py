@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import pytest
@@ -5,6 +6,7 @@ import pytest
 from elaa_doa.errors import ScenarioError
 from elaa_doa.geometry import Target
 from elaa_doa.scenarios import (
+    _SPEC_KEYS,
     ScenarioSpec,
     builtin_scenarios,
     parse_scenario,
@@ -51,6 +53,7 @@ def test_parse_full_options():
         "grid_step_deg = 0.05\n"
         "pencil = 7\n"
         "hit_tolerance_deg = 0.25\n"
+        "hit_tolerance_m = 0.05\n"
         "base_seed = 9\n"
         "steering_model = farfield\n"
     )
@@ -63,6 +66,8 @@ def test_parse_full_options():
     assert spec.algorithms == ("ss_esprit",)
     assert spec.fusion_mode == "max"
     assert spec.pencil == 7
+    assert spec.hit_tolerance_deg == 0.25
+    assert spec.hit_tolerance_m == 0.05
     assert spec.base_seed == 9
     assert spec.steering_model is SteeringModel.FAR_FIELD
 
@@ -83,6 +88,16 @@ def test_parse_full_options():
             "exactly one",
         ),
         (MINIMAL.replace("= 150", "= abc"), "must be a number"),
+        (MINIMAL.replace("_wavelengths = 150", "_m = nan"), "gap must be finite"),
+        (MINIMAL + "array.spacing_m = nan\n", "spacing must be finite"),
+        (MINIMAL.replace("carrier_freq_hz = 76e9", "wavelength_m = nan"), "wavelength must be"),
+        (MINIMAL.replace("= 76e9", "= nan"), r"line 3: array.carrier_freq_hz must be finite"),
+        (MINIMAL.replace("= 76e9", "= 0"), r"line 3: array.carrier_freq_hz must be finite"),
+        (MINIMAL.replace("= 76e9", "= 1e-320"), "wavelength must be finite"),
+        (MINIMAL.replace("range_m = 250.0", "range_m = inf", 1), "target.1: range must be finite"),
+        (MINIMAL + "hit_tolerance_deg = nan\n", "hit tolerances must be finite"),
+        (MINIMAL + "hit_tolerance_m = nan\n", "hit tolerances must be finite"),
+        (MINIMAL + "hit_tolerance_m = inf\n", "hit tolerances must be finite"),
     ],
 )
 def test_parse_errors(mutation, fragment):
@@ -94,6 +109,11 @@ def test_parse_error_reports_line_number():
     text = MINIMAL + "n_trials = soon\n"
     with pytest.raises(ScenarioError, match=r"line \d+: n_trials must be an integer"):
         parse_scenario(text)
+
+
+def test_every_scenario_key_is_a_spec_field():
+    fields = {field.name for field in dataclasses.fields(ScenarioSpec)}
+    assert set(_SPEC_KEYS) <= fields
 
 
 def test_load_scenario(tmp_path):

@@ -20,7 +20,7 @@ from elaa_doa.ss_music import (
     _refine_peak,
     default_grid,
     estimate_doa_music,
-    fuse,
+    fused_spectrum,
     grid_points,
     hankel_steering_matrix,
     module_subspace,
@@ -121,17 +121,20 @@ def test_pseudospectrum_shape_checks(paper_cfg):
         pseudospectrum(sub, grid, np.ones((4, len(grid))))
 
 
-def test_fuse_modes():
-    grid = np.array([0.0, 0.1, 0.2])
-    s1 = Spectrum(grid=grid, values=np.array([1.0, 2.0, 3.0]))
-    s2 = Spectrum(grid=grid, values=np.array([3.0, 2.0, 1.0]))
-    assert np.allclose(fuse(s1, s2).values, [3.0, 4.0, 3.0])
-    assert np.allclose(fuse(s1, s2, "max").values, [3.0, 2.0, 3.0])
-    with pytest.raises(ValueError):
-        fuse(s1, s2, "mean")
-    other = Spectrum(grid=grid + 1.0, values=s2.values)
-    with pytest.raises(ValueError):
-        fuse(s1, other)
+@pytest.mark.parametrize("fusion", ["product", "max"])
+def test_fuse_modes(fusion):
+    spec = builtin_scenarios()["fig3_small_sep"]
+    k = len(spec.targets)
+    snap = snapshot(spec.array, spec.targets, 20.0, seed=1)
+    modules = [module_subspace(y, spec.array, k, 0.01, None) for y in split_ulas(snap.y)]
+    scan = modules[0][1]
+    v1, v2 = (pseudospectrum(sub, scan.grid, scan.steering).values for sub, _ in modules)
+    want = v1 * v2 if fusion == "product" else np.maximum(v1, v2)
+    got = fused_spectrum(snap.y, spec.array, k, fusion, 0.01, None)
+    np.testing.assert_array_equal(got.grid, scan.grid)
+    np.testing.assert_array_equal(got.values, want)
+    with pytest.raises(ValueError, match="unknown fusion mode"):
+        fused_spectrum(snap.y, spec.array, k, "mean", 0.01, None)
 
 
 def test_peak_pick_orders_by_height():
@@ -306,9 +309,10 @@ def test_coarse_subgrid_stride(step_deg, stride):
 
 def _full_grid_pick(subs, scan, num_peaks, fusion):
     """The pick over the whole grid, the reference the windowed pick must equal."""
-    spectra = [ss_music.pseudospectrum(sub, scan.grid, scan.steering) for sub in subs]
-    surface = spectra[0] if len(spectra) == 1 else fuse(spectra[0], spectra[1], fusion)
-    return peak_pick(surface, num_peaks)
+    values = [ss_music.pseudospectrum(sub, scan.grid, scan.steering).values for sub in subs]
+    if len(values) == 2:
+        values = [values[0] * values[1] if fusion == "product" else np.maximum(*values)]
+    return peak_pick(Spectrum(grid=scan.grid, values=values[0]), num_peaks)
 
 
 def _outcome(pick, *args):
