@@ -275,7 +275,7 @@ def run_monte_carlo(
 DEBUG_COLUMNS = (
     "algorithm", "snr_db", "trial", "seed", "status", "target_id", "truth", "estimate",
     "error", "x_hat", "y_hat", "residual", "score", "pairing_quality", "dealias_margin_deg",
-    "route", "noise_ratio",
+    "route", "noise_ratio", "x_true", "y_true",
 )
 
 
@@ -306,6 +306,7 @@ def _debug_lines(algorithm, snr_db, records, truth, unit) -> list[str]:
             row = {**head, **rec.extra, "target_id": tid, "error": rec.errors[tid]}
             if unit == "m":
                 row["x_hat"], row["y_hat"] = matched[tid]
+                row["x_true"], row["y_true"] = truth[tid]
             else:
                 row["truth"], row["estimate"] = truth[tid], matched[tid]
             rows.append(row)

@@ -212,17 +212,18 @@ def test_debug_csv_route_columns(tmp_path, monkeypatch):
     debug = tmp_path / "near.csv"
     run_monte_carlo(near, debug_path=debug)
     header, *lines = debug.read_text().splitlines()
-    assert header.endswith(",route,noise_ratio")
+    assert header.endswith(",route,noise_ratio,x_true,y_true")
+    column = {name: i for i, name in enumerate(header.split(","))}
     assert len(lines) == 4
     for line in lines:
         fields = line.split(",")
         assert len(fields) == len(header.split(","))
-        assert fields[-2] == "pair"
-        assert float(fields[-1]) <= _pair_gate(near.array, 2, near.pencil)
+        assert fields[column["route"]] == "pair"
+        assert float(fields[column["noise_ratio"]]) <= _pair_gate(near.array, 2, near.pencil)
     far = tmp_path / "far.csv"
     run_monte_carlo(_tiny_spec(snr_grid_db=(30.0,)), debug_path=far)
     for line in far.read_text().splitlines()[1:]:
-        assert line.endswith(",,")
+        assert line.endswith(",,,,")
     monkeypatch.setattr(harness, "_run_trial", lambda *a: (None, "Unpaired", {}))
     failed = tmp_path / "failed.csv"
     run_monte_carlo(near, debug_path=failed)
@@ -257,8 +258,11 @@ def test_debug_rows_carry_the_estimate_matched_to_their_target(tmp_path):
                 assert truth == math.degrees(target.angle)
                 assert abs(float(row[column["estimate"]]) - truth) == error
             else:
-                dx = float(row[column["x_hat"]]) - target.position[0]
-                dy = float(row[column["y_hat"]]) - target.position[1]
+                assert row[column["truth"]] == ""
+                x_true, y_true = float(row[column["x_true"]]), float(row[column["y_true"]])
+                assert (x_true, y_true) == tuple(target.position)
+                dx = float(row[column["x_hat"]]) - x_true
+                dy = float(row[column["y_hat"]]) - y_true
                 assert math.sqrt(dx * dx + dy * dy) == error
             checked += 1
     assert checked == 3 * 2 * 2 + 3 * 2
