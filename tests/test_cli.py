@@ -180,26 +180,6 @@ def test_bad_grid_step_exits_two(tmp_path, capsys, step):
     assert not out.exists()
 
 
-@pytest.mark.parametrize(
-    "old, new, message",
-    [
-        ("array.gap_wavelengths = 150", "array.gap_m = nan", "gap must be finite"),
-        ("grid_step_deg = 0.5", "array.spacing_m = nan", "spacing must be finite"),
-        ("array.carrier_freq_hz = 76e9", "array.wavelength_m = nan", "wavelength must be finite"),
-        ("target.1.range_m = 400.0", "target.1.range_m = inf", "range must be finite"),
-        ("grid_step_deg = 0.5", "hit_tolerance_deg = nan", "hit tolerances must be finite"),
-        ("grid_step_deg = 0.5", "hit_tolerance_m = nan", "hit tolerances must be finite"),
-    ],
-)
-def test_non_finite_scenario_value_exits_two(tmp_path, capsys, old, new, message):
-    path = tmp_path / "bad.scenario"
-    path.write_text(TINY.replace(old, new).replace("ss_esprit", "ss_esprit, nf_localize"))
-    out = tmp_path / "out.csv"
-    assert cli.main(["run", "--scenario", str(path), "--out", str(out), "--quiet"]) == 2
-    assert message in capsys.readouterr().err
-    assert not out.exists()
-
-
 @pytest.mark.parametrize("snr", ["nan", "-inf"])
 def test_non_finite_snr_exits_two(tiny_scenario, tmp_path, capsys, snr):
     out = tmp_path / "out.csv"

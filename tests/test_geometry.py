@@ -117,11 +117,7 @@ def test_config_validation():
         ArrayConfig(elements_per_ula=1, gap=1.0, carrier_freq=76e9)
     with pytest.raises(ValueError):
         ArrayConfig(elements_per_ula=16, gap=-1.0, carrier_freq=76e9)
-
-
-@pytest.mark.parametrize(
-    "kwargs, name",
-    [
+    for kwargs, name in [
         (dict(gap=math.nan, carrier_freq=76e9), "gap"),
         (dict(gap=math.inf, carrier_freq=76e9), "gap"),
         (dict(gap=1.0, carrier_freq=76e9, spacing=math.nan), "spacing"),
@@ -132,11 +128,9 @@ def test_config_validation():
         # the derived wavelength or carrier overflows
         (dict(gap=1.0, carrier_freq=1e-320), "wavelength"),
         (dict(gap=1.0, wavelength=1e-320), "carrier_freq"),
-    ],
-)
-def test_config_rejects_non_finite_lengths(kwargs, name):
-    with pytest.raises(ValueError, match=f"^{name} must be finite and positive"):
-        ArrayConfig(elements_per_ula=16, **kwargs)
+    ]:
+        with pytest.raises(ValueError, match=f"^{name} must be finite and positive"):
+            ArrayConfig(elements_per_ula=16, **kwargs)
 
 
 def test_speed_of_light_si():
