@@ -21,7 +21,14 @@ from .harness import (
     run_monte_carlo,
     write_metrics_csv,
 )
-from .scenarios import ScenarioSpec, builtin_scenarios, load_scenario, with_overrides
+from .scenarios import (
+    ScenarioSpec,
+    _as_floats,
+    _as_list,
+    builtin_scenarios,
+    load_scenario,
+    with_overrides,
+)
 from .signal_model import array_factor, save_snapshot, snapshot
 from .ss_music import default_grid, fused_spectrum, write_spectrum_csv
 
@@ -57,14 +64,7 @@ def _parse_snr(text: str) -> tuple[float, ...]:
         if n < 1:
             raise ScenarioError("--snr range is empty")
         return tuple(start + i * step for i in range(n))
-    try:
-        return tuple(float(p.strip()) for p in text.split(",") if p.strip())
-    except ValueError as exc:
-        raise ScenarioError(f"bad --snr list {text!r}") from exc
-
-
-def _parse_algos(text: str) -> tuple[str, ...]:
-    return tuple(p.strip() for p in text.split(",") if p.strip())
+    return _as_floats("--snr", text)
 
 
 def _cmd_run(args) -> int:
@@ -76,7 +76,7 @@ def _cmd_run(args) -> int:
         spec,
         n_trials=trials,
         snr_grid_db=_parse_snr(args.snr) if args.snr else None,
-        algorithms=_parse_algos(args.algos) if args.algos else None,
+        algorithms=_as_list("--algos", args.algos) if args.algos else None,
         base_seed=args.seed,
     )
     rows = run_monte_carlo(

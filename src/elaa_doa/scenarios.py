@@ -75,9 +75,11 @@ class ScenarioSpec:
             raise ScenarioError("n_trials must be at least 1")
         if not self.algorithms:
             raise ScenarioError("scenario needs at least one algorithm")
-        for algo in self.algorithms:
+        for i, algo in enumerate(self.algorithms):
             if algo not in ESTIMATORS:
                 raise ScenarioError(f"unknown algorithm {algo!r}; known: {', '.join(ESTIMATORS)}")
+            if algo in self.algorithms[:i]:
+                raise ScenarioError(f"algorithm {algo!r} is listed twice")
         if self.fusion_mode not in FUSION_MODES:
             raise ScenarioError(f"fusion_mode must be one of {tuple(FUSION_MODES)}")
         try:
@@ -155,46 +157,60 @@ def _parse_kv(text: str) -> dict[str, tuple[int, str]]:
     return table
 
 
-def _pop(table, key):
-    return table.pop(key, (None, None))
-
-
-def _as_float(key: str, lineno: int, value: str) -> float:
+def _as_float(key: str, value: str) -> float:
     try:
         return float(value)
-    except ValueError as exc:
-        raise ScenarioError(f"line {lineno}: {key} must be a number, got {value!r}") from exc
+    except ValueError:
+        raise ScenarioError(f"{key} must be a number, got {value!r}") from None
 
 
-def _as_int(key: str, lineno: int, value: str) -> int:
+def _as_positive(key: str, value: str) -> float:
+    number = _as_float(key, value)
+    if not (math.isfinite(number) and number > 0):
+        raise ScenarioError(f"{key} must be finite and positive, got {number!r}")
+    return number
+
+
+def _as_int(key: str, value: str) -> int:
     try:
         return int(value)
-    except ValueError as exc:
-        raise ScenarioError(f"line {lineno}: {key} must be an integer, got {value!r}") from exc
+    except ValueError:
+        raise ScenarioError(f"{key} must be an integer, got {value!r}") from None
 
 
-def _as_text(key: str, lineno: int, value: str) -> str:
+def _as_text(key: str, value: str) -> str:
     return value
 
 
-def _as_list(key: str, lineno: int, value: str) -> tuple[str, ...]:
+def _as_list(key: str, value: str) -> tuple[str, ...]:
     return tuple(p.strip() for p in value.split(",") if p.strip())
 
 
-def _as_floats(key: str, lineno: int, value: str) -> tuple[float, ...]:
+def _as_floats(key: str, value: str) -> tuple[float, ...]:
     try:
-        return tuple(float(p) for p in _as_list(key, lineno, value))
-    except ValueError as exc:
-        raise ScenarioError(f"line {lineno}: bad {key} {value!r}") from exc
+        return tuple(float(p) for p in _as_list(key, value))
+    except ValueError:
+        raise ScenarioError(f"{key} must be a comma list of numbers, got {value!r}") from None
 
 
-def _as_model(key: str, lineno: int, value: str) -> SteeringModel | None:
+def _as_model(key: str, value: str) -> SteeringModel | None:
     if value == "auto":
         return None
     try:
         return SteeringModel(value)
-    except ValueError as exc:
-        raise ScenarioError(f"line {lineno}: unknown {key} {value!r}") from exc
+    except ValueError:
+        raise ScenarioError(f"unknown {key} {value!r}") from None
+
+
+def _parsed(table, key: str, parse):
+    """Remove and parse ``key``'s value (None when absent); errors name its line."""
+    lineno, value = table.pop(key, (None, None))
+    if value is None:
+        return None
+    try:
+        return parse(key, value)
+    except ScenarioError as exc:
+        raise ScenarioError(f"line {lineno}: {exc}") from None
 
 
 # ScenarioSpec field -> parser of its scenario-file value, for every key
@@ -218,36 +234,26 @@ def parse_scenario(text: str) -> ScenarioSpec:
     """Parse scenario text; raises :class:`ScenarioError` with line numbers."""
     table = _parse_kv(text)
 
-    lineno, value = _pop(table, "array.elements_per_ula")
-    if value is None:
+    elements = _parsed(table, "array.elements_per_ula", _as_int)
+    if elements is None:
         raise ScenarioError("missing key array.elements_per_ula")
-    elements = _as_int("array.elements_per_ula", lineno, value)
 
-    freq_ln, freq_v = _pop(table, "array.carrier_freq_hz")
-    wl_ln, wl_v = _pop(table, "array.wavelength_m")
-    if (freq_v is None) == (wl_v is None):
+    if ("array.carrier_freq_hz" in table) == ("array.wavelength_m" in table):
         raise ScenarioError(
             "give exactly one of array.carrier_freq_hz and array.wavelength_m"
         )
-    if freq_v is not None:
-        freq = _as_float("array.carrier_freq_hz", freq_ln, freq_v)
-        if not (math.isfinite(freq) and freq > 0):
-            raise ScenarioError(
-                f"line {freq_ln}: array.carrier_freq_hz must be finite and positive, got {freq!r}"
-            )
-        wavelength = SPEED_OF_LIGHT / freq
+    if "array.carrier_freq_hz" in table:
+        wavelength = SPEED_OF_LIGHT / _parsed(table, "array.carrier_freq_hz", _as_positive)
     else:
-        wavelength = _as_float("array.wavelength_m", wl_ln, wl_v)
+        wavelength = _parsed(table, "array.wavelength_m", _as_float)
 
     def length_key(base: str) -> float | None:
-        si_ln, si_v = _pop(table, f"{base}_m")
-        wl_ln2, wl_v2 = _pop(table, f"{base}_wavelengths")
-        if si_v is not None and wl_v2 is not None:
+        if f"{base}_m" in table and f"{base}_wavelengths" in table:
             raise ScenarioError(f"give only one of {base}_m and {base}_wavelengths")
-        if si_v is not None:
-            return _as_float(f"{base}_m", si_ln, si_v)
-        if wl_v2 is not None:
-            return _as_float(f"{base}_wavelengths", wl_ln2, wl_v2) * wavelength
+        if f"{base}_m" in table:
+            return _parsed(table, f"{base}_m", _as_float)
+        if f"{base}_wavelengths" in table:
+            return _parsed(table, f"{base}_wavelengths", _as_float) * wavelength
         return None
 
     gap = length_key("array.gap")
@@ -264,19 +270,14 @@ def parse_scenario(text: str) -> ScenarioSpec:
 
     targets = []
     for index in itertools.count(1):
-        r_ln, r_v = _pop(table, f"target.{index}.range_m")
-        a_ln, a_v = _pop(table, f"target.{index}.angle_deg")
-        if r_v is None and a_v is None:
+        range_m = _parsed(table, f"target.{index}.range_m", _as_float)
+        angle_deg = _parsed(table, f"target.{index}.angle_deg", _as_float)
+        if range_m is None and angle_deg is None:
             break
-        if r_v is None or a_v is None:
+        if range_m is None or angle_deg is None:
             raise ScenarioError(f"target.{index} needs both range_m and angle_deg")
         try:
-            targets.append(
-                Target(
-                    range=_as_float(f"target.{index}.range_m", r_ln, r_v),
-                    angle=math.radians(_as_float(f"target.{index}.angle_deg", a_ln, a_v)),
-                )
-            )
+            targets.append(Target(range=range_m, angle=math.radians(angle_deg)))
         except ValueError as exc:
             raise ScenarioError(f"target.{index}: {exc}") from exc
     if not targets:
@@ -286,9 +287,8 @@ def parse_scenario(text: str) -> ScenarioSpec:
         raise ScenarioError("missing key snr_grid_db")
     kwargs = {"name": "scenario"}
     for key, parse in _SPEC_KEYS.items():
-        lineno, value = _pop(table, key)
-        if value is not None:
-            kwargs[key] = parse(key, lineno, value)
+        if key in table:
+            kwargs[key] = _parsed(table, key, parse)
 
     if table:
         key, (lineno, _) = next(iter(table.items()))

@@ -41,14 +41,6 @@ class SteeringModel(enum.Enum):
 
 
 @dataclass(frozen=True)
-class SteeringVector:
-    """Array response for one source, with the model that produced it."""
-
-    entries: np.ndarray
-    model: SteeringModel
-
-
-@dataclass(frozen=True)
 class Snapshot:
     """A single array observation ``y`` plus its generation provenance."""
 
@@ -65,7 +57,7 @@ def split_ulas(y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return y[:m], y[m:]
 
 
-def steering_exact(cfg: ArrayConfig, target: Target) -> SteeringVector:
+def steering_exact(cfg: ArrayConfig, target: Target) -> np.ndarray:
     """Exact spherical-wave steering vector, ``exp(-j*2*pi*dist/lambda)``."""
     pos = element_positions(cfg)
     p = target.position
@@ -73,10 +65,10 @@ def steering_exact(cfg: ArrayConfig, target: Target) -> SteeringVector:
     if np.any(dist < 1e-12):
         raise ValueError("target coincides with an array element")
     k = 2.0 * math.pi / cfg.wavelength
-    return SteeringVector(np.exp(-1j * k * dist), SteeringModel.EXACT)
+    return np.exp(-1j * k * dist)
 
 
-def steering_farfield(cfg: ArrayConfig, angle: float) -> SteeringVector:
+def steering_farfield(cfg: ArrayConfig, angle: float) -> np.ndarray:
     """Plane-wave steering vector ``exp(+j*2*pi*x*sin(angle)/lambda)``.
 
     The common range phase is omitted; only the per-element progressive
@@ -84,12 +76,12 @@ def steering_farfield(cfg: ArrayConfig, angle: float) -> SteeringVector:
     """
     pos = element_positions(cfg)
     k = 2.0 * math.pi / cfg.wavelength
-    return SteeringVector(np.exp(1j * k * pos * math.sin(angle)), SteeringModel.FAR_FIELD)
+    return np.exp(1j * k * pos * math.sin(angle))
 
 
 def steering_nearfield(
     cfg: ArrayConfig, target: Target, shared_doa: bool = False
-) -> SteeringVector:
+) -> np.ndarray:
     """Per-sub-array planar steering with a spherical reference phase.
 
     Each sub-array keeps the exact propagation phase to its reference
@@ -106,8 +98,7 @@ def steering_nearfield(
         u_n = math.sin(target.angle) if shared_doa else math.sin(lg.angles[n])
         ref = np.exp(-1j * k * lg.ranges[n])
         parts.append(ref * np.exp(1j * k * m * cfg.spacing * u_n))
-    model = SteeringModel.NF_SHARED_DOA if shared_doa else SteeringModel.NF_LOCAL_PLANAR
-    return SteeringVector(np.concatenate(parts), model)
+    return np.concatenate(parts)
 
 
 def select_model(cfg: ArrayConfig, target_range: float) -> SteeringModel:
@@ -124,7 +115,7 @@ def select_model(cfg: ArrayConfig, target_range: float) -> SteeringModel:
 
 def steering(
     cfg: ArrayConfig, target: Target, model: SteeringModel | None = None
-) -> SteeringVector:
+) -> np.ndarray:
     """Steering vector under an explicit or range-auto-selected model."""
     if model is None:
         model = select_model(cfg, target.range)
@@ -148,7 +139,7 @@ def _steering_entries(
     A Monte Carlo cell draws every trial from the same targets, so their
     steering is shared rather than rebuilt per snapshot.
     """
-    entries = steering(cfg, target, model=model).entries
+    entries = steering(cfg, target, model=model)
     entries.setflags(write=False)
     return entries
 

@@ -1,22 +1,20 @@
 """Single-snapshot ESPRIT across the full sparse aperture.
 
 The rotational-invariance trick is applied twice to the same stacked
-Hankel signal subspace:
+Hankel signal subspace, whose rows form one block per sub-array:
 
-* a coarse shift of one element spacing inside each sub-array block,
-  which is unambiguous for spacings up to half a wavelength but only as
-  accurate as one sub-array;
+* a coarse shift of one element spacing inside each block, which is
+  unambiguous for spacings up to half a wavelength but only as accurate
+  as one sub-array;
 * a fine shift equal to the sub-array center separation (top block vs
   bottom block), which inherits the full sparse-aperture accuracy but
   wraps many times across the visible region.
 
-Each fine eigenvalue therefore yields a lattice of alias candidates
-(about 316 for the reference geometry); the coarse estimate selects among
-them.  The lattice is kept in closed form, and the selection evaluates
-only the few rungs around the coarse angle: rung angles grow with the
-alias index, so the two rungs bracketing the coarse angle hold the
-nearest one, and their outer neighbours hold the runner-up.  Eigenvalues
-of the two shift operators are paired by joint diagonalization so the
+Each eigenvalue is explained by a lattice of alias rungs (about 316 for
+the reference geometry's fine shift).  One bracketed rule picks in both
+lattices: the coarse angle is the coarse rung nearest broadside, the
+fine angle the fine rung nearest the coarse angle.  Eigenvalues of the
+two shift operators are paired by joint diagonalization so the
 selection stays per source.
 """
 
@@ -34,63 +32,13 @@ from .subspace import default_pencil, stacked_subspace
 
 COND_LIMIT = 1e12
 ASIN_CLAMP = 1e-9
-# The pipeline's alias-tie threshold is tighter than the bare ``dealias``
-# default: the coarse single-shift estimate has a heavy two-source error
-# tail at moderate SNR, and refusing every near-half-spacing decision
-# turns a slice of one-bin errors (one fine spacing, about 0.36 degrees
-# for the reference geometry) into hard failures.  Flagging only
-# near-exact ties keeps those trials as ordinary errors, which downstream
-# accuracy metrics already account for.
+# The alias-tie threshold is tight: the coarse single-shift estimate has
+# a heavy two-source error tail at moderate SNR, and refusing every
+# near-half-spacing decision turns a slice of one-bin errors (one fine
+# spacing, about 0.36 degrees for the reference geometry) into hard
+# failures.  Flagging only near-exact ties keeps those trials as ordinary
+# errors, which downstream accuracy metrics already account for.
 TIE_FRACTION = 0.02
-
-
-@dataclass(frozen=True)
-class ShiftPair:
-    """Row index sets of a rotational-invariance pair and their baseline."""
-
-    rows_a: tuple[int, ...]
-    rows_b: tuple[int, ...]
-    delta: float
-
-
-@dataclass(frozen=True)
-class SelectionPairs:
-    coarse: ShiftPair
-    fine: ShiftPair
-
-
-@dataclass(frozen=True)
-class AliasLattice:
-    """The visible-region alias rungs explaining one eigenvalue's phase.
-
-    For a baseline of ``ratio`` wavelengths, an eigenvalue with phase
-    fraction ``nu = arg(xi) / (2*pi)`` is explained by every integer alias
-    ``q`` in ``[q_lo, q_hi]``, the range with
-    ``|(nu + q) / ratio| <= 1``; rung ``q`` sits at the arcsine of that
-    direction cosine.
-    """
-
-    nu: float
-    ratio: float
-    q_lo: int
-    q_hi: int
-
-    def rungs(self, lo: int, hi: int) -> list[tuple[int, float]]:
-        """(alias index, angle) of the visible rungs in ``[lo, hi]``, ascending.
-
-        Arguments within ``1e-9`` past the arcsine domain edge are
-        clamped to +-90 degrees.
-        """
-        out = []
-        for q in range(max(lo, self.q_lo), min(hi, self.q_hi) + 1):
-            arg = (self.nu + q) / self.ratio
-            if abs(arg) > 1.0:
-                if abs(arg) <= 1.0 + ASIN_CLAMP:
-                    arg = math.copysign(1.0, arg)
-                else:
-                    continue
-            out.append((q, math.asin(arg)))
-        return out
 
 
 @dataclass(frozen=True)
@@ -109,55 +57,55 @@ class EspritDiagnostics:
     reports: tuple[DealiasReport, ...]
 
 
-def selection_pairs(cfg: ArrayConfig, pencil: int) -> SelectionPairs:
-    """Coarse and fine row selections into the stacked signal subspace.
-
-    The stacked subspace has ``2 * (pencil + 1)`` rows: first the rows of
-    sub-array 1's Hankel lifting, then sub-array 2's.  The coarse pair
-    shifts by one row inside each block (baseline = element spacing); the
-    fine pair is top block against bottom block (baseline = center
-    separation).
-    """
-    if pencil < 1:
-        raise ValueError("pencil must be at least 1")
-    block = pencil + 1
-    coarse_a = tuple(range(0, pencil)) + tuple(range(block, block + pencil))
-    coarse_b = tuple(range(1, pencil + 1)) + tuple(range(block + 1, block + pencil + 1))
-    fine_a = tuple(range(0, block))
-    fine_b = tuple(range(block, 2 * block))
-    return SelectionPairs(
-        coarse=ShiftPair(coarse_a, coarse_b, cfg.spacing),
-        fine=ShiftPair(fine_a, fine_b, cfg.center_separation),
-    )
-
-
-def solve_psi(signal_basis: np.ndarray, pair: ShiftPair) -> np.ndarray:
-    """Least-squares rotation ``(Ua^H Ua)^-1 Ua^H Ub`` between row subsets."""
-    ua = signal_basis[list(pair.rows_a), :]
-    ub = signal_basis[list(pair.rows_b), :]
+def solve_psi(ua: np.ndarray, ub: np.ndarray) -> np.ndarray:
+    """Least-squares rotation ``(Ua^H Ua)^-1 Ua^H Ub`` between two row selections."""
     if np.linalg.norm(ua) < 1e-300 or np.linalg.cond(ua) > COND_LIMIT:
         raise IllConditioned("shifted subspace selection is rank deficient")
     gram = ua.conj().T @ ua
     return np.linalg.solve(gram, ua.conj().T @ ub)
 
 
-def alias_lattices(eigs: np.ndarray, delta: float, wavelength: float) -> list[AliasLattice]:
-    """The alias lattice of each eigenvalue's phase for baseline ``delta``."""
-    ratio = delta / wavelength
-    lattices = []
-    for xi in np.atleast_1d(np.asarray(eigs)):
-        if xi == 0:
-            raise ValueError("zero eigenvalue has no phase")
-        nu = float(np.angle(xi)) / (2.0 * math.pi)
-        lattices.append(
-            AliasLattice(
-                nu=nu,
-                ratio=ratio,
-                q_lo=math.ceil(-ratio - nu),
-                q_hi=math.floor(ratio - nu),
-            )
-        )
-    return lattices
+def alias_rungs(xi: complex, ratio: float, lo: int, hi: int) -> list[tuple[int, float]]:
+    """(alias index, angle) of the visible rungs of ``xi`` in ``[lo, hi]``, ascending.
+
+    For a baseline of ``ratio`` wavelengths, the phase fraction
+    ``nu = arg(xi) / (2*pi)`` is explained by every integer alias ``q``
+    with ``|(nu + q) / ratio| <= 1``; rung ``q`` sits at the arcsine of
+    that direction cosine.  Arguments within ``ASIN_CLAMP`` past the
+    arcsine domain edge are clamped to +-90 degrees.
+    """
+    if xi == 0:
+        raise ValueError("zero eigenvalue has no phase")
+    nu = float(np.angle(xi)) / (2.0 * math.pi)
+    out = []
+    for q in range(max(lo, math.ceil(-ratio - nu)), min(hi, math.floor(ratio - nu)) + 1):
+        arg = (nu + q) / ratio
+        if abs(arg) > 1.0:
+            if abs(arg) <= 1.0 + ASIN_CLAMP:
+                arg = math.copysign(1.0, arg)
+            else:
+                continue
+        out.append((q, math.asin(arg)))
+    return out
+
+
+def _bracket(xi: complex, ratio: float, theta: float) -> list[tuple[int, float]]:
+    """The visible rungs ``q0 - 1 .. q0 + 2`` of ``xi`` around angle ``theta``.
+
+    Rung angles grow with ``q``, and rung ``q`` lies at or below ``theta`` when
+    ``q <= ratio * sin(theta) - nu``: rungs ``q0``, the floor of that bound, and
+    ``q0 + 1`` hold the rung nearest ``theta``, their neighbours the runner-up.
+    """
+    q0 = math.floor(ratio * math.sin(theta) - float(np.angle(xi)) / (2.0 * math.pi))
+    return alias_rungs(xi, ratio, q0 - 1, q0 + 2)
+
+
+def _coarse_angle(xi: complex, ratio: float) -> float:
+    """The rung of ``xi`` nearest broadside (the lower one on an exact +-tie)."""
+    rungs = _bracket(xi, ratio, 0.0)
+    if not rungs:
+        raise IllConditioned("coarse eigenvalue has no visible candidate")
+    return min((abs(angle), angle) for _, angle in rungs)[1]
 
 
 def _min_eigengap(evals: np.ndarray) -> float:
@@ -171,25 +119,28 @@ def _min_eigengap(evals: np.ndarray) -> float:
     return min(gaps)
 
 
-def pair_eigenvalues(
-    signal_basis: np.ndarray, coarse_pair: ShiftPair, fine_pair: ShiftPair
-) -> tuple[np.ndarray, np.ndarray, float]:
+def pair_eigenvalues(signal_basis: np.ndarray) -> tuple[np.ndarray, np.ndarray, float]:
     """Matched (coarse, fine) eigenvalues via joint diagonalization.
 
-    One rotation is eigendecomposed; its eigenvector basis is then applied
-    to the other rotation, whose diagonal gives the eigenvalue belonging
-    to each source.  The decomposition base is whichever rotation has the
-    wider minimum eigenvalue separation: both share eigenvectors in the
-    ideal model, but a noisy eigenbasis taken from a near-degenerate
-    spectrum scrambles the sources, and closely spaced directions that
-    collapse the short-baseline spectrum are usually far apart once the
-    long baseline wraps them around the unit circle.  The returned quality
-    is the off-diagonal Frobenius energy of the transformed rotation
+    The coarse rotation maps each sub-array block without its last row
+    onto the block without its first row; the fine rotation maps the top
+    block onto the bottom block.  One rotation is eigendecomposed; its
+    eigenvector basis is then applied to the other rotation, whose
+    diagonal gives the eigenvalue belonging to each source.  The
+    decomposition base is whichever rotation has the wider minimum
+    eigenvalue separation: both share eigenvectors in the ideal model,
+    but a noisy eigenbasis taken from a near-degenerate spectrum
+    scrambles the sources, and closely spaced directions that collapse
+    the short-baseline spectrum are usually far apart once the long
+    baseline wraps them around the unit circle.  The returned quality is
+    the off-diagonal Frobenius energy of the transformed rotation
     relative to its diagonal: near zero when both rotations truly share
     eigenvectors.
     """
-    psi_c = solve_psi(signal_basis, coarse_pair)
-    psi_f = solve_psi(signal_basis, fine_pair)
+    k = signal_basis.shape[1]
+    blocks = signal_basis.reshape(2, -1, k)
+    psi_c = solve_psi(blocks[:, :-1].reshape(-1, k), blocks[:, 1:].reshape(-1, k))
+    psi_f = solve_psi(blocks[0], blocks[1])
     evals_c, evecs_c = np.linalg.eig(psi_c)
     evals_f, evecs_f = np.linalg.eig(psi_f)
     if _min_eigengap(evals_c) >= _min_eigengap(evals_f):
@@ -211,30 +162,22 @@ def pair_eigenvalues(
 
 
 def dealias(
-    coarse_angles: np.ndarray,
-    fine_sets: list[AliasLattice],
-    tie_fraction: float = 0.1,
+    coarse_angles: np.ndarray, fine_eigs: np.ndarray, ratio: float
 ) -> tuple[np.ndarray, tuple[DealiasReport, ...]]:
     """Pick, per source, the fine alias rung nearest the coarse angle.
 
-    Rung ``q`` lies below the coarse angle ``theta_c`` exactly when
-    ``q <= ratio * sin(theta_c) - nu``, so the floor ``q0`` of that bound
-    (clipped to the lattice) and ``q0 + 1`` bracket it.  The nearest rung
-    is one of the two, and the runner-up and the nearest rung's
-    neighbours lie within one more rung, so only ``q0 - 1 .. q0 + 2`` are
-    evaluated; the picks and margins equal those of a scan of the whole
+    ``ratio`` is the fine baseline in wavelengths.  The picks and margins
+    from the four bracketing rungs equal those of a scan of the whole
     lattice.  Raises :class:`AmbiguousDealias` when the two best rungs
-    sit within ``tie_fraction`` of the local rung spacing of each other in
-    distance to the coarse estimate.  Angles are returned sorted ascending
-    with their reports aligned.
+    sit within ``TIE_FRACTION`` of the local rung spacing of each other
+    in distance to the coarse estimate.  Angles are returned sorted
+    ascending with their reports aligned.
     """
-    if len(coarse_angles) != len(fine_sets):
-        raise ValueError("need one coarse angle per alias lattice")
+    if len(coarse_angles) != len(fine_eigs):
+        raise ValueError("need one coarse angle per fine eigenvalue")
     picks = []
-    for theta_c, lattice in zip(coarse_angles, fine_sets):
-        q0 = math.floor(lattice.ratio * math.sin(theta_c) - lattice.nu)
-        q0 = min(max(q0, lattice.q_lo - 1), lattice.q_hi)
-        rungs = lattice.rungs(q0 - 1, q0 + 2)
+    for theta_c, xi in zip(coarse_angles, fine_eigs):
+        rungs = _bracket(xi, ratio, theta_c)
         if not rungs:
             raise AmbiguousDealias("no visible-region candidate for eigenvalue")
         angles = np.array([angle for _, angle in rungs])
@@ -245,10 +188,10 @@ def dealias(
             second = int(order[1])
             spacing = float(np.min(np.abs(np.delete(angles, best) - angles[best])))
             margin = float(dist[second] - dist[best])
-            if margin < tie_fraction * spacing:
+            if margin < TIE_FRACTION * spacing:
                 raise AmbiguousDealias(
                     f"alias tie: margin {margin:.3e} rad below "
-                    f"{tie_fraction:.0%} of spacing {spacing:.3e} rad"
+                    f"{TIE_FRACTION:.0%} of spacing {spacing:.3e} rad"
                 )
         else:
             margin = math.inf
@@ -266,16 +209,6 @@ def dealias(
     return np.array([p[0] for p in picks]), tuple(p[1] for p in picks)
 
 
-def _unique_coarse_angle(lattice: AliasLattice) -> float:
-    # For spacings <= lambda/2 the coarse lattice has a single visible
-    # rung; if an exact edge case produces two, keep the one nearest
-    # broadside.
-    rungs = lattice.rungs(lattice.q_lo, lattice.q_hi)
-    if not rungs:
-        raise IllConditioned("coarse eigenvalue has no visible candidate")
-    return min((abs(angle), angle) for _, angle in rungs)[1]
-
-
 def estimate_doa_esprit(
     snap: Snapshot,
     cfg: ArrayConfig,
@@ -286,7 +219,7 @@ def estimate_doa_esprit(
 
     Returns the dealiased fine-shift angles together with diagnostics:
     the coarse angles, the joint-diagonalization quality and the per
-    source dealiasing reports.  Alias ties are judged at ``TIE_FRACTION``.
+    source dealiasing reports.
     """
     m = cfg.elements_per_ula
     pencil = default_pencil(m) if pencil is None else pencil
@@ -297,12 +230,10 @@ def estimate_doa_esprit(
         raise ValueError(f"num_sources must be in [1, {limit}] for pencil {pencil}")
     y1, y2 = split_ulas(snap.y)
     sub = stacked_subspace(y1, y2, pencil, num_sources)
-    pairs = selection_pairs(cfg, pencil)
-    coarse_eigs, fine_eigs, quality = pair_eigenvalues(sub.signal, pairs.coarse, pairs.fine)
-    coarse_lattices = alias_lattices(coarse_eigs, pairs.coarse.delta, cfg.wavelength)
-    coarse_angles = np.array([_unique_coarse_angle(lat) for lat in coarse_lattices])
-    fine_lattices = alias_lattices(fine_eigs, pairs.fine.delta, cfg.wavelength)
-    angles, reports = dealias(coarse_angles, fine_lattices, tie_fraction=TIE_FRACTION)
+    coarse_eigs, fine_eigs, quality = pair_eigenvalues(sub.signal)
+    coarse_ratio = cfg.spacing / cfg.wavelength
+    coarse_angles = np.array([_coarse_angle(xi, coarse_ratio) for xi in coarse_eigs])
+    angles, reports = dealias(coarse_angles, fine_eigs, cfg.center_separation / cfg.wavelength)
     diag = EspritDiagnostics(
         coarse_angles=coarse_angles, pairing_quality=quality, reports=reports
     )

@@ -41,10 +41,9 @@ from elaa_doa.signal_model import (
     steering_nearfield,
 )
 from elaa_doa.ss_esprit import (
-    alias_lattices,
+    alias_rungs,
     estimate_doa_esprit,
     pair_eigenvalues,
-    selection_pairs,
 )
 from elaa_doa.ss_music import estimate_doa_music
 from elaa_doa.subspace import hankel, split_subspaces, stacked_subspace
@@ -270,18 +269,18 @@ def test_criterion_4_property_checks(paper_cfg):
     t_near = Target(range=5.0, angle=0.3)
     t_far = Target(range=_far_range(paper_cfg), angle=-0.7)
     for entries in (
-        steering_exact(paper_cfg, t_near).entries,
-        steering_nearfield(paper_cfg, t_near).entries,
-        steering_farfield(paper_cfg, t_far.angle).entries,
-        steering(paper_cfg, t_far).entries,
+        steering_exact(paper_cfg, t_near),
+        steering_nearfield(paper_cfg, t_near),
+        steering_farfield(paper_cfg, t_far.angle),
+        steering(paper_cfg, t_far),
     ):
         assert np.abs(entries) == pytest.approx(1.0, abs=1e-12)
 
     # locally planar phase error under pi/8 at 10x the far-field boundary
     r10 = 10.0 * field_regions(paper_cfg).fraunhofer
     tgt = Target(range=r10, angle=0.2)
-    exact = steering_exact(paper_cfg, tgt).entries
-    planar = steering_nearfield(paper_cfg, tgt).entries
+    exact = steering_exact(paper_cfg, tgt)
+    planar = steering_nearfield(paper_cfg, tgt)
     mismatch = exact * np.conj(planar)
     mismatch *= np.conj(mismatch[0] / abs(mismatch[0]))
     assert np.max(np.abs(np.angle(mismatch))) < math.pi / 8.0
@@ -320,22 +319,20 @@ def test_criterion_4_property_checks(paper_cfg):
     )
     ya, yb = split_ulas(two.y)
     basis = stacked_subspace(ya, yb, 8, 2).signal
-    pairs = selection_pairs(paper_cfg, 8)
-    coarse, fine, _ = pair_eigenvalues(basis, pairs.coarse, pairs.fine)
+    coarse, fine, _ = pair_eigenvalues(basis)
     assert np.abs(coarse) == pytest.approx(1.0, abs=1e-9)
     assert np.abs(fine) == pytest.approx(1.0, abs=1e-9)
 
     # half-wavelength baseline: one candidate, exact; long baseline:
-    # floor(2 * delta / wavelength) candidates give or take one
+    # floor(2 * delta / wavelength) candidates give or take one (the q
+    # windows reach past either end of each lattice)
     for u in (-0.9, -0.33, 0.0, 0.51):
         eig = cmath.exp(1j * math.pi * u)
-        (lat,) = alias_lattices(np.array([eig]), 0.5, 1.0)
-        ((_, angle),) = lat.rungs(lat.q_lo, lat.q_hi)
+        ((_, angle),) = alias_rungs(eig, 0.5, -2, 2)
         assert angle == pytest.approx(math.asin(u), abs=1e-12)
     for nu in (0.0, 0.25, 0.37, 0.5):
         eig = cmath.exp(2j * math.pi * nu)
-        (lat,) = alias_lattices(np.array([eig]), 165.0, 1.0)
-        assert abs(len(lat.rungs(lat.q_lo, lat.q_hi)) - 330) <= 1
+        assert abs(len(alias_rungs(eig, 165.0, -167, 167)) - 330) <= 1
 
     # triangulation inverts the local-bearing geometry exactly
     for r, ang in ((2.0, -0.4), (5.0, 0.0), (40.0, 0.7)):

@@ -4,7 +4,7 @@ import pytest
 from elaa_doa import cli
 from elaa_doa.errors import ScenarioError
 from elaa_doa.harness import METRICS_HEADER, MetricsRow
-from elaa_doa.scenarios import builtin_scenarios
+from elaa_doa.scenarios import _as_list, builtin_scenarios
 from elaa_doa.signal_model import load_snapshot, snapshot
 from elaa_doa.ss_music import Spectrum, estimate_doa_music, peak_pick
 
@@ -39,11 +39,34 @@ def test_parse_snr_forms():
 
 
 def test_parse_algos(tiny_scenario, tmp_path, capsys):
-    assert cli._parse_algos("ss_esprit, nf_localize") == ("ss_esprit", "nf_localize")
+    assert _as_list("--algos", "ss_esprit, nf_localize") == ("ss_esprit", "nf_localize")
     out = tmp_path / "r.csv"
     code = cli.main(["run", "--scenario", tiny_scenario, "--algos", "music", "--out", str(out)])
     assert code == 2
     assert "unknown algorithm 'music'" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_repeated_algorithm_exits_two(tiny_scenario, tmp_path, capsys):
+    out = tmp_path / "r.csv"
+    args = ["run", "--scenario", tiny_scenario, "--out", str(out), "--quiet"]
+    assert cli.main([*args, "--algos", "ss_esprit,ss_esprit"]) == 2
+    path = tmp_path / "twice.scenario"
+    path.write_text(TINY.replace("algorithms = ss_esprit", "algorithms = ss_esprit, ss_esprit"))
+    assert cli.main(["run", "--scenario", str(path), "--out", str(out), "--quiet"]) == 2
+    assert capsys.readouterr().err == "error: algorithm 'ss_esprit' is listed twice\n" * 2
+    assert not out.exists()
+
+
+def test_bad_values_name_flag_or_line_once(tiny_scenario, tmp_path, capsys):
+    out = tmp_path / "r.csv"
+    args = ["run", "--scenario", tiny_scenario, "--out", str(out), "--quiet"]
+    assert cli.main([*args, "--snr", "10,x"]) == 2
+    assert capsys.readouterr().err == "error: --snr must be a comma list of numbers, got '10,x'\n"
+    path = tmp_path / "bad_range.scenario"
+    path.write_text(TINY.replace("range_m = 400.0", "range_m = abc"))
+    assert cli.main(["run", "--scenario", str(path), "--out", str(out), "--quiet"]) == 2
+    assert capsys.readouterr().err == "error: line 6: target.1.range_m must be a number, got 'abc'\n"
     assert not out.exists()
 
 

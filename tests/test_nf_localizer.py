@@ -102,7 +102,7 @@ def test_atoms_match_steering(paper_cfg):
     points = [(0.5, 4.0), (-2.0, 7.3), (10.0, 60.0)]
     points += [tuple(p) for p in _band_corners(paper_cfg)]
     for x, y in points:
-        direct = steering_nearfield(paper_cfg, Target.from_position(x, y)).entries
+        direct = steering_nearfield(paper_cfg, Target.from_position(x, y))
         assert np.allclose(_atoms(paper_cfg, x, y)[:, 0], direct, rtol=0.0, atol=1e-10)
 
 

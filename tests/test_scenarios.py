@@ -98,6 +98,29 @@ def test_parse_full_options():
         (MINIMAL + "hit_tolerance_deg = nan\n", "hit tolerances must be finite"),
         (MINIMAL + "hit_tolerance_m = nan\n", "hit tolerances must be finite"),
         (MINIMAL + "hit_tolerance_m = inf\n", "hit tolerances must be finite"),
+        # each value error carries its location exactly once
+        (
+            MINIMAL.replace("range_m = 250.0", "range_m = abc", 1),
+            r"^line 5: target\.1\.range_m must be a number, got 'abc'$",
+        ),
+        (
+            MINIMAL.replace("angle_deg = 0.2", "angle_deg = east"),
+            r"^line 8: target\.2\.angle_deg must be a number, got 'east'$",
+        ),
+        (
+            MINIMAL.replace("range_m = 250.0", "range_m = -1.0", 1),
+            r"^target\.1: range must be finite and positive, got -1\.0$",
+        ),
+        (
+            MINIMAL.replace("= 76e9", "= nan"),
+            r"^line 3: array\.carrier_freq_hz must be finite and positive, got nan$",
+        ),
+        (
+            MINIMAL.replace("= 0, 5, 10", "= 0, x"),
+            r"^line 9: snr_grid_db must be a comma list of numbers, got '0, x'$",
+        ),
+        (MINIMAL + "n_trials = 2.5\n", r"^line 10: n_trials must be an integer, got '2\.5'$"),
+        (MINIMAL + "algorithms = ss_esprit, ss_esprit\n", r"^algorithm 'ss_esprit' is listed twice$"),
     ],
 )
 def test_parse_errors(mutation, fragment):

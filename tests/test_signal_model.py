@@ -26,17 +26,17 @@ angles = st.floats(-1.4, 1.4)
 
 @given(angle=angles)
 def test_steering_unit_modulus_farfield(paper_cfg, angle):
-    v = steering_farfield(paper_cfg, angle).entries
+    v = steering_farfield(paper_cfg, angle)
     assert np.allclose(np.abs(v), 1.0)
 
 
 @given(r=st.floats(0.5, 400.0), angle=angles)
 def test_steering_unit_modulus_exact_and_nearfield(paper_cfg, r, angle):
     t = Target(range=r, angle=angle)
-    assert np.allclose(np.abs(steering_exact(paper_cfg, t).entries), 1.0)
-    assert np.allclose(np.abs(steering_nearfield(paper_cfg, t).entries), 1.0)
+    assert np.allclose(np.abs(steering_exact(paper_cfg, t)), 1.0)
+    assert np.allclose(np.abs(steering_nearfield(paper_cfg, t)), 1.0)
     assert np.allclose(
-        np.abs(steering_nearfield(paper_cfg, t, shared_doa=True).entries), 1.0
+        np.abs(steering_nearfield(paper_cfg, t, shared_doa=True)), 1.0
     )
 
 
@@ -47,8 +47,8 @@ def _planar_phase_error(cfg, r, angle):
     far-field model drops it by construction.
     """
     t = Target(range=r, angle=angle)
-    exact = steering_exact(cfg, t).entries * np.exp(2j * math.pi * r / cfg.wavelength)
-    planar = steering_farfield(cfg, angle).entries
+    exact = steering_exact(cfg, t) * np.exp(2j * math.pi * r / cfg.wavelength)
+    planar = steering_farfield(cfg, angle)
     return float(np.max(np.abs(np.angle(exact * np.conj(planar)))))
 
 
@@ -74,18 +74,20 @@ def test_model_selection_ladder(paper_cfg):
 def test_steering_dispatch(paper_cfg):
     t = Target(range=100.0, angle=0.1)
     v = steering(paper_cfg, t)
-    assert v.model is SteeringModel.NF_LOCAL_PLANAR
+    assert select_model(paper_cfg, t.range) is SteeringModel.NF_LOCAL_PLANAR
+    assert np.array_equal(v, steering_nearfield(paper_cfg, t))
     forced = steering(paper_cfg, t, model=SteeringModel.FAR_FIELD)
-    assert forced.model is SteeringModel.FAR_FIELD
-    assert np.allclose(forced.entries, steering_farfield(paper_cfg, t.angle).entries)
-    far = steering(paper_cfg, Target(range=250.0, angle=0.1))
-    assert far.model is SteeringModel.FAR_FIELD
+    assert np.allclose(forced, steering_farfield(paper_cfg, t.angle))
+    far_target = Target(range=250.0, angle=0.1)
+    far = steering(paper_cfg, far_target)
+    assert select_model(paper_cfg, far_target.range) is SteeringModel.FAR_FIELD
+    assert np.array_equal(far, steering_farfield(paper_cfg, far_target.angle))
 
 
 def test_snapshot_noiseless_is_exact_sum(paper_cfg):
     t = Target(range=250.0, angle=0.05)
     snap = snapshot(paper_cfg, [t], math.inf, seed=3, randomize_phase=False)
-    expected = steering(paper_cfg, t).entries
+    expected = steering(paper_cfg, t)
     assert np.allclose(snap.y, expected, rtol=0, atol=0)
 
 
@@ -104,10 +106,10 @@ def test_snapshot_reuses_read_only_steering(paper_cfg, model):
     entries = _steering_entries(paper_cfg, t, model)
     assert _steering_entries(paper_cfg, t, model) is entries
     assert not entries.flags.writeable
-    assert np.array_equal(entries, steering(paper_cfg, t, model=model).entries)
+    assert np.array_equal(entries, steering(paper_cfg, t, model=model))
     # every later snapshot sums the shared entries, bit for bit a fresh build
     snap = snapshot(paper_cfg, [t], math.inf, seed=2, model=model)
-    fresh = snap.amplitudes[0] * steering(paper_cfg, t, model=model).entries
+    fresh = snap.amplitudes[0] * steering(paper_cfg, t, model=model)
     assert np.array_equal(snap.y, fresh)
 
 
