@@ -60,7 +60,10 @@ def _parse_snr(text: str) -> tuple[float, ...]:
             raise ScenarioError(f"--snr range {text!r} needs finite start, stop and step")
         if step <= 0:
             raise ScenarioError("--snr step must be positive")
-        n = int(math.floor((stop - start) / step + 1e-9)) + 1
+        count = (stop - start) / step + 1e-9
+        if not math.isfinite(count):
+            raise ScenarioError(f"--snr range {text!r} has no finite number of points")
+        n = int(math.floor(count)) + 1
         if n < 1:
             raise ScenarioError("--snr range is empty")
         return tuple(start + i * step for i in range(n))
@@ -99,6 +102,10 @@ def _cmd_run(args) -> int:
 
 
 def _cmd_spectrum(args) -> int:
+    # the snapshot's generator takes non-negative seeds only; run masks its
+    # base seed to 64 bits instead
+    if args.seed < 0:
+        raise ScenarioError(f"--seed must be a non-negative integer, got {args.seed}")
     spec = with_overrides(_resolve_scenario(args.scenario), snr_grid_db=(args.snr,))
     snap = snapshot(
         spec.array, spec.targets, spec.snr_grid_db[0], args.seed, model=spec.steering_model

@@ -40,7 +40,8 @@ class ArrayConfig:
     wavelength : float, optional
         Carrier wavelength in meters.
     spacing : float, optional
-        Intra-ULA element spacing in meters.  Defaults to half a wavelength.
+        Intra-ULA element spacing in meters, at most half a wavelength.
+        Defaults to half a wavelength.
     """
 
     elements_per_ula: int
@@ -65,6 +66,13 @@ class ArrayConfig:
         # the derived carrier or wavelength overflows for subnormal inputs
         for name in ("carrier_freq", "wavelength", "spacing", "gap"):
             _require_finite_positive(name, getattr(self, name))
+        # wider spacings put a grating lobe of some direction inside the
+        # visible region, and one snapshot cannot tell the two apart
+        if self.spacing > self.wavelength / 2.0:
+            raise ValueError(
+                f"spacing {self.spacing!r} m exceeds half the wavelength "
+                f"{self.wavelength!r} m; wider modules have grating lobes"
+            )
 
     @property
     def n_elements(self) -> int:

@@ -32,8 +32,8 @@ its atoms at once, with every linear amplitude eliminated in closed
 form (variable projection, Golub & Pereyra 1973, with Kaufman's
 Jacobian) and the analytic derivatives of the locally planar atom.  A
 single pick is its one-atom case.  All atoms, for scans and for the
-polish alike, come from one builder, ``_sub_array_atoms``, which takes
-each sub-array's direction sine and range.
+polish alike, come from the snapshot model's one near-field builder,
+:func:`elaa_doa.signal_model.sub_array_atoms`, in its one layout.
 """
 
 from __future__ import annotations
@@ -42,13 +42,19 @@ import functools
 import itertools
 import math
 from dataclasses import dataclass
-from typing import NamedTuple
 
 import numpy as np
 
 from .errors import BehindArray, EstimationError, ParallelBearings
 from .geometry import ArrayConfig, field_regions, reference_positions
-from .signal_model import Snapshot, split_ulas
+from .signal_model import (
+    NearfieldLayout,
+    Snapshot,
+    nearfield_atoms,
+    nearfield_layout,
+    split_ulas,
+    sub_array_atoms,
+)
 from .ss_music import module_subspace, pick_doas
 from .subspace import default_pencil
 
@@ -192,17 +198,10 @@ def associate(
                 continue
             if pos[1] > 0.0:
                 points[(i, j)] = pos
-    xy = np.array(list(points.values())).reshape(-1, 2)
-    atoms = dict(zip(points, _atoms(cfg, xy[:, 0], xy[:, 1]).T))
     best: tuple[float, tuple[int, ...], tuple[tuple[int, int], ...]] | None = None
     for perm in itertools.permutations(range(k)):
-        pairs = tuple((i, perm[i]) for i in range(k) if (i, perm[i]) in atoms)
-        if pairs:
-            basis = np.column_stack([atoms[p] for p in pairs])
-            coef, *_ = np.linalg.lstsq(basis, y, rcond=None)
-            residual = float(np.linalg.norm(y - basis @ coef))
-        else:
-            residual = float(np.linalg.norm(y))
+        pairs = tuple((i, perm[i]) for i in range(k) if (i, perm[i]) in points)
+        residual = _project_residual(y, [points[p] for p in pairs], cfg)[1]
         key = (residual, perm, pairs)
         if best is None or key[:2] < best[:2]:
             best = key
@@ -212,76 +211,7 @@ def associate(
     )
 
 
-class _Layout(NamedTuple):
-    """An array's constants for the atom builders, resolved once per array."""
-
-    k: float  # wavenumber
-    kd: float  # phase step per element of a unit direction sine, k*d
-    m: int  # elements per sub-array
-    ramp: np.ndarray  # one sub-array's ramp rates k*d*m, read-only
-    refs: tuple[float, float]  # the reference elements' x
-
-
-@functools.lru_cache(maxsize=8)
-def _layout(cfg: ArrayConfig) -> _Layout:
-    k = 2.0 * math.pi / cfg.wavelength
-    kd = k * cfg.spacing
-    ramp = kd * np.arange(cfg.elements_per_ula)
-    ramp.setflags(write=False)
-    x1, x2 = (float(v) for v in reference_positions(cfg))
-    return _Layout(k, kd, cfg.elements_per_ula, ramp, (x1, x2))
-
-
-def _sub_array_atoms(layout: _Layout, sins, rhos, out=None) -> np.ndarray:
-    """Locally planar atoms from each sub-array's direction sine and range.
-
-    Element ``m`` of sub-array ``n`` is ``exp(-j*k*rho_n) * z_n**m`` with
-    ``z_n = exp(j*k*d*sin_n)``: the exact propagation phase to the
-    reference element times a linear ramp, the entries of
-    :func:`elaa_doa.signal_model.steering_nearfield`.  The powers are a
-    running product, so each sub-array costs two exponentials.
-
-    Without ``out``, ``sins`` and ``rhos`` hold the two sub-arrays along
-    their first axis, and the sub-array blocks come back stacked along
-    the first axis of the result, one atom per trailing index.  With
-    ``out``, the element axis is last: ``sins`` and ``rhos`` have the
-    shape ``out.shape[:-1]``, whose last axis is the sub-array, and the
-    atoms are written into ``out``, so a caller's rows are filled in
-    place.  Every element is the same product in either layout.
-    """
-    sins = np.asarray(sins, dtype=float)
-    if out is None:
-        # the exponentials of a whole grid run on one contiguous array,
-        # not on a strided view of the blocks
-        heads = np.zeros((2,) + sins.shape, dtype=complex)
-        np.multiply(rhos, -layout.k, out=heads.imag[0])
-        np.multiply(sins, layout.kd, out=heads.imag[1])
-        np.exp(heads, out=heads)
-        blocks = np.empty((2, layout.m) + sins.shape[1:], dtype=complex)
-        blocks[:, 0] = heads[0]
-        blocks[:, 1:] = heads[1][:, None]
-        np.multiply.accumulate(blocks, axis=1, out=blocks)
-        return blocks.reshape((2 * layout.m,) + sins.shape[1:])
-    # both exponents go into the imaginary parts of the first two
-    # elements, so neither product needs a float-to-complex cast
-    head = out[..., :2]
-    head.real = 0.0
-    np.multiply(rhos, -layout.k, out=head.imag[..., 0])
-    np.multiply(sins, layout.kd, out=head.imag[..., 1])
-    np.exp(head, out=head)
-    out[..., 2:] = head[..., 1, None]
-    np.multiply.accumulate(out, axis=-1, out=out)
-    return out
-
-
-def _atoms(cfg: ArrayConfig, xs, ys) -> np.ndarray:
-    """Locally planar atoms for many positions ``(x, y)`` at once, one per column."""
-    dx = np.asarray(xs, dtype=float).reshape(1, -1) - reference_positions(cfg)[:, None]
-    rho = np.hypot(dx, np.asarray(ys, dtype=float).reshape(1, -1))
-    return _sub_array_atoms(_layout(cfg), dx / rho, rho)
-
-
-def _polar_atom(layout: _Layout, us, log_rs, y: np.ndarray) -> np.ndarray:
+def _polar_atom(layout: NearfieldLayout, us, log_rs, y: np.ndarray) -> np.ndarray:
     """Atoms at (sine of bearing, log range), their derivatives, and ``y``.
 
     For ``K`` atoms the ``3K + 1`` rows are the atoms, their derivatives
@@ -289,9 +219,8 @@ def _polar_atom(layout: _Layout, us, log_rs, y: np.ndarray) -> np.ndarray:
     product gives every inner product the polish needs.  Each
     sub-array's sine and range and their derivatives are Python scalars;
     an element's phase derivative is ``k*d*m*dsin_n - k*drho_n``, so
-    ``da = 1j * atom * dphase``.  The rows are one buffer: the builder
-    writes the atoms into it element axis last, and the derivative rows
-    are one broadcast product into the rest.
+    ``da = 1j * atom * dphase``.  The rows are one buffer: the builder's
+    atoms, then one broadcast product for the derivative rows.
     """
     k, _, m, ramp, refs = layout
     n_atoms = len(us)
@@ -319,8 +248,8 @@ def _polar_atom(layout: _Layout, us, log_rs, y: np.ndarray) -> np.ndarray:
     geo = np.array(geo).reshape(n_atoms, 2, 6).transpose(2, 0, 1)
     # zeroed, so each derivative row starts as 1j * dphase with no cast
     rows = np.zeros((3 * n_atoms + 1, 2 * m), dtype=complex)
+    rows[:n_atoms] = sub_array_atoms(layout, geo[0].T, geo[1].T).T
     atoms = rows[:n_atoms].reshape(n_atoms, 2, m)
-    _sub_array_atoms(layout, geo[0], geo[1], atoms)
     derivs = rows[n_atoms:-1].reshape(2, n_atoms, 2, m)
     dphase = derivs.imag
     np.multiply(geo[2::2, ..., None], ramp, out=dphase)
@@ -331,7 +260,7 @@ def _polar_atom(layout: _Layout, us, log_rs, y: np.ndarray) -> np.ndarray:
 
 
 def _matched_response(res: np.ndarray, cfg: ArrayConfig, pos: np.ndarray) -> float:
-    atom = _atoms(cfg, pos[0], pos[1])[:, 0]
+    atom = nearfield_atoms(cfg, pos[0], pos[1])[:, 0]
     return float(abs(np.vdot(atom, res))) / math.sqrt(len(atom))
 
 
@@ -342,7 +271,7 @@ def _project_residual(
     if not positions:
         return y, float(np.linalg.norm(y))
     xy = np.array(positions)
-    basis = _atoms(cfg, xy[:, 0], xy[:, 1])
+    basis = nearfield_atoms(cfg, xy[:, 0], xy[:, 1])
     coef, *_ = np.linalg.lstsq(basis, y, rcond=None)
     res = y - basis @ coef
     return res, float(np.linalg.norm(res))
@@ -408,13 +337,10 @@ def _polish(
     an accepted step that lowers the squared residual by at most
     ``POLISH_COST_TOL`` of itself (MINPACK's ``ftol``; the accepted point
     is kept), after a step under ``POLISH_STEP_TOL``, or after
-    ``POLISH_MAX_STEPS`` steps.  At 30 dB the converged squared residual
-    sits at the noise floor, so the cost rule ends a descent whose steps
-    change the log-likelihood by about 3e-5: on ``fig4_near_b`` a trial's
-    polish calls take about 62 evaluations instead of 112.
+    ``POLISH_MAX_STEPS`` steps.
     """
     n_atoms = len(seeds)
-    layout = _layout(cfg)
+    layout = nearfield_layout(cfg)
     log_lo, log_hi = (math.log(v) for v in _range_band(cfg))
     leash_ranges = None if leash is None else [math.hypot(*q) for q in leash]
 
@@ -589,7 +515,7 @@ def _envelope_grid(cfg: ArrayConfig) -> tuple[np.ndarray, np.ndarray, np.ndarray
     us = np.linspace(-FIELD_EDGE_U, FIELD_EDGE_U, ENVELOPE_U_POINTS)
     lo, hi = _range_band(cfg)
     pts = _grid_positions(us, np.geomspace(lo, hi, ENVELOPE_R_POINTS))
-    atoms = _atoms(cfg, pts[:, 0], pts[:, 1])
+    atoms = nearfield_atoms(cfg, pts[:, 0], pts[:, 1])
     half = atoms.shape[0] // 2
     out = (us, atoms[:half].conj().T.copy(), atoms[half:].conj().T.copy())
     for arr in out:
@@ -629,7 +555,7 @@ def _comb_grid(cfg: ArrayConfig, u_center: float) -> tuple[np.ndarray, np.ndarra
     us = us[np.abs(us) < FIELD_EDGE_U]
     lo, hi = _range_band(cfg)
     pts = _grid_positions(us, np.geomspace(lo, hi, RANGE_SCAN_POINTS))
-    filters = _atoms(cfg, pts[:, 0], pts[:, 1])
+    filters = nearfield_atoms(cfg, pts[:, 0], pts[:, 1])
     # in place: no second atom-sized array to count in peak memory
     out = (pts, np.conjugate(filters, out=filters))
     for arr in out:
@@ -717,7 +643,7 @@ def _range_split_positions(
     roots = [math.sqrt(1.0 - u * u) for u in us]
     # every rung's atoms from one call; each rung is copied contiguous so
     # its products see the layout, and give the bits, of a rung built alone
-    rungs = _atoms(cfg, np.outer(us, ranges), np.outer(roots, ranges))
+    rungs = nearfield_atoms(cfg, np.outer(us, ranges), np.outer(roots, ranges))
     rungs = rungs.reshape(cfg.n_elements, len(us), RANGE_SPLIT_POINTS).transpose(1, 0, 2)
     y_sq = float(np.vdot(y, y).real)
     best: tuple[float, float, int, int] | None = None
@@ -773,9 +699,7 @@ def _matched_filter_positions(
     routes end with one joint polish of their atoms, and the smaller
     joint residual wins.  No further ladder runs once the best fit so
     far has a squared residual of at most ``floor``, the noise a correct
-    model leaves behind: on ``fig4_near_b`` at 30 dB that cuts the
-    ladders from 1.69 to 1.11 per call (3 000 trials).  Returns the
-    positions and that residual norm.
+    model leaves behind.  Returns the positions and that residual norm.
     """
     picks: list[np.ndarray] = []
     for _ in range(num_sources):

@@ -13,6 +13,10 @@ Four wavefront models are available, from most exact to most idealized:
 ``snapshot`` auto-selects the model per target from the range thresholds
 in :func:`elaa_doa.geometry.field_regions`; every generator is also
 directly callable so tests can mix models deliberately.
+
+Both locally planar models come from one atom builder, in one layout,
+:func:`sub_array_atoms`, and the near-field localizer fits those atoms:
+a noiseless ``NF_LOCAL_PLANAR`` snapshot is its atom at the target.
 """
 
 from __future__ import annotations
@@ -21,6 +25,7 @@ import enum
 import functools
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -29,7 +34,7 @@ from .geometry import (
     Target,
     element_positions,
     field_regions,
-    local_geometry,
+    reference_positions,
 )
 
 
@@ -79,26 +84,73 @@ def steering_farfield(cfg: ArrayConfig, angle: float) -> np.ndarray:
     return np.exp(1j * k * pos * math.sin(angle))
 
 
+class NearfieldLayout(NamedTuple):
+    """An array's constants for the near-field atom builder, resolved once per array."""
+
+    k: float  # wavenumber
+    kd: float  # phase step per element of a unit direction sine, k*d
+    m: int  # elements per sub-array
+    ramp: np.ndarray  # one sub-array's ramp rates k*d*m, read-only
+    refs: tuple[float, float]  # the reference elements' x
+
+
+@functools.lru_cache(maxsize=8)
+def nearfield_layout(cfg: ArrayConfig) -> NearfieldLayout:
+    """The array's :class:`NearfieldLayout`, built once per array and shared."""
+    k = 2.0 * math.pi / cfg.wavelength
+    kd = k * cfg.spacing
+    ramp = kd * np.arange(cfg.elements_per_ula)
+    ramp.setflags(write=False)
+    x1, x2 = (float(v) for v in reference_positions(cfg))
+    return NearfieldLayout(k, kd, cfg.elements_per_ula, ramp, (x1, x2))
+
+
+def sub_array_atoms(layout: NearfieldLayout, sins, rhos) -> np.ndarray:
+    """Locally planar atoms from each sub-array's direction sine and range.
+
+    Element ``m`` of sub-array ``n`` is ``exp(-j*k*rho_n) * z_n**m`` with
+    ``z_n = exp(j*k*d*sin_n)``: the exact propagation phase to the
+    reference element times a linear ramp.  The powers are a running
+    product, so each sub-array costs two exponentials.  ``sins`` and
+    ``rhos`` hold the two sub-arrays along their first axis, and the
+    sub-array blocks come back stacked along the first axis of the
+    result, one atom per trailing index.
+    """
+    sins = np.asarray(sins, dtype=float)
+    # the exponentials of a whole grid run on one contiguous array,
+    # not on a strided view of the blocks
+    heads = np.zeros((2,) + sins.shape, dtype=complex)
+    np.multiply(rhos, -layout.k, out=heads.imag[0])
+    np.multiply(sins, layout.kd, out=heads.imag[1])
+    np.exp(heads, out=heads)
+    blocks = np.empty((2, layout.m) + sins.shape[1:], dtype=complex)
+    blocks[:, 0] = heads[0]
+    blocks[:, 1:] = heads[1][:, None]
+    np.multiply.accumulate(blocks, axis=1, out=blocks)
+    return blocks.reshape((2 * layout.m,) + sins.shape[1:])
+
+
+def nearfield_atoms(cfg: ArrayConfig, xs, ys) -> np.ndarray:
+    """Locally planar atoms for many positions ``(x, y)`` at once, one per column."""
+    dx = np.asarray(xs, dtype=float).reshape(1, -1) - reference_positions(cfg)[:, None]
+    rho = np.hypot(dx, np.asarray(ys, dtype=float).reshape(1, -1))
+    return sub_array_atoms(nearfield_layout(cfg), dx / rho, rho)
+
+
 def steering_nearfield(
     cfg: ArrayConfig, target: Target, shared_doa: bool = False
 ) -> np.ndarray:
     """Per-sub-array planar steering with a spherical reference phase.
 
-    Each sub-array keeps the exact propagation phase to its reference
-    (first) element and a linear phase ramp ``exp(+j*2*pi*m*d*sin(theta_n)/
-    lambda)`` across its elements, where ``theta_n`` is the DOA seen from
-    that reference element.  With ``shared_doa=True`` the global DOA is
-    used for both ramps instead.
+    The :func:`nearfield_atoms` atom at the target: each sub-array's
+    range and direction sine are seen from its reference (first) element.
+    With ``shared_doa=True`` the sine of the global DOA drives both ramps.
     """
-    lg = local_geometry(cfg, target)
-    k = 2.0 * math.pi / cfg.wavelength
-    m = np.arange(cfg.elements_per_ula)
-    parts = []
-    for n in range(2):
-        u_n = math.sin(target.angle) if shared_doa else math.sin(lg.angles[n])
-        ref = np.exp(-1j * k * lg.ranges[n])
-        parts.append(ref * np.exp(1j * k * m * cfg.spacing * u_n))
-    return np.concatenate(parts)
+    x, y = target.position
+    dx = x - reference_positions(cfg)
+    rho = np.hypot(dx, y)
+    sins = np.full(2, math.sin(target.angle)) if shared_doa else dx / rho
+    return sub_array_atoms(nearfield_layout(cfg), sins, rho)
 
 
 def select_model(cfg: ArrayConfig, target_range: float) -> SteeringModel:
@@ -123,10 +175,8 @@ def steering(
         return steering_exact(cfg, target)
     if model is SteeringModel.FAR_FIELD:
         return steering_farfield(cfg, target.angle)
-    if model is SteeringModel.NF_LOCAL_PLANAR:
-        return steering_nearfield(cfg, target, shared_doa=False)
-    if model is SteeringModel.NF_SHARED_DOA:
-        return steering_nearfield(cfg, target, shared_doa=True)
+    if model in (SteeringModel.NF_LOCAL_PLANAR, SteeringModel.NF_SHARED_DOA):
+        return steering_nearfield(cfg, target, shared_doa=model is SteeringModel.NF_SHARED_DOA)
     raise ValueError(f"unknown steering model {model!r}")
 
 

@@ -33,7 +33,9 @@ def test_parse_snr_forms():
     assert cli._parse_snr("0:40:5") == tuple(float(s) for s in range(0, 45, 5))
     assert cli._parse_snr("16") == (16.0,)
     assert cli._parse_snr("0, 10,20") == (0.0, 10.0, 20.0)
-    for bad in ("0:40", "0:40:0", "a:b:c", "x,y", "nan:40:5", "0:inf:5", "0:40:nan"):
+    # the last range is finite, but its point count overflows
+    for bad in ("0:40", "0:40:0", "a:b:c", "x,y", "nan:40:5", "0:inf:5", "0:40:nan",
+                "0:1e308:1e-308"):
         with pytest.raises(ScenarioError):
             cli._parse_snr(bad)
 
@@ -68,6 +70,17 @@ def test_bad_values_name_flag_or_line_once(tiny_scenario, tmp_path, capsys):
     assert cli.main(["run", "--scenario", str(path), "--out", str(out), "--quiet"]) == 2
     assert capsys.readouterr().err == "error: line 6: target.1.range_m must be a number, got 'abc'\n"
     assert not out.exists()
+
+
+def test_negative_seed(tiny_scenario, tmp_path, capsys):
+    out = tmp_path / "r.csv"
+    args = ["--scenario", tiny_scenario, "--seed", "-1", "--out", str(out)]
+    assert cli.main(["spectrum", *args, "--snr", "20"]) == 2
+    assert capsys.readouterr().err == "error: --seed must be a non-negative integer, got -1\n"
+    assert not out.exists()
+    # run masks its base seed, so a negative one is a seed like any other
+    assert cli.main(["run", *args, "--quiet"]) == 0
+    assert out.exists()
 
 
 def test_resolve_scenario_builtin():

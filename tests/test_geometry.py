@@ -117,6 +117,10 @@ def test_config_validation():
         ArrayConfig(elements_per_ula=1, gap=1.0, carrier_freq=76e9)
     with pytest.raises(ValueError):
         ArrayConfig(elements_per_ula=16, gap=-1.0, carrier_freq=76e9)
+    # half a wavelength (spacing=1.0 here) is the widest without grating lobes
+    message = r"^spacing 1\.0000001 m exceeds half the wavelength 2\.0 m"
+    with pytest.raises(ValueError, match=message):
+        ArrayConfig(elements_per_ula=2, gap=4.0, wavelength=2.0, spacing=1.0000001)
     for kwargs, name in [
         (dict(gap=math.nan, carrier_freq=76e9), "gap"),
         (dict(gap=math.inf, carrier_freq=76e9), "gap"),

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from elaa_doa import nf_localizer, ss_music
+from elaa_doa import nf_localizer, signal_model, ss_music
 from elaa_doa.errors import BehindArray, ParallelBearings
 from elaa_doa.geometry import Target, local_geometry, reference_positions
 from elaa_doa.harness import derive_trial_seed, run_monte_carlo
@@ -20,11 +20,9 @@ from elaa_doa.nf_localizer import (
     RANGE_SCAN_POINTS,
     RANGE_SPLIT_POINTS,
     Association,
-    _atoms,
     _comb_grid,
     _envelope_grid,
     _grid_positions,
-    _layout,
     _pair_gate,
     _matched_response,
     _polar_atom,
@@ -40,7 +38,13 @@ from elaa_doa.nf_localizer import (
     triangulate,
 )
 from elaa_doa.scenarios import builtin_scenarios
-from elaa_doa.signal_model import snapshot, steering_nearfield
+from elaa_doa.signal_model import (
+    SteeringModel,
+    nearfield_atoms,
+    nearfield_layout,
+    snapshot,
+    steering,
+)
 
 
 def _match(positions, truths):
@@ -99,20 +103,53 @@ def _band_corners(cfg):
 
 
 def test_atoms_match_steering(paper_cfg):
+    # the builder, through both locally planar models, against the
+    # per-element formula from local_geometry: exp(-j k r_n) *
+    # exp(j k m d sin(theta_n)) on sub-array n
     points = [(0.5, 4.0), (-2.0, 7.3), (10.0, 60.0)]
     points += [tuple(p) for p in _band_corners(paper_cfg)]
+    k = 2.0 * math.pi / paper_cfg.wavelength
+    m = np.arange(paper_cfg.elements_per_ula)
     for x, y in points:
-        direct = steering_nearfield(paper_cfg, Target.from_position(x, y))
-        assert np.allclose(_atoms(paper_cfg, x, y)[:, 0], direct, rtol=0.0, atol=1e-10)
+        target = Target.from_position(x, y)
+        geo = local_geometry(paper_cfg, target)
+        for model, angles in (
+            (SteeringModel.NF_LOCAL_PLANAR, geo.angles),
+            (SteeringModel.NF_SHARED_DOA, [target.angle] * 2),
+        ):
+            expected = np.concatenate([
+                np.exp(-1j * k * r) * np.exp(1j * k * m * paper_cfg.spacing * math.sin(a))
+                for r, a in zip(geo.ranges, angles)
+            ])
+            built = [steering(paper_cfg, target, model=model)]
+            if model is SteeringModel.NF_LOCAL_PLANAR:
+                # the localizer's atom at the point
+                built.append(nearfield_atoms(paper_cfg, x, y)[:, 0])
+            for entries in built:
+                assert np.allclose(entries, expected, rtol=0.0, atol=1e-10), (x, y, model)
+
+
+def test_snapshot_entries_are_the_localizer_atom(paper_cfg):
+    # a noiseless unit-amplitude snapshot with no phase draw is the
+    # steering itself, and it is the localizer's atom bit for bit
+    targets = [Target(5.0, math.radians(-10.0)), Target(4.0, 0.0), Target(60.0, 0.3)]
+    targets += [Target.from_position(*p) for p in _band_corners(paper_cfg)]
+    for target in targets:
+        snap = snapshot(
+            paper_cfg, [target], math.inf, seed=0,
+            model=SteeringModel.NF_LOCAL_PLANAR, randomize_phase=False,
+        )
+        atom = nearfield_atoms(paper_cfg, *target.position)[:, 0]
+        assert np.array_equal(snap.y, atom), target
 
 
 def test_atoms_batch_matches_single_points(paper_cfg):
     xs = np.array([0.5, -2.0, 10.0])
     ys = np.array([4.0, 7.3, 60.0])
-    batch = _atoms(paper_cfg, xs, ys)
+    batch = nearfield_atoms(paper_cfg, xs, ys)
     assert batch.shape == (paper_cfg.n_elements, 3)
     for col, (x, y) in enumerate(zip(xs, ys)):
-        assert np.allclose(batch[:, col], _atoms(paper_cfg, x, y)[:, 0], atol=1e-10)
+        assert np.allclose(batch[:, col], nearfield_atoms(paper_cfg, x, y)[:, 0], atol=1e-10)
 
 
 def test_atoms_jacobian_matches_central_differences(paper_cfg):
@@ -126,7 +163,7 @@ def test_atoms_jacobian_matches_central_differences(paper_cfg):
     ]
     # the same points one at a time and as one two-atom call
     groups = [[p] for p in points] + [list(pair) for pair in zip(points, points[::-1])]
-    layout = _layout(paper_cfg)
+    layout = nearfield_layout(paper_cfg)
     for group in groups:
         us, log_rs = [u for u, _ in group], [s for _, s in group]
         n_atoms = len(group)
@@ -135,7 +172,8 @@ def test_atoms_jacobian_matches_central_differences(paper_cfg):
         assert np.array_equal(rows[-1], y)
         for i, (u, log_r) in enumerate(group):
             r, root = math.exp(log_r), math.sqrt(1.0 - u * u)
-            assert np.allclose(rows[i], _atoms(paper_cfg, r * u, r * root)[:, 0], atol=1e-10)
+            atom = nearfield_atoms(paper_cfg, r * u, r * root)[:, 0]
+            assert np.allclose(rows[i], atom, atol=1e-10)
             for row, (eu, es) in ((rows[n_atoms + i], (h, 0.0)), (rows[2 * n_atoms + i], (0.0, h))):
                 numeric = (
                     _polar_atom(layout, [u + eu], [log_r + es], y)[0]
@@ -147,7 +185,7 @@ def test_atoms_jacobian_matches_central_differences(paper_cfg):
 def test_polar_atom_rows_of_a_pair_are_its_one_atom_rows(paper_cfg):
     # the atom-major buffer: a two-atom call's rows are, bit for bit, the
     # rows the two one-atom calls build for each atom alone
-    layout = _layout(paper_cfg)
+    layout = nearfield_layout(paper_cfg)
     y = np.arange(paper_cfg.n_elements) * (0.3 + 1.0j)
     for (u0, s0), (u1, s1) in [((0.0, math.log(4.0)), (0.0, math.log(6.0))),
                                ((-0.4, math.log(2.5)), (0.31, math.log(40.0)))]:
@@ -177,7 +215,7 @@ def test_polish_reaches_noiseless_truth(paper_cfg, n_atoms):
     truths = [_polar(5.0, 10.0), _polar(5.0, -10.0), _polar(7.0, 25.0)][:n_atoms]
     pts = np.array(truths)
     amps = np.array([1.0, 0.7 * np.exp(1.1j), 0.5 * np.exp(-2.0j)])[:n_atoms]
-    y = _atoms(paper_cfg, pts[:, 0], pts[:, 1]) @ amps
+    y = nearfield_atoms(paper_cfg, pts[:, 0], pts[:, 1]) @ amps
     for du_frac, dlog_r in ((0.1, 0.02), (-0.15, -0.03), (0.05, 0.0)):
         seeds = [_within_crest(paper_cfg, p, du_frac, dlog_r) for p in truths]
         found, residual = _polish(y, paper_cfg, seeds)
@@ -191,7 +229,7 @@ def test_polish_moves_a_boresight_pair_jointly(paper_cfg):
     # two returns stacked on one bearing: both atoms move in one descent
     truths = [np.array([0.0, 4.0]), np.array([0.0, 6.0])]
     pts = np.array(truths)
-    y = _atoms(paper_cfg, pts[:, 0], pts[:, 1]) @ np.array([1.0, 0.8 * np.exp(0.4j)])
+    y = nearfield_atoms(paper_cfg, pts[:, 0], pts[:, 1]) @ np.array([1.0, 0.8 * np.exp(0.4j)])
     seeds = [
         _within_crest(paper_cfg, truths[0], 0.1, 0.02),
         _within_crest(paper_cfg, truths[1], -0.1, -0.02),
@@ -219,7 +257,7 @@ def test_polish_shrinks_the_whole_step(paper_cfg, monkeypatch):
     # shrunk as one vector, so exactly one component lands on its cap
     truths = [_polar(5.0, 10.0), _polar(5.0, -10.0)]
     pts = np.array(truths)
-    y = _atoms(paper_cfg, pts[:, 0], pts[:, 1]) @ np.array([1.0, 0.7 * np.exp(1.1j)])
+    y = nearfield_atoms(paper_cfg, pts[:, 0], pts[:, 1]) @ np.array([1.0, 0.7 * np.exp(1.1j)])
     seeds = [
         _within_crest(paper_cfg, truths[0], 0.0, 0.3),
         _within_crest(paper_cfg, truths[1], 0.0, 0.1),
@@ -235,7 +273,7 @@ def test_polish_shrinks_the_whole_step(paper_cfg, monkeypatch):
 def test_polish_never_lowers_the_matched_response(paper_cfg):
     rng = np.random.default_rng(23)
     truth = _polar(5.0, 10.0)
-    clean = _atoms(paper_cfg, truth[0], truth[1])[:, 0]
+    clean = nearfield_atoms(paper_cfg, truth[0], truth[1])[:, 0]
     n = paper_cfg.n_elements
     for _ in range(20):
         y = clean + 0.3 * (rng.normal(size=n) + 1j * rng.normal(size=n))
@@ -284,7 +322,7 @@ def test_polish_ends_inside_the_range_band(paper_cfg):
     )
     for i, seed in enumerate(seeds):
         picks = pulls[rng.choice(len(pulls), size=2, replace=False)]
-        y = _atoms(paper_cfg, picks[:, 0], picks[:, 1]) @ rng.normal(size=2)
+        y = nearfield_atoms(paper_cfg, picks[:, 0], picks[:, 1]) @ rng.normal(size=2)
         y = y + 0.3 * (rng.normal(size=n) + 1j * rng.normal(size=n))
         # every third seed moves jointly with a second atom on a pull
         group = [seed, pulls[i % len(pulls)]] if i % 3 == 0 else [seed]
@@ -295,15 +333,19 @@ def test_polish_ends_inside_the_range_band(paper_cfg):
 
 
 def _count_fits(monkeypatch):
-    """Count the polish's objective evaluations through the shared atom builder."""
+    """Count the polish's objective evaluations through the shared atom builder.
+
+    The builder lives in ``signal_model``; the localizer calls it as its
+    own module global, so the count is patched in there.
+    """
     fits = []
-    atoms = nf_localizer._sub_array_atoms
+    atoms = signal_model.sub_array_atoms
 
     def counting(*args):
         fits.append(1)
         return atoms(*args)
 
-    monkeypatch.setattr(nf_localizer, "_sub_array_atoms", counting)
+    monkeypatch.setattr(nf_localizer, "sub_array_atoms", counting)
     return fits
 
 
@@ -314,7 +356,7 @@ def test_polish_takes_seeds_on_the_band_ends(paper_cfg, monkeypatch):
     seeds = _grid_positions(np.linspace(-FIELD_EDGE_U, FIELD_EDGE_U, 21), np.array([lo, hi]))
     assert any(math.log(float(np.hypot(*p))) < math.log(lo) for p in seeds)
     truth = _polar(5.0, 10.0)
-    y = _atoms(paper_cfg, truth[0], truth[1])[:, 0]
+    y = nearfield_atoms(paper_cfg, truth[0], truth[1])[:, 0]
     fits = _count_fits(monkeypatch)
     for seed in seeds:
         fits.clear()
@@ -325,7 +367,7 @@ def test_polish_takes_seeds_on_the_band_ends(paper_cfg, monkeypatch):
 def test_polish_stops_at_the_band_top(paper_cfg, monkeypatch):
     # a far plane-like wave: the residual keeps falling with range
     far = _polar(1e6, 6.0)
-    y = _atoms(paper_cfg, far[0], far[1])[:, 0]
+    y = nearfield_atoms(paper_cfg, far[0], far[1])[:, 0]
     fits = _count_fits(monkeypatch)
     (found,), _ = _polish(y, paper_cfg, [_polar(100.0, 6.0)])
     assert float(np.hypot(*found)) == pytest.approx(_range_band(paper_cfg)[1], rel=1e-4)
@@ -387,7 +429,7 @@ def test_leashed_polish_stops_at_the_first_accepted_step_off_its_leash(
 ):
     truths = [_polar(5.0, 10.0), _polar(5.0, -10.0)]
     pts = np.array(truths)
-    y = _atoms(paper_cfg, pts[:, 0], pts[:, 1]) @ np.array([1.0, 0.7 * np.exp(1.1j)])
+    y = nearfield_atoms(paper_cfg, pts[:, 0], pts[:, 1]) @ np.array([1.0, 0.7 * np.exp(1.1j)])
     # the first seed sits three capped steps out in range, and its leash
     # half a capped step in: the start and the first capped step land half
     # a cap inside the leash, the second half a cap beyond it, so no
@@ -421,7 +463,7 @@ def test_leashed_polish_stops_at_the_first_accepted_step_off_its_leash(
 def test_leashed_polish_within_its_leash_matches_the_free_one(paper_cfg):
     truths = [_polar(5.0, 10.0), _polar(5.0, -10.0)]
     pts = np.array(truths)
-    y = _atoms(paper_cfg, pts[:, 0], pts[:, 1]) @ np.array([1.0, 0.7 * np.exp(1.1j)])
+    y = nearfield_atoms(paper_cfg, pts[:, 0], pts[:, 1]) @ np.array([1.0, 0.7 * np.exp(1.1j)])
     seeds = [_within_crest(paper_cfg, p, 0.1, 0.02) for p in truths]
     free = _polish(y, paper_cfg, seeds)
     leashed = _polish(y, paper_cfg, seeds, leash=seeds)
@@ -436,7 +478,7 @@ def test_leashed_polish_within_its_leash_matches_the_free_one(paper_cfg):
 
 def test_polish_coincident_barrier(paper_cfg):
     p = _polar(5.0, 10.0)
-    y = _atoms(paper_cfg, p[0], p[1])[:, 0]
+    y = nearfield_atoms(paper_cfg, p[0], p[1])[:, 0]
     # two seeds on one point are barred, so the polish returns them as they are
     found, residual = _polish(y, paper_cfg, [p, p.copy()])
     assert all(np.array_equal(q, p) for q in found)
@@ -714,16 +756,17 @@ def test_localize_pair_the_polish_walks_runs_deflation(monkeypatch, steps, defla
 def test_localize_pins_fig4_near_b_trials():
     # positions and routes recorded before the pair polish was leashed and
     # the scan grids cached; neither changes a digit on these trials.  The
-    # deflation trials are recorded again since the polish stops on its
-    # relative cost decrease
+    # deflation trials are recorded again since snapshots take their
+    # near-field entries from the localizer's atom builder, which moves
+    # them by a few nanometres
     spec = builtin_scenarios()["fig4_near_b"]
     pinned = [
-        (42, 2, "deflation", [(2.4631768243024848e-05, 4.014109268598566),
-                              (3.5899793793578764e-05, 6.059888384563069)]),
-        (42, 3, "deflation", [(6.464324102802946e-06, 4.066197598031745),
-                              (7.861281029578155e-05, 6.141763609838426)]),
-        (42, 4, "deflation", [(4.9321177214757e-05, 5.8024642145102385),
-                              (-4.009041667742401e-05, 3.9499310222532644)]),
+        (42, 2, "deflation", [(2.463176821879929e-05, 4.014109269159362),
+                              (3.589979370808631e-05, 6.0598883876423235)]),
+        (42, 3, "deflation", [(6.464324185741826e-06, 4.06619759742697),
+                              (7.861281015920819e-05, 6.141763611885326)]),
+        (42, 4, "deflation", [(4.932117693517801e-05, 5.802464213491472),
+                              (-4.0090416525863406e-05, 3.94993102241141)]),
         (42, 323, "pair", [(0.1389648108940638, 4.837636809062943),
                            (-0.14581894967151224, 5.063166052191361)]),
         (7, 350, "pair", [(-0.1466565055459237, 4.304783464450319),
@@ -769,7 +812,7 @@ def test_range_split_zero_width_band_has_no_pair(paper_cfg, monkeypatch):
     # one range repeated: every same-bearing pair is one atom twice
     monkeypatch.setattr(nf_localizer, "_range_band", lambda cfg: (5.0, 5.0))
     truth = _polar(5.0, 0.0)
-    y = _atoms(paper_cfg, truth[0], truth[1])[:, 0]
+    y = nearfield_atoms(paper_cfg, truth[0], truth[1])[:, 0]
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         assert _range_split_positions(y, paper_cfg, 0.0) is None
@@ -788,7 +831,7 @@ def test_comb_grid_is_built_once_and_read_only(paper_cfg):
             ladder[np.abs(ladder) < FIELD_EDGE_U], np.geomspace(lo, hi, RANGE_SCAN_POINTS)
         )
         assert np.array_equal(pts, fresh)
-        assert np.array_equal(filters, _atoms(paper_cfg, fresh[:, 0], fresh[:, 1]).conj())
+        assert np.array_equal(filters, nearfield_atoms(paper_cfg, fresh[:, 0], fresh[:, 1]).conj())
 
 
 def test_split_ladder_is_built_once_and_read_only(paper_cfg):

@@ -45,7 +45,7 @@ def test_parse_full_options():
         .replace("array.gap_wavelengths = 150", "array.gap_m = 0.6")
     )
     text = si_array + (
-        "array.spacing_m = 0.0025\n"
+        "array.spacing_m = 0.0015\n"
         "name = demo\n"
         "n_trials = 25\n"
         "algorithms = ss_esprit\n"
@@ -60,7 +60,7 @@ def test_parse_full_options():
     spec = parse_scenario(text)
     assert spec.array.wavelength == 0.004
     assert spec.array.gap == 0.6
-    assert spec.array.spacing == 0.0025
+    assert spec.array.spacing == 0.0015
     assert spec.name == "demo"
     assert spec.n_trials == 25
     assert spec.algorithms == ("ss_esprit",)
@@ -90,6 +90,7 @@ def test_parse_full_options():
         (MINIMAL.replace("= 150", "= abc"), "must be a number"),
         (MINIMAL.replace("_wavelengths = 150", "_m = nan"), "gap must be finite"),
         (MINIMAL + "array.spacing_m = nan\n", "spacing must be finite"),
+        (MINIMAL + "array.spacing_wavelengths = 1.3\n", "exceeds half the wavelength"),
         (MINIMAL.replace("carrier_freq_hz = 76e9", "wavelength_m = nan"), "wavelength must be"),
         (MINIMAL.replace("= 76e9", "= nan"), r"line 3: array.carrier_freq_hz must be finite"),
         (MINIMAL.replace("= 76e9", "= 0"), r"line 3: array.carrier_freq_hz must be finite"),

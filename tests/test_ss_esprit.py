@@ -304,18 +304,11 @@ def test_esprit_resolves_pencil_plus_one_sources(paper_cfg):
     assert np.degrees(found) == pytest.approx(angles, abs=1e-7)
 
 
-def test_esprit_noiseless_wide_spacing():
-    # 1.3-wavelength spacing: the coarse shift is unambiguous only for
-    # |sin| < 1 / 2.6, about 22.6 degrees
+def test_esprit_wide_spacing_array_is_rejected():
+    # above half a wavelength some directions have a grating lobe inside
+    # the visible region: with a 1.3-wavelength spacing a 40 degree target
+    # would fold onto the coarse rung near -7.26 degrees, so no such
+    # array is built
     lam = SPEED_OF_LIGHT / 76e9
-    cfg = ArrayConfig(16, 150.0 * lam, carrier_freq=76e9, spacing=1.3 * lam)
-    snap = snapshot(cfg, _far_targets(cfg, [-8.0, 12.0]), math.inf, seed=3)
-    angles, diag = estimate_doa_esprit(snap, cfg, 2)
-    assert np.degrees(angles) == pytest.approx([-8.0, 12.0], abs=1e-9)
-    assert diag.pairing_quality < 1e-12
-    # a 40 degree target folds onto its coarse rung nearest broadside,
-    # asin((1.3 * sin(40 deg) - 1) / 1.3), and the fine rung nearest that
-    snap = snapshot(cfg, _far_targets(cfg, [40.0]), math.inf, seed=3)
-    angles, diag = estimate_doa_esprit(snap, cfg, 1)
-    assert math.degrees(diag.coarse_angles[0]) == pytest.approx(-7.264104, abs=1e-6)
-    assert math.degrees(angles[0]) == pytest.approx(-7.133060, abs=1e-6)
+    with pytest.raises(ValueError, match="exceeds half the wavelength"):
+        ArrayConfig(16, 150.0 * lam, carrier_freq=76e9, spacing=1.3 * lam)
