@@ -2,8 +2,9 @@
 
 Subcommands: ``run`` (Monte Carlo sweep), ``spectrum`` (dump one fused
 pseudospectrum), ``array-factor`` (beam-pattern diagnostic).  Exit codes:
-0 on success, 2 on configuration errors, 3 when any (algorithm, SNR)
-cell of a run fails in more than half of its trials.
+0 on success, 2 on configuration errors and on unreadable or unwritable
+files, 3 when any (algorithm, SNR) cell of a run fails in more than half
+of its trials.  Every output path is checked before any work starts.
 """
 
 from __future__ import annotations
@@ -47,6 +48,20 @@ def _resolve_scenario(ref: str) -> ScenarioSpec:
     )
 
 
+def _check_writable(*paths) -> None:
+    """Raise ScenarioError unless each given path opens for writing; creates no file."""
+    for path in paths:
+        if path is None:
+            continue
+        existed = os.path.lexists(path)
+        try:
+            open(path, "a").close()
+        except OSError as exc:
+            raise ScenarioError(f"cannot write {path}: {exc.strerror}") from None
+        if not existed:
+            os.remove(path)
+
+
 def _parse_snr(text: str) -> tuple[float, ...]:
     if ":" in text:
         parts = text.split(":")
@@ -82,6 +97,7 @@ def _cmd_run(args) -> int:
         algorithms=_as_list("--algos", args.algos) if args.algos else None,
         base_seed=args.seed,
     )
+    _check_writable(args.out, args.debug_out)
     rows = run_monte_carlo(
         spec,
         rmse_include_failures=args.rmse_include_failures,
@@ -107,13 +123,14 @@ def _cmd_spectrum(args) -> int:
     if args.seed < 0:
         raise ScenarioError(f"--seed must be a non-negative integer, got {args.seed}")
     spec = with_overrides(_resolve_scenario(args.scenario), snr_grid_db=(args.snr,))
+    _check_writable(args.out, args.dump_snapshot)
     snap = snapshot(
         spec.array, spec.targets, spec.snr_grid_db[0], args.seed, model=spec.steering_model
     )
     if args.dump_snapshot:
         save_snapshot(args.dump_snapshot, snap.y)
     surface = fused_spectrum(
-        snap.y, spec.array, len(spec.targets), spec.fusion_mode, spec.grid_step_deg, spec.pencil
+        snap.y, spec.array, len(spec.targets), spec.grid_step_deg, spec.pencil
     )
     write_spectrum_csv(surface, args.out)
     print(f"wrote spectrum ({len(surface.grid)} angles) to {args.out}")
@@ -122,6 +139,7 @@ def _cmd_spectrum(args) -> int:
 
 def _cmd_array_factor(args) -> int:
     spec = _resolve_scenario(args.scenario)
+    _check_writable(args.out)
     grid = default_grid(spec.grid_step_deg)
     elaa = array_factor(spec.array, grid, aperture="elaa")
     ula = array_factor(spec.array, grid, aperture="ula")

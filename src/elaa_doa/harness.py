@@ -164,7 +164,6 @@ def _music(snap, spec: ScenarioSpec, ula: int | None):
         snap,
         spec.array,
         len(spec.targets),
-        fusion=spec.fusion_mode,
         grid_step_deg=spec.grid_step_deg,
         pencil=spec.pencil,
         ula=ula,

@@ -4,8 +4,8 @@ Scenario files are flat ``key = value`` text with dotted key sections,
 ``#`` comments and blank lines.  Distances are meters, angles degrees.
 Array keys accept either SI values (``array.gap_m``) or wavelength
 multiples (``array.gap_wavelengths``) for exact carrier-relative setups.
-Every other key sets the :class:`ScenarioSpec` field of its name.  Names
-and modes are checked against ``harness.ESTIMATORS`` and ``ss_music.FUSION_MODES``.
+Every other key sets the :class:`ScenarioSpec` field of its name.  Algorithm
+names are checked against ``harness.ESTIMATORS``.
 
 Example::
 
@@ -32,7 +32,7 @@ from .errors import ScenarioError
 from .geometry import SPEED_OF_LIGHT, ArrayConfig, Target
 from .harness import ESTIMATORS
 from .signal_model import SteeringModel, noise_variance
-from .ss_music import FUSION_MODES, grid_points
+from .ss_music import grid_points
 from .subspace import default_pencil
 
 
@@ -46,7 +46,6 @@ class ScenarioSpec:
     snr_grid_db: tuple[float, ...]
     n_trials: int = 500
     algorithms: tuple[str, ...] = ("ss_music_elaa", "ss_esprit")
-    fusion_mode: str = "product"
     grid_step_deg: float = 0.01
     pencil: int | None = None
     hit_tolerance_deg: float = 0.5
@@ -80,8 +79,6 @@ class ScenarioSpec:
                 raise ScenarioError(f"unknown algorithm {algo!r}; known: {', '.join(ESTIMATORS)}")
             if algo in self.algorithms[:i]:
                 raise ScenarioError(f"algorithm {algo!r} is listed twice")
-        if self.fusion_mode not in FUSION_MODES:
-            raise ScenarioError(f"fusion_mode must be one of {tuple(FUSION_MODES)}")
         try:
             grid_points(self.grid_step_deg)
         except ValueError as exc:
@@ -178,6 +175,13 @@ def _as_int(key: str, value: str) -> int:
         raise ScenarioError(f"{key} must be an integer, got {value!r}") from None
 
 
+def _as_elements(key: str, value: str) -> int:
+    number = _as_int(key, value)
+    if number < 2:
+        raise ScenarioError(f"{key} must be at least 2, got {number}")
+    return number
+
+
 def _as_text(key: str, value: str) -> str:
     return value
 
@@ -220,7 +224,6 @@ _SPEC_KEYS = {
     "snr_grid_db": _as_floats,
     "n_trials": _as_int,
     "algorithms": _as_list,
-    "fusion_mode": _as_text,
     "grid_step_deg": _as_float,
     "pencil": _as_int,
     "hit_tolerance_deg": _as_float,
@@ -234,7 +237,7 @@ def parse_scenario(text: str) -> ScenarioSpec:
     """Parse scenario text; raises :class:`ScenarioError` with line numbers."""
     table = _parse_kv(text)
 
-    elements = _parsed(table, "array.elements_per_ula", _as_int)
+    elements = _parsed(table, "array.elements_per_ula", _as_elements)
     if elements is None:
         raise ScenarioError("missing key array.elements_per_ula")
 
@@ -245,21 +248,35 @@ def parse_scenario(text: str) -> ScenarioSpec:
     if "array.carrier_freq_hz" in table:
         wavelength = SPEED_OF_LIGHT / _parsed(table, "array.carrier_freq_hz", _as_positive)
     else:
-        wavelength = _parsed(table, "array.wavelength_m", _as_float)
+        wavelength = _parsed(table, "array.wavelength_m", _as_positive)
 
-    def length_key(base: str) -> float | None:
-        if f"{base}_m" in table and f"{base}_wavelengths" in table:
+    def length_key(base: str, at_most: float = math.inf) -> float | None:
+        """``base``'s length in meters, from its ``_m`` or ``_wavelengths`` key.
+
+        Errors name the key and its line.  Only the spacing has a limit,
+        ``at_most``: half the wavelength, as wider modules have grating lobes.
+        """
+        keys = [key for key in (f"{base}_m", f"{base}_wavelengths") if key in table]
+        if len(keys) == 2:
             raise ScenarioError(f"give only one of {base}_m and {base}_wavelengths")
-        if f"{base}_m" in table:
-            return _parsed(table, f"{base}_m", _as_float)
-        if f"{base}_wavelengths" in table:
-            return _parsed(table, f"{base}_wavelengths", _as_float) * wavelength
-        return None
+        if not keys:
+            return None
+        key = keys[0]
+        lineno = table[key][0]
+        length = _parsed(table, key, _as_positive)
+        if key.endswith("_wavelengths"):
+            length *= wavelength
+        if length > at_most:
+            raise ScenarioError(
+                f"line {lineno}: {key} gives {length!r} m, more than half the wavelength"
+                f" {at_most!r} m; wider modules have grating lobes"
+            )
+        return length
 
     gap = length_key("array.gap")
     if gap is None:
         raise ScenarioError("missing key array.gap_m (or array.gap_wavelengths)")
-    spacing = length_key("array.spacing")
+    spacing = length_key("array.spacing", at_most=wavelength / 2.0)
 
     try:
         array = ArrayConfig(
@@ -298,8 +315,17 @@ def parse_scenario(text: str) -> ScenarioSpec:
 
 
 def load_scenario(path) -> ScenarioSpec:
-    with open(path) as fh:
-        return parse_scenario(fh.read())
+    """Parse a UTF-8 scenario file; an unreadable file raises :class:`ScenarioError` too."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            text = fh.read()
+    except OSError as exc:
+        raise ScenarioError(f"cannot read scenario file {path}: {exc.strerror}") from None
+    except UnicodeDecodeError as exc:
+        raise ScenarioError(
+            f"scenario file {path} is not UTF-8 text: {exc.reason} at byte {exc.start}"
+        ) from None
+    return parse_scenario(text)
 
 
 def with_overrides(

@@ -9,18 +9,17 @@ Vandermonde steering vector is a real trigonometric polynomial in the
 electrical angle, the one root-MUSIC roots (Rao & Hari 1989), so the
 surface is that polynomial evaluated on the grid from the noise
 projector's diagonal sums.  Far-field estimation fuses the two sub-array
-spectra (product by default, max as an alternative) and picks peaks from
-the fused surface; the near-field localizer picks peaks from each
-sub-array spectrum on its own.
+spectra non-coherently, as their product, and picks peaks from the fused
+surface; the near-field localizer picks peaks from each sub-array
+spectrum on its own.
 
 Estimates never evaluate the whole grid (:func:`pick_doas`).  The
 polynomial is evaluated on a coarse subgrid (every fifth angle of the
 0.01 degree grid), then on the fine grid only in windows around the
 coarse local maxima, of the fused surface and of each module's own
 surface, and peaks are picked from those windows as from the whole grid.
-The per-module windows matter under max fusion, where a fused maximum can
-sit on the other module's flank with no fused coarse maximum near it.
-Only the ``spectrum`` command builds the whole-grid surface
+The per-module windows find some fused maxima that no fused coarse
+maximum is near.  Only the ``spectrum`` command builds the whole-grid surface
 (:func:`fused_spectrum`).
 """
 
@@ -42,8 +41,6 @@ DENOMINATOR_FLOOR = 1e-12
 PEAK_SEPARATION_DEG = 0.2
 MAX_GRID_POINTS = 180_000
 WINDOW_COARSE_STEPS = 2
-# fusion mode -> the pointwise combination of the two sub-array surfaces
-FUSION_MODES = {"product": np.multiply, "max": np.maximum}
 
 
 @dataclass(frozen=True)
@@ -186,12 +183,6 @@ def module_subspace(
     return split_subspaces(hankel(y_half, pencil), num_sources), scan
 
 
-def _fuse_values(v1: np.ndarray, v2: np.ndarray, mode: str) -> np.ndarray:
-    if mode not in FUSION_MODES:
-        raise ValueError(f"unknown fusion mode {mode!r}")
-    return FUSION_MODES[mode](v1, v2)
-
-
 def _refine_peak(grid: np.ndarray, values: np.ndarray, idx: int) -> float:
     """Sub-grid peak position from a parabola on the reciprocal surface.
 
@@ -296,19 +287,18 @@ def _peaks(values: np.ndarray) -> np.ndarray:
     return np.flatnonzero((inner > values[:-2]) & (inner > values[2:])) + 1
 
 
-def _surfaces(
-    subs: list[SubspacePair], grid: np.ndarray, steering: np.ndarray, fusion: str
-) -> np.ndarray:
-    """Rows: the picked surface, then each module's own surface when there are two."""
+def _surfaces(subs: list[SubspacePair], grid: np.ndarray, steering: np.ndarray) -> np.ndarray:
+    """Rows: the picked surface, then each module's own surface when there are two.
+
+    The picked surface is one module's surface, or the product of the two.
+    """
     values = [pseudospectrum(sub, grid, steering).values for sub in subs]
     if len(values) == 2:
-        values.insert(0, _fuse_values(values[0], values[1], fusion))
+        values.insert(0, values[0] * values[1])
     return np.array(values)
 
 
-def pick_doas(
-    subs: list[SubspacePair], scan: Scan, num_peaks: int, fusion: str = "product"
-) -> np.ndarray:
+def pick_doas(subs: list[SubspacePair], scan: Scan, num_peaks: int) -> np.ndarray:
     """Peaks of one module's MUSIC surface, or of two modules' fused surface.
 
     Picks as :func:`peak_pick` on the surface over the whole grid would,
@@ -316,9 +306,10 @@ def pick_doas(
     the coarse subgrid first.  The fine grid is then evaluated only in
     windows of ``WINDOW_COARSE_STEPS`` coarse steps either side of every
     coarse local maximum, of the fused surface and of each module's own
-    surface.  The per-module windows are needed under max fusion: where
-    one module's peak rises just above the other module's falling flank,
-    the fused coarse samples stay monotone across a fused maximum.
+    surface.  The per-module windows find some fused maxima that no fused
+    coarse maximum is near, such as a shallow one on the flank of a taller
+    peak that the fused coarse samples fall across, next to a module's own
+    coarse maximum.
 
     A window whose surface peaks on its edge is widened up to that
     surface's next coarse maximum beyond the edge: the edge is no lower
@@ -331,7 +322,7 @@ def pick_doas(
     offsets = np.arange(-reach, reach + 1)
     # each window: the surface row it serves and its centre's grid index
     surface, centers = _local_maxima(
-        _surfaces(subs, scan.coarse_grid, scan.coarse_steering, fusion)
+        _surfaces(subs, scan.coarse_grid, scan.coarse_steering)
     )
     centers *= scan.stride
     peaks = surface * n_points + centers  # sorted keys of the coarse maxima
@@ -343,7 +334,7 @@ def pick_doas(
         # a C-ordered gather keeps each column's product bit-identical to the
         # product over the whole grid (a fancy-indexed one comes out F-ordered)
         fine_grid = grid[index]
-        fine = _surfaces(subs, fine_grid, np.take(scan.steering, index, axis=1), fusion)
+        fine = _surfaces(subs, fine_grid, np.take(scan.steering, index, axis=1))
         # each window lies whole in the union, a run of positions around its
         # centre's, cut at the grid's ends
         pos = np.searchsorted(index, centers)[:, None] + offsets
@@ -372,14 +363,13 @@ def fused_spectrum(
     y: np.ndarray,
     cfg: ArrayConfig,
     num_sources: int,
-    fusion: str,
     grid_step_deg: float,
     pencil: int | None,
 ) -> Spectrum:
     """The fused MUSIC pseudospectrum of a snapshot's two sub-arrays on the whole grid."""
     modules = [module_subspace(h, cfg, num_sources, grid_step_deg, pencil) for h in split_ulas(y)]
     scan = modules[0][1]
-    values = _surfaces([sub for sub, _ in modules], scan.grid, scan.steering, fusion)[0]
+    values = _surfaces([sub for sub, _ in modules], scan.grid, scan.steering)[0]
     return Spectrum(grid=scan.grid, values=values)
 
 
@@ -387,7 +377,6 @@ def estimate_doa_music(
     snap: Snapshot,
     cfg: ArrayConfig,
     num_sources: int,
-    fusion: str = "product",
     grid_step_deg: float = 0.01,
     pencil: int | None = None,
     ula: int | None = None,
@@ -402,7 +391,7 @@ def estimate_doa_music(
     halves = split_ulas(snap.y)
     selected = halves if ula is None else (halves[ula - 1],)
     modules = [module_subspace(y, cfg, num_sources, grid_step_deg, pencil) for y in selected]
-    return pick_doas([sub for sub, _ in modules], modules[0][1], num_sources, fusion)
+    return pick_doas([sub for sub, _ in modules], modules[0][1], num_sources)
 
 
 def write_spectrum_csv(spectrum: Spectrum, path) -> None:

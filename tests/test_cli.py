@@ -277,3 +277,54 @@ def test_array_factor_subcommand(tiny_scenario, tmp_path):
     assert len(lines) == 361
     peak = max(float(ln.split(",")[1]) for ln in lines[1:])
     assert peak == pytest.approx(0.0, abs=1e-9)
+
+
+def _no_sweep(*args, **kwargs):
+    raise AssertionError("the sweep ran")
+
+
+@pytest.mark.parametrize("flag", ["--out", "--debug-out"])
+def test_unwritable_run_output_exits_two_before_the_sweep(
+    tiny_scenario, tmp_path, monkeypatch, capsys, flag
+):
+    monkeypatch.setattr(cli, "run_monte_carlo", _no_sweep)
+    out, debug = tmp_path / "r.csv", tmp_path / "d.csv"
+    out.write_text("kept\n")
+    missing = tmp_path / "missing" / "o.csv"
+    paths = {"--out": str(out), "--debug-out": str(debug), flag: str(missing)}
+    args = ["run", "--scenario", tiny_scenario, "--quiet", *(x for kv in paths.items() for x in kv)]
+    assert cli.main(args) == 2
+    assert capsys.readouterr().err == f"error: cannot write {missing}: No such file or directory\n"
+    # the checks leave an existing file as it was and create none
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["r.csv", "tiny.scenario"]
+    assert out.read_text() == "kept\n"
+
+
+@pytest.mark.parametrize(
+    "command, flag",
+    [
+        (["spectrum", "--snr", "20", "--seed", "1"], "--out"),
+        (["spectrum", "--snr", "20", "--seed", "1"], "--dump-snapshot"),
+        (["array-factor"], "--out"),
+    ],
+)
+def test_unwritable_outputs_exit_two(tiny_scenario, tmp_path, capsys, command, flag):
+    good = tmp_path / "good.out"
+    for bad, reason in ((tmp_path / "missing" / "o.csv", "No such file"), (tmp_path, "directory")):
+        outputs = {"--out": str(good), flag: str(bad)}
+        args = [*command, "--scenario", tiny_scenario, *(x for kv in outputs.items() for x in kv)]
+        assert cli.main(args) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: cannot write {bad}: ") and reason in err
+        assert not good.exists()
+
+
+def test_unreadable_scenario_exits_two(tmp_path, capsys):
+    latin1 = tmp_path / "latin1.scenario"
+    latin1.write_bytes(TINY.replace("cli_tiny", "caf\xe9").encode("latin-1"))
+    out = tmp_path / "r.csv"
+    for path, reason in ((tmp_path, "Is a directory"), (latin1, "is not UTF-8 text")):
+        assert cli.main(["run", "--scenario", str(path), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and str(path) in err and reason in err
+    assert not out.exists()

@@ -49,7 +49,6 @@ def test_parse_full_options():
         "name = demo\n"
         "n_trials = 25\n"
         "algorithms = ss_esprit\n"
-        "fusion_mode = max\n"
         "grid_step_deg = 0.05\n"
         "pencil = 7\n"
         "hit_tolerance_deg = 0.25\n"
@@ -64,7 +63,6 @@ def test_parse_full_options():
     assert spec.name == "demo"
     assert spec.n_trials == 25
     assert spec.algorithms == ("ss_esprit",)
-    assert spec.fusion_mode == "max"
     assert spec.pencil == 7
     assert spec.hit_tolerance_deg == 0.25
     assert spec.hit_tolerance_m == 0.05
@@ -78,6 +76,8 @@ def test_parse_full_options():
         ("array.elements_per_ula = 16\n" + MINIMAL, "duplicate key"),
         (MINIMAL.replace("snr_grid_db = 0, 5, 10\n", ""), "missing key snr_grid_db"),
         (MINIMAL + "bogus_key = 1\n", "unknown key"),
+        # the fused surface is always the product of the module surfaces
+        (MINIMAL + "fusion_mode = max\n", r"^line 10: unknown key 'fusion_mode'$"),
         (MINIMAL + "steering_model = planar\n", "unknown steering_model"),
         (MINIMAL + "algorithms = music\n", "unknown algorithm"),
         (MINIMAL + "no_equals_here\n", "expected 'key = value'"),
@@ -88,10 +88,6 @@ def test_parse_full_options():
             "exactly one",
         ),
         (MINIMAL.replace("= 150", "= abc"), "must be a number"),
-        (MINIMAL.replace("_wavelengths = 150", "_m = nan"), "gap must be finite"),
-        (MINIMAL + "array.spacing_m = nan\n", "spacing must be finite"),
-        (MINIMAL + "array.spacing_wavelengths = 1.3\n", "exceeds half the wavelength"),
-        (MINIMAL.replace("carrier_freq_hz = 76e9", "wavelength_m = nan"), "wavelength must be"),
         (MINIMAL.replace("= 76e9", "= nan"), r"line 3: array.carrier_freq_hz must be finite"),
         (MINIMAL.replace("= 76e9", "= 0"), r"line 3: array.carrier_freq_hz must be finite"),
         (MINIMAL.replace("= 76e9", "= 1e-320"), "wavelength must be finite"),
@@ -121,6 +117,36 @@ def test_parse_full_options():
             r"^line 9: snr_grid_db must be a comma list of numbers, got '0, x'$",
         ),
         (MINIMAL + "n_trials = 2.5\n", r"^line 10: n_trials must be an integer, got '2\.5'$"),
+        # array values name the key and line they came from, and the value as given
+        (
+            MINIMAL.replace("_wavelengths = 150", "_m = nan"),
+            r"^line 4: array\.gap_m must be finite and positive, got nan$",
+        ),
+        (
+            MINIMAL.replace("= 150", "= -5"),
+            r"^line 4: array\.gap_wavelengths must be finite and positive, got -5\.0$",
+        ),
+        (
+            MINIMAL.replace("= 16", "= 1"),
+            r"^line 2: array\.elements_per_ula must be at least 2, got 1$",
+        ),
+        (
+            MINIMAL.replace("carrier_freq_hz = 76e9", "wavelength_m = -0.004"),
+            r"^line 3: array\.wavelength_m must be finite and positive, got -0\.004$",
+        ),
+        (
+            MINIMAL.replace("carrier_freq_hz = 76e9", "wavelength_m = nan"),
+            r"^line 3: array\.wavelength_m must be finite and positive, got nan$",
+        ),
+        (
+            MINIMAL + "array.spacing_m = nan\n",
+            r"^line 10: array\.spacing_m must be finite and positive, got nan$",
+        ),
+        (
+            MINIMAL + "array.spacing_wavelengths = 1.3\n",
+            r"^line 10: array\.spacing_wavelengths gives [0-9.e-]+ m, more than half the"
+            r" wavelength [0-9.e-]+ m; wider modules have grating lobes$",
+        ),
         (MINIMAL + "algorithms = ss_esprit, ss_esprit\n", r"^algorithm 'ss_esprit' is listed twice$"),
     ],
 )
@@ -191,14 +217,6 @@ def test_spec_validation():
             targets=(Target(5.0, 0.0),),
             snr_grid_db=(0.0,),
             algorithms=("music",),
-        )
-    with pytest.raises(ScenarioError, match="fusion_mode"):
-        ScenarioSpec(
-            name="x",
-            array=cfg,
-            targets=(Target(5.0, 0.0),),
-            snr_grid_db=(0.0,),
-            fusion_mode="mean",
         )
     for bad in (math.nan, -math.inf):
         with pytest.raises(ScenarioError, match="SNR point"):

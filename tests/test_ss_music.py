@@ -7,6 +7,7 @@ from hypothesis import assume, given, settings, strategies as st
 from elaa_doa import nf_localizer, ss_music
 from elaa_doa.errors import UnderResolved
 from elaa_doa.geometry import Target, field_regions
+from elaa_doa.harness import derive_trial_seed
 from elaa_doa.scenarios import builtin_scenarios
 from elaa_doa.signal_model import snapshot, split_ulas
 from elaa_doa.ss_music import (
@@ -121,20 +122,16 @@ def test_pseudospectrum_shape_checks(paper_cfg):
         pseudospectrum(sub, grid, np.ones((4, len(grid))))
 
 
-@pytest.mark.parametrize("fusion", ["product", "max"])
-def test_fuse_modes(fusion):
+def test_fused_spectrum_is_the_product_of_the_module_spectra():
     spec = builtin_scenarios()["fig3_small_sep"]
     k = len(spec.targets)
     snap = snapshot(spec.array, spec.targets, 20.0, seed=1)
     modules = [module_subspace(y, spec.array, k, 0.01, None) for y in split_ulas(snap.y)]
     scan = modules[0][1]
     v1, v2 = (pseudospectrum(sub, scan.grid, scan.steering).values for sub, _ in modules)
-    want = v1 * v2 if fusion == "product" else np.maximum(v1, v2)
-    got = fused_spectrum(snap.y, spec.array, k, fusion, 0.01, None)
+    got = fused_spectrum(snap.y, spec.array, k, 0.01, None)
     np.testing.assert_array_equal(got.grid, scan.grid)
-    np.testing.assert_array_equal(got.values, want)
-    with pytest.raises(ValueError, match="unknown fusion mode"):
-        fused_spectrum(snap.y, spec.array, k, "mean", 0.01, None)
+    np.testing.assert_array_equal(got.values, v1 * v2)
 
 
 def test_peak_pick_orders_by_height():
@@ -307,12 +304,10 @@ def test_coarse_subgrid_stride(step_deg, stride):
         assert not array.flags.writeable
 
 
-def _full_grid_pick(subs, scan, num_peaks, fusion):
+def _full_grid_pick(subs, scan, num_peaks):
     """The pick over the whole grid, the reference the windowed pick must equal."""
     values = [ss_music.pseudospectrum(sub, scan.grid, scan.steering).values for sub in subs]
-    if len(values) == 2:
-        values = [values[0] * values[1] if fusion == "product" else np.maximum(*values)]
-    return peak_pick(Spectrum(grid=scan.grid, values=values[0]), num_peaks)
+    return peak_pick(Spectrum(grid=scan.grid, values=np.prod(values, axis=0)), num_peaks)
 
 
 def _outcome(pick, *args):
@@ -327,7 +322,7 @@ def _outcome(pick, *args):
     st.sampled_from(["fig3_small_sep", "fig3_large_sep", "fig4_near_a", "fig4_near_b"]),
     st.one_of(st.floats(min_value=0.0, max_value=40.0), st.just(math.inf)),
     st.integers(min_value=0, max_value=2**32 - 1),
-    st.sampled_from([((0, 1), "product"), ((0, 1), "max"), ((0,), "product"), ((1,), "product")]),
+    st.sampled_from([(0, 1), (0,), (1,)]),
     st.sampled_from([0.01, 0.007, 0.05]),
 )
 def test_windowed_pick_matches_the_full_grid(name, snr_db, seed, modules, step_deg):
@@ -335,10 +330,10 @@ def test_windowed_pick_matches_the_full_grid(name, snr_db, seed, modules, step_d
     k = len(spec.targets)
     snap = snapshot(spec.array, spec.targets, snr_db, seed, model=spec.steering_model)
     halves = split_ulas(snap.y)
-    split = [module_subspace(halves[m], spec.array, k, step_deg, spec.pencil) for m in modules[0]]
+    split = [module_subspace(halves[m], spec.array, k, step_deg, spec.pencil) for m in modules]
     subs, scan = [sub for sub, _ in split], split[0][1]
-    want = _outcome(_full_grid_pick, subs, scan, k, modules[1])
-    got = _outcome(pick_doas, subs, scan, k, modules[1])
+    want = _outcome(_full_grid_pick, subs, scan, k)
+    got = _outcome(pick_doas, subs, scan, k)
     assert (got is None) == (want is None)
     if want is not None:
         if math.isinf(snr_db):
@@ -348,23 +343,23 @@ def test_windowed_pick_matches_the_full_grid(name, snr_db, seed, modules, step_d
         assert np.max(np.abs(got - want)) < 1e-9
 
 
-def test_max_fusion_finds_a_peak_on_the_other_modules_flank():
-    # module 2 peaks at 0.231 degrees just above module 1's falling flank;
-    # the fused coarse samples stay monotone across that peak, so only the
-    # window around module 2's own coarse maximum finds it
+def test_a_module_window_finds_a_fused_peak_no_fused_coarse_maximum_is_near():
+    # trial 346 of fig3_small_sep's 15 dB point at base seed 42: the fused
+    # surface has a shallow maximum at 0.123 degrees on the flank of the
+    # peak at -0.096; the fused coarse samples fall across it, and only the
+    # window around module 2's own coarse maximum at 0.2 degrees covers it
     spec = builtin_scenarios()["fig3_small_sep"]
-    snap = snapshot(spec.array, spec.targets, 20.0, 10_008)
-    est = np.degrees(np.sort(estimate_doa_music(snap, spec.array, 2, fusion="max")))
-    assert est == pytest.approx([-0.093, 0.231], abs=1e-3)
+    seed = derive_trial_seed(42, "ss_music_elaa", 3, 346)
+    snap = snapshot(spec.array, spec.targets, spec.snr_grid_db[3], seed)
     split = [module_subspace(y, spec.array, 2, 0.01, None) for y in split_ulas(snap.y)]
     subs, scan = [sub for sub, _ in split], split[0][1]
-    assert np.degrees(np.sort(_full_grid_pick(subs, scan, 2, "max"))) == pytest.approx(
-        est, abs=1e-9
-    )
-    coarse = [pseudospectrum(sub, scan.coarse_grid, scan.coarse_steering).values for sub in subs]
-    fused = np.maximum(*coarse)
-    near = np.flatnonzero(np.abs(np.degrees(scan.coarse_grid) - 0.231) < 0.1)
-    assert np.all(np.diff(fused[near]) < 0) or np.all(np.diff(fused[near]) > 0)
+    picks = pick_doas(subs, scan, 2)
+    assert np.degrees(picks) == pytest.approx([-0.096, 0.123], abs=1e-3)
+    assert np.max(np.abs(picks - _full_grid_pick(subs, scan, 2))) < 1e-9
+    m1, m2 = (pseudospectrum(sub, scan.coarse_grid, scan.coarse_steering).values for sub in subs)
+    at = np.flatnonzero(np.isclose(np.degrees(scan.coarse_grid), 0.05))[0]
+    assert np.all(np.diff((m1 * m2)[at : at + 3]) < 0)  # 0.05, 0.10, 0.15 degrees
+    assert m2[at + 3] > max(m2[at + 2], m2[at + 4])  # module 2 peaks at 0.2 degrees
 
 
 def _fake_surface(monkeypatch, scan, surface):
@@ -396,7 +391,7 @@ def test_window_peaking_on_its_edge_widens_to_the_next_coarse_maximum(monkeypatc
     assert picks == pytest.approx(scan.grid[[9100, 9052]], abs=math.radians(0.005))
     # the ramp is filled once; the summit, a coarse maximum, widens nothing
     assert len(evaluated) == 3 and sum(evaluated) < 3600 + 300
-    assert np.array_equal(picks, _full_grid_pick([None], scan, 2, "product"))
+    assert np.array_equal(picks, _full_grid_pick([None], scan, 2))
 
 
 def test_flat_topped_peak_and_a_peak_in_the_partial_last_cell(monkeypatch):
@@ -416,7 +411,7 @@ def test_flat_topped_peak_and_a_peak_in_the_partial_last_cell(monkeypatch):
     picks = pick_doas([None], scan, 2)
     assert picks == pytest.approx(scan.grid[[5_047, 25_712]], abs=math.radians(0.004))
     assert sum(evaluated) < len(scan.coarse_grid) + 200
-    assert np.array_equal(picks, _full_grid_pick([None], scan, 2, "product"))
+    assert np.array_equal(picks, _full_grid_pick([None], scan, 2))
 
 
 def _recorder(monkeypatch, module, name):
