@@ -9,6 +9,7 @@ from .errors import (
     ParallelBearings,
     ScenarioError,
     UnderResolved,
+    Unpaired,
 )
 from .geometry import ArrayConfig, Target
 from .harness import run_monte_carlo

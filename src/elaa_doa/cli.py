@@ -34,6 +34,7 @@ from .signal_model import array_factor, save_snapshot, snapshot
 from .ss_music import default_grid, fused_spectrum, write_spectrum_csv
 
 FULL_TRIALS = 5000
+MAX_SNR_POINTS = 10_000
 
 
 def _resolve_scenario(ref: str) -> ScenarioSpec:
@@ -81,6 +82,8 @@ def _parse_snr(text: str) -> tuple[float, ...]:
         n = int(math.floor(count)) + 1
         if n < 1:
             raise ScenarioError("--snr range is empty")
+        if n > MAX_SNR_POINTS:
+            raise ScenarioError(f"--snr range {text!r} gives {n} points; at most {MAX_SNR_POINTS}")
         return tuple(start + i * step for i in range(n))
     return _as_floats("--snr", text)
 

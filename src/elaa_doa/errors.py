@@ -31,6 +31,10 @@ class BehindArray(EstimationError):
     """A bearing-line intersection landed at a non-positive range."""
 
 
+class Unpaired(EstimationError):
+    """The near-field localizer left a target without a position."""
+
+
 class NonFiniteSnapshot(EstimationError):
     """The observation holds a NaN or infinite sample."""
 

@@ -27,7 +27,7 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .errors import EstimationError
+from .errors import EstimationError, Unpaired
 from .nf_localizer import localize
 from .signal_model import snapshot
 from .ss_esprit import estimate_doa_esprit
@@ -175,9 +175,9 @@ def _localize(snap, spec: ScenarioSpec):
     result = localize(
         snap, spec.array, len(spec.targets), grid_step_deg=spec.grid_step_deg, pencil=spec.pencil
     )
-    failed = [t for t in result.targets if t.position is None]
+    failed = sum(t.position is None for t in result.targets)
     if failed:
-        return None, failed[0].error or "Unpaired", {}
+        raise Unpaired(f"{failed} of {len(result.targets)} targets have no position")
     positions = np.array([t.position for t in result.targets])
     extra = {
         "residual": result.residual,

@@ -14,13 +14,11 @@ surface; the near-field localizer picks peaks from each sub-array
 spectrum on its own.
 
 Estimates never evaluate the whole grid (:func:`pick_doas`).  The
-polynomial is evaluated on a coarse subgrid (every fifth angle of the
-0.01 degree grid), then on the fine grid only in windows around the
-coarse local maxima, of the fused surface and of each module's own
-surface, and peaks are picked from those windows as from the whole grid.
-The per-module windows find some fused maxima that no fused coarse
-maximum is near.  Only the ``spectrum`` command builds the whole-grid surface
-(:func:`fused_spectrum`).
+polynomial's degree bounds how far it bends between samples of a coarse
+subgrid (every fifth angle of the 0.01 degree grid), so the fine grid is
+evaluated only on the coarse cells that can hold a maximum tall enough to
+be picked, and the pick equals the whole grid's.  Only the ``spectrum``
+command builds the whole-grid surface (:func:`fused_spectrum`).
 """
 
 from __future__ import annotations
@@ -40,7 +38,7 @@ from .subspace import SubspacePair, default_pencil, hankel, split_subspaces
 DENOMINATOR_FLOOR = 1e-12
 PEAK_SEPARATION_DEG = 0.2
 MAX_GRID_POINTS = 180_000
-WINDOW_COARSE_STEPS = 2
+BOUND_MARGIN = 1e-9  # slack on pick_doas' cell bounds, in units of values**-2
 
 
 @dataclass(frozen=True)
@@ -101,7 +99,9 @@ class Scan(NamedTuple):
     """A default grid, its steering columns, and the coarse subgrid scanned first.
 
     The coarse subgrid is every ``stride``-th grid angle, starting at the
-    first, with contiguous copies of those steering columns.
+    first, with contiguous copies of those steering columns.  Over its
+    largest step, ``coarse_step`` radians, the top harmonic's phase moves
+    by at most ``harmonic_step`` (see :func:`pick_doas`).
     """
 
     grid: np.ndarray
@@ -109,6 +109,8 @@ class Scan(NamedTuple):
     stride: int
     coarse_grid: np.ndarray
     coarse_steering: np.ndarray
+    coarse_step: float
+    harmonic_step: float
 
 
 @functools.lru_cache(maxsize=8)
@@ -121,15 +123,12 @@ def _cached_steering(n_rows: int, spacing: float, wavelength: float, step_deg: f
     """
     grid = default_grid(step_deg)
     a = hankel_steering_matrix(n_rows, spacing, wavelength, grid)
-    stride = max(1, _peak_distance(grid, PEAK_SEPARATION_DEG) // 4)
-    scan = Scan(
-        grid,
-        a,
-        stride,
-        np.ascontiguousarray(grid[::stride]),
-        np.ascontiguousarray(a[:, ::stride]),
-    )
-    for array in (scan.grid, scan.steering, scan.coarse_grid, scan.coarse_steering):
+    stride = max(1, _peak_distance(grid) // 4)
+    coarse_grid = np.ascontiguousarray(grid[::stride])
+    h = float(np.max(np.diff(coarse_grid)))
+    rate = (n_rows - 1) * 2.0 * math.pi * spacing / wavelength
+    scan = Scan(grid, a, stride, coarse_grid, np.ascontiguousarray(a[:, ::stride]), h, rate * h)
+    for array in scan[:2] + scan[3:5]:
         array.setflags(write=False)
     return scan
 
@@ -202,28 +201,36 @@ def _refine_peak(grid: np.ndarray, values: np.ndarray, idx: int) -> float:
     return float(grid[idx] + min(max(delta, -h), h))
 
 
-def _peak_distance(
-    grid: np.ndarray, min_separation_deg: float, index: np.ndarray | None = None
-) -> int:
-    """``min_separation_deg`` in samples of the grid's mean step, at least one.
+def _peak_distance(grid: np.ndarray, index: np.ndarray | None = None) -> int:
+    """``PEAK_SEPARATION_DEG`` in samples of the grid's mean step, at least one.
 
     With ``index``, ``grid`` holds the samples at those positions of a
     uniform grid, and the step is that grid's.
     """
     span = len(grid) - 1 if index is None else int(index[-1] - index[0])
     step = float(grid[-1] - grid[0]) / span
-    return max(1, int(round(math.radians(min_separation_deg) / step)))
+    return max(1, int(round(math.radians(PEAK_SEPARATION_DEG) / step)))
 
 
-def peak_pick(
-    spectrum: Spectrum,
-    num_peaks: int,
-    min_separation_deg: float = PEAK_SEPARATION_DEG,
-    index: np.ndarray | None = None,
-) -> np.ndarray:
+def _greedy(heights: np.ndarray, positions: np.ndarray, distance: int, count: int) -> list[int]:
+    """Up to ``count`` entries, tallest first, each ``distance`` or more from those kept before.
+
+    Ties go to the lower position.
+    """
+    at = positions.tolist()
+    keep: list[int] = []
+    for i in np.lexsort((positions, -heights)).tolist():
+        if all(abs(at[i] - at[k]) >= distance for k in keep):
+            keep.append(i)
+            if len(keep) == count:
+                break
+    return keep
+
+
+def peak_pick(spectrum: Spectrum, num_peaks: int, index: np.ndarray | None = None) -> np.ndarray:
     """Angles of the ``num_peaks`` tallest local maxima, tallest first.
 
-    Maxima (:func:`_peaks`) closer than ``min_separation_deg`` collapse to
+    Maxima (:func:`_peaks`) closer than ``PEAK_SEPARATION_DEG`` collapse to
     the tallest of the cluster.  When two fused factor surfaces place
     their nulls a few hundredths of a degree apart, one target's peak
     splits into two countable maxima that can crowd out a genuine second
@@ -233,7 +240,7 @@ def peak_pick(
     interpolation of the reciprocal squared surface.
 
     ``index`` gives each sample's position on the uniform grid the
-    spectrum was cut from, when it covers only windows of that grid
+    spectrum was cut from, when it covers only parts of that grid
     (None: the spectrum is the whole grid).  A sample is then a maximum
     only if both its grid neighbours are in the spectrum, and separations
     are counted in steps of the uniform grid.  Raises
@@ -243,32 +250,14 @@ def peak_pick(
     if num_peaks < 1:
         raise ValueError("num_peaks must be at least 1")
     values = spectrum.values
-    idx = _peaks(values)
-    position = idx
+    idx = position = _peaks(values)
     if index is not None:
         idx = idx[index[idx + 1] - index[idx - 1] == 2]
         position = index[idx]
-    distance = _peak_distance(spectrum.grid, min_separation_deg, index)
-    order = np.lexsort((position, -values[idx]))
-    keep: list[int] = []
-    kept: list[int] = []
-    for i, pos in zip(idx[order].tolist(), position[order].tolist()):
-        if all(abs(pos - k) >= distance for k in kept):
-            keep.append(i)
-            kept.append(pos)
-            if len(keep) == num_peaks:
-                break
+    keep = _greedy(values[idx], position, _peak_distance(spectrum.grid, index), num_peaks)
     if len(keep) < num_peaks:
         raise UnderResolved(f"found {len(keep)} peaks, need {num_peaks}")
-    return np.array([_refine_peak(spectrum.grid, values, i) for i in keep])
-
-
-def _local_maxima(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(row, column) of each entry no lower than its row neighbours (its one at the ends)."""
-    padded = np.full((len(values), values.shape[1] + 2), -np.inf)
-    padded[:, 1:-1] = values
-    at = np.flatnonzero((values >= padded[:, :-2]) & (values >= padded[:, 2:]))
-    return np.divmod(at, values.shape[1])
+    return np.array([_refine_peak(spectrum.grid, values, i) for i in idx[keep].tolist()])
 
 
 def _peaks(values: np.ndarray) -> np.ndarray:
@@ -287,76 +276,86 @@ def _peaks(values: np.ndarray) -> np.ndarray:
     return np.flatnonzero((inner > values[:-2]) & (inner > values[2:])) + 1
 
 
-def _surfaces(subs: list[SubspacePair], grid: np.ndarray, steering: np.ndarray) -> np.ndarray:
-    """Rows: the picked surface, then each module's own surface when there are two.
+def _fused(subs: list[SubspacePair], grid: np.ndarray, steering: np.ndarray) -> np.ndarray:
+    """One module's surface, or the product of the modules' surfaces."""
+    values = pseudospectrum(subs[0], grid, steering).values
+    for sub in subs[1:]:
+        values = values * pseudospectrum(sub, grid, steering).values
+    return values
 
-    The picked surface is one module's surface, or the product of the two.
+
+def _cell_surface(subs: list[SubspacePair], scan: Scan, cells: np.ndarray) -> tuple:
+    """Grid indices, angles and surface values of the chosen coarse cells.
+
+    Cell ``j`` spans grid indices ``j * stride`` to ``(j + 1) * stride``, and
+    one more either side; the partial cell past the last is always taken.
     """
-    values = [pseudospectrum(sub, grid, steering).values for sub in subs]
-    if len(values) == 2:
-        values.insert(0, values[0] * values[1])
-    return np.array(values)
+    n_points, stride = len(scan.grid), scan.stride
+    inside = np.zeros(n_points + stride + 2, dtype=bool)  # shifted one sample up
+    inside[(np.flatnonzero(cells)[:, None] * stride + np.arange(stride + 3)).ravel()] = True
+    inside[len(cells) * stride :] = True
+    index = np.flatnonzero(inside[1 : n_points + 1])
+    grid = scan.grid[index]
+    # a C-ordered gather keeps each column's product bit-identical to the
+    # product over the whole grid (a fancy-indexed one comes out F-ordered)
+    return index, grid, _fused(subs, grid, np.take(scan.steering, index, axis=1))
+
+
+def _coarse_cells(subs: list[SubspacePair], scan: Scan) -> tuple[np.ndarray, ...]:
+    """Coarse surface; per coarse cell, the rise of ``Q``, whether it can turn, its least value."""
+    coarse = _fused(subs, scan.coarse_grid, scan.coarse_steering)
+    q = 1.0 / (coarse * coarse)
+    u = len(subs) * scan.harmonic_step
+    bend = (u * u + u * scan.coarse_step) / 2.0  # M * h**2
+    rise = q[1:] - q[:-1]
+    turning = np.abs(rise) <= bend / 2.0 + BOUND_MARGIN
+    return coarse, rise, turning, np.minimum(q[1:], q[:-1]) - (bend / 8.0 + BOUND_MARGIN)
 
 
 def pick_doas(subs: list[SubspacePair], scan: Scan, num_peaks: int) -> np.ndarray:
     """Peaks of one module's MUSIC surface, or of two modules' fused surface.
 
-    Picks as :func:`peak_pick` on the surface over the whole grid would,
-    without evaluating it there.  Each module's polynomial is evaluated on
-    the coarse subgrid first.  The fine grid is then evaluated only in
-    windows of ``WINDOW_COARSE_STEPS`` coarse steps either side of every
-    coarse local maximum, of the fused surface and of each module's own
-    surface.  The per-module windows find some fused maxima that no fused
-    coarse maximum is near, such as a shallow one on the flank of a taller
-    peak that the fused coarse samples fall across, next to a module's own
-    coarse maximum.
+    Picks as :func:`peak_pick` on the whole grid would, evaluating only
+    part of it.  ``Q = values**-2`` is the product of ``L`` normalised
+    nulls ``a^H P a / n``, each a trigonometric polynomial of degree
+    ``n - 1`` in ``w = k*d*sin(angle)`` with values in [0, 1].  Bernstein's
+    inequality on ``Q - 1/2``, of degree ``N = L*(n - 1)``, bounds
+    ``|dQ/dw|`` by ``N/2`` and ``|d2Q/dw2|`` by ``N**2/2``, so
+    ``|d2Q/dangle2| <= M = (N**2*(k*d)**2 + N*k*d) / 2``.  On a coarse cell
+    of width ``h``, ends that differ by more than ``M*h**2/2`` leave no
+    turning point, and no sample reaches a height ``T`` unless
+    ``min(ends) - M*h**2/8 <= 1/T**2``.
 
-    A window whose surface peaks on its edge is widened up to that
-    surface's next coarse maximum beyond the edge: the edge is no lower
-    than the coarse sample inside it, so unless it is a coarse maximum
-    itself, the coarse samples rise from it to that next one.  Widening
-    repeats until every window's maximum lies inside it.
+    The fine grid is evaluated on the cells that pass both tests, each
+    widened by a sample either way so that a maximum on a coarse sample
+    has both neighbours, and on the partial cell past the last coarse
+    sample.  With ``T`` the ``num_peaks``-th greedy pick among the coarse
+    maxima, the fine maxima of height ``T`` or more are the whole grid's,
+    and a greedy pick depends only on the maxima at or above it; if they
+    give fewer than ``num_peaks`` picks, or the coarse maxima do, every
+    cell that can turn is evaluated and the pick has no floor.
+
+    Both tests carry ``BOUND_MARGIN`` for rounding (1.2e-15 in ``Q`` per
+    module against a long-double evaluation) and the 1e-24 floor: rounding
+    turns a monotone run over only where the slope is below it, which the
+    turning test admits with ``2*(stride + 1)`` times the rounding.  The
+    margin is negligible against ``M*h**2/8`` (3e-5 for one module on a
+    0.05 degree cell).
     """
-    grid, n_points = scan.grid, len(scan.grid)
-    reach = WINDOW_COARSE_STEPS * scan.stride
-    offsets = np.arange(-reach, reach + 1)
-    # each window: the surface row it serves and its centre's grid index
-    surface, centers = _local_maxima(
-        _surfaces(subs, scan.coarse_grid, scan.coarse_steering)
-    )
-    centers *= scan.stride
-    peaks = surface * n_points + centers  # sorted keys of the coarse maxima
-    while True:
-        # the mask runs ``reach`` past both grid ends, where windows are cut
-        inside = np.zeros(n_points + 2 * reach, dtype=bool)
-        inside[(centers[:, None] + (offsets + reach)).ravel()] = True
-        index = np.flatnonzero(inside[reach:-reach])
-        # a C-ordered gather keeps each column's product bit-identical to the
-        # product over the whole grid (a fancy-indexed one comes out F-ordered)
-        fine_grid = grid[index]
-        fine = _surfaces(subs, fine_grid, np.take(scan.steering, index, axis=1))
-        # each window lies whole in the union, a run of positions around its
-        # centre's, cut at the grid's ends
-        pos = np.searchsorted(index, centers)[:, None] + offsets
-        pos = np.minimum(np.maximum(pos, 0), len(index) - 1)
-        top = pos[np.arange(len(pos)), np.argmax(fine[surface[:, None], pos], axis=1)]
-        inner = (index[top] > 0) & (index[top] < n_points - 1)
-        high = (top == pos[:, -1]) & inner
-        grown = []
-        for w in np.flatnonzero(high | ((top == pos[:, 0]) & inner)).tolist():
-            key = int(surface[w]) * n_points + int(index[top[w]])
-            at = int(np.searchsorted(peaks, key))
-            if at < len(peaks) and peaks[at] == key:
-                continue  # a coarse maximum has its own window
-            if high[w]:
-                grown.extend(range(key, int(peaks[at]), reach))
-            else:
-                grown.extend(range(key, int(peaks[at - 1]), -reach))
-        if grown:
-            grown = np.setdiff1d(grown, surface * n_points + centers)
-        if not len(grown):
-            return peak_pick(Spectrum(grid=fine_grid, values=fine[0]), num_peaks, index=index)
-        surface, centers = np.divmod(np.union1d(surface * n_points + centers, grown), n_points)
+    coarse, rise, turning, least = _coarse_cells(subs, scan)
+    top = np.flatnonzero((rise[:-1] < 0.0) & (rise[1:] > 0.0)) + 1  # coarse maxima
+    keep = _greedy(coarse[top], top, _peak_distance(scan.coarse_grid), num_peaks)
+    floor = coarse[top[keep[-1]]] if len(keep) == num_peaks else 0.0
+    if floor:
+        index, grid, fine = _cell_surface(subs, scan, turning & (least <= 1.0 / (floor * floor)))
+        idx = _peaks(fine)
+        idx = idx[(index[idx + 1] - index[idx - 1] == 2) & (fine[idx] >= floor)]
+        picks = _greedy(fine[idx], index[idx], _peak_distance(grid, index), num_peaks)
+        if len(picks) < num_peaks:
+            floor = 0.0
+    if not floor:
+        index, grid, fine = _cell_surface(subs, scan, turning)
+    return peak_pick(Spectrum(grid=grid, values=fine), num_peaks, index=index)
 
 
 def fused_spectrum(
@@ -369,7 +368,7 @@ def fused_spectrum(
     """The fused MUSIC pseudospectrum of a snapshot's two sub-arrays on the whole grid."""
     modules = [module_subspace(h, cfg, num_sources, grid_step_deg, pencil) for h in split_ulas(y)]
     scan = modules[0][1]
-    values = _surfaces([sub for sub, _ in modules], scan.grid, scan.steering)[0]
+    values = _fused([sub for sub, _ in modules], scan.grid, scan.steering)
     return Spectrum(grid=scan.grid, values=values)
 
 

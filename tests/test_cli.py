@@ -40,6 +40,17 @@ def test_parse_snr_forms():
             cli._parse_snr(bad)
 
 
+def test_snr_range_is_refused_before_it_is_built():
+    limit = cli.MAX_SNR_POINTS
+    assert len(cli._parse_snr(f"0:{limit - 1}:1")) == limit
+    with pytest.raises(ScenarioError) as exc:
+        cli._parse_snr(f"0:{limit}:1")
+    want = f"--snr range '0:{limit}:1' gives {limit + 1} points; at most {limit}"
+    assert str(exc.value) == want
+    with pytest.raises(ScenarioError, match="gives 1000000001 points"):
+        cli._parse_snr("0:1e9:1")
+
+
 def test_parse_algos(tiny_scenario, tmp_path, capsys):
     assert _as_list("--algos", "ss_esprit, nf_localize") == ("ss_esprit", "nf_localize")
     out = tmp_path / "r.csv"

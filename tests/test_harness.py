@@ -6,6 +6,7 @@ import sys
 import time
 from dataclasses import replace
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -25,7 +26,8 @@ from elaa_doa.harness import (
     run_monte_carlo,
     write_metrics_csv,
 )
-from elaa_doa.nf_localizer import _pair_gate
+from elaa_doa.errors import Unpaired
+from elaa_doa.nf_localizer import LocalizedTarget, _pair_gate
 from elaa_doa.scenarios import ScenarioSpec, builtin_scenarios, paper_array
 from elaa_doa.signal_model import snapshot
 
@@ -306,3 +308,15 @@ def test_non_finite_snapshot_is_a_typed_failure(scenario, algorithm, bad):
     snap = snapshot(spec.array, spec.targets, 30.0, seed=1)
     snap.y[20] = bad
     assert _run_trial(algorithm, snap, spec) == (None, "NonFiniteSnapshot", {})
+
+
+def test_an_unpaired_localization_is_a_typed_failure(monkeypatch):
+    spec = builtin_scenarios()["fig4_near_a"]
+    snap = snapshot(spec.array, spec.targets, 30.0, seed=1)
+    paired = LocalizedTarget(position=np.array([0.5, 5.0]), score=0.9, pair=(0, 0))
+    unpaired = LocalizedTarget(position=None, score=0.0, pair=None, error="Unpaired")
+    result = SimpleNamespace(targets=(paired, unpaired))
+    monkeypatch.setattr(harness, "localize", lambda *args, **kwargs: result)
+    with pytest.raises(Unpaired, match="^1 of 2 targets have no position$"):
+        harness._localize(snap, spec)
+    assert _run_trial("nf_localize", snap, spec) == (None, "Unpaired", {})

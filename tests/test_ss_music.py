@@ -16,6 +16,7 @@ from elaa_doa.ss_music import (
     PEAK_SEPARATION_DEG,
     Spectrum,
     _cached_steering,
+    _coarse_cells,
     _peak_distance,
     _peaks,
     _refine_peak,
@@ -153,16 +154,19 @@ def test_peak_pick_under_resolved():
 
 
 def test_peak_pick_separation_floor():
-    # two maxima one grid step apart collapse to the taller one when the
-    # separation floor spans several steps
+    # on a 0.01 degree grid the 0.2 degree floor spans 20 steps: a maximum
+    # 19 steps from a taller one collapses into it, one 20 steps away does not
     grid = np.radians(np.linspace(-1.0, 1.0, 201))
     values = np.ones_like(grid)
     values[100] = 9.0
-    values[102] = 8.0
+    values[119] = 8.0
     values[160] = 5.0
-    picks = peak_pick(Spectrum(grid=grid, values=values), 2, min_separation_deg=0.1)
+    picks = peak_pick(Spectrum(grid=grid, values=values), 2)
     assert picks[0] == pytest.approx(grid[100])
     assert picks[1] == pytest.approx(grid[160])
+    values[119], values[120] = 1.0, 8.0
+    picks = peak_pick(Spectrum(grid=grid, values=values), 2)
+    assert picks == pytest.approx(grid[[100, 120]])
 
 
 # runs of repeated levels: plateaus, plateaus at either end, and single samples
@@ -215,7 +219,7 @@ def test_peak_distance_from_mean_step(step_deg):
     ratio = PEAK_SEPARATION_DEG / step_deg
     assume(abs(ratio - math.floor(ratio) - 0.5) > 1e-6)
     grid = default_grid(step_deg)
-    assert _peak_distance(grid, PEAK_SEPARATION_DEG) == _median_step_distance(
+    assert _peak_distance(grid) == _median_step_distance(
         grid, PEAK_SEPARATION_DEG
     )
 
@@ -280,17 +284,19 @@ def test_peak_pick_windows_need_both_neighbours():
 def test_peak_pick_windows_count_separation_on_the_whole_grid():
     # maxima at samples 100 and 119 of a 0.01 degree grid are 19 steps
     # apart, inside the 20-step separation floor, though only 6 samples
-    # lie between them in the windowed spectrum
-    index = np.concatenate([np.arange(97, 104), np.arange(116, 123)])
-    grid = np.radians(0.01 * index)
-    values = np.ones(len(index))
-    values[3], values[10] = 5.0, 4.0
-    spectrum = Spectrum(grid=grid, values=values)
-    with pytest.raises(UnderResolved):
-        peak_pick(spectrum, 2, index=index)
-    assert peak_pick(spectrum, 2, min_separation_deg=0.19, index=index) == pytest.approx(
-        grid[[3, 10]]
-    )
+    # lie between them in the windowed spectrum; at 100 and 120 they are
+    # 20 steps apart across the same gap, and both are picked
+    for second, found in ((119, 1), (120, 2)):
+        index = np.concatenate([np.arange(97, 104), np.arange(second - 3, second + 4)])
+        grid = np.radians(0.01 * index)
+        values = np.ones(len(index))
+        values[3], values[10] = 5.0, 4.0
+        spectrum = Spectrum(grid=grid, values=values)
+        if found == 1:
+            with pytest.raises(UnderResolved, match="found 1 peaks"):
+                peak_pick(spectrum, 2, index=index)
+        else:
+            assert peak_pick(spectrum, 2, index=index) == pytest.approx(grid[[3, 10]])
 
 
 @pytest.mark.parametrize("step_deg, stride", [(0.01, 5), (0.007, 7), (0.05, 1), (0.5, 1)])
@@ -300,14 +306,31 @@ def test_coarse_subgrid_stride(step_deg, stride):
     assert np.array_equal(scan.coarse_grid, scan.grid[::stride])
     assert np.array_equal(scan.coarse_steering, scan.steering[:, ::stride])
     assert scan.coarse_steering.flags.c_contiguous
-    for array in scan[:2] + scan[3:]:
+    for array in scan[:2] + scan[3:5]:
         assert not array.flags.writeable
+    # spacing / wavelength = 0.5: the top harmonic of nine rows is 8*pi*sin
+    assert scan.coarse_step == pytest.approx(math.radians(stride * step_deg), rel=1e-9)
+    assert scan.harmonic_step == pytest.approx(8 * math.pi * scan.coarse_step, rel=1e-12)
+
+
+def _subspaces(name, snr_db, seed, modules, step_deg):
+    """The chosen modules' subspaces of one snapshot of a builtin, and their scan."""
+    spec = builtin_scenarios()[name]
+    snap = snapshot(spec.array, spec.targets, snr_db, seed, model=spec.steering_model)
+    halves = split_ulas(snap.y)
+    k = len(spec.targets)
+    split = [module_subspace(halves[m], spec.array, k, step_deg, spec.pencil) for m in modules]
+    return [sub for sub, _ in split], split[0][1]
+
+
+def _whole_grid(subs, scan):
+    """The surface over the whole grid: one module's, or the modules' product."""
+    return np.prod([pseudospectrum(sub, scan.grid, scan.steering).values for sub in subs], axis=0)
 
 
 def _full_grid_pick(subs, scan, num_peaks):
     """The pick over the whole grid, the reference the windowed pick must equal."""
-    values = [ss_music.pseudospectrum(sub, scan.grid, scan.steering).values for sub in subs]
-    return peak_pick(Spectrum(grid=scan.grid, values=np.prod(values, axis=0)), num_peaks)
+    return peak_pick(Spectrum(grid=scan.grid, values=_whole_grid(subs, scan)), num_peaks)
 
 
 def _outcome(pick, *args):
@@ -326,92 +349,142 @@ def _outcome(pick, *args):
     st.sampled_from([0.01, 0.007, 0.05]),
 )
 def test_windowed_pick_matches_the_full_grid(name, snr_db, seed, modules, step_deg):
-    spec = builtin_scenarios()[name]
-    k = len(spec.targets)
-    snap = snapshot(spec.array, spec.targets, snr_db, seed, model=spec.steering_model)
-    halves = split_ulas(snap.y)
-    split = [module_subspace(halves[m], spec.array, k, step_deg, spec.pencil) for m in modules]
-    subs, scan = [sub for sub, _ in split], split[0][1]
+    subs, scan = _subspaces(name, snr_db, seed, modules, step_deg)
+    k = len(builtin_scenarios()[name].targets)
     want = _outcome(_full_grid_pick, subs, scan, k)
     got = _outcome(pick_doas, subs, scan, k)
     assert (got is None) == (want is None)
     if want is not None:
-        if math.isinf(snr_db):
-            # noiseless nulls reach rounding level, where the window products
-            # and the full product may rank two equal peaks either way
-            got, want = np.sort(got), np.sort(want)
-        assert np.max(np.abs(got - want)) < 1e-9
+        assert np.array_equal(got, want)
 
 
-def test_a_module_window_finds_a_fused_peak_no_fused_coarse_maximum_is_near():
+def _music_trial(name, base_seed, snr_index, trial, algorithm="ss_music_elaa"):
+    """The module subspaces and scan of one harness trial of a MUSIC algorithm."""
+    spec = builtin_scenarios()[name]
+    seed = derive_trial_seed(base_seed, algorithm, snr_index, trial)
+    modules = {"ss_music_elaa": (0, 1), "ss_music_ula1": (0,), "ss_music_ula2": (1,)}[algorithm]
+    return _subspaces(name, spec.snr_grid_db[snr_index], seed, modules, spec.grid_step_deg)
+
+
+@pytest.mark.parametrize(
+    "name, base_seed, algorithm, snr_index, trial, want_deg",
+    [
+        ("fig3_small_sep", 7, "ss_music_elaa", 8, 35, [0.025, -2.111]),
+        ("fig3_large_sep", 42, "ss_music_elaa", 2, 395, [-5.624, -5.224]),
+        ("fig3_small_sep", 7, "ss_music_ula1", 7, 143, [-0.908, 0.340]),
+    ],
+)
+def test_maxima_off_the_coarse_windows_are_picked_as_on_the_full_grid(
+    name, base_seed, algorithm, snr_index, trial, want_deg
+):
+    # harness trials whose whole-grid picks windows around coarse maxima
+    # missed (they gave -25.16, 4.846 and 24.07 degrees for the second pick)
+    subs, scan = _music_trial(name, base_seed, snr_index, trial, algorithm)
+    picks = pick_doas(subs, scan, 2)
+    assert np.degrees(picks) == pytest.approx(want_deg, abs=1e-3)
+    assert np.array_equal(picks, _full_grid_pick(subs, scan, 2))
+
+
+def test_trial_346_shallow_maximum_the_fused_coarse_samples_fall_across():
     # trial 346 of fig3_small_sep's 15 dB point at base seed 42: the fused
     # surface has a shallow maximum at 0.123 degrees on the flank of the
-    # peak at -0.096; the fused coarse samples fall across it, and only the
-    # window around module 2's own coarse maximum at 0.2 degrees covers it
-    spec = builtin_scenarios()["fig3_small_sep"]
-    seed = derive_trial_seed(42, "ss_music_elaa", 3, 346)
-    snap = snapshot(spec.array, spec.targets, spec.snr_grid_db[3], seed)
-    split = [module_subspace(y, spec.array, 2, 0.01, None) for y in split_ulas(snap.y)]
-    subs, scan = [sub for sub, _ in split], split[0][1]
+    # peak at -0.096, and the fused coarse samples fall across it
+    subs, scan = _music_trial("fig3_small_sep", 42, 3, 346)
     picks = pick_doas(subs, scan, 2)
     assert np.degrees(picks) == pytest.approx([-0.096, 0.123], abs=1e-3)
-    assert np.max(np.abs(picks - _full_grid_pick(subs, scan, 2))) < 1e-9
-    m1, m2 = (pseudospectrum(sub, scan.coarse_grid, scan.coarse_steering).values for sub in subs)
+    assert np.array_equal(picks, _full_grid_pick(subs, scan, 2))
+    coarse = _coarse_cells(subs, scan)[0]
     at = np.flatnonzero(np.isclose(np.degrees(scan.coarse_grid), 0.05))[0]
-    assert np.all(np.diff((m1 * m2)[at : at + 3]) < 0)  # 0.05, 0.10, 0.15 degrees
-    assert m2[at + 3] > max(m2[at + 2], m2[at + 4])  # module 2 peaks at 0.2 degrees
+    assert np.all(np.diff(coarse[at : at + 3]) < 0)  # 0.05, 0.10, 0.15 degrees
 
 
-def _fake_surface(monkeypatch, scan, surface):
-    """Make every evaluation read ``surface`` at the grid angles asked for; count them."""
-    evaluated = []
-
-    def fake_pseudospectrum(sub, grid, steering):
-        evaluated.append(len(grid))
-        return Spectrum(grid=grid, values=surface[np.searchsorted(scan.grid, grid)])
-
-    monkeypatch.setattr(ss_music, "pseudospectrum", fake_pseudospectrum)
-    return evaluated
-
-
-def test_window_peaking_on_its_edge_widens_to_the_next_coarse_maximum(monkeypatch):
-    # one surface on the 0.01 degree grid (coarse stride 5, windows of 10
-    # samples either side): a small peak at sample 9000, then a ramp from
-    # 9010 up to a summit at 9100, with a bump at 9052 that no coarse
-    # sample sees.  The window around 9000 tops out on its edge, and only
-    # widening it along the ramp finds the bump, the second-tallest maximum
-    scan = _cached_steering(9, 0.5, 1.0, 0.01)
-    surface = 1.0 + 1e-6 * np.arange(len(scan.grid))
-    surface[8996:9005] = 2.0 - 0.1 * np.abs(np.arange(-4, 5))
-    surface[9010:9101] = np.linspace(2.5, 5.0, 91)
-    surface[9101:9200] = np.linspace(4.9, 1.1, 99)
-    surface[9052] += 0.05
-    evaluated = _fake_surface(monkeypatch, scan, surface)
-    picks = pick_doas([None], scan, 2)
-    assert picks == pytest.approx(scan.grid[[9100, 9052]], abs=math.radians(0.005))
-    # the ramp is filled once; the summit, a coarse maximum, widens nothing
-    assert len(evaluated) == 3 and sum(evaluated) < 3600 + 300
-    assert np.array_equal(picks, _full_grid_pick([None], scan, 2))
+@settings(max_examples=40, deadline=None)
+@given(
+    st.sampled_from(["fig3_small_sep", "fig3_large_sep", "fig4_near_a", "fig4_near_b"]),
+    st.one_of(st.floats(min_value=0.0, max_value=40.0), st.just(math.inf)),
+    st.integers(min_value=0, max_value=2**32 - 1),
+    st.sampled_from([(0, 1), (0,), (1,)]),
+    st.sampled_from([0.01, 0.007, 0.05]),
+)
+def test_cell_bounds_hold_on_real_surfaces(name, snr_db, seed, modules, step_deg):
+    # every fine sample of a coarse cell is at or above the cell's least
+    # value, so a cell whose least value is above a level holds no sample
+    # that reaches it; and every whole-grid maximum lies in a cell that can
+    # turn (on a coarse sample, in one of the two cells it ends), or in the
+    # partial cell past the last coarse sample
+    subs, scan = _subspaces(name, snr_db, seed, modules, step_deg)
+    _, _, turning, least = _coarse_cells(subs, scan)
+    values = _whole_grid(subs, scan)
+    q = 1.0 / (values * values)
+    stride, cells = scan.stride, len(least)
+    full = q[: cells * stride].reshape(cells, stride)
+    ends = q[stride : (cells + 1) * stride : stride]
+    assert np.all(np.minimum(full.min(axis=1), ends) >= least)
+    for i in _peaks(values).tolist():
+        j, offset = divmod(i, stride)
+        assert j >= cells or turning[j] or (offset == 0 and turning[j - 1]), i
 
 
-def test_flat_topped_peak_and_a_peak_in_the_partial_last_cell(monkeypatch):
+def test_a_maximum_in_the_partial_last_cell_is_picked(paper_cfg):
     # at 0.007 degrees the grid has 25 714 points and the stride is 7, so
-    # the last coarse sample is 25 711 and the cell after it holds only
-    # three samples; a peak at 25 712 is seen only by counting the last
-    # coarse sample as a maximum.  The flat top spans two coarse samples.
-    scan = _cached_steering(9, 0.5, 1.0, 0.007)
-    assert (len(scan.grid), scan.stride) == (25_714, 7)
-    surface = 1.0 - 1e-6 * np.arange(len(scan.grid))
-    surface[25_700:25_713] = np.linspace(1.5, 2.7, 13)
-    surface[25_712] = 3.0
-    surface[5_000:5_040] = 1.0 + 0.05 * np.arange(40)
-    surface[5_040:5_055] = 3.5
-    surface[5_055:5_080] = np.linspace(3.0, 1.1, 25)
-    evaluated = _fake_surface(monkeypatch, scan, surface)
-    picks = pick_doas([None], scan, 2)
-    assert picks == pytest.approx(scan.grid[[5_047, 25_712]], abs=math.radians(0.004))
-    assert sum(evaluated) < len(scan.coarse_grid) + 200
-    assert np.array_equal(picks, _full_grid_pick([None], scan, 2))
+    # the last coarse sample is 25 711 and the cell after it holds two more
+    # samples; the noiseless target at sample 25 712 has its maximum there
+    grid = default_grid(0.007)
+    snap = _far_snapshot(paper_cfg, [math.degrees(grid[25_712]), 0.0])
+    split = [module_subspace(y, paper_cfg, 2, 0.007, None) for y in split_ulas(snap.y)]
+    subs, scan = [sub for sub, _ in split], split[0][1]
+    assert (len(scan.grid), scan.stride, len(scan.coarse_grid)) == (25_714, 7, 3_674)
+    picks = pick_doas(subs, scan, 2)
+    assert np.array_equal(picks, _full_grid_pick(subs, scan, 2))
+    values = _whole_grid(subs, scan)
+    assert 25_712 in _peaks(values)
+    # refined within half a step of the sample
+    assert np.sort(np.degrees(picks)) == pytest.approx([0.0, 89.984], abs=0.0035)
+
+
+def test_maxima_at_the_denominator_floor_tie_as_on_the_full_grid(paper_cfg):
+    # noiseless targets on grid angles: both modules' nulls reach the
+    # floor, so both fused maxima are (1 / DENOMINATOR_FLOOR)**2 and the
+    # tie goes to the lower angle, as on the whole grid
+    grid = default_grid(0.01)
+    snap = _far_snapshot(paper_cfg, np.degrees(grid[[9554, 9954]]))
+    split = [module_subspace(y, paper_cfg, 2, 0.01, None) for y in split_ulas(snap.y)]
+    subs, scan = [sub for sub, _ in split], split[0][1]
+    values = _whole_grid(subs, scan)
+    assert values[9554] == values[9954] == DENOMINATOR_FLOOR**-2
+    picks = pick_doas(subs, scan, 2)
+    assert np.array_equal(picks, _full_grid_pick(subs, scan, 2))
+    assert picks == pytest.approx(grid[[9554, 9954]], abs=1e-5)
+
+
+def _two_null_module(scan, nulls):
+    """A noiseless one-module subspace whose surface has exact nulls at ``nulls``."""
+    basis, _ = np.linalg.qr(np.column_stack([scan.steering[:, nulls], np.eye(9)]))
+    return SubspacePair(signal=basis[:, :2], noise=basis[:, 2:], singular_values=np.ones(9))
+
+
+def test_coarse_picks_that_merge_on_the_fine_grid_fall_back_to_every_turning_cell(monkeypatch):
+    # nulls at samples 10 001 and 10 020 of the 0.01 degree grid: the coarse
+    # maxima at 10 000 and 10 020 are four coarse steps apart, the floor, but
+    # the fine maxima are 19 steps apart and collapse into one pick; the
+    # second pick must come from below the coarse floor
+    scan = _cached_steering(9, 0.5, 1.0, 0.01)
+    subs = [_two_null_module(scan, [10_001, 10_020])]
+    evaluated = _recorder(monkeypatch, ss_music, "pseudospectrum")
+    picked = _recorder(monkeypatch, ss_music, "peak_pick")
+    picks = pick_doas(subs, scan, 2)
+    # coarse, floored cells, then every turning cell; one pick
+    assert len(evaluated) == 3 and len(picked) == 1
+    assert len(evaluated[2][1]) > len(evaluated[1][1])
+    assert np.array_equal(picks, _full_grid_pick(subs, scan, 2))
+    assert np.min(np.abs(picks[0] - scan.grid[[10_001, 10_020]])) < 1e-4
+    # a surface of degree 8 has at most 8 maxima: with fewer coarse maxima
+    # than requested peaks there is no floor from the start
+    evaluated.clear()
+    picked.clear()
+    assert _outcome(pick_doas, subs, scan, 9) is None
+    assert len(evaluated) == 2 and len(picked) == 1
+    assert _outcome(_full_grid_pick, subs, scan, 9) is None
 
 
 def _recorder(monkeypatch, module, name):
@@ -432,7 +505,7 @@ def test_every_evaluation_and_pick_goes_through_the_module_globals(monkeypatch):
     evaluated = _recorder(monkeypatch, ss_music, "pseudospectrum")
     picked = _recorder(monkeypatch, ss_music, "peak_pick")
     estimate_doa_music(snap, spec.array, 2)
-    # coarse then windows, for each module; one pick on the fused windows
+    # coarse then the chosen cells, for each module; one pick on the fused cells
     assert len(evaluated) == 4 and len(picked) == 1
     for sub, grid, steering in evaluated:
         assert steering.shape == (sub.noise.shape[0], len(grid))
