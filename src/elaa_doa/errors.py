@@ -1,7 +1,9 @@
 """Failure taxonomy shared by the estimators and the experiment harness.
 
-Estimator failures are recoverable per-trial events: the Monte Carlo driver
-catches :class:`EstimationError` and records a miss instead of crashing.
+Estimator failures are recoverable per-trial events: the chunk estimators
+return a trial's :class:`EstimationError` as its outcome, the one-trial
+estimators raise it, and the Monte Carlo driver records a miss instead of
+crashing.
 """
 
 from __future__ import annotations
@@ -41,3 +43,15 @@ class NonFiniteSnapshot(EstimationError):
 
 class ScenarioError(ValueError):
     """A scenario file or specification failed validation."""
+
+
+def unwrap(outcome):
+    """One trial's outcome of a chunk estimator: its value, or its failure raised.
+
+    Chunk estimators return one outcome per trial, the estimate or the
+    :class:`EstimationError` that ended the trial, so a failure stays
+    with its own trial.
+    """
+    if isinstance(outcome, EstimationError):
+        raise outcome
+    return outcome

@@ -1,8 +1,13 @@
 """Monte Carlo driver: seeded trials, matching, RMSE / hit / failure rates.
 
-``ESTIMATORS`` is the one table of algorithm names.  Each trial's
-estimates are matched to the truth once, and a cell's RMSE and hit rate
-come from those errors.  The debug CSV has the columns ``DEBUG_COLUMNS``.
+``ESTIMATORS`` is the one table of algorithm names.  Each trial draws its
+own seeded snapshot, and a cell's trials reach the estimator in chunks of
+``CELL_CHUNK``: the far-field estimators run a chunk as one stack (one
+SVD, one coarse scan, one set of rotations), with results bit-identical
+to one trial at a time, and a failure stays with its own trial.  Each
+trial's estimates are matched to the truth once, and a cell's RMSE and
+hit rate come from those errors.  The debug CSV has the columns
+``DEBUG_COLUMNS``.
 
 Seeding is reproducible and documented bit-exactly: the per-trial seed is
 
@@ -30,8 +35,8 @@ import numpy as np
 from .errors import EstimationError, Unpaired
 from .nf_localizer import localize
 from .signal_model import snapshot
-from .ss_esprit import estimate_doa_esprit
-from .ss_music import estimate_doa_music
+from .ss_esprit import esprit_chunk
+from .ss_music import music_chunk
 
 if TYPE_CHECKING:
     from .scenarios import ScenarioSpec
@@ -39,6 +44,9 @@ if TYPE_CHECKING:
 _MASK64 = (1 << 64) - 1
 FAILURE_EXIT_THRESHOLD = 0.5
 FAILURE_ERROR_DEG = 90.0
+# Trials per estimator call: enough to spread the per-call overhead of the
+# stacked steps, few enough that a chunk's arrays stay small.
+CELL_CHUNK = 16
 
 
 @dataclass(frozen=True)
@@ -150,25 +158,40 @@ class _TrialRecord:
     extra: dict
 
 
-def _esprit(snap, spec: ScenarioSpec):
-    angles, diag = estimate_doa_esprit(snap, spec.array, len(spec.targets), pencil=spec.pencil)
-    extra = {
-        "pairing_quality": diag.pairing_quality,
-        "dealias_margin_deg": math.degrees(min(r.margin for r in diag.reports)),
-    }
-    return np.degrees(angles), "ok", extra
+def _failed(exc: EstimationError) -> tuple[None, str, dict]:
+    return None, type(exc).__name__, {}
 
 
-def _music(snap, spec: ScenarioSpec, ula: int | None):
-    angles = estimate_doa_music(
-        snap,
+def _esprit(snaps, spec: ScenarioSpec):
+    ys = np.stack([snap.y for snap in snaps])
+    out = []
+    for outcome in esprit_chunk(ys, spec.array, len(spec.targets), pencil=spec.pencil):
+        if isinstance(outcome, EstimationError):
+            out.append(_failed(outcome))
+            continue
+        angles, diag = outcome
+        extra = {
+            "pairing_quality": diag.pairing_quality,
+            "dealias_margin_deg": math.degrees(min(r.margin for r in diag.reports)),
+        }
+        out.append((np.degrees(angles), "ok", extra))
+    return out
+
+
+def _music(snaps, spec: ScenarioSpec, ula: int | None):
+    ys = np.stack([snap.y for snap in snaps])
+    outcomes = music_chunk(
+        ys,
         spec.array,
         len(spec.targets),
         grid_step_deg=spec.grid_step_deg,
         pencil=spec.pencil,
         ula=ula,
     )
-    return np.degrees(angles), "ok", {}
+    return [
+        _failed(out) if isinstance(out, EstimationError) else (np.degrees(out), "ok", {})
+        for out in outcomes
+    ]
 
 
 def _localize(snap, spec: ScenarioSpec):
@@ -188,12 +211,24 @@ def _localize(snap, spec: ScenarioSpec):
     return positions, "ok", extra
 
 
-# Algorithm name -> (run function, metric unit); ``extra`` keys are debug
-# column names.  Run functions reach the estimators through this module's
-# globals at call time, so rebinding an estimator here (as a tracer or a
-# test does) reaches every trial.
+def _localize_each(snaps, spec: ScenarioSpec):
+    out = []
+    for snap in snaps:
+        try:
+            out.append(_localize(snap, spec))
+        except EstimationError as exc:
+            out.append(_failed(exc))
+    return out
+
+
+# Algorithm name -> (cell function, metric unit).  A cell function takes a
+# chunk of snapshots and returns one (estimates, status, extra) per trial;
+# estimator failures become their class name as the status, with no
+# estimates.  ``extra`` keys are debug column names.  Cell functions reach
+# the estimators through this module's globals at call time, so rebinding
+# an estimator here (as a tracer or a test does) reaches every trial.
 ESTIMATORS = {
-    "nf_localize": (_localize, "m"),
+    "nf_localize": (_localize_each, "m"),
     "ss_esprit": (_esprit, "deg"),
     "ss_music_elaa": (functools.partial(_music, ula=None), "deg"),
     "ss_music_ula1": (functools.partial(_music, ula=1), "deg"),
@@ -201,13 +236,10 @@ ESTIMATORS = {
 }
 
 
-def _run_trial(algorithm: str, snap, spec: ScenarioSpec) -> tuple[np.ndarray | None, str, dict]:
-    """Returns (estimates, status, extra).  Estimator failures are caught."""
+def _run_cell(algorithm: str, snaps, spec: ScenarioSpec) -> list[tuple]:
+    """One (estimates, status, extra) per snapshot of a chunk of a cell."""
     run, _ = ESTIMATORS[algorithm]
-    try:
-        return run(snap, spec)
-    except EstimationError as exc:
-        return None, type(exc).__name__, {}
+    return run(snaps, spec)
 
 
 def run_monte_carlo(
@@ -236,14 +268,17 @@ def run_monte_carlo(
         failure_error = FAILURE_ERROR_DEG if rmse_include_failures and unit == "deg" else None
         for snr_index, snr_db in enumerate(spec.snr_grid_db):
             records: list[_TrialRecord] = []
-            for trial in range(spec.n_trials):
-                seed = derive_trial_seed(spec.base_seed, algorithm, snr_index, trial)
-                snap = snapshot(
-                    spec.array, spec.targets, snr_db, seed, model=spec.steering_model
-                )
-                estimates, status, extra = _run_trial(algorithm, snap, spec)
-                errors = None if estimates is None else match_errors(estimates, truth)
-                records.append(_TrialRecord(trial, seed, status, estimates, errors, extra))
+            for start in range(0, spec.n_trials, CELL_CHUNK):
+                trials = range(start, min(start + CELL_CHUNK, spec.n_trials))
+                seeds = [derive_trial_seed(spec.base_seed, algorithm, snr_index, t) for t in trials]
+                snaps = [
+                    snapshot(spec.array, spec.targets, snr_db, seed, model=spec.steering_model)
+                    for seed in seeds
+                ]
+                results = _run_cell(algorithm, snaps, spec)
+                for trial, seed, (estimates, status, extra) in zip(trials, seeds, results):
+                    errors = None if estimates is None else match_errors(estimates, truth)
+                    records.append(_TrialRecord(trial, seed, status, estimates, errors, extra))
             trial_errors = [r.errors for r in records]
             row = MetricsRow(
                 algorithm=algorithm,

@@ -45,7 +45,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import BehindArray, EstimationError, ParallelBearings
+from .errors import BehindArray, EstimationError, ParallelBearings, unwrap
 from .geometry import ArrayConfig, field_regions, reference_positions
 from .signal_model import (
     NearfieldLayout,
@@ -55,7 +55,7 @@ from .signal_model import (
     split_ulas,
     sub_array_atoms,
 )
-from .ss_music import module_subspace, pick_doas
+from .ss_music import module_subspace, pick_chunk
 from .subspace import default_pencil
 
 PARALLEL_TOL = 1e-6
@@ -157,13 +157,14 @@ def local_doas(
     the first ``num_sources``: the energy the signal subspaces leave
     out, read off the SVDs the scans already run.
     """
-    out = []
+    # the two modules are two one-module trials of one chunk
+    modules = np.stack(split_ulas(snap.y))[:, None]
+    sub, scan = module_subspace(modules, cfg, num_sources, grid_step_deg, pencil)
+    doas1, doas2 = (np.sort(unwrap(out)) for out in pick_chunk(sub, scan, num_sources))
     noise_ref = 0.0
-    for y in split_ulas(snap.y):
-        sub, scan = module_subspace(y, cfg, num_sources, grid_step_deg, pencil)
-        out.append(np.sort(pick_doas([sub], scan, num_sources)))
-        noise_ref += float(np.sum(sub.singular_values[num_sources:] ** 2))
-    return out[0], out[1], noise_ref
+    for values in sub.singular_values[:, 0]:
+        noise_ref += float(np.sum(values[num_sources:] ** 2))
+    return doas1, doas2, noise_ref
 
 
 def associate(

@@ -57,9 +57,9 @@ class Snapshot:
 
 
 def split_ulas(y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Split a stacked observation into the two per-sub-array halves."""
-    m = len(y) // 2
-    return y[:m], y[m:]
+    """Split stacked observations into the two per-sub-array halves, along the last axis."""
+    m = y.shape[-1] // 2
+    return y[..., :m], y[..., m:]
 
 
 def steering_exact(cfg: ArrayConfig, target: Target) -> np.ndarray:

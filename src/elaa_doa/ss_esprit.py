@@ -16,16 +16,21 @@ lattices: the coarse angle is the coarse rung nearest broadside, the
 fine angle the fine rung nearest the coarse angle.  Eigenvalues of the
 two shift operators are paired by joint diagonalization so the
 selection stays per source.
+
+A chunk of snapshots runs as one: one stacked SVD and one stacked set of
+rotations, eigendecompositions and condition tests, then the alias
+picks trial by trial (:func:`esprit_chunk`).
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import AmbiguousDealias, IllConditioned
+from .errors import AmbiguousDealias, EstimationError, IllConditioned, unwrap
 from .geometry import ArrayConfig
 from .signal_model import Snapshot, split_ulas
 from .subspace import default_pencil, stacked_subspace
@@ -57,12 +62,20 @@ class EspritDiagnostics:
     reports: tuple[DealiasReport, ...]
 
 
-def solve_psi(ua: np.ndarray, ub: np.ndarray) -> np.ndarray:
-    """Least-squares rotation ``(Ua^H Ua)^-1 Ua^H Ub`` between two row selections."""
-    if np.linalg.norm(ua) < 1e-300 or np.linalg.cond(ua) > COND_LIMIT:
-        raise IllConditioned("shifted subspace selection is rank deficient")
-    gram = ua.conj().T @ ua
-    return np.linalg.solve(gram, ua.conj().T @ ub)
+def solve_psi(ua: np.ndarray, ub: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Least-squares rotations ``(Ua^H Ua)^-1 Ua^H Ub`` between two row selections.
+
+    Leading axes are trials.  Also returns which trials' selection is
+    numerically rank deficient (condition number above ``COND_LIMIT``):
+    those solve an identity stand-in, so they cannot fail the others.
+    """
+    ill = (np.linalg.norm(ua, axis=(-2, -1)) < 1e-300) | (np.linalg.cond(ua) > COND_LIMIT)
+    if ill.any():
+        stand_in = np.eye(*ua.shape[-2:])
+        ua = np.where(ill[..., None, None], stand_in, ua)
+        ub = np.where(ill[..., None, None], stand_in, ub)
+    ua_h = ua.conj().swapaxes(-1, -2)
+    return np.linalg.solve(ua_h @ ua, ua_h @ ub), ill
 
 
 def alias_rungs(xi: complex, ratio: float, lo: int, hi: int) -> list[tuple[int, float]]:
@@ -108,18 +121,15 @@ def _coarse_angle(xi: complex, ratio: float) -> float:
     return min((abs(angle), angle) for _, angle in rungs)[1]
 
 
-def _min_eigengap(evals: np.ndarray) -> float:
-    if len(evals) < 2:
-        return math.inf
-    gaps = [
-        abs(evals[i] - evals[j])
-        for i in range(len(evals))
-        for j in range(i + 1, len(evals))
-    ]
-    return min(gaps)
+def _min_eigengap(evals: np.ndarray) -> np.ndarray:
+    """Least distance between two of each trial's eigenvalues (inf for one)."""
+    gap = np.full(evals.shape[:-1], math.inf)
+    for i, j in itertools.combinations(range(evals.shape[-1]), 2):
+        gap = np.minimum(gap, np.abs(evals[..., i] - evals[..., j]))
+    return gap
 
 
-def pair_eigenvalues(signal_basis: np.ndarray) -> tuple[np.ndarray, np.ndarray, float]:
+def pair_eigenvalues(signal_basis: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Matched (coarse, fine) eigenvalues via joint diagonalization.
 
     The coarse rotation maps each sub-array block without its last row
@@ -136,29 +146,41 @@ def pair_eigenvalues(signal_basis: np.ndarray) -> tuple[np.ndarray, np.ndarray, 
     the off-diagonal Frobenius energy of the transformed rotation
     relative to its diagonal: near zero when both rotations truly share
     eigenvectors.
+
+    Leading axes of ``signal_basis`` are trials, and every step runs on
+    the whole stack.  A trial whose row selection or eigenbasis fails its
+    condition test goes on with identity stand-ins and gets a NaN
+    quality; its caller reports it as :class:`IllConditioned`.
     """
-    k = signal_basis.shape[1]
-    blocks = signal_basis.reshape(2, -1, k)
-    psi_c = solve_psi(blocks[:, :-1].reshape(-1, k), blocks[:, 1:].reshape(-1, k))
-    psi_f = solve_psi(blocks[0], blocks[1])
+    *lead, rows, k = signal_basis.shape
+    blocks = signal_basis.reshape(-1, 2, rows // 2, k)
+    trials = len(blocks)
+    psi_c, ill_c = solve_psi(
+        blocks[:, :, :-1].reshape(trials, -1, k), blocks[:, :, 1:].reshape(trials, -1, k)
+    )
+    psi_f, ill_f = solve_psi(blocks[:, 0], blocks[:, 1])
     evals_c, evecs_c = np.linalg.eig(psi_c)
     evals_f, evecs_f = np.linalg.eig(psi_f)
-    if _min_eigengap(evals_c) >= _min_eigengap(evals_f):
-        base_vecs, base_vals, other = evecs_c, evals_c, psi_f
-    else:
-        base_vecs, base_vals, other = evecs_f, evals_f, psi_c
-    if np.linalg.cond(base_vecs) > COND_LIMIT:
-        raise IllConditioned("rotation eigenbasis is singular")
+    on_c = (_min_eigengap(evals_c) >= _min_eigengap(evals_f))[:, None]
+    base_vecs = np.where(on_c[..., None], evecs_c, evecs_f)
+    base_vals = np.where(on_c, evals_c, evals_f)
+    other = np.where(on_c[..., None], psi_f, psi_c)
+    singular = np.linalg.cond(base_vecs) > COND_LIMIT
+    if singular.any():
+        base_vecs = np.where(singular[:, None, None], np.eye(k), base_vecs)
     m = np.linalg.solve(base_vecs, other @ base_vecs)
-    transformed = np.diag(m).copy()
-    off = m - np.diag(np.diag(m))
-    denom = max(float(np.linalg.norm(np.diag(m)) ** 2), 1e-300)
-    quality = float(np.linalg.norm(off) ** 2) / denom
-    if other is psi_f:
-        coarse, fine = base_vals, transformed
-    else:
-        coarse, fine = transformed, base_vals
-    return coarse, fine, quality
+    transformed = np.diagonal(m, axis1=1, axis2=2).copy()
+    off = m.copy()
+    off[:, np.arange(k), np.arange(k)] = 0.0
+    quality = np.full(trials, math.nan)
+    for t in np.flatnonzero(~(ill_c | ill_f | singular)).tolist():
+        # one norm per trial: a stacked norm sums in another order
+        denom = max(float(np.linalg.norm(transformed[t]) ** 2), 1e-300)
+        quality[t] = float(np.linalg.norm(off[t]) ** 2) / denom
+    coarse = np.where(on_c, base_vals, transformed)
+    fine = np.where(on_c, transformed, base_vals)
+    shape = tuple(lead)
+    return coarse.reshape(shape + (k,)), fine.reshape(shape + (k,)), quality.reshape(shape)
 
 
 def dealias(
@@ -209,17 +231,20 @@ def dealias(
     return np.array([p[0] for p in picks]), tuple(p[1] for p in picks)
 
 
-def estimate_doa_esprit(
-    snap: Snapshot,
+def esprit_chunk(
+    ys: np.ndarray,
     cfg: ArrayConfig,
     num_sources: int,
     pencil: int | None = None,
-) -> tuple[np.ndarray, EspritDiagnostics]:
-    """Far-field DOAs from one snapshot, radians, sorted ascending.
+) -> list:
+    """Far-field DOAs of a chunk of snapshots, radians, sorted ascending.
 
-    Returns the dealiased fine-shift angles together with diagnostics:
-    the coarse angles, the joint-diagonalization quality and the per
-    source dealiasing reports.
+    ``ys`` holds one observation per row.  Returns one outcome per trial:
+    the dealiased fine-shift angles together with diagnostics (the
+    coarse angles, the joint-diagonalization quality and the per source
+    dealiasing reports), or the :class:`~elaa_doa.errors.EstimationError`
+    that ends the trial.  The subspace and the rotations run once for the
+    chunk; the coarse angles and :func:`dealias` run per trial.
     """
     m = cfg.elements_per_ula
     pencil = default_pencil(m) if pencil is None else pencil
@@ -228,13 +253,35 @@ def estimate_doa_esprit(
     limit = min(pencil + 1, m - pencil - 1)
     if not 1 <= num_sources <= limit:
         raise ValueError(f"num_sources must be in [1, {limit}] for pencil {pencil}")
-    y1, y2 = split_ulas(snap.y)
+    y1, y2 = split_ulas(np.asarray(ys))
     sub = stacked_subspace(y1, y2, pencil, num_sources)
     coarse_eigs, fine_eigs, quality = pair_eigenvalues(sub.signal)
     coarse_ratio = cfg.spacing / cfg.wavelength
-    coarse_angles = np.array([_coarse_angle(xi, coarse_ratio) for xi in coarse_eigs])
-    angles, reports = dealias(coarse_angles, fine_eigs, cfg.center_separation / cfg.wavelength)
-    diag = EspritDiagnostics(
-        coarse_angles=coarse_angles, pairing_quality=quality, reports=reports
-    )
-    return angles, diag
+    fine_ratio = cfg.center_separation / cfg.wavelength
+    out = []
+    for t, (failure, pairing) in enumerate(zip(sub.failures(), quality.tolist())):
+        try:
+            unwrap(failure)
+            if math.isnan(pairing):
+                raise IllConditioned("a rotation's selection or eigenbasis is singular")
+            coarse = np.array([_coarse_angle(xi, coarse_ratio) for xi in coarse_eigs[t]])
+            angles, reports = dealias(coarse, fine_eigs[t], fine_ratio)
+        except EstimationError as exc:
+            out.append(exc)
+            continue
+        diag = EspritDiagnostics(coarse_angles=coarse, pairing_quality=pairing, reports=reports)
+        out.append((angles, diag))
+    return out
+
+
+def estimate_doa_esprit(
+    snap: Snapshot,
+    cfg: ArrayConfig,
+    num_sources: int,
+    pencil: int | None = None,
+) -> tuple[np.ndarray, EspritDiagnostics]:
+    """Far-field DOAs from one snapshot, radians, sorted ascending, with diagnostics.
+
+    The one-trial case of :func:`esprit_chunk`; a failure is raised.
+    """
+    return unwrap(esprit_chunk(snap.y[None], cfg, num_sources, pencil)[0])

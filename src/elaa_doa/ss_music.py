@@ -13,12 +13,17 @@ spectra non-coherently, as their product, and picks peaks from the fused
 surface; the near-field localizer picks peaks from each sub-array
 spectrum on its own.
 
-Estimates never evaluate the whole grid (:func:`pick_doas`).  The
+Estimates never evaluate the whole grid (:func:`pick_chunk`).  The
 polynomial's degree bounds how far it bends between samples of a coarse
 subgrid (every fifth angle of the 0.01 degree grid), so the fine grid is
 evaluated only on the coarse cells that can hold a maximum tall enough to
 be picked, and the pick equals the whole grid's.  Only the ``spectrum``
 command builds the whole-grid surface (:func:`fused_spectrum`).
+
+Estimates take a chunk of trials at once, each with one or two modules:
+one stacked SVD, one stacked coarse scan and one choice of cells for the
+chunk, whose values are bit-identical to one trial's own; a one-trial
+estimate is the chunk of one (:func:`estimate_doa_music`).
 """
 
 from __future__ import annotations
@@ -30,7 +35,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import UnderResolved
+from .errors import UnderResolved, unwrap
 from .geometry import ArrayConfig
 from .signal_model import Snapshot, split_ulas
 from .subspace import SubspacePair, default_pencil, hankel, split_subspaces
@@ -38,19 +43,23 @@ from .subspace import SubspacePair, default_pencil, hankel, split_subspaces
 DENOMINATOR_FLOOR = 1e-12
 PEAK_SEPARATION_DEG = 0.2
 MAX_GRID_POINTS = 180_000
-BOUND_MARGIN = 1e-9  # slack on pick_doas' cell bounds, in units of values**-2
+BOUND_MARGIN = 1e-9  # slack on pick_chunk's cell bounds, in units of values**-2
 
 
 @dataclass(frozen=True)
 class Spectrum:
-    """A pseudospectrum sampled on a monotone broadside-angle grid (radians)."""
+    """A pseudospectrum sampled on a monotone broadside-angle grid (radians).
+
+    ``values`` may carry leading axes, one surface per entry, before the
+    grid axis.
+    """
 
     grid: np.ndarray
     values: np.ndarray
 
     def __post_init__(self) -> None:
-        if self.grid.shape != self.values.shape:
-            raise ValueError("grid and values must have the same shape")
+        if self.grid.ndim != 1 or self.grid.shape != self.values.shape[-1:]:
+            raise ValueError("values must end in the grid's axis")
         if (self.grid[1:] <= self.grid[:-1]).any():
             raise ValueError("grid must be strictly increasing")
 
@@ -101,7 +110,7 @@ class Scan(NamedTuple):
     The coarse subgrid is every ``stride``-th grid angle, starting at the
     first, with contiguous copies of those steering columns.  Over its
     largest step, ``coarse_step`` radians, the top harmonic's phase moves
-    by at most ``harmonic_step`` (see :func:`pick_doas`).
+    by at most ``harmonic_step`` (see :func:`pick_chunk`).
     """
 
     grid: np.ndarray
@@ -134,7 +143,7 @@ def _cached_steering(n_rows: int, spacing: float, wavelength: float, step_deg: f
 
 
 def pseudospectrum(sub: SubspacePair, grid: np.ndarray, steering: np.ndarray) -> Spectrum:
-    """MUSIC surface ``||a|| / ||U_noise^H a||`` over the grid.
+    """MUSIC surfaces ``||a|| / ||U_noise^H a||`` over the grid, one per noise basis.
 
     ``steering`` holds the Vandermonde steering vector of each grid angle
     as a column, row ``m`` being ``exp(j*m*w)`` (see
@@ -144,24 +153,40 @@ def pseudospectrum(sub: SubspacePair, grid: np.ndarray, steering: np.ndarray) ->
     trigonometric polynomial ``a^H P a = c_0 + 2*Re(sum_m c_m exp(j*m*w))``,
     evaluated with one product against the steering rows.  It is floored
     at ``(1e-12 * ||a||)**2`` so noiseless nulls stay finite.
+
+    Noise bases stacked along leading axes of ``sub`` give surfaces with
+    those leading axes.  Each basis's polynomial is one ``(1, n - 1) @
+    (n - 1, G)`` product of a stacked matmul, whose columns are
+    bit-identical to those of a lone basis; a ``(B, n - 1) @ (n - 1, G)``
+    product is not, so the sums are never laid out as one matrix.
     """
     noise = sub.noise
-    if noise.shape[1] == 0:
+    if noise.shape[-1] == 0:
         raise ValueError("noise subspace is empty; reduce the source count")
     a = np.asarray(steering)
-    n = noise.shape[0]
+    n = noise.shape[-2]
     if a.shape != (n, len(grid)):
         raise ValueError("steering matrix shape does not match subspace/grid")
-    # Laid out with rows of 2n + 1 entries, element (i, i + m) of P lands in
-    # column m of row i, and the zero padding fills the columns past the
-    # diagonal's end, so one column sum gives each c_m.
-    padded = np.zeros((n + 1, 2 * n), dtype=complex)
-    padded[:n, :n] = noise @ noise.conj().T
-    c = padded.ravel()[: n * (2 * n + 1)].reshape(n, 2 * n + 1)[:, :n].sum(axis=0)
+    c = sub.projector_sums
+    den2 = c[..., :1].real + 2.0 * (c[..., None, 1:] @ a[1:])[..., 0, :].real
+    return Spectrum(grid=np.asarray(grid, dtype=float), values=_floored(den2, n))
+
+
+def _floored(den2: np.ndarray, n: int) -> np.ndarray:
+    """``||a|| / ||U_noise^H a||`` from ``den2``, the squares of the denominator, floored.
+
+    ``n`` is the steering length, so ``||a|| = sqrt(n)``.
+    """
     num = math.sqrt(n)
-    den2 = c[0].real + 2.0 * (c[1:] @ a[1:]).real
-    den = np.sqrt(np.maximum(den2, (DENOMINATOR_FLOOR * num) ** 2))
-    return Spectrum(grid=np.asarray(grid, dtype=float), values=num / den)
+    return num / np.sqrt(np.maximum(den2, (DENOMINATOR_FLOOR * num) ** 2))
+
+
+def _product(values: np.ndarray) -> np.ndarray:
+    """One module's surface, or the product of the modules' surfaces along axis -2."""
+    fused = values[..., 0, :]
+    for module in range(1, values.shape[-2]):
+        fused = fused * values[..., module, :]
+    return fused
 
 
 def module_subspace(
@@ -171,11 +196,12 @@ def module_subspace(
     grid_step_deg: float,
     pencil: int | None,
 ) -> tuple[SubspacePair, Scan]:
-    """Signal and noise subspaces of one sub-array's samples, with the scan they use.
+    """Signal and noise subspaces of sub-array samples, with the scan they use.
 
-    The samples are lifted with ``pencil`` (half the sub-array length
-    when None) and split; the scan is cached per (array, pencil, grid
-    step).
+    ``y_half`` holds one sub-array's samples along its last axis; leading
+    axes (trials, modules) stay leading axes of the subspaces.  The
+    samples are lifted with ``pencil`` (half the sub-array length when
+    None) and split; the scan is cached per (array, pencil, grid step).
     """
     pencil = default_pencil(cfg.elements_per_ula) if pencil is None else pencil
     scan = _cached_steering(pencil + 1, cfg.spacing, cfg.wavelength, grid_step_deg)
@@ -276,51 +302,100 @@ def _peaks(values: np.ndarray) -> np.ndarray:
     return np.flatnonzero((inner > values[:-2]) & (inner > values[2:])) + 1
 
 
-def _fused(subs: list[SubspacePair], grid: np.ndarray, steering: np.ndarray) -> np.ndarray:
-    """One module's surface, or the product of the modules' surfaces."""
-    values = pseudospectrum(subs[0], grid, steering).values
-    for sub in subs[1:]:
-        values = values * pseudospectrum(sub, grid, steering).values
-    return values
-
-
-def _cell_surface(subs: list[SubspacePair], scan: Scan, cells: np.ndarray) -> tuple:
-    """Grid indices, angles and surface values of the chosen coarse cells.
+def _cell_samples(scan: Scan, cells: np.ndarray) -> np.ndarray:
+    """Which grid samples the chosen coarse cells cover, a row of marks per trial.
 
     Cell ``j`` spans grid indices ``j * stride`` to ``(j + 1) * stride``, and
     one more either side; the partial cell past the last is always taken.
     """
     n_points, stride = len(scan.grid), scan.stride
-    inside = np.zeros(n_points + stride + 2, dtype=bool)  # shifted one sample up
-    inside[(np.flatnonzero(cells)[:, None] * stride + np.arange(stride + 3)).ravel()] = True
-    inside[len(cells) * stride :] = True
-    index = np.flatnonzero(inside[1 : n_points + 1])
-    grid = scan.grid[index]
-    # a C-ordered gather keeps each column's product bit-identical to the
-    # product over the whole grid (a fancy-indexed one comes out F-ordered)
-    return index, grid, _fused(subs, grid, np.take(scan.steering, index, axis=1))
+    trials, count = cells.shape
+    width = n_points + stride + 2
+    inside = np.zeros((trials, width), dtype=bool)  # shifted one sample up
+    # flat indices: a two-dimensional nonzero costs ten times a flat one
+    trial, cell = np.divmod(np.flatnonzero(cells), count)
+    starts = trial * width + cell * stride
+    inside.reshape(-1)[(starts[:, None] + np.arange(stride + 3)).ravel()] = True
+    inside[:, count * stride :] = True
+    return inside[:, 1 : n_points + 1]
 
 
-def _coarse_cells(subs: list[SubspacePair], scan: Scan) -> tuple[np.ndarray, ...]:
-    """Coarse surface; per coarse cell, the rise of ``Q``, whether it can turn, its least value."""
-    coarse = _fused(subs, scan.coarse_grid, scan.coarse_steering)
+def _cell_surfaces(sums: np.ndarray, scan: Scan, samples: np.ndarray) -> list[tuple]:
+    """Grid indices, angles and fused surface of each trial on the samples it marks.
+
+    ``sums`` holds each trial's modules' projector sums
+    (:attr:`~elaa_doa.subspace.SubspacePair.projector_sums`), axes (trial,
+    module), and ``samples`` one row of grid marks per trial.  Trials go
+    in runs of at most a whole grid's worth of samples (a trial with more
+    is a run of its own), so the pass holds about one grid of gathered
+    steering columns at most.  In a run, each trial's polynomial is one
+    stacked product over its own columns, as :func:`pseudospectrum` forms
+    it, so its values are bit-identical to its own pseudospectrum on those
+    columns; the floor, the root and the product of the modules run once
+    for the whole run.
+    """
+    n_points = samples.shape[1]
+    flat = np.flatnonzero(samples)
+    index = flat % n_points
+    bounds = np.searchsorted(flat, n_points * np.arange(len(samples) + 1)).tolist()
+    out = []
+    first = 0
+    while first < len(samples):
+        last = first + 1
+        while last < len(samples) and bounds[last + 1] - bounds[first] <= n_points:
+            last += 1
+        lo, hi = bounds[first], bounds[last]
+        run = index[lo:hi]
+        # a C-ordered gather (a fancy-indexed one comes out F-ordered): a
+        # column's product depends on its place among its trial's columns
+        # only, so it is the one that trial's own gather gives
+        steering = np.take(scan.steering, run, axis=1)
+        den2 = np.empty((sums.shape[1], hi - lo))
+        for t in range(first, last):
+            cols = slice(bounds[t] - lo, bounds[t + 1] - lo)
+            den2[:, cols] = (sums[t, :, None, 1:] @ steering[1:, cols])[:, 0].real
+        c0 = np.repeat(sums[first:last, :, 0].real.T, np.diff(bounds[first : last + 1]), axis=1)
+        values = _product(_floored(c0 + 2.0 * den2, sums.shape[-1]))
+        grid = scan.grid[run]
+        for t in range(first, last):
+            cols = slice(bounds[t] - lo, bounds[t + 1] - lo)
+            out.append((run[cols], grid[cols], values[cols]))
+        first = last
+    return out
+
+
+def _coarse_cells(sub: SubspacePair, scan: Scan) -> tuple[np.ndarray, ...]:
+    """Coarse surface; per coarse cell, the rise of ``Q``, whether it can turn, its least value.
+
+    ``sub`` has axes (trial, module); every result has a row per trial.
+    """
+    coarse = _product(pseudospectrum(sub, scan.coarse_grid, scan.coarse_steering).values)
     q = 1.0 / (coarse * coarse)
-    u = len(subs) * scan.harmonic_step
+    u = sub.noise.shape[-3] * scan.harmonic_step
     bend = (u * u + u * scan.coarse_step) / 2.0  # M * h**2
-    rise = q[1:] - q[:-1]
+    rise = q[..., 1:] - q[..., :-1]
     turning = np.abs(rise) <= bend / 2.0 + BOUND_MARGIN
-    return coarse, rise, turning, np.minimum(q[1:], q[:-1]) - (bend / 8.0 + BOUND_MARGIN)
+    least = np.minimum(q[..., 1:], q[..., :-1]) - (bend / 8.0 + BOUND_MARGIN)
+    return coarse, rise, turning, least
 
 
-def pick_doas(subs: list[SubspacePair], scan: Scan, num_peaks: int) -> np.ndarray:
-    """Peaks of one module's MUSIC surface, or of two modules' fused surface.
+def pick_chunk(sub: SubspacePair, scan: Scan, num_peaks: int) -> list:
+    """Peaks of each trial's MUSIC surface, one module's or two modules' fused surface.
 
-    Picks as :func:`peak_pick` on the whole grid would, evaluating only
-    part of it.  ``Q = values**-2`` is the product of ``L`` normalised
-    nulls ``a^H P a / n``, each a trigonometric polynomial of degree
-    ``n - 1`` in ``w = k*d*sin(angle)`` with values in [0, 1].  Bernstein's
-    inequality on ``Q - 1/2``, of degree ``N = L*(n - 1)``, bounds
-    ``|dQ/dw|`` by ``N/2`` and ``|d2Q/dw2|`` by ``N**2/2``, so
+    ``sub`` has axes (trial, module); the result holds one outcome per
+    trial, its peaks or the :class:`~elaa_doa.errors.EstimationError` that
+    ends it (:class:`~elaa_doa.errors.NonFiniteSnapshot`,
+    :class:`UnderResolved`).  The coarse scan, its cell tests and the
+    choice of cells run once for the whole chunk, and the fine cells in
+    runs of trials (:func:`_cell_surfaces`); the greedy picks run per
+    trial, and each trial gets one :func:`peak_pick`.
+
+    Each trial is picked as :func:`peak_pick` on the whole grid would,
+    evaluating only part of it.  ``Q = values**-2`` is the product of ``L``
+    normalised nulls ``a^H P a / n``, each a trigonometric polynomial of
+    degree ``n - 1`` in ``w = k*d*sin(angle)`` with values in [0, 1].
+    Bernstein's inequality on ``Q - 1/2``, of degree ``N = L*(n - 1)``,
+    bounds ``|dQ/dw|`` by ``N/2`` and ``|d2Q/dw2|`` by ``N**2/2``, so
     ``|d2Q/dangle2| <= M = (N**2*(k*d)**2 + N*k*d) / 2``.  On a coarse cell
     of width ``h``, ends that differ by more than ``M*h**2/2`` leave no
     turning point, and no sample reaches a height ``T`` unless
@@ -342,20 +417,48 @@ def pick_doas(subs: list[SubspacePair], scan: Scan, num_peaks: int) -> np.ndarra
     margin is negligible against ``M*h**2/8`` (3e-5 for one module on a
     0.05 degree cell).
     """
-    coarse, rise, turning, least = _coarse_cells(subs, scan)
-    top = np.flatnonzero((rise[:-1] < 0.0) & (rise[1:] > 0.0)) + 1  # coarse maxima
-    keep = _greedy(coarse[top], top, _peak_distance(scan.coarse_grid), num_peaks)
-    floor = coarse[top[keep[-1]]] if len(keep) == num_peaks else 0.0
-    if floor:
-        index, grid, fine = _cell_surface(subs, scan, turning & (least <= 1.0 / (floor * floor)))
-        idx = _peaks(fine)
-        idx = idx[(index[idx + 1] - index[idx - 1] == 2) & (fine[idx] >= floor)]
-        picks = _greedy(fine[idx], index[idx], _peak_distance(grid, index), num_peaks)
-        if len(picks) < num_peaks:
-            floor = 0.0
-    if not floor:
-        index, grid, fine = _cell_surface(subs, scan, turning)
-    return peak_pick(Spectrum(grid=grid, values=fine), num_peaks, index=index)
+    coarse, rise, turning, least = _coarse_cells(sub, scan)
+    tops = np.flatnonzero((rise[:, :-1] < 0.0) & (rise[:, 1:] > 0.0))  # coarse maxima
+    width = rise.shape[1] - 1
+    bounds = np.searchsorted(tops, width * np.arange(len(coarse) + 1)).tolist()
+    distance = _peak_distance(scan.coarse_grid)
+    floors = []
+    for t in range(len(coarse)):
+        top = tops[bounds[t] : bounds[t + 1]] - (t * width - 1)
+        keep = _greedy(coarse[t, top], top, distance, num_peaks)
+        floors.append(float(coarse[t, top[keep[-1]]]) if len(keep) == num_peaks else 0.0)
+    # without a floor, every cell that can turn
+    reach = np.array([1.0 / (floor * floor) if floor else math.inf for floor in floors])
+    cells = turning & (least <= reach[:, None])
+    failures = sub.failures()
+    failed = [failure is not None for failure in failures]
+    if any(failed):
+        cells[failed] = False
+    sums = sub.projector_sums
+    surfaces = _cell_surfaces(sums, scan, _cell_samples(scan, cells))
+    retry = []
+    for t, floor in enumerate(floors):
+        if floor and not failed[t]:
+            index, grid, fine = surfaces[t]
+            idx = _peaks(fine)
+            idx = idx[(index[idx + 1] - index[idx - 1] == 2) & (fine[idx] >= floor)]
+            picks = _greedy(fine[idx], index[idx], _peak_distance(grid, index), num_peaks)
+            if len(picks) < num_peaks:
+                retry.append(t)
+    if retry:
+        again = _cell_surfaces(sums[retry], scan, _cell_samples(scan, turning[retry]))
+        for t, surface in zip(retry, again):
+            surfaces[t] = surface
+    out = []
+    for failure, (index, grid, fine) in zip(failures, surfaces):
+        if failure is not None:
+            out.append(failure)
+            continue
+        try:
+            out.append(peak_pick(Spectrum(grid=grid, values=fine), num_peaks, index=index))
+        except UnderResolved as exc:
+            out.append(exc)
+    return out
 
 
 def fused_spectrum(
@@ -366,10 +469,34 @@ def fused_spectrum(
     pencil: int | None,
 ) -> Spectrum:
     """The fused MUSIC pseudospectrum of a snapshot's two sub-arrays on the whole grid."""
-    modules = [module_subspace(h, cfg, num_sources, grid_step_deg, pencil) for h in split_ulas(y)]
-    scan = modules[0][1]
-    values = _fused([sub for sub, _ in modules], scan.grid, scan.steering)
-    return Spectrum(grid=scan.grid, values=values)
+    sub, scan = module_subspace(np.stack(split_ulas(y)), cfg, num_sources, grid_step_deg, pencil)
+    for failure in sub.failures():
+        unwrap(failure)
+    values = pseudospectrum(sub, scan.grid, scan.steering).values
+    return Spectrum(grid=scan.grid, values=_product(values))
+
+
+def music_chunk(
+    ys: np.ndarray,
+    cfg: ArrayConfig,
+    num_sources: int,
+    grid_step_deg: float = 0.01,
+    pencil: int | None = None,
+    ula: int | None = None,
+) -> list:
+    """Far-field DOAs of a chunk of snapshots, radians, tallest peak first.
+
+    ``ys`` holds one observation per row.  Returns one outcome per
+    trial, as :func:`pick_chunk`.  ``ula=1`` or ``ula=2`` scans a single
+    sub-array instead of fusing both, which is the narrow-aperture
+    baseline the sparse array improves upon.
+    """
+    if ula not in (None, 1, 2):
+        raise ValueError("ula must be None, 1 or 2")
+    halves = np.stack(split_ulas(np.asarray(ys)), axis=-2)
+    modules = halves if ula is None else halves[..., ula - 1 : ula, :]
+    sub, scan = module_subspace(modules, cfg, num_sources, grid_step_deg, pencil)
+    return pick_chunk(sub, scan, num_sources)
 
 
 def estimate_doa_music(
@@ -382,15 +509,9 @@ def estimate_doa_music(
 ) -> np.ndarray:
     """Far-field DOAs from a single snapshot, radians, tallest peak first.
 
-    ``ula=1`` or ``ula=2`` scans a single sub-array instead of fusing both,
-    which is the narrow-aperture baseline the sparse array improves upon.
+    The one-trial case of :func:`music_chunk`; a failure is raised.
     """
-    if ula not in (None, 1, 2):
-        raise ValueError("ula must be None, 1 or 2")
-    halves = split_ulas(snap.y)
-    selected = halves if ula is None else (halves[ula - 1],)
-    modules = [module_subspace(y, cfg, num_sources, grid_step_deg, pencil) for y in selected]
-    return pick_doas([sub for sub, _ in modules], modules[0][1], num_sources)
+    return unwrap(music_chunk(snap.y[None], cfg, num_sources, grid_step_deg, pencil, ula)[0])
 
 
 def write_spectrum_csv(spectrum: Spectrum, path) -> None:

@@ -21,7 +21,7 @@ import pytest
 
 from elaa_doa.geometry import ArrayConfig, Target, field_regions, local_geometry
 from elaa_doa.harness import (
-    _run_trial,
+    _run_cell,
     derive_trial_seed,
     hit_rate,
     match_errors,
@@ -83,7 +83,7 @@ def fig4_trials():
             snap = snapshot(
                 spec.array, spec.targets, spec.snr_grid_db[0], seed, model=spec.steering_model
             )
-            est, _, _ = _run_trial("nf_localize", snap, spec)
+            ((est, _, _),) = _run_cell("nf_localize", [snap], spec)
             estimates.append(est)
         out[name] = (estimates, truth)
     return out, time.monotonic() - start

@@ -16,7 +16,7 @@ from elaa_doa.geometry import Target
 from elaa_doa.harness import (
     METRICS_HEADER,
     MetricsRow,
-    _run_trial,
+    _run_cell,
     _splitmix64,
     derive_trial_seed,
     hit_rate,
@@ -226,7 +226,9 @@ def test_debug_csv_route_columns(tmp_path, monkeypatch):
     run_monte_carlo(_tiny_spec(snr_grid_db=(30.0,)), debug_path=far)
     for line in far.read_text().splitlines()[1:]:
         assert line.endswith(",,,,")
-    monkeypatch.setattr(harness, "_run_trial", lambda *a: (None, "Unpaired", {}))
+    monkeypatch.setattr(
+        harness, "_run_cell", lambda algorithm, snaps, spec: [(None, "Unpaired", {})] * len(snaps)
+    )
     failed = tmp_path / "failed.csv"
     run_monte_carlo(near, debug_path=failed)
     for line in failed.read_text().splitlines()[1:]:
@@ -284,7 +286,11 @@ def test_package_imports_no_signal_optimize_or_stats():
 
 
 def test_rmse_include_failures_path(monkeypatch):
-    monkeypatch.setattr(harness, "_run_trial", lambda *a: (None, "UnderResolved", {}))
+    monkeypatch.setattr(
+        harness,
+        "_run_cell",
+        lambda algorithm, snaps, spec: [(None, "UnderResolved", {})] * len(snaps),
+    )
     spec = _tiny_spec(snr_grid_db=(30.0,))
     rows = run_monte_carlo(spec, rmse_include_failures=True)
     assert rows[0].failure_rate == 1.0
@@ -307,7 +313,7 @@ def test_non_finite_snapshot_is_a_typed_failure(scenario, algorithm, bad):
     spec = builtin_scenarios()[scenario]
     snap = snapshot(spec.array, spec.targets, 30.0, seed=1)
     snap.y[20] = bad
-    assert _run_trial(algorithm, snap, spec) == (None, "NonFiniteSnapshot", {})
+    assert _run_cell(algorithm, [snap], spec) == [(None, "NonFiniteSnapshot", {})]
 
 
 def test_an_unpaired_localization_is_a_typed_failure(monkeypatch):
@@ -319,4 +325,4 @@ def test_an_unpaired_localization_is_a_typed_failure(monkeypatch):
     monkeypatch.setattr(harness, "localize", lambda *args, **kwargs: result)
     with pytest.raises(Unpaired, match="^1 of 2 targets have no position$"):
         harness._localize(snap, spec)
-    assert _run_trial("nf_localize", snap, spec) == (None, "Unpaired", {})
+    assert _run_cell("nf_localize", [snap], spec) == [(None, "Unpaired", {})]

@@ -710,8 +710,10 @@ def test_localize_noise_ratio_from_the_two_scan_svds(monkeypatch):
     subs = _record_calls(monkeypatch, ss_music, "split_subspaces")
     fits = _record_calls(monkeypatch, nf_localizer, "_polish")
     result = localize(snap, cfg, 2)
-    assert len(subs) == 2
-    noise_ref = sum(float(np.sum(s.singular_values[2:] ** 2)) for s in subs)
+    # one SVD call decomposes both sub-arrays' liftings
+    (sub,) = subs
+    assert sub.singular_values.shape == (2, 1, 8)
+    noise_ref = sum(float(np.sum(s[2:] ** 2)) for s in sub.singular_values[:, 0])
     (_, pair_res), = fits
     assert result.noise_ratio == pytest.approx(pair_res**2 / noise_ref, rel=1e-12)
 

@@ -40,7 +40,8 @@ def test_shift_rows(paper_cfg, monkeypatch):
     seen = []
 
     def recording_solve(ua, ub):
-        seen.append((tuple(ua[:, 0].real.astype(int)), tuple(ub[:, 0].real.astype(int))))
+        # one trial: a chunk of one
+        seen.append((tuple(ua[0, :, 0].real.astype(int)), tuple(ub[0, :, 0].real.astype(int))))
         return solve_psi(ua, ub)
 
     monkeypatch.setattr(ss_esprit, "solve_psi", recording_solve)
@@ -72,7 +73,8 @@ def test_solve_psi_recovers_rotation():
     top = rng.normal(size=(4, 2)) + 1j * rng.normal(size=(4, 2))
     phi = np.diag(np.exp(1j * np.array([0.4, -1.1])))
     basis = np.vstack([top, top @ phi])
-    psi = solve_psi(basis[:4], basis[4:])
+    psi, ill = solve_psi(basis[:4], basis[4:])
+    assert not ill
     assert np.allclose(psi, phi, atol=1e-12)
 
 

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -5,7 +6,7 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from elaa_doa import nf_localizer, ss_music
-from elaa_doa.errors import UnderResolved
+from elaa_doa.errors import UnderResolved, unwrap
 from elaa_doa.geometry import Target, field_regions
 from elaa_doa.harness import derive_trial_seed
 from elaa_doa.scenarios import builtin_scenarios
@@ -27,11 +28,22 @@ from elaa_doa.ss_music import (
     hankel_steering_matrix,
     module_subspace,
     peak_pick,
-    pick_doas,
+    pick_chunk,
     pseudospectrum,
     write_spectrum_csv,
 )
 from elaa_doa.subspace import SubspacePair, hankel, split_subspaces
+
+
+def _one_trial(subs):
+    """One trial's module subspaces as a chunk of one, axes (trial, module)."""
+    fields = dataclasses.fields(SubspacePair)
+    return SubspacePair(*(np.stack([getattr(s, f.name) for s in subs])[None] for f in fields))
+
+
+def pick_doas(subs, scan, num_peaks):
+    """The peaks of one trial's fused surface over the modules ``subs``."""
+    return unwrap(pick_chunk(_one_trial(subs), scan, num_peaks)[0])
 
 
 def _far_snapshot(cfg, angles_deg, snr_db=math.inf, seed=0):
@@ -393,7 +405,7 @@ def test_trial_346_shallow_maximum_the_fused_coarse_samples_fall_across():
     picks = pick_doas(subs, scan, 2)
     assert np.degrees(picks) == pytest.approx([-0.096, 0.123], abs=1e-3)
     assert np.array_equal(picks, _full_grid_pick(subs, scan, 2))
-    coarse = _coarse_cells(subs, scan)[0]
+    coarse = _coarse_cells(_one_trial(subs), scan)[0][0]
     at = np.flatnonzero(np.isclose(np.degrees(scan.coarse_grid), 0.05))[0]
     assert np.all(np.diff(coarse[at : at + 3]) < 0)  # 0.05, 0.10, 0.15 degrees
 
@@ -413,7 +425,7 @@ def test_cell_bounds_hold_on_real_surfaces(name, snr_db, seed, modules, step_deg
     # turn (on a coarse sample, in one of the two cells it ends), or in the
     # partial cell past the last coarse sample
     subs, scan = _subspaces(name, snr_db, seed, modules, step_deg)
-    _, _, turning, least = _coarse_cells(subs, scan)
+    _, _, turning, least = (rows[0] for rows in _coarse_cells(_one_trial(subs), scan))
     values = _whole_grid(subs, scan)
     q = 1.0 / (values * values)
     stride, cells = scan.stride, len(least)
@@ -471,19 +483,21 @@ def test_coarse_picks_that_merge_on_the_fine_grid_fall_back_to_every_turning_cel
     scan = _cached_steering(9, 0.5, 1.0, 0.01)
     subs = [_two_null_module(scan, [10_001, 10_020])]
     evaluated = _recorder(monkeypatch, ss_music, "pseudospectrum")
+    fine = _recorder(monkeypatch, ss_music, "_cell_surfaces")
     picked = _recorder(monkeypatch, ss_music, "peak_pick")
     picks = pick_doas(subs, scan, 2)
     # coarse, floored cells, then every turning cell; one pick
-    assert len(evaluated) == 3 and len(picked) == 1
-    assert len(evaluated[2][1]) > len(evaluated[1][1])
+    assert len(evaluated) == 1 and len(fine) == 2 and len(picked) == 1
+    assert np.count_nonzero(fine[1][2]) > np.count_nonzero(fine[0][2])
     assert np.array_equal(picks, _full_grid_pick(subs, scan, 2))
     assert np.min(np.abs(picks[0] - scan.grid[[10_001, 10_020]])) < 1e-4
     # a surface of degree 8 has at most 8 maxima: with fewer coarse maxima
     # than requested peaks there is no floor from the start
     evaluated.clear()
+    fine.clear()
     picked.clear()
     assert _outcome(pick_doas, subs, scan, 9) is None
-    assert len(evaluated) == 2 and len(picked) == 1
+    assert len(evaluated) == len(fine) == len(picked) == 1
     assert _outcome(_full_grid_pick, subs, scan, 9) is None
 
 
@@ -503,19 +517,25 @@ def test_every_evaluation_and_pick_goes_through_the_module_globals(monkeypatch):
     spec = builtin_scenarios()["fig3_small_sep"]
     snap = snapshot(spec.array, spec.targets, 20.0, 1)
     evaluated = _recorder(monkeypatch, ss_music, "pseudospectrum")
+    fine = _recorder(monkeypatch, ss_music, "_cell_surfaces")
     picked = _recorder(monkeypatch, ss_music, "peak_pick")
     estimate_doa_music(snap, spec.array, 2)
-    # coarse then the chosen cells, for each module; one pick on the fused cells
-    assert len(evaluated) == 4 and len(picked) == 1
-    for sub, grid, steering in evaluated:
-        assert steering.shape == (sub.noise.shape[0], len(grid))
-    assert len(evaluated[0][1]) == len(evaluated[1][1]) == 3600
-    assert len(evaluated[2][1]) == len(evaluated[3][1]) < 500
-    assert np.array_equal(picked[0][0].grid, evaluated[2][1])
+    # the coarse scan, then the chosen cells, each of both modules at once;
+    # one pick on the fused cells
+    assert len(evaluated) == len(fine) == len(picked) == 1
+    ((sub, grid, steering),) = evaluated
+    assert sub.noise.shape[:2] == (1, 2) and len(grid) == 3600
+    assert steering.shape == (sub.noise.shape[-2], len(grid))
+    ((sums, scan, samples),) = fine
+    assert sums.shape[:2] == (1, 2) and 0 < np.count_nonzero(samples) < 500
+    assert np.array_equal(picked[0][0].grid, scan.grid[np.flatnonzero(samples[0])])
     evaluated.clear()
+    fine.clear()
     picked.clear()
     nf_localizer.local_doas(snap, spec.array, 2)
-    assert len(evaluated) == 4 and len(picked) == 2
+    # one coarse scan and one pass over the chosen cells of both sub-arrays;
+    # one pick each
+    assert len(evaluated) == len(fine) == 1 and len(picked) == 2
 
     def under_resolved(*args, **kwargs):
         raise UnderResolved("stub")
