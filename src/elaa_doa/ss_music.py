@@ -21,9 +21,10 @@ be picked, and the pick equals the whole grid's.  Only the ``spectrum``
 command builds the whole-grid surface (:func:`fused_spectrum`).
 
 Estimates take a chunk of trials at once, each with one or two modules:
-one stacked SVD, one stacked coarse scan and one choice of cells for the
-chunk, whose values are bit-identical to one trial's own; a one-trial
-estimate is the chunk of one (:func:`estimate_doa_music`).
+one stacked SVD and one stacked coarse scan for the chunk, whose values
+are bit-identical to one trial's own, then one fine pass and one pick per
+trial; a one-trial estimate is the chunk of one
+(:func:`estimate_doa_music`).
 """
 
 from __future__ import annotations
@@ -167,17 +168,16 @@ def pseudospectrum(sub: SubspacePair, grid: np.ndarray, steering: np.ndarray) ->
     n = noise.shape[-2]
     if a.shape != (n, len(grid)):
         raise ValueError("steering matrix shape does not match subspace/grid")
-    c = sub.projector_sums
-    den2 = c[..., :1].real + 2.0 * (c[..., None, 1:] @ a[1:])[..., 0, :].real
-    return Spectrum(grid=np.asarray(grid, dtype=float), values=_floored(den2, n))
+    return Spectrum(grid=np.asarray(grid, dtype=float), values=_surface(sub.projector_sums, a))
 
 
-def _floored(den2: np.ndarray, n: int) -> np.ndarray:
-    """``||a|| / ||U_noise^H a||`` from ``den2``, the squares of the denominator, floored.
+def _surface(c: np.ndarray, steering: np.ndarray) -> np.ndarray:
+    """``||a|| / ||U_noise^H a||`` on the steering columns, from projector sums ``c``, floored.
 
-    ``n`` is the steering length, so ``||a|| = sqrt(n)``.
+    ``c`` ends in the sums axis; its leading axes lead the result.
     """
-    num = math.sqrt(n)
+    num = math.sqrt(steering.shape[0])
+    den2 = c[..., :1].real + 2.0 * (c[..., None, 1:] @ steering[1:])[..., 0, :].real
     return num / np.sqrt(np.maximum(den2, (DENOMINATOR_FLOOR * num) ** 2))
 
 
@@ -253,7 +253,9 @@ def _greedy(heights: np.ndarray, positions: np.ndarray, distance: int, count: in
     return keep
 
 
-def peak_pick(spectrum: Spectrum, num_peaks: int, index: np.ndarray | None = None) -> np.ndarray:
+def peak_pick(
+    spectrum: Spectrum, num_peaks: int, index: np.ndarray | None = None, floor: float = 0.0
+) -> np.ndarray:
     """Angles of the ``num_peaks`` tallest local maxima, tallest first.
 
     Maxima (:func:`_peaks`) closer than ``PEAK_SEPARATION_DEG`` collapse to
@@ -269,17 +271,19 @@ def peak_pick(spectrum: Spectrum, num_peaks: int, index: np.ndarray | None = Non
     spectrum was cut from, when it covers only parts of that grid
     (None: the spectrum is the whole grid).  A sample is then a maximum
     only if both its grid neighbours are in the spectrum, and separations
-    are counted in steps of the uniform grid.  Raises
-    :class:`UnderResolved` when the surface has fewer qualifying maxima
-    than requested.
+    are counted in steps of the uniform grid.  A nonzero ``floor``
+    leaves out the maxima below it.  Raises :class:`UnderResolved` when
+    the surface has fewer qualifying maxima than requested.
     """
     if num_peaks < 1:
         raise ValueError("num_peaks must be at least 1")
     values = spectrum.values
-    idx = position = _peaks(values)
+    idx = _peaks(values)
     if index is not None:
         idx = idx[index[idx + 1] - index[idx - 1] == 2]
-        position = index[idx]
+    if floor:
+        idx = idx[values[idx] >= floor]
+    position = idx if index is None else index[idx]
     keep = _greedy(values[idx], position, _peak_distance(spectrum.grid, index), num_peaks)
     if len(keep) < num_peaks:
         raise UnderResolved(f"found {len(keep)} peaks, need {num_peaks}")
@@ -302,66 +306,27 @@ def _peaks(values: np.ndarray) -> np.ndarray:
     return np.flatnonzero((inner > values[:-2]) & (inner > values[2:])) + 1
 
 
-def _cell_samples(scan: Scan, cells: np.ndarray) -> np.ndarray:
-    """Which grid samples the chosen coarse cells cover, a row of marks per trial.
+def _fine_surface(sums: np.ndarray, scan: Scan, cells: np.ndarray) -> tuple[np.ndarray, ...]:
+    """Grid indices, angles and fused surface of one trial on the coarse cells it marks.
 
-    Cell ``j`` spans grid indices ``j * stride`` to ``(j + 1) * stride``, and
-    one more either side; the partial cell past the last is always taken.
+    ``sums`` holds the trial's modules' projector sums
+    (:attr:`~elaa_doa.subspace.SubspacePair.projector_sums`), and ``cells``
+    one mark per coarse cell.  Cell ``j`` spans grid indices ``j * stride``
+    to ``(j + 1) * stride``, and one more either side; the partial cell
+    past the last is always taken.  The pass gathers at most one grid of
+    steering columns, and its values are bit-identical to the trial's
+    :func:`pseudospectrum` on those columns.
     """
     n_points, stride = len(scan.grid), scan.stride
-    trials, count = cells.shape
-    width = n_points + stride + 2
-    inside = np.zeros((trials, width), dtype=bool)  # shifted one sample up
-    # flat indices: a two-dimensional nonzero costs ten times a flat one
-    trial, cell = np.divmod(np.flatnonzero(cells), count)
-    starts = trial * width + cell * stride
-    inside.reshape(-1)[(starts[:, None] + np.arange(stride + 3)).ravel()] = True
-    inside[:, count * stride :] = True
-    return inside[:, 1 : n_points + 1]
-
-
-def _cell_surfaces(sums: np.ndarray, scan: Scan, samples: np.ndarray) -> list[tuple]:
-    """Grid indices, angles and fused surface of each trial on the samples it marks.
-
-    ``sums`` holds each trial's modules' projector sums
-    (:attr:`~elaa_doa.subspace.SubspacePair.projector_sums`), axes (trial,
-    module), and ``samples`` one row of grid marks per trial.  Trials go
-    in runs of at most a whole grid's worth of samples (a trial with more
-    is a run of its own), so the pass holds about one grid of gathered
-    steering columns at most.  In a run, each trial's polynomial is one
-    stacked product over its own columns, as :func:`pseudospectrum` forms
-    it, so its values are bit-identical to its own pseudospectrum on those
-    columns; the floor, the root and the product of the modules run once
-    for the whole run.
-    """
-    n_points = samples.shape[1]
-    flat = np.flatnonzero(samples)
-    index = flat % n_points
-    bounds = np.searchsorted(flat, n_points * np.arange(len(samples) + 1)).tolist()
-    out = []
-    first = 0
-    while first < len(samples):
-        last = first + 1
-        while last < len(samples) and bounds[last + 1] - bounds[first] <= n_points:
-            last += 1
-        lo, hi = bounds[first], bounds[last]
-        run = index[lo:hi]
-        # a C-ordered gather (a fancy-indexed one comes out F-ordered): a
-        # column's product depends on its place among its trial's columns
-        # only, so it is the one that trial's own gather gives
-        steering = np.take(scan.steering, run, axis=1)
-        den2 = np.empty((sums.shape[1], hi - lo))
-        for t in range(first, last):
-            cols = slice(bounds[t] - lo, bounds[t + 1] - lo)
-            den2[:, cols] = (sums[t, :, None, 1:] @ steering[1:, cols])[:, 0].real
-        c0 = np.repeat(sums[first:last, :, 0].real.T, np.diff(bounds[first : last + 1]), axis=1)
-        values = _product(_floored(c0 + 2.0 * den2, sums.shape[-1]))
-        grid = scan.grid[run]
-        for t in range(first, last):
-            cols = slice(bounds[t] - lo, bounds[t + 1] - lo)
-            out.append((run[cols], grid[cols], values[cols]))
-        first = last
-    return out
+    inside = np.zeros(n_points + stride + 2, dtype=bool)  # shifted one sample up
+    starts = np.flatnonzero(cells) * stride
+    inside[(starts[:, None] + np.arange(stride + 3)).ravel()] = True
+    inside[len(cells) * stride :] = True
+    index = np.flatnonzero(inside[1 : n_points + 1])
+    # a C-ordered gather (a fancy-indexed one comes out F-ordered): a
+    # column's product depends on its place among the gathered columns
+    steering = np.take(scan.steering, index, axis=1)
+    return index, scan.grid[index], _product(_surface(sums, steering))
 
 
 def _coarse_cells(sub: SubspacePair, scan: Scan) -> tuple[np.ndarray, ...]:
@@ -385,10 +350,12 @@ def pick_chunk(sub: SubspacePair, scan: Scan, num_peaks: int) -> list:
     ``sub`` has axes (trial, module); the result holds one outcome per
     trial, its peaks or the :class:`~elaa_doa.errors.EstimationError` that
     ends it (:class:`~elaa_doa.errors.NonFiniteSnapshot`,
-    :class:`UnderResolved`).  The coarse scan, its cell tests and the
-    choice of cells run once for the whole chunk, and the fine cells in
-    runs of trials (:func:`_cell_surfaces`); the greedy picks run per
-    trial, and each trial gets one :func:`peak_pick`.
+    :class:`UnderResolved`).  The coarse scan and its cell tests run once
+    for the whole chunk.  Each trial then gets one fine pass over the
+    cells it chose (:func:`_fine_surface`) and one :func:`peak_pick`
+    floored at its coarse pick; only a trial whose floored pick falls
+    short gets a second pass, over every cell that can turn, and an
+    unfloored pick.
 
     Each trial is picked as :func:`peak_pick` on the whole grid would,
     evaluating only part of it.  ``Q = values**-2`` is the product of ``L``
@@ -406,9 +373,10 @@ def pick_chunk(sub: SubspacePair, scan: Scan, num_peaks: int) -> list:
     has both neighbours, and on the partial cell past the last coarse
     sample.  With ``T`` the ``num_peaks``-th greedy pick among the coarse
     maxima, the fine maxima of height ``T`` or more are the whole grid's,
-    and a greedy pick depends only on the maxima at or above it; if they
-    give fewer than ``num_peaks`` picks, or the coarse maxima do, every
-    cell that can turn is evaluated and the pick has no floor.
+    and a greedy pick depends only on the maxima at or above it, so the
+    pick floored at ``T`` is the whole grid's; if it gives fewer than
+    ``num_peaks`` picks, or the coarse maxima do, every cell that can turn
+    is evaluated and the pick has no floor.
 
     Both tests carry ``BOUND_MARGIN`` for rounding (1.2e-15 in ``Q`` per
     module against a long-double evaluation) and the 1e-24 floor: rounding
@@ -418,46 +386,27 @@ def pick_chunk(sub: SubspacePair, scan: Scan, num_peaks: int) -> list:
     0.05 degree cell).
     """
     coarse, rise, turning, least = _coarse_cells(sub, scan)
-    tops = np.flatnonzero((rise[:, :-1] < 0.0) & (rise[:, 1:] > 0.0))  # coarse maxima
-    width = rise.shape[1] - 1
-    bounds = np.searchsorted(tops, width * np.arange(len(coarse) + 1)).tolist()
+    maxima = (rise[:, :-1] < 0.0) & (rise[:, 1:] > 0.0)  # of the inner coarse samples
     distance = _peak_distance(scan.coarse_grid)
-    floors = []
-    for t in range(len(coarse)):
-        top = tops[bounds[t] : bounds[t + 1]] - (t * width - 1)
-        keep = _greedy(coarse[t, top], top, distance, num_peaks)
-        floors.append(float(coarse[t, top[keep[-1]]]) if len(keep) == num_peaks else 0.0)
-    # without a floor, every cell that can turn
-    reach = np.array([1.0 / (floor * floor) if floor else math.inf for floor in floors])
-    cells = turning & (least <= reach[:, None])
-    failures = sub.failures()
-    failed = [failure is not None for failure in failures]
-    if any(failed):
-        cells[failed] = False
     sums = sub.projector_sums
-    surfaces = _cell_surfaces(sums, scan, _cell_samples(scan, cells))
-    retry = []
-    for t, floor in enumerate(floors):
-        if floor and not failed[t]:
-            index, grid, fine = surfaces[t]
-            idx = _peaks(fine)
-            idx = idx[(index[idx + 1] - index[idx - 1] == 2) & (fine[idx] >= floor)]
-            picks = _greedy(fine[idx], index[idx], _peak_distance(grid, index), num_peaks)
-            if len(picks) < num_peaks:
-                retry.append(t)
-    if retry:
-        again = _cell_surfaces(sums[retry], scan, _cell_samples(scan, turning[retry]))
-        for t, surface in zip(retry, again):
-            surfaces[t] = surface
-    out = []
-    for failure, (index, grid, fine) in zip(failures, surfaces):
+    out = sub.failures()
+    for t, failure in enumerate(out):
         if failure is not None:
-            out.append(failure)
             continue
-        try:
-            out.append(peak_pick(Spectrum(grid=grid, values=fine), num_peaks, index=index))
-        except UnderResolved as exc:
-            out.append(exc)
+        top = np.flatnonzero(maxima[t]) + 1
+        keep = _greedy(coarse[t, top], top, distance, num_peaks)
+        passes = [(turning[t], 0.0)]  # every cell that can turn, with no floor
+        if len(keep) == num_peaks:
+            floor = float(coarse[t, top[keep[-1]]])
+            passes.insert(0, (turning[t] & (least[t] <= 1.0 / (floor * floor)), floor))
+        for cells, floor in passes:
+            index, grid, fine = _fine_surface(sums[t], scan, cells)
+            spectrum = Spectrum(grid=grid, values=fine)
+            try:
+                out[t] = peak_pick(spectrum, num_peaks, index=index, floor=floor)
+                break
+            except UnderResolved as exc:
+                out[t] = exc
     return out
 
 

@@ -1,4 +1,5 @@
 import dataclasses
+import inspect
 import math
 
 import numpy as np
@@ -6,7 +7,7 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from elaa_doa import nf_localizer, ss_music
-from elaa_doa.errors import UnderResolved, unwrap
+from elaa_doa.errors import NonFiniteSnapshot, UnderResolved, unwrap
 from elaa_doa.geometry import Target, field_regions
 from elaa_doa.harness import derive_trial_seed
 from elaa_doa.scenarios import builtin_scenarios
@@ -35,15 +36,17 @@ from elaa_doa.ss_music import (
 from elaa_doa.subspace import SubspacePair, hankel, split_subspaces
 
 
-def _one_trial(subs):
-    """One trial's module subspaces as a chunk of one, axes (trial, module)."""
+def _chunk(*trials):
+    """Each trial's module subspaces, stacked as one chunk with axes (trial, module)."""
     fields = dataclasses.fields(SubspacePair)
-    return SubspacePair(*(np.stack([getattr(s, f.name) for s in subs])[None] for f in fields))
+    return SubspacePair(
+        *(np.array([[getattr(s, f.name) for s in subs] for subs in trials]) for f in fields)
+    )
 
 
 def pick_doas(subs, scan, num_peaks):
     """The peaks of one trial's fused surface over the modules ``subs``."""
-    return unwrap(pick_chunk(_one_trial(subs), scan, num_peaks)[0])
+    return unwrap(pick_chunk(_chunk(subs), scan, num_peaks)[0])
 
 
 def _far_snapshot(cfg, angles_deg, snr_db=math.inf, seed=0):
@@ -291,6 +294,21 @@ def test_peak_pick_windows_need_both_neighbours():
     assert peak_pick(spectrum, 1, index=index) == pytest.approx(grid[2])
     with pytest.raises(UnderResolved, match="found 1 peaks"):
         peak_pick(spectrum, 2, index=index)
+    # a floor leaves out the maxima below it: on a whole 0.1 degree grid the
+    # plateau 4-5 is a maximum (at 4) and 2 a lower one, two steps apart, the
+    # separation floor; the default floor of 0 keeps both
+    whole = Spectrum(grid=np.radians(0.1 * np.arange(10)), values=values)
+    assert np.array_equal(peak_pick(whole, 2), peak_pick(whole, 2, floor=0.0))
+    assert np.degrees(peak_pick(whole, 2)) == pytest.approx([0.4, 0.2], abs=0.05)
+    assert np.array_equal(peak_pick(whole, 1, floor=9.0), peak_pick(whole, 1))
+    assert np.array_equal(peak_pick(whole, 1, floor=3.0), peak_pick(whole, 1))
+    with pytest.raises(UnderResolved, match="found 1 peaks"):
+        peak_pick(whole, 2, floor=3.5)
+    with pytest.raises(UnderResolved, match="found 0 peaks"):
+        peak_pick(whole, 1, floor=9.5)
+    assert peak_pick(spectrum, 1, index=index, floor=3.0) == pytest.approx(grid[2])
+    with pytest.raises(UnderResolved, match="found 0 peaks"):
+        peak_pick(spectrum, 1, index=index, floor=3.5)
 
 
 def test_peak_pick_windows_count_separation_on_the_whole_grid():
@@ -405,7 +423,7 @@ def test_trial_346_shallow_maximum_the_fused_coarse_samples_fall_across():
     picks = pick_doas(subs, scan, 2)
     assert np.degrees(picks) == pytest.approx([-0.096, 0.123], abs=1e-3)
     assert np.array_equal(picks, _full_grid_pick(subs, scan, 2))
-    coarse = _coarse_cells(_one_trial(subs), scan)[0][0]
+    coarse = _coarse_cells(_chunk(subs), scan)[0][0]
     at = np.flatnonzero(np.isclose(np.degrees(scan.coarse_grid), 0.05))[0]
     assert np.all(np.diff(coarse[at : at + 3]) < 0)  # 0.05, 0.10, 0.15 degrees
 
@@ -425,7 +443,7 @@ def test_cell_bounds_hold_on_real_surfaces(name, snr_db, seed, modules, step_deg
     # turn (on a coarse sample, in one of the two cells it ends), or in the
     # partial cell past the last coarse sample
     subs, scan = _subspaces(name, snr_db, seed, modules, step_deg)
-    _, _, turning, least = (rows[0] for rows in _coarse_cells(_one_trial(subs), scan))
+    _, _, turning, least = (rows[0] for rows in _coarse_cells(_chunk(subs), scan))
     values = _whole_grid(subs, scan)
     q = 1.0 / (values * values)
     stride, cells = scan.stride, len(least)
@@ -472,7 +490,7 @@ def test_maxima_at_the_denominator_floor_tie_as_on_the_full_grid(paper_cfg):
 def _two_null_module(scan, nulls):
     """A noiseless one-module subspace whose surface has exact nulls at ``nulls``."""
     basis, _ = np.linalg.qr(np.column_stack([scan.steering[:, nulls], np.eye(9)]))
-    return SubspacePair(signal=basis[:, :2], noise=basis[:, 2:], singular_values=np.ones(9))
+    return SubspacePair(signal=basis[:, :2], noise=basis[:, 2:], singular_values=np.ones(8))
 
 
 def test_coarse_picks_that_merge_on_the_fine_grid_fall_back_to_every_turning_cell(monkeypatch):
@@ -483,12 +501,15 @@ def test_coarse_picks_that_merge_on_the_fine_grid_fall_back_to_every_turning_cel
     scan = _cached_steering(9, 0.5, 1.0, 0.01)
     subs = [_two_null_module(scan, [10_001, 10_020])]
     evaluated = _recorder(monkeypatch, ss_music, "pseudospectrum")
-    fine = _recorder(monkeypatch, ss_music, "_cell_surfaces")
+    fine = _recorder(monkeypatch, ss_music, "_fine_surface")
     picked = _recorder(monkeypatch, ss_music, "peak_pick")
     picks = pick_doas(subs, scan, 2)
-    # coarse, floored cells, then every turning cell; one pick
-    assert len(evaluated) == 1 and len(fine) == 2 and len(picked) == 1
-    assert np.count_nonzero(fine[1][2]) > np.count_nonzero(fine[0][2])
+    # coarse, then the floored cells and a floored pick that falls short,
+    # then every turning cell and an unfloored pick
+    assert len(evaluated) == 1 and len(fine) == 2 and len(picked) == 2
+    assert np.count_nonzero(fine[1]["cells"]) > np.count_nonzero(fine[0]["cells"])
+    assert picked[0]["floor"] > 0.0 and picked[1]["floor"] == 0.0
+    assert len(picked[1]["spectrum"].grid) > len(picked[0]["spectrum"].grid)
     assert np.array_equal(picks, _full_grid_pick(subs, scan, 2))
     assert np.min(np.abs(picks[0] - scan.grid[[10_001, 10_020]])) < 1e-4
     # a surface of degree 8 has at most 8 maxima: with fewer coarse maxima
@@ -498,15 +519,48 @@ def test_coarse_picks_that_merge_on_the_fine_grid_fall_back_to_every_turning_cel
     picked.clear()
     assert _outcome(pick_doas, subs, scan, 9) is None
     assert len(evaluated) == len(fine) == len(picked) == 1
+    assert picked[0]["floor"] == 0.0
     assert _outcome(_full_grid_pick, subs, scan, 9) is None
 
 
+def test_a_fallback_trial_in_a_chunk_is_picked_as_on_its_own(monkeypatch):
+    # one chunk of real one-module trials of fig3_small_sep, the two-null
+    # trial whose floored pick falls short, and a trial with a NaN sample:
+    # each outcome is its chunk-of-one outcome and its whole-grid pick
+    spec = builtin_scenarios()["fig3_small_sep"]
+    ys = [snapshot(spec.array, spec.targets, snr, seed).y for snr, seed in ((20.0, 1), (0.0, 2))]
+    ys.insert(1, ys[0].copy())
+    ys[1][3] = np.nan
+    real, scan = module_subspace(split_ulas(np.stack(ys))[0][:, None], spec.array, 2, 0.01, None)
+    rows = [
+        [SubspacePair(*(getattr(real, f.name)[t, 0] for f in dataclasses.fields(real)))]
+        for t in range(len(ys))
+    ]
+    rows.insert(2, [_two_null_module(scan, [10_001, 10_020])])
+    fine = _recorder(monkeypatch, ss_music, "_fine_surface")
+    got = pick_chunk(_chunk(*rows), scan, 2)
+    # the two-null trial, and it alone, takes the second pass
+    assert len(fine) == len(rows)
+    assert np.array_equal(fine[1]["sums"], fine[2]["sums"])
+    assert np.count_nonzero(fine[2]["cells"]) > np.count_nonzero(fine[1]["cells"])
+    assert isinstance(got[1], NonFiniteSnapshot)
+    assert isinstance(pick_chunk(_chunk(rows[1]), scan, 2)[0], NonFiniteSnapshot)
+    for t in (0, 2, 3):
+        alone = pick_chunk(_chunk(rows[t]), scan, 2)[0]
+        assert np.array_equal(got[t], alone)
+        assert np.array_equal(got[t], _full_grid_pick(rows[t], scan, 2))
+
+
 def _recorder(monkeypatch, module, name):
+    """Patch ``module.name`` to record each call's arguments, by name, defaults included."""
     calls = []
     original = getattr(module, name)
+    signature = inspect.signature(original)
 
     def record(*args, **kwargs):
-        calls.append(args)
+        bound = signature.bind(*args, **kwargs)
+        bound.apply_defaults()
+        calls.append(bound.arguments)
         return original(*args, **kwargs)
 
     monkeypatch.setattr(module, name, record)
@@ -517,25 +571,27 @@ def test_every_evaluation_and_pick_goes_through_the_module_globals(monkeypatch):
     spec = builtin_scenarios()["fig3_small_sep"]
     snap = snapshot(spec.array, spec.targets, 20.0, 1)
     evaluated = _recorder(monkeypatch, ss_music, "pseudospectrum")
-    fine = _recorder(monkeypatch, ss_music, "_cell_surfaces")
+    fine = _recorder(monkeypatch, ss_music, "_fine_surface")
     picked = _recorder(monkeypatch, ss_music, "peak_pick")
     estimate_doa_music(snap, spec.array, 2)
-    # the coarse scan, then the chosen cells, each of both modules at once;
-    # one pick on the fused cells
+    # the coarse scan of both modules at once, then one pass over the
+    # trial's chosen cells of both modules and one floored pick
     assert len(evaluated) == len(fine) == len(picked) == 1
-    ((sub, grid, steering),) = evaluated
+    ((sub, grid, steering),) = (call.values() for call in evaluated)
     assert sub.noise.shape[:2] == (1, 2) and len(grid) == 3600
     assert steering.shape == (sub.noise.shape[-2], len(grid))
-    ((sums, scan, samples),) = fine
-    assert sums.shape[:2] == (1, 2) and 0 < np.count_nonzero(samples) < 500
-    assert np.array_equal(picked[0][0].grid, scan.grid[np.flatnonzero(samples[0])])
+    ((sums, scan, cells),) = (call.values() for call in fine)
+    assert sums.shape == (2, sub.noise.shape[-2]) and 0 < np.count_nonzero(cells) < 100
+    ((spectrum, num_peaks, index, floor),) = (call.values() for call in picked)
+    assert num_peaks == 2 and floor > 0.0 and len(index) < 500
+    assert np.array_equal(spectrum.grid, scan.grid[index])
     evaluated.clear()
     fine.clear()
     picked.clear()
     nf_localizer.local_doas(snap, spec.array, 2)
-    # one coarse scan and one pass over the chosen cells of both sub-arrays;
-    # one pick each
-    assert len(evaluated) == len(fine) == 1 and len(picked) == 2
+    # one coarse scan of both sub-arrays; a pass over each one's chosen
+    # cells and one pick each
+    assert len(evaluated) == 1 and len(fine) == len(picked) == 2
 
     def under_resolved(*args, **kwargs):
         raise UnderResolved("stub")
