@@ -132,9 +132,7 @@ def _cmd_spectrum(args) -> int:
     )
     if args.dump_snapshot:
         save_snapshot(args.dump_snapshot, snap.y)
-    surface = fused_spectrum(
-        snap.y, spec.array, len(spec.targets), spec.grid_step_deg, spec.pencil
-    )
+    surface = fused_spectrum(snap.y, spec.array, len(spec.targets))
     write_spectrum_csv(surface, args.out)
     print(f"wrote spectrum ({len(surface.grid)} angles) to {args.out}")
     return 0
@@ -143,7 +141,7 @@ def _cmd_spectrum(args) -> int:
 def _cmd_array_factor(args) -> int:
     spec = _resolve_scenario(args.scenario)
     _check_writable(args.out)
-    grid = default_grid(spec.grid_step_deg)
+    grid = default_grid()
     elaa = array_factor(spec.array, grid, aperture="elaa")
     ula = array_factor(spec.array, grid, aperture="ula")
     with open(args.out, "w") as fh:

@@ -130,11 +130,14 @@ class Target:
 
 @dataclass(frozen=True)
 class FieldRegions:
-    """Range thresholds separating the wavefront-model regimes (meters)."""
+    """Range thresholds separating the wavefront-model regimes (meters).
+
+    Below ``local_farfield`` the exact model holds, from there to
+    ``fraunhofer`` the locally planar one, and beyond it the far field.
+    """
 
     fraunhofer: float
     local_farfield: float
-    shared_doa: float
 
 
 @dataclass(frozen=True)
@@ -180,16 +183,11 @@ def field_regions(cfg: ArrayConfig) -> FieldRegions:
       single plane wave describes the whole array.
     * ``local_farfield``: ``2 * sub_aperture**2 / wavelength``; beyond it
       each sub-array individually sees a locally planar wavefront.
-    * ``shared_doa``: ``max(5 * total_aperture,
-      4 * total_aperture * gap / wavelength)``; beyond it the per-sub-array
-      DOAs can be replaced by a single shared one.
     """
     lam = cfg.wavelength
     d_a = cfg.total_aperture
     return FieldRegions(
-        fraunhofer=2.0 * d_a * d_a / lam,
-        local_farfield=2.0 * cfg.sub_aperture**2 / lam,
-        shared_doa=max(5.0 * d_a, 4.0 * d_a * cfg.gap / lam),
+        fraunhofer=2.0 * d_a * d_a / lam, local_farfield=2.0 * cfg.sub_aperture**2 / lam
     )
 
 

@@ -165,7 +165,7 @@ def _failed(exc: EstimationError) -> tuple[None, str, dict]:
 def _esprit(snaps, spec: ScenarioSpec):
     ys = np.stack([snap.y for snap in snaps])
     out = []
-    for outcome in esprit_chunk(ys, spec.array, len(spec.targets), pencil=spec.pencil):
+    for outcome in esprit_chunk(ys, spec.array, len(spec.targets)):
         if isinstance(outcome, EstimationError):
             out.append(_failed(outcome))
             continue
@@ -180,14 +180,7 @@ def _esprit(snaps, spec: ScenarioSpec):
 
 def _music(snaps, spec: ScenarioSpec, ula: int | None):
     ys = np.stack([snap.y for snap in snaps])
-    outcomes = music_chunk(
-        ys,
-        spec.array,
-        len(spec.targets),
-        grid_step_deg=spec.grid_step_deg,
-        pencil=spec.pencil,
-        ula=ula,
-    )
+    outcomes = music_chunk(ys, spec.array, len(spec.targets), ula=ula)
     return [
         _failed(out) if isinstance(out, EstimationError) else (np.degrees(out), "ok", {})
         for out in outcomes
@@ -195,9 +188,7 @@ def _music(snaps, spec: ScenarioSpec, ula: int | None):
 
 
 def _localize(snap, spec: ScenarioSpec):
-    result = localize(
-        snap, spec.array, len(spec.targets), grid_step_deg=spec.grid_step_deg, pencil=spec.pencil
-    )
+    result = localize(snap, spec.array, len(spec.targets))
     failed = sum(t.position is None for t in result.targets)
     if failed:
         raise Unpaired(f"{failed} of {len(result.targets)} targets have no position")

@@ -74,6 +74,9 @@ POLISH_MAX_STEPS = 150
 COINCIDENT_GRAM = 1e-9
 POLISH_LOG_R_CAP = 0.05
 PAIR_NOISE_GATE = 1.5
+# associate scores all K! matchings of the local DOAs: 5 040 at this limit,
+# the reference array's own source limit
+MAX_SOURCES = 7
 
 
 @dataclass(frozen=True)
@@ -143,11 +146,7 @@ def triangulate(angles: tuple[float, float], cfg: ArrayConfig) -> np.ndarray:
 
 
 def local_doas(
-    snap: Snapshot,
-    cfg: ArrayConfig,
-    num_sources: int,
-    grid_step_deg: float = 0.01,
-    pencil: int | None = None,
+    snap: Snapshot, cfg: ArrayConfig, num_sources: int
 ) -> tuple[np.ndarray, np.ndarray, float]:
     """Per-sub-array DOA estimates, each sorted ascending, and the noise reference.
 
@@ -159,7 +158,7 @@ def local_doas(
     """
     # the two modules are two one-module trials of one chunk
     modules = np.stack(split_ulas(snap.y))[:, None]
-    sub, scan = module_subspace(modules, cfg, num_sources, grid_step_deg, pencil)
+    sub, scan = module_subspace(modules, cfg, num_sources)
     doas1, doas2 = (np.sort(unwrap(out)) for out in pick_chunk(sub, scan, num_sources))
     noise_ref = 0.0
     for values in sub.singular_values[:, 0]:
@@ -736,7 +735,7 @@ def _matched_filter_positions(
     return best
 
 
-def _pair_gate(cfg: ArrayConfig, num_sources: int, pencil: int | None) -> float:
+def _pair_gate(cfg: ArrayConfig, num_sources: int) -> float:
     """The largest noise ratio with which the polished pairs answer alone.
 
     Under a correct model the polished residual holds the noise of
@@ -746,24 +745,17 @@ def _pair_gate(cfg: ArrayConfig, num_sources: int, pencil: int | None) -> float:
     K)`` outside its signal subspace.  Their quotient is the ratio's
     expected value, and the gate is ``PAIR_NOISE_GATE`` times it; with
     two 16-element sub-arrays, the default pencil and two sources that
-    is ``1.5 * 28 / (2 * 7 * 6) = 0.5``.  Zero when the Hankel matrices
-    leave no noise subspace.
+    is ``1.5 * 28 / (2 * 7 * 6) = 0.5``.  Up to
+    :func:`~elaa_doa.subspace.max_sources` sources, both factors are
+    positive.
     """
     m = cfg.elements_per_ula
-    rows = (default_pencil(m) if pencil is None else pencil) + 1
-    noise_dof = 2 * max(rows - num_sources, 0) * max(m - rows + 1 - num_sources, 0)
-    if noise_dof == 0:
-        return 0.0
+    rows = default_pencil(m) + 1
+    noise_dof = 2 * (rows - num_sources) * (m - rows + 1 - num_sources)
     return PAIR_NOISE_GATE * (2 * m - 2 * num_sources) / noise_dof
 
 
-def localize(
-    snap: Snapshot,
-    cfg: ArrayConfig,
-    num_sources: int,
-    grid_step_deg: float = 0.01,
-    pencil: int | None = None,
-) -> LocalizationResult:
+def localize(snap: Snapshot, cfg: ArrayConfig, num_sources: int) -> LocalizationResult:
     """Estimate target positions from one snapshot.
 
     The pair route goes first: the associated per-sub-array DOA pairs
@@ -791,13 +783,13 @@ def localize(
     no position, so the result always has ``num_sources`` entries;
     deflation entries carry ``pair=None``.
     """
-    doas1, doas2, noise_ref = local_doas(snap, cfg, num_sources, grid_step_deg, pencil)
+    doas1, doas2, noise_ref = local_doas(snap, cfg, num_sources)
     assoc = associate(doas1, doas2, snap, cfg)
     y = snap.y.astype(complex)
     y_norm = float(np.linalg.norm(y))
     positions, pairs, route = list(assoc.positions), assoc.pairs, "pair"
     residual = assoc.residual
-    gate = _pair_gate(cfg, num_sources, pencil)
+    gate = _pair_gate(cfg, num_sources)
     noise_ratio, answered = None, False
     if len(positions) == num_sources:
         polished, pair_res = _polish(y, cfg, positions, leash=positions)

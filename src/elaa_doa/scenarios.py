@@ -31,9 +31,9 @@ from dataclasses import dataclass, replace
 from .errors import ScenarioError
 from .geometry import SPEED_OF_LIGHT, ArrayConfig, Target
 from .harness import ESTIMATORS
+from .nf_localizer import MAX_SOURCES
 from .signal_model import SteeringModel, noise_variance
-from .ss_music import grid_points
-from .subspace import default_pencil
+from .subspace import max_sources
 
 
 @dataclass(frozen=True)
@@ -46,8 +46,6 @@ class ScenarioSpec:
     snr_grid_db: tuple[float, ...]
     n_trials: int = 500
     algorithms: tuple[str, ...] = ("ss_music_elaa", "ss_esprit")
-    grid_step_deg: float = 0.01
-    pencil: int | None = None
     hit_tolerance_deg: float = 0.5
     hit_tolerance_m: float = 0.1
     base_seed: int = 42
@@ -79,24 +77,19 @@ class ScenarioSpec:
                 raise ScenarioError(f"unknown algorithm {algo!r}; known: {', '.join(ESTIMATORS)}")
             if algo in self.algorithms[:i]:
                 raise ScenarioError(f"algorithm {algo!r} is listed twice")
-        try:
-            grid_points(self.grid_step_deg)
-        except ValueError as exc:
-            raise ScenarioError(f"grid_step_deg: {exc}") from None
         for tol in (self.hit_tolerance_deg, self.hit_tolerance_m):
             if not (math.isfinite(tol) and tol > 0):
                 raise ScenarioError(f"hit tolerances must be finite and positive, got {tol!r}")
         m = self.array.elements_per_ula
-        pencil = default_pencil(m) if self.pencil is None else self.pencil
-        if not 1 <= pencil < m:
-            raise ScenarioError(f"pencil must be in [1, {m - 1}], got {pencil}")
-        # each sub-array's (pencil + 1) x (m - pencil) Hankel matrix must
-        # keep a noise dimension after the signal subspace
-        limit = min(pencil + 1, m - pencil)
-        if len(self.targets) >= limit:
+        if len(self.targets) > max_sources(m):
             raise ScenarioError(
-                f"{len(self.targets)} targets; a pencil of {pencil} on "
-                f"{m}-element sub-arrays resolves at most {limit - 1}"
+                f"{len(self.targets)} targets; the default pencil on {m}-element"
+                f" sub-arrays resolves at most {max_sources(m)}"
+            )
+        if "nf_localize" in self.algorithms and len(self.targets) > MAX_SOURCES:
+            raise ScenarioError(
+                f"{len(self.targets)} targets; nf_localize takes at most {MAX_SOURCES},"
+                f" as its association scores all {len(self.targets)}! DOA matchings"
             )
 
 
@@ -224,8 +217,6 @@ _SPEC_KEYS = {
     "snr_grid_db": _as_floats,
     "n_trials": _as_int,
     "algorithms": _as_list,
-    "grid_step_deg": _as_float,
-    "pencil": _as_int,
     "hit_tolerance_deg": _as_float,
     "hit_tolerance_m": _as_float,
     "base_seed": _as_int,

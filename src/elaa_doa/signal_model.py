@@ -1,12 +1,10 @@
 """Steering vectors, single-snapshot observations and array factors.
 
-Four wavefront models are available, from most exact to most idealized:
+Three wavefront models are available, from most exact to most idealized:
 
 * ``EXACT``: per-element Euclidean propagation phase.
 * ``NF_LOCAL_PLANAR``: spherical reference phase per sub-array, planar
   wavefront with a sub-array-local DOA inside each sub-array.
-* ``NF_SHARED_DOA``: like the local-planar model but with the global DOA
-  reused by both sub-arrays.
 * ``FAR_FIELD``: a single plane wave across the whole aperture, common
   range phase dropped.
 
@@ -14,7 +12,7 @@ Four wavefront models are available, from most exact to most idealized:
 in :func:`elaa_doa.geometry.field_regions`; every generator is also
 directly callable so tests can mix models deliberately.
 
-Both locally planar models come from one atom builder, in one layout,
+The locally planar model comes from one atom builder, in one layout,
 :func:`sub_array_atoms`, and the near-field localizer fits those atoms:
 a noiseless ``NF_LOCAL_PLANAR`` snapshot is its atom at the target.
 """
@@ -42,7 +40,6 @@ class SteeringModel(enum.Enum):
     EXACT = "exact"
     FAR_FIELD = "farfield"
     NF_LOCAL_PLANAR = "nf_local_planar"
-    NF_SHARED_DOA = "nf_shared_doa"
 
 
 @dataclass(frozen=True)
@@ -137,29 +134,11 @@ def nearfield_atoms(cfg: ArrayConfig, xs, ys) -> np.ndarray:
     return sub_array_atoms(nearfield_layout(cfg), dx / rho, rho)
 
 
-def steering_nearfield(
-    cfg: ArrayConfig, target: Target, shared_doa: bool = False
-) -> np.ndarray:
-    """Per-sub-array planar steering with a spherical reference phase.
-
-    The :func:`nearfield_atoms` atom at the target: each sub-array's
-    range and direction sine are seen from its reference (first) element.
-    With ``shared_doa=True`` the sine of the global DOA drives both ramps.
-    """
-    x, y = target.position
-    dx = x - reference_positions(cfg)
-    rho = np.hypot(dx, y)
-    sins = np.full(2, math.sin(target.angle)) if shared_doa else dx / rho
-    return sub_array_atoms(nearfield_layout(cfg), sins, rho)
-
-
 def select_model(cfg: ArrayConfig, target_range: float) -> SteeringModel:
     """Most idealized wavefront model that is valid at the given range."""
     reg = field_regions(cfg)
     if target_range >= reg.fraunhofer:
         return SteeringModel.FAR_FIELD
-    if target_range >= reg.shared_doa:
-        return SteeringModel.NF_SHARED_DOA
     if target_range >= reg.local_farfield:
         return SteeringModel.NF_LOCAL_PLANAR
     return SteeringModel.EXACT
@@ -175,8 +154,9 @@ def steering(
         return steering_exact(cfg, target)
     if model is SteeringModel.FAR_FIELD:
         return steering_farfield(cfg, target.angle)
-    if model in (SteeringModel.NF_LOCAL_PLANAR, SteeringModel.NF_SHARED_DOA):
-        return steering_nearfield(cfg, target, shared_doa=model is SteeringModel.NF_SHARED_DOA)
+    if model is SteeringModel.NF_LOCAL_PLANAR:
+        x, y = target.position
+        return nearfield_atoms(cfg, x, y)[:, 0]
     raise ValueError(f"unknown steering model {model!r}")
 
 

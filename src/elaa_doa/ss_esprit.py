@@ -33,7 +33,7 @@ import numpy as np
 from .errors import AmbiguousDealias, EstimationError, IllConditioned, unwrap
 from .geometry import ArrayConfig
 from .signal_model import Snapshot, split_ulas
-from .subspace import default_pencil, stacked_subspace
+from .subspace import default_pencil, max_sources, stacked_subspace
 
 COND_LIMIT = 1e12
 ASIN_CLAMP = 1e-9
@@ -231,12 +231,7 @@ def dealias(
     return np.array([p[0] for p in picks]), tuple(p[1] for p in picks)
 
 
-def esprit_chunk(
-    ys: np.ndarray,
-    cfg: ArrayConfig,
-    num_sources: int,
-    pencil: int | None = None,
-) -> list:
+def esprit_chunk(ys: np.ndarray, cfg: ArrayConfig, num_sources: int) -> list:
     """Far-field DOAs of a chunk of snapshots, radians, sorted ascending.
 
     ``ys`` holds one observation per row.  Returns one outcome per trial:
@@ -247,14 +242,11 @@ def esprit_chunk(
     chunk; the coarse angles and :func:`dealias` run per trial.
     """
     m = cfg.elements_per_ula
-    pencil = default_pencil(m) if pencil is None else pencil
-    # the fine selection keeps pencil + 1 rows, and the stacked Hankel
-    # matrix needs one noise dimension among its m - pencil columns
-    limit = min(pencil + 1, m - pencil - 1)
+    limit = max_sources(m)
     if not 1 <= num_sources <= limit:
-        raise ValueError(f"num_sources must be in [1, {limit}] for pencil {pencil}")
+        raise ValueError(f"num_sources must be in [1, {limit}] for {m}-element sub-arrays")
     y1, y2 = split_ulas(np.asarray(ys))
-    sub = stacked_subspace(y1, y2, pencil, num_sources)
+    sub = stacked_subspace(y1, y2, default_pencil(m), num_sources)
     coarse_eigs, fine_eigs, quality = pair_eigenvalues(sub.signal)
     coarse_ratio = cfg.spacing / cfg.wavelength
     fine_ratio = cfg.center_separation / cfg.wavelength
@@ -275,13 +267,10 @@ def esprit_chunk(
 
 
 def estimate_doa_esprit(
-    snap: Snapshot,
-    cfg: ArrayConfig,
-    num_sources: int,
-    pencil: int | None = None,
+    snap: Snapshot, cfg: ArrayConfig, num_sources: int
 ) -> tuple[np.ndarray, EspritDiagnostics]:
     """Far-field DOAs from one snapshot, radians, sorted ascending, with diagnostics.
 
     The one-trial case of :func:`esprit_chunk`; a failure is raised.
     """
-    return unwrap(esprit_chunk(snap.y[None], cfg, num_sources, pencil)[0])
+    return unwrap(esprit_chunk(snap.y[None], cfg, num_sources)[0])

@@ -43,7 +43,6 @@ from .subspace import SubspacePair, default_pencil, hankel, split_subspaces
 
 DENOMINATOR_FLOOR = 1e-12
 PEAK_SEPARATION_DEG = 0.2
-MAX_GRID_POINTS = 180_000
 BOUND_MARGIN = 1e-9  # slack on pick_chunk's cell bounds, in units of values**-2
 
 
@@ -65,31 +64,9 @@ class Spectrum:
             raise ValueError("grid must be strictly increasing")
 
 
-def grid_points(step_deg: float) -> int:
-    """Number of points of the default grid with step ``step_deg`` degrees.
-
-    Raises ValueError unless the step is finite, positive and leaves at
-    least three points, the fewest on which a peak can stand, and at most
-    ``MAX_GRID_POINTS`` (a 0.001 degree step), which bounds the cached
-    steering matrix (about 26 MB for the reference array's nine rows).
-    """
-    if not (math.isfinite(step_deg) and step_deg > 0):
-        raise ValueError(f"grid step {step_deg!r} degrees must be finite and positive")
-    points = 180.0 / step_deg  # inf for the smallest subnormal steps
-    if points >= MAX_GRID_POINTS + 0.5:
-        raise ValueError(
-            f"grid step {step_deg!r} degrees gives {points:.4g} grid points;"
-            f" at most {MAX_GRID_POINTS}"
-        )
-    n = int(round(points))
-    if n < 3:
-        raise ValueError(f"grid step {step_deg!r} degrees leaves {n} grid points; need 3")
-    return n
-
-
 def default_grid(step_deg: float = 0.01) -> np.ndarray:
     """Uniform angle grid [-90, 90) degrees, returned in radians."""
-    return np.deg2rad(-90.0 + step_deg * np.arange(grid_points(step_deg)))
+    return np.deg2rad(-90.0 + step_deg * np.arange(int(round(180.0 / step_deg))))
 
 
 def hankel_steering_matrix(
@@ -124,7 +101,9 @@ class Scan(NamedTuple):
 
 
 @functools.lru_cache(maxsize=8)
-def _cached_steering(n_rows: int, spacing: float, wavelength: float, step_deg: float) -> Scan:
+def _cached_steering(
+    n_rows: int, spacing: float, wavelength: float, step_deg: float = 0.01
+) -> Scan:
     """Default grid, steering matrix and coarse subgrid, shared read-only by every caller.
 
     The stride is a quarter of the peak separation in grid steps (5 at
@@ -190,21 +169,18 @@ def _product(values: np.ndarray) -> np.ndarray:
 
 
 def module_subspace(
-    y_half: np.ndarray,
-    cfg: ArrayConfig,
-    num_sources: int,
-    grid_step_deg: float,
-    pencil: int | None,
+    y_half: np.ndarray, cfg: ArrayConfig, num_sources: int
 ) -> tuple[SubspacePair, Scan]:
     """Signal and noise subspaces of sub-array samples, with the scan they use.
 
     ``y_half`` holds one sub-array's samples along its last axis; leading
     axes (trials, modules) stay leading axes of the subspaces.  The
-    samples are lifted with ``pencil`` (half the sub-array length when
-    None) and split; the scan is cached per (array, pencil, grid step).
+    samples are lifted with the default pencil, half the sub-array
+    length, and split; the scan, on the 0.01 degree grid, is cached per
+    array.
     """
-    pencil = default_pencil(cfg.elements_per_ula) if pencil is None else pencil
-    scan = _cached_steering(pencil + 1, cfg.spacing, cfg.wavelength, grid_step_deg)
+    pencil = default_pencil(cfg.elements_per_ula)
+    scan = _cached_steering(pencil + 1, cfg.spacing, cfg.wavelength)
     return split_subspaces(hankel(y_half, pencil), num_sources), scan
 
 
@@ -410,15 +386,9 @@ def pick_chunk(sub: SubspacePair, scan: Scan, num_peaks: int) -> list:
     return out
 
 
-def fused_spectrum(
-    y: np.ndarray,
-    cfg: ArrayConfig,
-    num_sources: int,
-    grid_step_deg: float,
-    pencil: int | None,
-) -> Spectrum:
+def fused_spectrum(y: np.ndarray, cfg: ArrayConfig, num_sources: int) -> Spectrum:
     """The fused MUSIC pseudospectrum of a snapshot's two sub-arrays on the whole grid."""
-    sub, scan = module_subspace(np.stack(split_ulas(y)), cfg, num_sources, grid_step_deg, pencil)
+    sub, scan = module_subspace(np.stack(split_ulas(y)), cfg, num_sources)
     for failure in sub.failures():
         unwrap(failure)
     values = pseudospectrum(sub, scan.grid, scan.steering).values
@@ -426,12 +396,7 @@ def fused_spectrum(
 
 
 def music_chunk(
-    ys: np.ndarray,
-    cfg: ArrayConfig,
-    num_sources: int,
-    grid_step_deg: float = 0.01,
-    pencil: int | None = None,
-    ula: int | None = None,
+    ys: np.ndarray, cfg: ArrayConfig, num_sources: int, ula: int | None = None
 ) -> list:
     """Far-field DOAs of a chunk of snapshots, radians, tallest peak first.
 
@@ -444,23 +409,18 @@ def music_chunk(
         raise ValueError("ula must be None, 1 or 2")
     halves = np.stack(split_ulas(np.asarray(ys)), axis=-2)
     modules = halves if ula is None else halves[..., ula - 1 : ula, :]
-    sub, scan = module_subspace(modules, cfg, num_sources, grid_step_deg, pencil)
+    sub, scan = module_subspace(modules, cfg, num_sources)
     return pick_chunk(sub, scan, num_sources)
 
 
 def estimate_doa_music(
-    snap: Snapshot,
-    cfg: ArrayConfig,
-    num_sources: int,
-    grid_step_deg: float = 0.01,
-    pencil: int | None = None,
-    ula: int | None = None,
+    snap: Snapshot, cfg: ArrayConfig, num_sources: int, ula: int | None = None
 ) -> np.ndarray:
     """Far-field DOAs from a single snapshot, radians, tallest peak first.
 
     The one-trial case of :func:`music_chunk`; a failure is raised.
     """
-    return unwrap(music_chunk(snap.y[None], cfg, num_sources, grid_step_deg, pencil, ula)[0])
+    return unwrap(music_chunk(snap.y[None], cfg, num_sources, ula)[0])
 
 
 def write_spectrum_csv(spectrum: Spectrum, path) -> None:

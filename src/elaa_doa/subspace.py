@@ -77,6 +77,15 @@ def default_pencil(n_elements: int) -> int:
     return n_elements // 2
 
 
+def max_sources(n_elements: int) -> int:
+    """Most sources the default pencil resolves on a sub-array, ``(n_elements - 1) // 2``.
+
+    The Hankel matrices keep a noise dimension after the signal subspace,
+    and ESPRIT's fine selection keeps a row per source.
+    """
+    return (n_elements - 1) // 2
+
+
 def hankel(y: np.ndarray, pencil: int) -> np.ndarray:
     """Hankel lifting of length-M vectors into ``(pencil+1, M-pencil)`` matrices.
 

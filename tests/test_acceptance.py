@@ -38,7 +38,6 @@ from elaa_doa.signal_model import (
     steering,
     steering_exact,
     steering_farfield,
-    steering_nearfield,
 )
 from elaa_doa.ss_esprit import (
     alias_rungs,
@@ -270,7 +269,7 @@ def test_criterion_4_property_checks(paper_cfg):
     t_far = Target(range=_far_range(paper_cfg), angle=-0.7)
     for entries in (
         steering_exact(paper_cfg, t_near),
-        steering_nearfield(paper_cfg, t_near),
+        steering(paper_cfg, t_near, model=SteeringModel.NF_LOCAL_PLANAR),
         steering_farfield(paper_cfg, t_far.angle),
         steering(paper_cfg, t_far),
     ):
@@ -280,7 +279,7 @@ def test_criterion_4_property_checks(paper_cfg):
     r10 = 10.0 * field_regions(paper_cfg).fraunhofer
     tgt = Target(range=r10, angle=0.2)
     exact = steering_exact(paper_cfg, tgt)
-    planar = steering_nearfield(paper_cfg, tgt)
+    planar = steering(paper_cfg, tgt, model=SteeringModel.NF_LOCAL_PLANAR)
     mismatch = exact * np.conj(planar)
     mismatch *= np.conj(mismatch[0] / abs(mismatch[0]))
     assert np.max(np.abs(np.angle(mismatch))) < math.pi / 8.0

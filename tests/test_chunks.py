@@ -41,15 +41,13 @@ def _one_trial(algorithm, snap, spec):
     k = len(spec.targets)
     try:
         if algorithm == "ss_esprit":
-            angles, diag = estimate_doa_esprit(snap, spec.array, k, pencil=spec.pencil)
+            angles, diag = estimate_doa_esprit(snap, spec.array, k)
             extra = {
                 "pairing_quality": diag.pairing_quality,
                 "dealias_margin_deg": math.degrees(min(r.margin for r in diag.reports)),
             }
         else:
-            angles = estimate_doa_music(
-                snap, spec.array, k, spec.grid_step_deg, spec.pencil, ULA[algorithm]
-            )
+            angles = estimate_doa_music(snap, spec.array, k, ula=ULA[algorithm])
             extra = {}
     except EstimationError as exc:
         return None, type(exc).__name__, {}

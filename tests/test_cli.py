@@ -4,7 +4,7 @@ import pytest
 from elaa_doa import cli
 from elaa_doa.errors import ScenarioError
 from elaa_doa.harness import METRICS_HEADER, MetricsRow
-from elaa_doa.scenarios import _as_list, builtin_scenarios
+from elaa_doa.scenarios import _as_list, builtin_scenarios, load_scenario
 from elaa_doa.signal_model import load_snapshot, snapshot
 from elaa_doa.ss_music import Spectrum, estimate_doa_music, peak_pick
 
@@ -18,7 +18,6 @@ target.1.angle_deg = 3.0
 snr_grid_db = 30
 n_trials = 2
 algorithms = ss_esprit
-grid_step_deg = 0.5
 """
 
 
@@ -217,13 +216,41 @@ def test_overflowing_noise_variance_exits_two(tmp_path, capsys):
     assert not out.exists()
 
 
-@pytest.mark.parametrize("step", ["nan", "1e9", "1e-300", "1e-310", "0.000999"])
-def test_bad_grid_step_exits_two(tmp_path, capsys, step):
-    path = tmp_path / "grid.scenario"
-    path.write_text(TINY.replace("grid_step_deg = 0.5", f"grid_step_deg = {step}"))
+@pytest.mark.parametrize(
+    "line, message",
+    [
+        # the pencil is half the module and the grid 0.01 degrees: neither is a key
+        ("pencil = 7", "unknown key 'pencil'"),
+        ("grid_step_deg = 0.05", "unknown key 'grid_step_deg'"),
+        ("steering_model = nf_shared_doa", "unknown steering_model 'nf_shared_doa'"),
+    ],
+    ids=["pencil", "grid_step_deg", "nf_shared_doa"],
+)
+def test_retired_settings_exit_two(tmp_path, capsys, line, message):
+    path = tmp_path / "retired.scenario"
+    path.write_text(TINY + line + "\n")
     out = tmp_path / "out.csv"
     assert cli.main(["run", "--scenario", str(path), "--out", str(out), "--quiet"]) == 2
-    assert "error: grid_step_deg: grid step" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert err == f"error: line {len(TINY.splitlines()) + 1}: {message}\n"
+    assert err.count("line") == 1
+    assert not out.exists()
+
+
+def test_nf_localize_over_seven_targets_exits_two(tmp_path, capsys):
+    # 32-element modules resolve 15 sources, but the localizer's association
+    # scores all K! matchings: 12 targets would never finish
+    lines = [ln for ln in TINY.splitlines() if not ln.startswith(("target.", "algorithms"))]
+    lines = [ln.replace("= 16", "= 32") for ln in lines]
+    for i in range(1, 13):
+        lines += [f"target.{i}.range_m = 4.0", f"target.{i}.angle_deg = {5.0 * i - 30.0}"]
+    path = tmp_path / "crowded.scenario"
+    path.write_text("\n".join(lines + ["algorithms = ss_esprit"]) + "\n")
+    assert len(load_scenario(str(path)).targets) == 12
+    out = tmp_path / "r.csv"
+    args = ["run", "--scenario", str(path), "--algos", "nf_localize", "--out", str(out)]
+    assert cli.main(args) == 2
+    assert capsys.readouterr().err.startswith("error: 12 targets; nf_localize takes at most 7,")
     assert not out.exists()
 
 
@@ -274,7 +301,7 @@ def test_spectrum_subcommand(tiny_scenario, tmp_path):
     assert code == 0
     lines = out.read_text().splitlines()
     assert lines[0] == "angle_deg,value"
-    assert len(lines) == 361
+    assert len(lines) == 18_001
     y = load_snapshot(snap_file)
     assert y.shape == (32,)
     assert y.dtype == np.complex128
@@ -285,7 +312,7 @@ def test_array_factor_subcommand(tiny_scenario, tmp_path):
     assert cli.main(["array-factor", "--scenario", tiny_scenario, "--out", str(out)]) == 0
     lines = out.read_text().splitlines()
     assert lines[0] == "angle_deg,elaa_db,ula_db"
-    assert len(lines) == 361
+    assert len(lines) == 18_001
     peak = max(float(ln.split(",")[1]) for ln in lines[1:])
     assert peak == pytest.approx(0.0, abs=1e-9)
 

@@ -221,7 +221,7 @@ def test_debug_csv_route_columns(tmp_path, monkeypatch):
         fields = line.split(",")
         assert len(fields) == len(header.split(","))
         assert fields[column["route"]] == "pair"
-        assert float(fields[column["noise_ratio"]]) <= _pair_gate(near.array, 2, near.pencil)
+        assert float(fields[column["noise_ratio"]]) <= _pair_gate(near.array, 2)
     far = tmp_path / "far.csv"
     run_monte_carlo(_tiny_spec(snr_grid_db=(30.0,)), debug_path=far)
     for line in far.read_text().splitlines()[1:]:

@@ -103,7 +103,7 @@ def _band_corners(cfg):
 
 
 def test_atoms_match_steering(paper_cfg):
-    # the builder, through both locally planar models, against the
+    # the builder, through the locally planar model, against the
     # per-element formula from local_geometry: exp(-j k r_n) *
     # exp(j k m d sin(theta_n)) on sub-array n
     points = [(0.5, 4.0), (-2.0, 7.3), (10.0, 60.0)]
@@ -113,20 +113,16 @@ def test_atoms_match_steering(paper_cfg):
     for x, y in points:
         target = Target.from_position(x, y)
         geo = local_geometry(paper_cfg, target)
-        for model, angles in (
-            (SteeringModel.NF_LOCAL_PLANAR, geo.angles),
-            (SteeringModel.NF_SHARED_DOA, [target.angle] * 2),
+        expected = np.concatenate([
+            np.exp(-1j * k * r) * np.exp(1j * k * m * paper_cfg.spacing * math.sin(a))
+            for r, a in zip(geo.ranges, geo.angles)
+        ])
+        # the snapshot model's steering and the localizer's atom at the point
+        for entries in (
+            steering(paper_cfg, target, model=SteeringModel.NF_LOCAL_PLANAR),
+            nearfield_atoms(paper_cfg, x, y)[:, 0],
         ):
-            expected = np.concatenate([
-                np.exp(-1j * k * r) * np.exp(1j * k * m * paper_cfg.spacing * math.sin(a))
-                for r, a in zip(geo.ranges, angles)
-            ])
-            built = [steering(paper_cfg, target, model=model)]
-            if model is SteeringModel.NF_LOCAL_PLANAR:
-                # the localizer's atom at the point
-                built.append(nearfield_atoms(paper_cfg, x, y)[:, 0])
-            for entries in built:
-                assert np.allclose(entries, expected, rtol=0.0, atol=1e-10), (x, y, model)
+            assert np.allclose(entries, expected, rtol=0.0, atol=1e-10), (x, y)
 
 
 def test_snapshot_entries_are_the_localizer_atom(paper_cfg):
@@ -667,7 +663,7 @@ def test_localize_pair_route_skips_deflation_at_the_noise_floor(monkeypatch):
     monkeypatch.setattr(nf_localizer, "_matched_filter_positions", deflation)
     result = localize(snap, cfg, 2)
     assert result.route == "pair"
-    assert result.noise_ratio <= _pair_gate(cfg, 2, None)
+    assert result.noise_ratio <= _pair_gate(cfg, 2)
     assert all(t.pair is not None and t.position is not None for t in result.targets)
     assert sorted(t.pair for t in result.targets) == sorted(result.association.pairs)
     # the residual is the fit of the polished pairs the result reports
@@ -682,7 +678,7 @@ def test_localize_noiseless_snapshot_runs_deflation(monkeypatch):
     result = localize(snap, cfg, 2)
     assert len(calls) == 1
     # no noise to reach: the reference is roundoff, far below any fit residual
-    assert result.noise_ratio > _pair_gate(cfg, 2, None)
+    assert result.noise_ratio > _pair_gate(cfg, 2)
 
 
 def test_localize_unpaired_source_runs_deflation(monkeypatch):
@@ -720,13 +716,11 @@ def test_localize_noise_ratio_from_the_two_scan_svds(monkeypatch):
 
 def test_pair_gate_from_degrees_of_freedom(paper_cfg):
     # 16-element sub-arrays, default pencil 8: (9, 8) Hankel matrices
-    assert _pair_gate(paper_cfg, 2, None) == pytest.approx(PAIR_NOISE_GATE * 28 / 84)
-    assert _pair_gate(paper_cfg, 1, None) == pytest.approx(PAIR_NOISE_GATE * 30 / 112)
-    assert _pair_gate(paper_cfg, 3, None) == pytest.approx(PAIR_NOISE_GATE * 26 / 60)
-    # pencil 12: (13, 4) Hankel matrices
-    assert _pair_gate(paper_cfg, 2, 12) == pytest.approx(PAIR_NOISE_GATE * 28 / 44)
-    # no noise subspace left, so nothing passes
-    assert _pair_gate(paper_cfg, 4, 12) == 0.0
+    assert _pair_gate(paper_cfg, 2) == pytest.approx(PAIR_NOISE_GATE * 28 / 84)
+    assert _pair_gate(paper_cfg, 1) == pytest.approx(PAIR_NOISE_GATE * 30 / 112)
+    assert _pair_gate(paper_cfg, 3) == pytest.approx(PAIR_NOISE_GATE * 26 / 60)
+    # at the source limit, 7, each (9, 8) Hankel matrix keeps a 2 x 1 noise block
+    assert _pair_gate(paper_cfg, 7) == pytest.approx(PAIR_NOISE_GATE * 18 / 4)
 
 
 @pytest.mark.parametrize("steps, deflates", [(0.9, False), (1.1, True)])
@@ -745,7 +739,7 @@ def test_localize_pair_the_polish_walks_runs_deflation(monkeypatch, steps, defla
     calls = _record_calls(monkeypatch, nf_localizer, "_matched_filter_positions")
     result = localize(snap, cfg, 2)
     # the fit reached the noise floor either way: the range alone decides
-    assert result.noise_ratio <= _pair_gate(cfg, 2, None)
+    assert result.noise_ratio <= _pair_gate(cfg, 2)
     assert len(calls) == int(deflates)
     polished, _ = fits[0]
     assert (polished is None) == deflates

@@ -49,8 +49,6 @@ def test_parse_full_options():
         "name = demo\n"
         "n_trials = 25\n"
         "algorithms = ss_esprit\n"
-        "grid_step_deg = 0.05\n"
-        "pencil = 7\n"
         "hit_tolerance_deg = 0.25\n"
         "hit_tolerance_m = 0.05\n"
         "base_seed = 9\n"
@@ -63,7 +61,6 @@ def test_parse_full_options():
     assert spec.name == "demo"
     assert spec.n_trials == 25
     assert spec.algorithms == ("ss_esprit",)
-    assert spec.pencil == 7
     assert spec.hit_tolerance_deg == 0.25
     assert spec.hit_tolerance_m == 0.05
     assert spec.base_seed == 9
@@ -232,24 +229,6 @@ def test_spec_rejects_more_targets_than_the_pencil_resolves(n_targets):
     targets = tuple(Target(250.0, math.radians(a)) for a in range(n_targets))
     with pytest.raises(ScenarioError, match="resolves at most 7"):
         ScenarioSpec(name="x", array=paper_array(), targets=targets, snr_grid_db=(0.0,))
-
-
-def test_spec_source_limit_follows_the_pencil():
-    targets = tuple(Target(250.0, math.radians(a)) for a in range(7))
-    ScenarioSpec(name="x", array=paper_array(), targets=targets, snr_grid_db=(0.0,))
-    with pytest.raises(ScenarioError, match="resolves at most 4"):
-        ScenarioSpec(
-            name="x", array=paper_array(), targets=targets, snr_grid_db=(0.0,), pencil=4
-        )
-    for pencil in (0, 16):
-        with pytest.raises(ScenarioError, match="pencil must be in"):
-            ScenarioSpec(
-                name="x",
-                array=paper_array(),
-                targets=targets[:1],
-                snr_grid_db=(0.0,),
-                pencil=pencil,
-            )
 
 
 def test_with_overrides():

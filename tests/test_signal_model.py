@@ -5,12 +5,13 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from elaa_doa.geometry import Target, field_regions
+from elaa_doa.geometry import SPEED_OF_LIGHT, ArrayConfig, Target, field_regions
 from elaa_doa.signal_model import (
     SteeringModel,
     _steering_entries,
     array_factor,
     load_snapshot,
+    nearfield_atoms,
     save_snapshot,
     select_model,
     snapshot,
@@ -18,7 +19,6 @@ from elaa_doa.signal_model import (
     steering,
     steering_exact,
     steering_farfield,
-    steering_nearfield,
 )
 
 angles = st.floats(-1.4, 1.4)
@@ -34,10 +34,8 @@ def test_steering_unit_modulus_farfield(paper_cfg, angle):
 def test_steering_unit_modulus_exact_and_nearfield(paper_cfg, r, angle):
     t = Target(range=r, angle=angle)
     assert np.allclose(np.abs(steering_exact(paper_cfg, t)), 1.0)
-    assert np.allclose(np.abs(steering_nearfield(paper_cfg, t)), 1.0)
-    assert np.allclose(
-        np.abs(steering_nearfield(paper_cfg, t, shared_doa=True)), 1.0
-    )
+    planar = steering(paper_cfg, t, model=SteeringModel.NF_LOCAL_PLANAR)
+    assert np.allclose(np.abs(planar), 1.0)
 
 
 def _planar_phase_error(cfg, r, angle):
@@ -66,16 +64,31 @@ def test_model_selection_ladder(paper_cfg):
     assert select_model(paper_cfg, reg.fraunhofer * 1.01) is SteeringModel.FAR_FIELD
     assert select_model(paper_cfg, 5.0) is SteeringModel.NF_LOCAL_PLANAR
     assert select_model(paper_cfg, reg.local_farfield * 0.5) is SteeringModel.EXACT
-    # the shared-DOA band is empty for this geometry: its threshold sits
-    # beyond the Fraunhofer distance
-    assert reg.shared_doa > reg.fraunhofer
+
+
+def test_locally_planar_up_to_fraunhofer_on_a_narrow_gap():
+    # a gap of 10 wavelengths, under two module apertures (15): the global
+    # DOA of a target at 1000-1250 wavelengths is close enough to both
+    # modules' local ones that a shared-DOA model once took those ranges;
+    # auto selection must keep the locally planar model up to Fraunhofer
+    lam = SPEED_OF_LIGHT / 76e9
+    cfg = ArrayConfig(elements_per_ula=16, gap=10.0 * lam, carrier_freq=76e9)
+    reg = field_regions(cfg)
+    assert reg.fraunhofer == pytest.approx(1250.0 * lam)
+    assert reg.local_farfield == pytest.approx(112.5 * lam)
+    for r in np.geomspace(reg.local_farfield, reg.fraunhofer, 41)[:-1]:
+        assert select_model(cfg, r) is SteeringModel.NF_LOCAL_PLANAR, r
+    assert select_model(cfg, reg.local_farfield * 0.99) is SteeringModel.EXACT
+    assert select_model(cfg, reg.fraunhofer) is SteeringModel.FAR_FIELD
+    t = Target(range=1100.0 * lam, angle=0.3)
+    assert np.array_equal(steering(cfg, t), nearfield_atoms(cfg, *t.position)[:, 0])
 
 
 def test_steering_dispatch(paper_cfg):
     t = Target(range=100.0, angle=0.1)
     v = steering(paper_cfg, t)
     assert select_model(paper_cfg, t.range) is SteeringModel.NF_LOCAL_PLANAR
-    assert np.array_equal(v, steering_nearfield(paper_cfg, t))
+    assert np.array_equal(v, nearfield_atoms(paper_cfg, *t.position)[:, 0])
     forced = steering(paper_cfg, t, model=SteeringModel.FAR_FIELD)
     assert np.allclose(forced, steering_farfield(paper_cfg, t.angle))
     far_target = Target(range=250.0, angle=0.1)

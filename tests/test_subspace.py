@@ -5,7 +5,13 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from elaa_doa.subspace import default_pencil, hankel, split_subspaces, stacked_subspace
+from elaa_doa.subspace import (
+    default_pencil,
+    hankel,
+    max_sources,
+    split_subspaces,
+    stacked_subspace,
+)
 
 
 def _exponentials(m, freqs, amps, seed=None):
@@ -107,3 +113,11 @@ def test_stacked_subspace_spans_both_blocks():
 def test_default_pencil():
     assert default_pencil(16) == 8
     assert default_pencil(7) == 3
+
+
+def test_max_sources_is_both_pencil_limits_at_the_default_pencil():
+    # the spec's Hankel noise dimension, min(p + 1, m - p) - 1, and ESPRIT's
+    # fine selection with one noise column, min(p + 1, m - p - 1)
+    for m in range(2, 65):
+        p = default_pencil(m)
+        assert max_sources(m) == min(p + 1, m - p) - 1 == min(p + 1, m - p - 1), m
