@@ -237,6 +237,19 @@ def test_retired_settings_exit_two(tmp_path, capsys, line, message):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("step", ["nan", "1e9", "1e-300", "1e-310", "0.000999"])
+def test_bad_grid_step_exits_two(tmp_path, capsys, step):
+    # no grid step is read any more, so one that once broke the grid is
+    # refused as the key, before its value is looked at
+    path = tmp_path / "grid.scenario"
+    path.write_text(TINY + f"grid_step_deg = {step}\n")
+    out = tmp_path / "out.csv"
+    assert cli.main(["run", "--scenario", str(path), "--out", str(out), "--quiet"]) == 2
+    err = capsys.readouterr().err
+    assert err == f"error: line {len(TINY.splitlines()) + 1}: unknown key 'grid_step_deg'\n"
+    assert not out.exists()
+
+
 def test_nf_localize_over_seven_targets_exits_two(tmp_path, capsys):
     # 32-element modules resolve 15 sources, but the localizer's association
     # scores all K! matchings: 12 targets would never finish
