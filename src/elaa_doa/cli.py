@@ -4,7 +4,9 @@ Subcommands: ``run`` (Monte Carlo sweep), ``spectrum`` (dump one fused
 pseudospectrum), ``array-factor`` (beam-pattern diagnostic).  Exit codes:
 0 on success, 2 on configuration errors and on unreadable or unwritable
 files, 3 when any (algorithm, SNR) cell of a run fails in more than half
-of its trials.  Every output path is checked before any work starts.
+of its trials.  Every output path is checked before any work starts: it
+must open for writing, and no two outputs, nor an output and the
+scenario file, may name one file.
 """
 
 from __future__ import annotations
@@ -19,8 +21,10 @@ import numpy as np
 from .errors import ScenarioError
 from .harness import (
     FAILURE_EXIT_THRESHOLD,
+    render_csv,
+    render_metrics_csv,
     run_monte_carlo,
-    write_metrics_csv,
+    write_csv,
 )
 from .scenarios import (
     ScenarioSpec,
@@ -30,10 +34,9 @@ from .scenarios import (
     load_scenario,
     with_overrides,
 )
-from .signal_model import array_factor, save_snapshot, snapshot
-from .ss_music import default_grid, fused_spectrum, write_spectrum_csv
+from .signal_model import array_factor, snapshot
+from .ss_music import default_grid, fused_spectrum
 
-FULL_TRIALS = 5000
 MAX_SNR_POINTS = 10_000
 
 
@@ -49,11 +52,24 @@ def _resolve_scenario(ref: str) -> ScenarioSpec:
     )
 
 
-def _check_writable(*paths) -> None:
-    """Raise ScenarioError unless each given path opens for writing; creates no file."""
-    for path in paths:
+def _check_outputs(scenario: str, outputs: dict[str, str | None]) -> None:
+    """Raise ScenarioError unless each output path opens for writing; creates no file.
+
+    ``outputs`` maps each output option to its path (None when not given),
+    and ``scenario`` is the ``--scenario`` argument, a file unless it names
+    a builtin.  No two of these paths may resolve to one file: one output
+    would overwrite the other, or the scenario.
+    """
+    seen = {}
+    if scenario not in builtin_scenarios():
+        seen[os.path.realpath(scenario)] = "--scenario"
+    for option, path in outputs.items():
         if path is None:
             continue
+        real = os.path.realpath(path)
+        if real in seen:
+            raise ScenarioError(f"{seen[real]} and {option} name the same file {path}")
+        seen[real] = option
         existed = os.path.lexists(path)
         try:
             open(path, "a").close()
@@ -89,25 +105,16 @@ def _parse_snr(text: str) -> tuple[float, ...]:
 
 
 def _cmd_run(args) -> int:
-    spec = _resolve_scenario(args.scenario)
-    trials = args.trials
-    if args.full and trials is None:
-        trials = FULL_TRIALS
     spec = with_overrides(
-        spec,
-        n_trials=trials,
+        _resolve_scenario(args.scenario),
+        n_trials=args.trials,
         snr_grid_db=_parse_snr(args.snr) if args.snr else None,
         algorithms=_as_list("--algos", args.algos) if args.algos else None,
         base_seed=args.seed,
     )
-    _check_writable(args.out, args.debug_out)
-    rows = run_monte_carlo(
-        spec,
-        rmse_include_failures=args.rmse_include_failures,
-        debug_path=args.debug_out,
-        progress=not args.quiet,
-    )
-    write_metrics_csv(rows, args.out)
+    _check_outputs(args.scenario, {"--out": args.out, "--debug-out": args.debug_out})
+    rows = run_monte_carlo(spec, debug_path=args.debug_out, progress=not args.quiet)
+    write_csv(args.out, render_metrics_csv(rows))
     print(f"wrote {len(rows)} rows to {args.out}")
     if any(r.failure_rate > FAILURE_EXIT_THRESHOLD for r in rows):
         worst = max(rows, key=lambda r: r.failure_rate)
@@ -126,28 +133,25 @@ def _cmd_spectrum(args) -> int:
     if args.seed < 0:
         raise ScenarioError(f"--seed must be a non-negative integer, got {args.seed}")
     spec = with_overrides(_resolve_scenario(args.scenario), snr_grid_db=(args.snr,))
-    _check_writable(args.out, args.dump_snapshot)
+    _check_outputs(args.scenario, {"--out": args.out})
     snap = snapshot(
         spec.array, spec.targets, spec.snr_grid_db[0], args.seed, model=spec.steering_model
     )
-    if args.dump_snapshot:
-        save_snapshot(args.dump_snapshot, snap.y)
     surface = fused_spectrum(snap.y, spec.array, len(spec.targets))
-    write_spectrum_csv(surface, args.out)
+    table = zip(np.rad2deg(surface.grid), surface.values)
+    write_csv(args.out, render_csv([("angle_deg", "value"), *table]))
     print(f"wrote spectrum ({len(surface.grid)} angles) to {args.out}")
     return 0
 
 
 def _cmd_array_factor(args) -> int:
     spec = _resolve_scenario(args.scenario)
-    _check_writable(args.out)
+    _check_outputs(args.scenario, {"--out": args.out})
     grid = default_grid()
     elaa = array_factor(spec.array, grid, aperture="elaa")
     ula = array_factor(spec.array, grid, aperture="ula")
-    with open(args.out, "w") as fh:
-        fh.write("angle_deg,elaa_db,ula_db\n")
-        for ang, e, u in zip(np.rad2deg(grid), elaa, ula):
-            fh.write(f"{float(ang)!r},{float(e)!r},{float(u)!r}\n")
+    table = zip(np.rad2deg(grid), elaa, ula)
+    write_csv(args.out, render_csv([("angle_deg", "elaa_db", "ula_db"), *table]))
     print(f"wrote array factor ({len(grid)} angles) to {args.out}")
     return 0
 
@@ -167,14 +171,6 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument("--seed", type=int, default=None, help="base seed override")
     run.add_argument("--out", default="results.csv", help="metrics CSV path")
     run.add_argument("--debug-out", default=None, help="per-trial debug CSV path")
-    run.add_argument(
-        "--full", action="store_true", help=f"paper-scale run ({FULL_TRIALS} trials)"
-    )
-    run.add_argument(
-        "--rmse-include-failures",
-        action="store_true",
-        help="count failed trials as 90 degree errors instead of excluding them",
-    )
     run.add_argument("--quiet", action="store_true", help="suppress progress lines")
     run.set_defaults(func=_cmd_run)
 
@@ -183,9 +179,6 @@ def build_parser() -> argparse.ArgumentParser:
     spectrum.add_argument("--snr", type=float, required=True, help="per-element SNR, dB")
     spectrum.add_argument("--seed", type=int, required=True)
     spectrum.add_argument("--out", default="spectrum.csv")
-    spectrum.add_argument(
-        "--dump-snapshot", default=None, help="also dump the raw snapshot (binary c16)"
-    )
     spectrum.set_defaults(func=_cmd_spectrum)
 
     af = sub.add_parser("array-factor", help="export beam-pattern diagnostic")

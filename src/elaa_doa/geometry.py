@@ -103,11 +103,12 @@ class Target:
     ``range`` is the distance from the array center in meters, ``angle``
     the broadside-referenced DOA in radians, restricted to the open
     interval (-pi/2, pi/2) so the target lies in front of the array.
+    Every source has unit magnitude; a snapshot draws its phase
+    (:func:`elaa_doa.signal_model.snapshot`).
     """
 
     range: float
     angle: float
-    amplitude: complex = 1.0 + 0.0j
 
     def __post_init__(self) -> None:
         _require_finite_positive("range", self.range)
@@ -122,10 +123,10 @@ class Target:
         )
 
     @classmethod
-    def from_position(cls, x: float, y: float, amplitude: complex = 1.0 + 0.0j) -> "Target":
+    def from_position(cls, x: float, y: float) -> "Target":
         if y <= 0:
             raise ValueError("target must lie in the y > 0 half plane")
-        return cls(range=math.hypot(x, y), angle=math.atan2(x, y), amplitude=amplitude)
+        return cls(range=math.hypot(x, y), angle=math.atan2(x, y))
 
 
 @dataclass(frozen=True)

@@ -6,7 +6,10 @@ own seeded snapshot, and a cell's trials reach the estimator in chunks of
 SVD, one coarse scan, one set of rotations), with results bit-identical
 to one trial at a time, and a failure stays with its own trial.  Each
 trial's estimates are matched to the truth once, and a cell's RMSE and
-hit rate come from those errors.  The debug CSV has the columns
+hit rate come from those errors, a hit being an error within the fixed
+``HIT_TOLERANCE`` of the metric's unit.  Every CSV the package writes,
+the metrics and debug tables and the ``spectrum`` and ``array-factor``
+exports, goes through :func:`write_csv`; the debug CSV has the columns
 ``DEBUG_COLUMNS``.
 
 Seeding is reproducible and documented bit-exactly: the per-trial seed is
@@ -27,7 +30,7 @@ import hashlib
 import itertools
 import math
 import sys
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass, fields
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -43,7 +46,6 @@ if TYPE_CHECKING:
 
 _MASK64 = (1 << 64) - 1
 FAILURE_EXIT_THRESHOLD = 0.5
-FAILURE_ERROR_DEG = 90.0
 # Trials per estimator call: enough to spread the per-call overhead of the
 # stacked steps, few enough that a chunk's arrays stay small.
 CELL_CHUNK = 16
@@ -51,7 +53,7 @@ CELL_CHUNK = 16
 
 @dataclass(frozen=True)
 class MetricsRow:
-    """Aggregate metrics for one (algorithm, SNR) cell."""
+    """Aggregate metrics for one (algorithm, SNR) cell, its fields the metrics CSV's columns."""
 
     algorithm: str
     snr_db: float
@@ -114,24 +116,16 @@ def match_errors(estimates: np.ndarray, truth: np.ndarray) -> np.ndarray:
     return _matched(estimates, truth)[1]
 
 
-def rmse(
-    trial_errors: list[np.ndarray | None],
-    n_targets: int,
-    failure_error: float | None = None,
-) -> float | None:
+def rmse(trial_errors: list[np.ndarray | None]) -> float | None:
     """Root mean squared matched error over trials' per-target errors.
 
-    Failed trials (``None``) are excluded, or, with ``failure_error``,
-    contribute that error once for each of the ``n_targets`` targets.
+    Failed trials (``None``) are excluded; they count in the failure rate.
     With nothing to average the RMSE is absent (``None``), not zero.
     """
     squares = []
     for err in trial_errors:
-        if err is None:
-            if failure_error is not None:
-                squares.extend([failure_error**2] * n_targets)
-            continue
-        squares.extend(float(e * e) for e in err)
+        if err is not None:
+            squares.extend(float(e * e) for e in err)
     if not squares:
         return None
     return math.sqrt(sum(squares) / len(squares))
@@ -225,6 +219,8 @@ ESTIMATORS = {
     "ss_music_ula1": (functools.partial(_music, ula=1), "deg"),
     "ss_music_ula2": (functools.partial(_music, ula=2), "deg"),
 }
+# Metric unit -> the largest matched error that counts as a hit.
+HIT_TOLERANCE = {"deg": 0.5, "m": 0.1}
 
 
 def _run_cell(algorithm: str, snaps, spec: ScenarioSpec) -> list[tuple]:
@@ -234,29 +230,22 @@ def _run_cell(algorithm: str, snaps, spec: ScenarioSpec) -> list[tuple]:
 
 
 def run_monte_carlo(
-    spec: ScenarioSpec,
-    rmse_include_failures: bool = False,
-    debug_path=None,
-    progress: bool = False,
+    spec: ScenarioSpec, debug_path=None, progress: bool = False
 ) -> list[MetricsRow]:
     """Run every (algorithm, SNR, trial) cell of a scenario.
 
-    Rows come back sorted by (algorithm, snr_db).  With
-    ``rmse_include_failures`` each failed trial contributes a worst-case
-    ``FAILURE_ERROR_DEG`` error per target instead of being excluded;
-    this applies to angle metrics only (position failures stay excluded).
+    Rows come back sorted by (algorithm, snr_db).  A cell's RMSE leaves
+    out its failed trials, which count in its failure rate instead, and
+    its hit rate takes the tolerance ``HIT_TOLERANCE`` gives its unit.
     """
     rows: list[MetricsRow] = []
-    debug_rows: list[str] = []
+    debug_text: list[str] = []
     for algorithm in sorted(spec.algorithms):
         _, unit = ESTIMATORS[algorithm]
         if unit == "m":
             truth = np.array([t.position for t in spec.targets])
-            tol = spec.hit_tolerance_m
         else:
             truth = np.array([math.degrees(t.angle) for t in spec.targets])
-            tol = spec.hit_tolerance_deg
-        failure_error = FAILURE_ERROR_DEG if rmse_include_failures and unit == "deg" else None
         for snr_index, snr_db in enumerate(spec.snr_grid_db):
             records: list[_TrialRecord] = []
             for start in range(0, spec.n_trials, CELL_CHUNK):
@@ -275,8 +264,8 @@ def run_monte_carlo(
                 algorithm=algorithm,
                 snr_db=float(snr_db),
                 n_trials=spec.n_trials,
-                rmse=rmse(trial_errors, len(truth), failure_error),
-                hit_rate=hit_rate(trial_errors, tol),
+                rmse=rmse(trial_errors),
+                hit_rate=hit_rate(trial_errors, HIT_TOLERANCE[unit]),
                 failure_rate=sum(err is None for err in trial_errors) / spec.n_trials,
                 metric_unit=unit,
             )
@@ -288,12 +277,11 @@ def run_monte_carlo(
                     file=sys.stderr,
                 )
             if debug_path is not None:
-                debug_rows.extend(_debug_lines(algorithm, snr_db, records, truth, unit))
+                debug_rows = _debug_rows(algorithm, snr_db, records, truth, unit)
+                debug_text.append(render_csv(debug_rows))
     rows.sort(key=lambda r: (r.algorithm, r.snr_db))
     if debug_path is not None:
-        with open(debug_path, "w") as fh:
-            fh.write(",".join(DEBUG_COLUMNS) + "\n")
-            fh.writelines(line + "\n" for line in debug_rows)
+        write_csv(debug_path, render_csv([DEBUG_COLUMNS]), *debug_text)
     return rows
 
 
@@ -304,16 +292,7 @@ DEBUG_COLUMNS = (
 )
 
 
-def _cell(value) -> str:
-    """A debug field: empty when missing, text and ints as they are, floats by ``repr``."""
-    if value is None:
-        return ""
-    if isinstance(value, (str, int)):
-        return str(value)
-    return repr(float(value))
-
-
-def _debug_lines(algorithm, snr_db, records, truth, unit) -> list[str]:
+def _debug_rows(algorithm, snr_db, records, truth, unit) -> list[list]:
     """One row per target of each trial, with the estimate matched to that target.
 
     A failed trial gets one row with its status and no target.  The
@@ -335,24 +314,37 @@ def _debug_lines(algorithm, snr_db, records, truth, unit) -> list[str]:
             else:
                 row["truth"], row["estimate"] = truth[tid], matched[tid]
             rows.append(row)
-    return [",".join(_cell(row.get(name)) for name in DEBUG_COLUMNS) for row in rows]
+    return [[row.get(name) for name in DEBUG_COLUMNS] for row in rows]
 
 
-METRICS_HEADER = "algorithm,snr_db,n_trials,rmse,hit_rate,failure_rate,metric_unit"
+def _cell(value) -> str:
+    """A CSV field: empty when missing, text and ints as they are, floats by ``repr``."""
+    if value is None:
+        return ""
+    if isinstance(value, (str, int)):
+        return str(value)
+    return repr(float(value))
+
+
+def render_csv(rows) -> str:
+    """CSV lines, one per row of fields, each field by :func:`_cell`.
+
+    A table's first row is its column names.  Identical rows give
+    byte-identical text.
+    """
+    return "".join(",".join(map(_cell, row)) + "\n" for row in rows)
+
+
+def write_csv(path, *texts: str) -> None:
+    """Write CSV text made by :func:`render_csv` to ``path``, its pieces in order."""
+    with open(path, "w") as fh:
+        fh.writelines(texts)
+
+
+METRICS_COLUMNS = tuple(field.name for field in fields(MetricsRow))
+METRICS_HEADER = ",".join(METRICS_COLUMNS)
 
 
 def render_metrics_csv(rows: list[MetricsRow]) -> str:
-    """Deterministic CSV text for a metrics table."""
-    out = [METRICS_HEADER]
-    for r in rows:
-        rmse_field = "" if r.rmse is None else repr(r.rmse)
-        out.append(
-            f"{r.algorithm},{r.snr_db!r},{r.n_trials},{rmse_field},"
-            f"{r.hit_rate!r},{r.failure_rate!r},{r.metric_unit}"
-        )
-    return "\n".join(out) + "\n"
-
-
-def write_metrics_csv(rows: list[MetricsRow], path) -> None:
-    with open(path, "w") as fh:
-        fh.write(render_metrics_csv(rows))
+    """Deterministic CSV text for a metrics table, header ``METRICS_HEADER``."""
+    return render_csv([METRICS_COLUMNS, *map(astuple, rows)])

@@ -647,7 +647,7 @@ def _range_split_positions(
     rungs = rungs.reshape(cfg.n_elements, len(us), RANGE_SPLIT_POINTS).transpose(1, 0, 2)
     y_sq = float(np.vdot(y, y).real)
     best: tuple[float, float, int, int] | None = None
-    # every pair is computed, then the ill-conditioned ones are barred
+    # every pair is computed, then those the polish would call coincident are barred
     with np.errstate(divide="ignore", invalid="ignore"):
         for u, atoms in zip(us, rungs):
             atoms = np.ascontiguousarray(atoms)
@@ -665,7 +665,7 @@ def _range_split_positions(
                 + gii * b_sq.take(jj)
                 - 2.0 * np.real(gij * np.conj(b.take(ii)) * b.take(jj))
             ) / det
-            quad[~(det > 1e-9 * gii * gjj)] = -np.inf
+            quad[~(det > COINCIDENT_GRAM * gii * gjj)] = -np.inf
             k = int(np.argmax(quad))
             if quad[k] == -np.inf:
                 continue

@@ -46,8 +46,6 @@ class ScenarioSpec:
     snr_grid_db: tuple[float, ...]
     n_trials: int = 500
     algorithms: tuple[str, ...] = ("ss_music_elaa", "ss_esprit")
-    hit_tolerance_deg: float = 0.5
-    hit_tolerance_m: float = 0.1
     base_seed: int = 42
     steering_model: SteeringModel | None = None
 
@@ -77,9 +75,6 @@ class ScenarioSpec:
                 raise ScenarioError(f"unknown algorithm {algo!r}; known: {', '.join(ESTIMATORS)}")
             if algo in self.algorithms[:i]:
                 raise ScenarioError(f"algorithm {algo!r} is listed twice")
-        for tol in (self.hit_tolerance_deg, self.hit_tolerance_m):
-            if not (math.isfinite(tol) and tol > 0):
-                raise ScenarioError(f"hit tolerances must be finite and positive, got {tol!r}")
         m = self.array.elements_per_ula
         if len(self.targets) > max_sources(m):
             raise ScenarioError(
@@ -217,8 +212,6 @@ _SPEC_KEYS = {
     "snr_grid_db": _as_floats,
     "n_trials": _as_int,
     "algorithms": _as_list,
-    "hit_tolerance_deg": _as_float,
-    "hit_tolerance_m": _as_float,
     "base_seed": _as_int,
     "steering_model": _as_model,
 }

@@ -188,30 +188,23 @@ def snapshot(
     snr_db: float,
     seed: int,
     model: SteeringModel | None = None,
-    randomize_phase: bool = True,
 ) -> Snapshot:
     """Generate one observation ``y = sum_k s_k a_k + n``.
 
-    Source amplitudes keep the magnitude of ``target.amplitude`` (unity by
-    default) and get an independent uniform phase per call unless
-    ``randomize_phase`` is disabled.  The noise is circularly symmetric
-    complex Gaussian with per-element variance ``10**(-snr_db/10)``, so
-    ``snr_db`` is the per-element SNR for a unit-magnitude source.
-    ``snr_db = math.inf`` disables the noise exactly.  Identical arguments
-    give bitwise-identical output.  Each target's steering entries are
-    built once per (array, target, model) and reused by later calls.
+    Each source amplitude ``s_k`` has unit magnitude and an independent
+    uniform phase, drawn from ``seed`` first.  The noise is circularly
+    symmetric complex Gaussian with per-element variance
+    ``10**(-snr_db/10)``, so ``snr_db`` is the per-element SNR of each
+    source.  ``snr_db = math.inf`` disables the noise exactly; a noiseless
+    zero-phase observation is the sum of the targets' :func:`steering`.
+    Identical arguments give bitwise-identical output.  Each target's
+    steering entries are built once per (array, target, model) and reused
+    by later calls.
     """
     targets = tuple(targets)
     rng = np.random.default_rng(seed)
     n = cfg.n_elements
-    if randomize_phase:
-        phases = rng.uniform(0.0, 2.0 * math.pi, len(targets))
-    else:
-        phases = np.zeros(len(targets))
-    amps = np.array(
-        [t.amplitude * np.exp(1j * ph) for t, ph in zip(targets, phases)],
-        dtype=complex,
-    )
+    amps = np.exp(1j * rng.uniform(0.0, 2.0 * math.pi, len(targets)))
     y = np.zeros(n, dtype=complex)
     for t, s in zip(targets, amps):
         y = y + s * _steering_entries(cfg, t, model)
@@ -236,15 +229,3 @@ def array_factor(cfg: ArrayConfig, grid: np.ndarray, aperture: str = "elaa") -> 
     u = np.sin(np.asarray(grid, dtype=float))
     af = np.abs(np.exp(1j * k * np.outer(pos, u)).sum(axis=0)) / len(pos)
     return 20.0 * np.log10(np.maximum(af, 1e-300))
-
-
-def save_snapshot(path, y: np.ndarray) -> None:
-    """Dump an observation vector as little-endian f64 interleaved re/im."""
-    with open(path, "wb") as fh:
-        fh.write(np.ascontiguousarray(y, dtype="<c16").tobytes())
-
-
-def load_snapshot(path) -> np.ndarray:
-    """Read back a vector written by :func:`save_snapshot`."""
-    with open(path, "rb") as fh:
-        return np.frombuffer(fh.read(), dtype="<c16").copy()

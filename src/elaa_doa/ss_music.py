@@ -17,8 +17,9 @@ Estimates never evaluate the whole grid (:func:`pick_chunk`).  The
 polynomial's degree bounds how far it bends between samples of a coarse
 subgrid (every fifth angle of the 0.01 degree grid), so the fine grid is
 evaluated only on the coarse cells that can hold a maximum tall enough to
-be picked, and the pick equals the whole grid's.  Only the ``spectrum``
-command builds the whole-grid surface (:func:`fused_spectrum`).
+be picked, and the pick is the whole grid's up to rounding in the last
+bits.  Only the ``spectrum`` command builds the whole-grid surface
+(:func:`fused_spectrum`).
 
 Estimates take a chunk of trials at once, each with one or two modules:
 one stacked SVD and one stacked coarse scan for the chunk, whose values
@@ -290,8 +291,11 @@ def _fine_surface(sums: np.ndarray, scan: Scan, cells: np.ndarray) -> tuple[np.n
     one mark per coarse cell.  Cell ``j`` spans grid indices ``j * stride``
     to ``(j + 1) * stride``, and one more either side; the partial cell
     past the last is always taken.  The pass gathers at most one grid of
-    steering columns, and its values are bit-identical to the trial's
-    :func:`pseudospectrum` on those columns.
+    steering columns and evaluates the trial's :func:`pseudospectrum`
+    polynomial on them.  Its values may still differ from the whole grid's
+    on those columns in the last bits: OpenBLAS ``zgemv`` rounds a column
+    according to its place among the product's columns and to the number
+    of BLAS threads.
     """
     n_points, stride = len(scan.grid), scan.stride
     inside = np.zeros(n_points + stride + 2, dtype=bool)  # shifted one sample up
@@ -334,9 +338,10 @@ def pick_chunk(sub: SubspacePair, scan: Scan, num_peaks: int) -> list:
     unfloored pick.
 
     Each trial is picked as :func:`peak_pick` on the whole grid would,
-    evaluating only part of it.  ``Q = values**-2`` is the product of ``L``
-    normalised nulls ``a^H P a / n``, each a trigonometric polynomial of
-    degree ``n - 1`` in ``w = k*d*sin(angle)`` with values in [0, 1].
+    up to the rounding :func:`_fine_surface` notes, evaluating only part
+    of it.  ``Q = values**-2`` is the product of ``L`` normalised nulls
+    ``a^H P a / n``, each a trigonometric polynomial of degree ``n - 1`` in
+    ``w = k*d*sin(angle)`` with values in [0, 1].
     Bernstein's inequality on ``Q - 1/2``, of degree ``N = L*(n - 1)``,
     bounds ``|dQ/dw|`` by ``N/2`` and ``|d2Q/dw2|`` by ``N**2/2``, so
     ``|d2Q/dangle2| <= M = (N**2*(k*d)**2 + N*k*d) / 2``.  On a coarse cell
@@ -421,11 +426,3 @@ def estimate_doa_music(
     The one-trial case of :func:`music_chunk`; a failure is raised.
     """
     return unwrap(music_chunk(snap.y[None], cfg, num_sources, ula)[0])
-
-
-def write_spectrum_csv(spectrum: Spectrum, path) -> None:
-    """Dump a spectrum as a two-column CSV (angle_deg, value)."""
-    with open(path, "w") as fh:
-        fh.write("angle_deg,value\n")
-        for ang, val in zip(np.rad2deg(spectrum.grid), spectrum.values):
-            fh.write(f"{float(ang)!r},{float(val)!r}\n")

@@ -343,10 +343,8 @@ def test_criterion_4_property_checks(paper_cfg):
 
     # metric hand cases
     truth = np.array([0.0, 1.0])
-    assert rmse([match_errors(np.array([0.3, 1.4]), truth)], 2) == pytest.approx(
-        0.3535533905932738
-    )
-    assert rmse([None, None], 2) is None
+    assert rmse([match_errors(np.array([0.3, 1.4]), truth)]) == pytest.approx(0.3535533905932738)
+    assert rmse([None, None]) is None
     assert hit_rate([match_errors(np.array([0.5, 1.0]), truth), None], 0.5) == pytest.approx(0.5)
 
     # identical runs render byte-identical result tables

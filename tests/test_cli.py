@@ -1,3 +1,5 @@
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -5,7 +7,7 @@ from elaa_doa import cli
 from elaa_doa.errors import ScenarioError
 from elaa_doa.harness import METRICS_HEADER, MetricsRow
 from elaa_doa.scenarios import _as_list, builtin_scenarios, load_scenario
-from elaa_doa.signal_model import load_snapshot, snapshot
+from elaa_doa.signal_model import snapshot
 from elaa_doa.ss_music import Spectrum, estimate_doa_music, peak_pick
 
 TINY = """
@@ -157,22 +159,21 @@ def test_run_debug_out(tiny_scenario, tmp_path):
     assert dbg.read_text().splitlines()[0].startswith("algorithm,snr_db,trial,seed")
 
 
-def test_full_flag_sets_paper_scale(tiny_scenario, tmp_path, monkeypatch):
-    seen = {}
-
-    def fake_run(spec, **kwargs):
-        seen["n_trials"] = spec.n_trials
-        return []
-
-    monkeypatch.setattr(cli, "run_monte_carlo", fake_run)
-    out = str(tmp_path / "r.csv")
-    assert cli.main(["run", "--scenario", tiny_scenario, "--full", "--out", out, "--quiet"]) == 0
-    assert seen["n_trials"] == 5000
-    # an explicit trial count beats --full
-    cli.main(
-        ["run", "--scenario", tiny_scenario, "--full", "--trials", "3", "--out", out, "--quiet"]
-    )
-    assert seen["n_trials"] == 3
+@pytest.mark.parametrize(
+    "command, flag",
+    [
+        (["run"], "--full"),
+        (["run"], "--rmse-include-failures"),
+        (["spectrum", "--snr", "20", "--seed", "1"], "--dump-snapshot=snap.c16"),
+    ],
+)
+def test_retired_flags_exit_two(tiny_scenario, tmp_path, capsys, command, flag):
+    out = tmp_path / "out.csv"
+    with pytest.raises(SystemExit) as exc:
+        cli.main([*command, "--scenario", tiny_scenario, "--out", str(out), flag])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: " + flag in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_run_exit_three_on_failure_rate(tiny_scenario, tmp_path, monkeypatch, capsys):
@@ -223,8 +224,11 @@ def test_overflowing_noise_variance_exits_two(tmp_path, capsys):
         ("pencil = 7", "unknown key 'pencil'"),
         ("grid_step_deg = 0.05", "unknown key 'grid_step_deg'"),
         ("steering_model = nf_shared_doa", "unknown steering_model 'nf_shared_doa'"),
+        # hits are within 0.5 degrees or 0.1 m, by the metric's unit
+        ("hit_tolerance_deg = 0.25", "unknown key 'hit_tolerance_deg'"),
+        ("hit_tolerance_m = 0.05", "unknown key 'hit_tolerance_m'"),
     ],
-    ids=["pencil", "grid_step_deg", "nf_shared_doa"],
+    ids=["pencil", "grid_step_deg", "nf_shared_doa", "hit_tolerance_deg", "hit_tolerance_m"],
 )
 def test_retired_settings_exit_two(tmp_path, capsys, line, message):
     path = tmp_path / "retired.scenario"
@@ -295,29 +299,13 @@ def test_spectrum_peaks_where_music_estimates(tmp_path):
 
 def test_spectrum_subcommand(tiny_scenario, tmp_path):
     out = tmp_path / "spec.csv"
-    snap_file = tmp_path / "snap.c16"
     code = cli.main(
-        [
-            "spectrum",
-            "--scenario",
-            tiny_scenario,
-            "--snr",
-            "20",
-            "--seed",
-            "1",
-            "--out",
-            str(out),
-            "--dump-snapshot",
-            str(snap_file),
-        ]
+        ["spectrum", "--scenario", tiny_scenario, "--snr", "20", "--seed", "1", "--out", str(out)]
     )
     assert code == 0
     lines = out.read_text().splitlines()
     assert lines[0] == "angle_deg,value"
     assert len(lines) == 18_001
-    y = load_snapshot(snap_file)
-    assert y.shape == (32,)
-    assert y.dtype == np.complex128
 
 
 def test_array_factor_subcommand(tiny_scenario, tmp_path):
@@ -352,10 +340,39 @@ def test_unwritable_run_output_exits_two_before_the_sweep(
 
 
 @pytest.mark.parametrize(
+    "first, second",
+    [("--out", "--debug-out"), ("--scenario", "--out"), ("--scenario", "--debug-out")],
+)
+def test_outputs_naming_one_file_exit_two_before_the_sweep(
+    tiny_scenario, tmp_path, monkeypatch, capsys, first, second
+):
+    # the debug table would be overwritten by the metrics, or the scenario by an output
+    monkeypatch.setattr(cli, "run_monte_carlo", _no_sweep)
+    shared = tiny_scenario if "--scenario" in (first, second) else str(tmp_path / "x.csv")
+    paths = {"--scenario": tiny_scenario, "--out": str(tmp_path / "r.csv"), first: shared}
+    # the second name reaches the file through a link and a detour
+    (tmp_path / "link").symlink_to(tmp_path)
+    paths[second] = str(tmp_path / "link" / ".." / tmp_path.name / "link" / Path(shared).name)
+    args = ["run", "--quiet", *(x for kv in paths.items() for x in kv)]
+    assert cli.main(args) == 2
+    err = capsys.readouterr().err
+    assert err == f"error: {first} and {second} name the same file {paths[second]}\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["link", "tiny.scenario"]
+    assert Path(tiny_scenario).read_text() == TINY
+
+
+@pytest.mark.parametrize("command", [["spectrum", "--snr", "20", "--seed", "1"], ["array-factor"]])
+def test_output_naming_the_scenario_exits_two(tiny_scenario, capsys, command):
+    assert cli.main([*command, "--scenario", tiny_scenario, "--out", tiny_scenario]) == 2
+    err = capsys.readouterr().err
+    assert err == f"error: --scenario and --out name the same file {tiny_scenario}\n"
+    assert Path(tiny_scenario).read_text() == TINY
+
+
+@pytest.mark.parametrize(
     "command, flag",
     [
         (["spectrum", "--snr", "20", "--seed", "1"], "--out"),
-        (["spectrum", "--snr", "20", "--seed", "1"], "--dump-snapshot"),
         (["array-factor"], "--out"),
     ],
 )

@@ -24,7 +24,7 @@ from elaa_doa.harness import (
     render_metrics_csv,
     rmse,
     run_monte_carlo,
-    write_metrics_csv,
+    write_csv,
 )
 from elaa_doa.errors import Unpaired
 from elaa_doa.nf_localizer import LocalizedTarget, _pair_gate
@@ -124,15 +124,12 @@ def test_match_errors_shape_mismatch():
 def test_rmse_hand_case():
     truth = np.array([0.0, 1.0])
     est = np.array([0.3, 1.4])
-    assert rmse([match_errors(est, truth)], 2) == pytest.approx(0.3535533905932738)
+    assert rmse([match_errors(est, truth)]) == pytest.approx(0.3535533905932738)
 
 
 def test_rmse_excludes_failures():
-    assert rmse([None, np.array([0.5])], 1) == pytest.approx(0.5)
-    assert rmse([None, None], 1) is None
-    # with a failure error, each failed trial counts it once per target
-    assert rmse([None, np.array([0.5])], 1, 1.5) == pytest.approx(math.sqrt(1.25))
-    assert rmse([None, np.array([0.5, 0.5])], 2, 1.5) == pytest.approx(math.sqrt(1.25))
+    assert rmse([None, np.array([0.5])]) == pytest.approx(0.5)
+    assert rmse([None, None]) is None
 
 
 def test_hit_rate_inclusive_and_failures():
@@ -190,9 +187,10 @@ def test_run_monte_carlo_rows_and_determinism(tmp_path):
     again = run_monte_carlo(spec)
     assert render_metrics_csv(rows) == render_metrics_csv(again)
     p1, p2 = tmp_path / "a.csv", tmp_path / "b.csv"
-    write_metrics_csv(rows, p1)
-    write_metrics_csv(again, p2)
+    write_csv(p1, render_metrics_csv(rows))
+    write_csv(p2, render_metrics_csv(again))
     assert p1.read_bytes() == p2.read_bytes()
+    assert p1.read_text() == render_metrics_csv(rows)
 
 
 def test_run_monte_carlo_debug_csv(tmp_path):
@@ -285,18 +283,44 @@ def test_package_imports_no_signal_optimize_or_stats():
     assert out.strip() == "[]"
 
 
-def test_rmse_include_failures_path(monkeypatch):
+@pytest.mark.parametrize("beyond", [False, True])
+def test_hits_reach_the_unit_tolerance_inclusive(monkeypatch, beyond):
+    # on boresight the truth is exact, so each error below is exactly its offset
+    target = Target(range=5.0, angle=0.0)
+    offsets = {"deg": 0.5, "m": 0.1}
+    if beyond:
+        offsets = {unit: math.nextafter(tol, math.inf) for unit, tol in offsets.items()}
+
+    def at_the_tolerance(algorithm, snaps, spec):
+        if harness.ESTIMATORS[algorithm][1] == "m":
+            estimates = np.array([[offsets["m"], target.range]])
+        else:
+            estimates = np.array([offsets["deg"]])
+        return [(estimates, "ok", {})] * len(snaps)
+
+    monkeypatch.setattr(harness, "_run_cell", at_the_tolerance)
+    spec = _tiny_spec(targets=(target,), algorithms=("nf_localize", "ss_esprit"))
+    rows = run_monte_carlo(spec)
+    assert [r.metric_unit for r in rows] == ["m", "m", "deg", "deg"]
+    assert [r.rmse for r in rows] == pytest.approx([offsets[r.metric_unit] for r in rows])
+    assert [r.hit_rate for r in rows] == [0.0 if beyond else 1.0] * 4
+    assert all(r.failure_rate == 0.0 for r in rows)
+
+
+def test_failed_trials_count_in_the_failure_rate_not_the_rmse(monkeypatch):
     monkeypatch.setattr(
         harness,
         "_run_cell",
         lambda algorithm, snaps, spec: [(None, "UnderResolved", {})] * len(snaps),
     )
-    spec = _tiny_spec(snr_grid_db=(30.0,))
-    rows = run_monte_carlo(spec, rmse_include_failures=True)
-    assert rows[0].failure_rate == 1.0
-    assert rows[0].rmse == pytest.approx(90.0)
-    rows = run_monte_carlo(spec)
-    assert rows[0].rmse is None
+    rows = run_monte_carlo(_tiny_spec(snr_grid_db=(30.0,)))
+    assert (rows[0].rmse, rows[0].hit_rate, rows[0].failure_rate) == (None, 0.0, 1.0)
+
+
+def test_csv_fields():
+    rows = [("a", 1, np.float64(0.1), None, 2.5, float("nan"))]
+    text = harness.render_csv([("name", "n", "x", "missing", "y", "z"), *rows])
+    assert text == "name,n,x,missing,y,z\na,1,0.1,,2.5,nan\n"
 
 
 @pytest.mark.parametrize(

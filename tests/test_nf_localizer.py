@@ -126,17 +126,16 @@ def test_atoms_match_steering(paper_cfg):
 
 
 def test_snapshot_entries_are_the_localizer_atom(paper_cfg):
-    # a noiseless unit-amplitude snapshot with no phase draw is the
-    # steering itself, and it is the localizer's atom bit for bit
+    # the noiseless zero-phase data, the steering itself, is the localizer's
+    # atom bit for bit, and a noiseless snapshot is that atom turned by its phase
     targets = [Target(5.0, math.radians(-10.0)), Target(4.0, 0.0), Target(60.0, 0.3)]
     targets += [Target.from_position(*p) for p in _band_corners(paper_cfg)]
     for target in targets:
-        snap = snapshot(
-            paper_cfg, [target], math.inf, seed=0,
-            model=SteeringModel.NF_LOCAL_PLANAR, randomize_phase=False,
-        )
         atom = nearfield_atoms(paper_cfg, *target.position)[:, 0]
-        assert np.array_equal(snap.y, atom), target
+        entries = steering(paper_cfg, target, model=SteeringModel.NF_LOCAL_PLANAR)
+        assert np.array_equal(entries, atom), target
+        snap = snapshot(paper_cfg, [target], math.inf, seed=0, model=SteeringModel.NF_LOCAL_PLANAR)
+        assert np.array_equal(snap.y, snap.amplitudes[0] * atom), target
 
 
 def test_atoms_batch_matches_single_points(paper_cfg):
@@ -589,8 +588,9 @@ def test_associate_validates_lengths(paper_cfg):
 def test_range_split_recovers_ladder(paper_cfg):
     truths = [np.array([0.0, 4.0]), np.array([0.0, 6.0])]
     targets = [Target.from_position(p[0], p[1]) for p in truths]
-    snap = snapshot(paper_cfg, targets, math.inf, seed=4, randomize_phase=False)
-    pair = _range_split_positions(snap.y.astype(complex), paper_cfg, 0.0)
+    # noiseless zero-phase data: the steering sum
+    y = sum(steering(paper_cfg, target) for target in targets)
+    pair = _range_split_positions(y, paper_cfg, 0.0)
     assert pair is not None
     ranges = sorted(float(np.hypot(p[0], p[1])) for p in pair)
     assert ranges[0] == pytest.approx(4.0, abs=0.5)

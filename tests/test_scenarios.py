@@ -49,8 +49,6 @@ def test_parse_full_options():
         "name = demo\n"
         "n_trials = 25\n"
         "algorithms = ss_esprit\n"
-        "hit_tolerance_deg = 0.25\n"
-        "hit_tolerance_m = 0.05\n"
         "base_seed = 9\n"
         "steering_model = farfield\n"
     )
@@ -61,8 +59,6 @@ def test_parse_full_options():
     assert spec.name == "demo"
     assert spec.n_trials == 25
     assert spec.algorithms == ("ss_esprit",)
-    assert spec.hit_tolerance_deg == 0.25
-    assert spec.hit_tolerance_m == 0.05
     assert spec.base_seed == 9
     assert spec.steering_model is SteeringModel.FAR_FIELD
 
@@ -89,9 +85,6 @@ def test_parse_full_options():
         (MINIMAL.replace("= 76e9", "= 0"), r"line 3: array.carrier_freq_hz must be finite"),
         (MINIMAL.replace("= 76e9", "= 1e-320"), "wavelength must be finite"),
         (MINIMAL.replace("range_m = 250.0", "range_m = inf", 1), "target.1: range must be finite"),
-        (MINIMAL + "hit_tolerance_deg = nan\n", "hit tolerances must be finite"),
-        (MINIMAL + "hit_tolerance_m = nan\n", "hit tolerances must be finite"),
-        (MINIMAL + "hit_tolerance_m = inf\n", "hit tolerances must be finite"),
         # each value error carries its location exactly once
         (
             MINIMAL.replace("range_m = 250.0", "range_m = abc", 1),
@@ -200,7 +193,6 @@ def test_builtin_definitions():
     near_b = table["fig4_near_b"]
     assert [t.range for t in near_b.targets] == [4.0, 6.0]
     assert all(t.angle == 0.0 for t in near_b.targets)
-    assert near_b.hit_tolerance_m == 0.1
 
 
 def test_spec_validation():

@@ -10,9 +10,7 @@ from elaa_doa.signal_model import (
     SteeringModel,
     _steering_entries,
     array_factor,
-    load_snapshot,
     nearfield_atoms,
-    save_snapshot,
     select_model,
     snapshot,
     split_ulas,
@@ -98,10 +96,12 @@ def test_steering_dispatch(paper_cfg):
 
 
 def test_snapshot_noiseless_is_exact_sum(paper_cfg):
-    t = Target(range=250.0, angle=0.05)
-    snap = snapshot(paper_cfg, [t], math.inf, seed=3, randomize_phase=False)
-    expected = steering(paper_cfg, t)
-    assert np.allclose(snap.y, expected, rtol=0, atol=0)
+    t = [Target(range=250.0, angle=0.05), Target(range=250.0, angle=-0.02)]
+    snap = snapshot(paper_cfg, t, math.inf, seed=3)
+    # the noiseless zero-phase data is the steering sum; a snapshot turns each term by its phase
+    expected = sum(s * steering(paper_cfg, target) for s, target in zip(snap.amplitudes, t))
+    assert np.array_equal(snap.y, expected)
+    assert np.array_equal(np.abs(snap.amplitudes), np.ones(2))
 
 
 def test_snapshot_deterministic(paper_cfg):
@@ -129,13 +129,13 @@ def test_snapshot_reuses_read_only_steering(paper_cfg, model):
 def test_snapshot_noise_power_matches_snr(paper_cfg):
     # average over elements and seeds: per-element noise variance 10^(-snr/10)
     t = Target(range=250.0, angle=0.0)
-    clean = snapshot(paper_cfg, [t], math.inf, seed=0, randomize_phase=False).y
+    clean = steering(paper_cfg, t)
     snr_db = 7.0
     total = 0.0
     n_seeds = 200
     for seed in range(n_seeds):
-        noisy = snapshot(paper_cfg, [t], snr_db, seed=seed, randomize_phase=False).y
-        total += float(np.mean(np.abs(noisy - clean) ** 2))
+        noisy = snapshot(paper_cfg, [t], snr_db, seed=seed)
+        total += float(np.mean(np.abs(noisy.y - noisy.amplitudes[0] * clean) ** 2))
     measured = total / n_seeds
     assert measured == pytest.approx(10.0 ** (-snr_db / 10.0), rel=0.05)
 
@@ -176,10 +176,3 @@ def test_array_factor_peak_at_broadside(paper_cfg):
         return hi - lo + 1
 
     assert main_lobe_width(af) < main_lobe_width(ula) / 10
-
-
-def test_snapshot_io_roundtrip(tmp_path, paper_cfg):
-    snap = snapshot(paper_cfg, [Target(range=250.0, angle=0.1)], 20.0, seed=9)
-    path = tmp_path / "snap.c16"
-    save_snapshot(path, snap.y)
-    assert np.array_equal(load_snapshot(path), snap.y)

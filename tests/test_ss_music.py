@@ -9,7 +9,7 @@ from hypothesis import assume, given, settings, strategies as st
 from elaa_doa import nf_localizer, ss_music
 from elaa_doa.errors import NonFiniteSnapshot, UnderResolved, unwrap
 from elaa_doa.geometry import Target, field_regions
-from elaa_doa.harness import derive_trial_seed
+from elaa_doa.harness import derive_trial_seed, render_csv, write_csv
 from elaa_doa.scenarios import builtin_scenarios
 from elaa_doa.signal_model import snapshot, split_ulas
 from elaa_doa.ss_music import (
@@ -29,7 +29,6 @@ from elaa_doa.ss_music import (
     peak_pick,
     pick_chunk,
     pseudospectrum,
-    write_spectrum_csv,
 )
 from elaa_doa.subspace import SubspacePair, default_pencil, hankel, split_subspaces
 
@@ -265,7 +264,7 @@ def test_spectrum_csv(tmp_path):
     grid = np.radians(np.array([-1.0, 0.0, 1.0]))
     spec = Spectrum(grid=grid, values=np.array([1.0, 2.0, 1.5]))
     path = tmp_path / "spec.csv"
-    write_spectrum_csv(spec, path)
+    write_csv(path, render_csv([("angle_deg", "value"), *zip(np.rad2deg(spec.grid), spec.values)]))
     lines = path.read_text().splitlines()
     assert lines[0] == "angle_deg,value"
     assert len(lines) == 4
