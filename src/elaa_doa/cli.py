@@ -15,6 +15,7 @@ import argparse
 import math
 import os
 import sys
+from dataclasses import replace
 
 import numpy as np
 
@@ -26,14 +27,7 @@ from .harness import (
     run_monte_carlo,
     write_csv,
 )
-from .scenarios import (
-    ScenarioSpec,
-    _as_floats,
-    _as_list,
-    builtin_scenarios,
-    load_scenario,
-    with_overrides,
-)
+from .scenarios import ScenarioSpec, _as_floats, _as_list, builtin_scenarios, load_scenario
 from .signal_model import array_factor, snapshot
 from .ss_music import default_grid, fused_spectrum
 
@@ -105,12 +99,15 @@ def _parse_snr(text: str) -> tuple[float, ...]:
 
 
 def _cmd_run(args) -> int:
-    spec = with_overrides(
-        _resolve_scenario(args.scenario),
+    overrides = dict(
         n_trials=args.trials,
         snr_grid_db=_parse_snr(args.snr) if args.snr else None,
         algorithms=_as_list("--algos", args.algos) if args.algos else None,
         base_seed=args.seed,
+    )
+    spec = replace(
+        _resolve_scenario(args.scenario),
+        **{key: value for key, value in overrides.items() if value is not None},
     )
     _check_outputs(args.scenario, {"--out": args.out, "--debug-out": args.debug_out})
     rows = run_monte_carlo(spec, debug_path=args.debug_out, progress=not args.quiet)
@@ -132,12 +129,12 @@ def _cmd_spectrum(args) -> int:
     # base seed to 64 bits instead
     if args.seed < 0:
         raise ScenarioError(f"--seed must be a non-negative integer, got {args.seed}")
-    spec = with_overrides(_resolve_scenario(args.scenario), snr_grid_db=(args.snr,))
+    spec = replace(_resolve_scenario(args.scenario), snr_grid_db=(args.snr,))
     _check_outputs(args.scenario, {"--out": args.out})
-    snap = snapshot(
+    y = snapshot(
         spec.array, spec.targets, spec.snr_grid_db[0], args.seed, model=spec.steering_model
     )
-    surface = fused_spectrum(snap.y, spec.array, len(spec.targets))
+    surface = fused_spectrum(y, spec.array, len(spec.targets))
     table = zip(np.rad2deg(surface.grid), surface.values)
     write_csv(args.out, render_csv([("angle_deg", "value"), *table]))
     print(f"wrote spectrum ({len(surface.grid)} angles) to {args.out}")

@@ -34,37 +34,27 @@ class ArrayConfig:
         Number of elements in each of the two sub-arrays (at least 2).
     gap : float
         Edge-to-edge separation between the sub-arrays, meters.
-    carrier_freq : float, optional
-        Carrier frequency in Hz.  Exactly one of ``carrier_freq`` and
-        ``wavelength`` must be given; the other is derived.
-    wavelength : float, optional
-        Carrier wavelength in meters.
+    wavelength : float
+        Carrier wavelength in meters, ``SPEED_OF_LIGHT / carrier_freq``.
     spacing : float, optional
         Intra-ULA element spacing in meters, at most half a wavelength.
         Defaults to half a wavelength.
+
+    The array's Fraunhofer distance ``2 * total_aperture**2 / wavelength``
+    must be finite: the wavefront models are chosen by it.
     """
 
     elements_per_ula: int
     gap: float
-    carrier_freq: float | None = None
-    wavelength: float | None = None
+    wavelength: float
     spacing: float | None = None
 
     def __post_init__(self) -> None:
-        if (self.carrier_freq is None) == (self.wavelength is None):
-            raise ValueError("give exactly one of carrier_freq and wavelength")
-        if self.carrier_freq is not None:
-            _require_finite_positive("carrier_freq", self.carrier_freq)
-            object.__setattr__(self, "wavelength", SPEED_OF_LIGHT / self.carrier_freq)
-        else:
-            _require_finite_positive("wavelength", self.wavelength)
-            object.__setattr__(self, "carrier_freq", SPEED_OF_LIGHT / self.wavelength)
         if self.spacing is None:
             object.__setattr__(self, "spacing", self.wavelength / 2.0)
         if self.elements_per_ula < 2:
             raise ValueError("need at least 2 elements per ULA")
-        # the derived carrier or wavelength overflows for subnormal inputs
-        for name in ("carrier_freq", "wavelength", "spacing", "gap"):
+        for name in ("wavelength", "spacing", "gap"):
             _require_finite_positive(name, getattr(self, name))
         # wider spacings put a grating lobe of some direction inside the
         # visible region, and one snapshot cannot tell the two apart
@@ -72,6 +62,12 @@ class ArrayConfig:
             raise ValueError(
                 f"spacing {self.spacing!r} m exceeds half the wavelength "
                 f"{self.wavelength!r} m; wider modules have grating lobes"
+            )
+        if not math.isfinite(field_regions(self).fraunhofer):
+            raise ValueError(
+                f"the Fraunhofer distance 2 * total_aperture**2 / wavelength of a"
+                f" {self.total_aperture!r} m aperture at wavelength {self.wavelength!r} m"
+                " overflows"
             )
 
     @property

@@ -156,8 +156,7 @@ def _failed(exc: EstimationError) -> tuple[None, str, dict]:
     return None, type(exc).__name__, {}
 
 
-def _esprit(snaps, spec: ScenarioSpec):
-    ys = np.stack([snap.y for snap in snaps])
+def _esprit(ys, spec: ScenarioSpec):
     out = []
     for outcome in esprit_chunk(ys, spec.array, len(spec.targets)):
         if isinstance(outcome, EstimationError):
@@ -172,8 +171,7 @@ def _esprit(snaps, spec: ScenarioSpec):
     return out
 
 
-def _music(snaps, spec: ScenarioSpec, ula: int | None):
-    ys = np.stack([snap.y for snap in snaps])
+def _music(ys, spec: ScenarioSpec, ula: int | None):
     outcomes = music_chunk(ys, spec.array, len(spec.targets), ula=ula)
     return [
         _failed(out) if isinstance(out, EstimationError) else (np.degrees(out), "ok", {})
@@ -181,8 +179,8 @@ def _music(snaps, spec: ScenarioSpec, ula: int | None):
     ]
 
 
-def _localize(snap, spec: ScenarioSpec):
-    result = localize(snap, spec.array, len(spec.targets))
+def _localize(y, spec: ScenarioSpec):
+    result = localize(y, spec.array, len(spec.targets))
     failed = sum(t.position is None for t in result.targets)
     if failed:
         raise Unpaired(f"{failed} of {len(result.targets)} targets have no position")
@@ -196,22 +194,23 @@ def _localize(snap, spec: ScenarioSpec):
     return positions, "ok", extra
 
 
-def _localize_each(snaps, spec: ScenarioSpec):
+def _localize_each(ys, spec: ScenarioSpec):
     out = []
-    for snap in snaps:
+    for y in ys:
         try:
-            out.append(_localize(snap, spec))
+            out.append(_localize(y, spec))
         except EstimationError as exc:
             out.append(_failed(exc))
     return out
 
 
 # Algorithm name -> (cell function, metric unit).  A cell function takes a
-# chunk of snapshots and returns one (estimates, status, extra) per trial;
-# estimator failures become their class name as the status, with no
-# estimates.  ``extra`` keys are debug column names.  Cell functions reach
-# the estimators through this module's globals at call time, so rebinding
-# an estimator here (as a tracer or a test does) reaches every trial.
+# chunk of observations, one per row, and returns one (estimates, status,
+# extra) per trial; estimator failures become their class name as the
+# status, with no estimates.  ``extra`` keys are debug column names.  Cell
+# functions reach the estimators through this module's globals at call
+# time, so rebinding an estimator here (as a tracer or a test does)
+# reaches every trial.
 ESTIMATORS = {
     "nf_localize": (_localize_each, "m"),
     "ss_esprit": (_esprit, "deg"),
@@ -223,10 +222,10 @@ ESTIMATORS = {
 HIT_TOLERANCE = {"deg": 0.5, "m": 0.1}
 
 
-def _run_cell(algorithm: str, snaps, spec: ScenarioSpec) -> list[tuple]:
-    """One (estimates, status, extra) per snapshot of a chunk of a cell."""
+def _run_cell(algorithm: str, ys, spec: ScenarioSpec) -> list[tuple]:
+    """One (estimates, status, extra) per observation of a chunk of a cell."""
     run, _ = ESTIMATORS[algorithm]
-    return run(snaps, spec)
+    return run(ys, spec)
 
 
 def run_monte_carlo(
@@ -251,11 +250,11 @@ def run_monte_carlo(
             for start in range(0, spec.n_trials, CELL_CHUNK):
                 trials = range(start, min(start + CELL_CHUNK, spec.n_trials))
                 seeds = [derive_trial_seed(spec.base_seed, algorithm, snr_index, t) for t in trials]
-                snaps = [
+                ys = np.stack([
                     snapshot(spec.array, spec.targets, snr_db, seed, model=spec.steering_model)
                     for seed in seeds
-                ]
-                results = _run_cell(algorithm, snaps, spec)
+                ])
+                results = _run_cell(algorithm, ys, spec)
                 for trial, seed, (estimates, status, extra) in zip(trials, seeds, results):
                     errors = None if estimates is None else match_errors(estimates, truth)
                     records.append(_TrialRecord(trial, seed, status, estimates, errors, extra))

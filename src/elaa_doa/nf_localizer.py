@@ -49,7 +49,6 @@ from .errors import BehindArray, EstimationError, ParallelBearings, unwrap
 from .geometry import ArrayConfig, field_regions, reference_positions
 from .signal_model import (
     NearfieldLayout,
-    Snapshot,
     nearfield_atoms,
     nearfield_layout,
     split_ulas,
@@ -146,7 +145,7 @@ def triangulate(angles: tuple[float, float], cfg: ArrayConfig) -> np.ndarray:
 
 
 def local_doas(
-    snap: Snapshot, cfg: ArrayConfig, num_sources: int
+    y: np.ndarray, cfg: ArrayConfig, num_sources: int
 ) -> tuple[np.ndarray, np.ndarray, float]:
     """Per-sub-array DOA estimates, each sorted ascending, and the noise reference.
 
@@ -157,7 +156,7 @@ def local_doas(
     out, read off the SVDs the scans already run.
     """
     # the two modules are two one-module trials of one chunk
-    modules = np.stack(split_ulas(snap.y))[:, None]
+    modules = np.stack(split_ulas(np.asarray(y)))[:, None]
     sub, scan = module_subspace(modules, cfg, num_sources)
     doas1, doas2 = (np.sort(unwrap(out)) for out in pick_chunk(sub, scan, num_sources))
     noise_ref = 0.0
@@ -167,7 +166,7 @@ def local_doas(
 
 
 def associate(
-    doas1: np.ndarray, doas2: np.ndarray, snap: Snapshot, cfg: ArrayConfig
+    doas1: np.ndarray, doas2: np.ndarray, y: np.ndarray, cfg: ArrayConfig
 ) -> Association:
     """Pair per-sub-array DOAs by joint least-squares reconstruction.
 
@@ -188,7 +187,7 @@ def associate(
     k = len(doas1)
     if k == 0:
         raise ValueError("per-sub-array DOA lists are empty")
-    y = snap.y.astype(complex)
+    y = np.asarray(y, dtype=complex)
     points: dict[tuple[int, int], np.ndarray] = {}
     for i in range(k):
         for j in range(k):
@@ -755,8 +754,8 @@ def _pair_gate(cfg: ArrayConfig, num_sources: int) -> float:
     return PAIR_NOISE_GATE * (2 * m - 2 * num_sources) / noise_dof
 
 
-def localize(snap: Snapshot, cfg: ArrayConfig, num_sources: int) -> LocalizationResult:
-    """Estimate target positions from one snapshot.
+def localize(y: np.ndarray, cfg: ArrayConfig, num_sources: int) -> LocalizationResult:
+    """Estimate target positions from one observation ``y``.
 
     The pair route goes first: the associated per-sub-array DOA pairs
     are triangulated and, when every source is paired, their positions
@@ -783,9 +782,9 @@ def localize(snap: Snapshot, cfg: ArrayConfig, num_sources: int) -> Localization
     no position, so the result always has ``num_sources`` entries;
     deflation entries carry ``pair=None``.
     """
-    doas1, doas2, noise_ref = local_doas(snap, cfg, num_sources)
-    assoc = associate(doas1, doas2, snap, cfg)
-    y = snap.y.astype(complex)
+    y = np.asarray(y, dtype=complex)
+    doas1, doas2, noise_ref = local_doas(y, cfg, num_sources)
+    assoc = associate(doas1, doas2, y, cfg)
     y_norm = float(np.linalg.norm(y))
     positions, pairs, route = list(assoc.positions), assoc.pairs, "pair"
     residual = assoc.residual

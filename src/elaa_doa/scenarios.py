@@ -1,10 +1,10 @@
 """Experiment scenarios: specification type, file format, builtins.
 
 Scenario files are flat ``key = value`` text with dotted key sections,
-``#`` comments and blank lines.  Distances are meters, angles degrees.
-Array keys accept either SI values (``array.gap_m``) or wavelength
-multiples (``array.gap_wavelengths``) for exact carrier-relative setups.
-Every other key sets the :class:`ScenarioSpec` field of its name.  Algorithm
+``#`` comments and blank lines.  Target ranges are meters, angles
+degrees.  The array is given by its carrier in Hz, and its gap and
+element spacing in wavelengths of that carrier.  Every other key sets
+the :class:`ScenarioSpec` field of its name.  Algorithm
 names are checked against ``harness.ESTIMATORS``.
 
 Example::
@@ -26,7 +26,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 from .errors import ScenarioError
 from .geometry import SPEED_OF_LIGHT, ArrayConfig, Target
@@ -88,10 +88,17 @@ class ScenarioSpec:
             )
 
 
+# A position error is about its target's range when the localizer misses,
+# and a cell's RMSE sums its square over every trial: one square overflows
+# past 1.3e154 m, a cell's sum sooner.  At 1e100 m no trial count reaches
+# overflow, and no physical scene is that deep.
+MAX_RANGE_M = 1e100
+
+
 def paper_array() -> ArrayConfig:
     """The 76 GHz automotive-radar configuration used by the builtins."""
     lam = SPEED_OF_LIGHT / 76e9
-    return ArrayConfig(elements_per_ula=16, gap=150.0 * lam, carrier_freq=76e9)
+    return ArrayConfig(elements_per_ula=16, gap=150.0 * lam, wavelength=lam)
 
 
 def builtin_scenarios() -> dict[str, ScenarioSpec]:
@@ -153,6 +160,30 @@ def _as_positive(key: str, value: str) -> float:
     number = _as_float(key, value)
     if not (math.isfinite(number) and number > 0):
         raise ScenarioError(f"{key} must be finite and positive, got {number!r}")
+    return number
+
+
+def _as_wavelength(key: str, value: str) -> float:
+    """The wavelength in meters of a carrier frequency in Hz."""
+    wavelength = SPEED_OF_LIGHT / _as_positive(key, value)
+    if not math.isfinite(wavelength):
+        raise ScenarioError(
+            f"{key} gives wavelength {wavelength!r} m; the wavelength must be finite"
+        )
+    return wavelength
+
+
+def _as_range(key: str, value: str) -> float:
+    """A target range in meters, at most ``MAX_RANGE_M`` when finite.
+
+    :class:`~elaa_doa.geometry.Target` refuses the rest, naming the target.
+    """
+    number = _as_float(key, value)
+    if math.isfinite(number) and number > MAX_RANGE_M:
+        raise ScenarioError(
+            f"{key} is {number!r} m, more than {MAX_RANGE_M!r} m; position errors that"
+            " large overflow when squared"
+        )
     return number
 
 
@@ -225,53 +256,41 @@ def parse_scenario(text: str) -> ScenarioSpec:
     if elements is None:
         raise ScenarioError("missing key array.elements_per_ula")
 
-    if ("array.carrier_freq_hz" in table) == ("array.wavelength_m" in table):
-        raise ScenarioError(
-            "give exactly one of array.carrier_freq_hz and array.wavelength_m"
-        )
-    if "array.carrier_freq_hz" in table:
-        wavelength = SPEED_OF_LIGHT / _parsed(table, "array.carrier_freq_hz", _as_positive)
-    else:
-        wavelength = _parsed(table, "array.wavelength_m", _as_positive)
+    wavelength = _parsed(table, "array.carrier_freq_hz", _as_wavelength)
+    if wavelength is None:
+        raise ScenarioError("missing key array.carrier_freq_hz")
 
-    def length_key(base: str, at_most: float = math.inf) -> float | None:
-        """``base``'s length in meters, from its ``_m`` or ``_wavelengths`` key.
+    def in_wavelengths(key: str, value: str) -> float:
+        """``value`` wavelengths in meters.
 
-        Errors name the key and its line.  Only the spacing has a limit,
-        ``at_most``: half the wavelength, as wider modules have grating lobes.
+        A spacing is at most half a wavelength, as wider modules have
+        grating lobes.
         """
-        keys = [key for key in (f"{base}_m", f"{base}_wavelengths") if key in table]
-        if len(keys) == 2:
-            raise ScenarioError(f"give only one of {base}_m and {base}_wavelengths")
-        if not keys:
-            return None
-        key = keys[0]
-        lineno = table[key][0]
-        length = _parsed(table, key, _as_positive)
-        if key.endswith("_wavelengths"):
-            length *= wavelength
-        if length > at_most:
+        length = _as_positive(key, value) * wavelength
+        if not (math.isfinite(length) and length > 0):
+            raise ScenarioError(f"{key} gives {length!r} m; a length must be finite and positive")
+        if key == "array.spacing_wavelengths" and length > wavelength / 2.0:
             raise ScenarioError(
-                f"line {lineno}: {key} gives {length!r} m, more than half the wavelength"
-                f" {at_most!r} m; wider modules have grating lobes"
+                f"{key} gives {length!r} m, more than half the wavelength"
+                f" {wavelength / 2.0!r} m; wider modules have grating lobes"
             )
         return length
 
-    gap = length_key("array.gap")
+    gap_line = table.get("array.gap_wavelengths", (None,))[0]
+    gap = _parsed(table, "array.gap_wavelengths", in_wavelengths)
     if gap is None:
-        raise ScenarioError("missing key array.gap_m (or array.gap_wavelengths)")
-    spacing = length_key("array.spacing", at_most=wavelength / 2.0)
-
+        raise ScenarioError("missing key array.gap_wavelengths")
+    spacing = _parsed(table, "array.spacing_wavelengths", in_wavelengths)
     try:
-        array = ArrayConfig(
-            elements_per_ula=elements, gap=gap, wavelength=wavelength, spacing=spacing
-        )
+        array = ArrayConfig(elements, gap, wavelength, spacing)
     except ValueError as exc:
-        raise ScenarioError(str(exc)) from exc
+        # every value is checked at its key, which leaves the aperture's
+        # Fraunhofer distance, and the gap is what makes it overflow
+        raise ScenarioError(f"line {gap_line}: array.gap_wavelengths: {exc}") from None
 
     targets = []
     for index in itertools.count(1):
-        range_m = _parsed(table, f"target.{index}.range_m", _as_float)
+        range_m = _parsed(table, f"target.{index}.range_m", _as_range)
         angle_deg = _parsed(table, f"target.{index}.angle_deg", _as_float)
         if range_m is None and angle_deg is None:
             break
@@ -310,18 +329,3 @@ def load_scenario(path) -> ScenarioSpec:
             f"scenario file {path} is not UTF-8 text: {exc.reason} at byte {exc.start}"
         ) from None
     return parse_scenario(text)
-
-
-def with_overrides(
-    spec: ScenarioSpec,
-    n_trials: int | None = None,
-    snr_grid_db: tuple[float, ...] | None = None,
-    algorithms: tuple[str, ...] | None = None,
-    base_seed: int | None = None,
-) -> ScenarioSpec:
-    """Copy a spec with the given (not None) CLI-style overrides applied."""
-    given = dict(
-        n_trials=n_trials, snr_grid_db=snr_grid_db, algorithms=algorithms, base_seed=base_seed
-    )
-    kwargs = {key: value for key, value in given.items() if value is not None}
-    return replace(spec, **kwargs) if kwargs else spec

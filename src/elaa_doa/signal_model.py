@@ -22,7 +22,6 @@ from __future__ import annotations
 import enum
 import functools
 import math
-from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
@@ -40,17 +39,6 @@ class SteeringModel(enum.Enum):
     EXACT = "exact"
     FAR_FIELD = "farfield"
     NF_LOCAL_PLANAR = "nf_local_planar"
-
-
-@dataclass(frozen=True)
-class Snapshot:
-    """A single array observation ``y`` plus its generation provenance."""
-
-    y: np.ndarray
-    snr_db: float
-    seed: int
-    truth: tuple[Target, ...]
-    amplitudes: np.ndarray
 
 
 def split_ulas(y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -188,20 +176,21 @@ def snapshot(
     snr_db: float,
     seed: int,
     model: SteeringModel | None = None,
-) -> Snapshot:
-    """Generate one observation ``y = sum_k s_k a_k + n``.
+) -> np.ndarray:
+    """One observation ``y = sum_k s_k a_k + n``, a complex vector of ``cfg.n_elements``.
 
     Each source amplitude ``s_k`` has unit magnitude and an independent
-    uniform phase, drawn from ``seed`` first.  The noise is circularly
-    symmetric complex Gaussian with per-element variance
-    ``10**(-snr_db/10)``, so ``snr_db`` is the per-element SNR of each
-    source.  ``snr_db = math.inf`` disables the noise exactly; a noiseless
-    zero-phase observation is the sum of the targets' :func:`steering`.
-    Identical arguments give bitwise-identical output.  Each target's
-    steering entries are built once per (array, target, model) and reused
-    by later calls.
+    uniform phase.  The phases are the first draw of the seeded
+    generator, ``np.random.default_rng(seed).uniform(0.0, 2.0 * math.pi,
+    len(targets))``, so a caller that needs them redraws them from the
+    seed.  The noise is circularly symmetric complex Gaussian with
+    per-element variance ``10**(-snr_db/10)``, so ``snr_db`` is the
+    per-element SNR of each source.  ``snr_db = math.inf`` disables the
+    noise exactly; a noiseless zero-phase observation is the sum of the
+    targets' :func:`steering`.  Identical arguments give bitwise-identical
+    output.  Each target's steering entries are built once per (array,
+    target, model) and reused by later calls.
     """
-    targets = tuple(targets)
     rng = np.random.default_rng(seed)
     n = cfg.n_elements
     amps = np.exp(1j * rng.uniform(0.0, 2.0 * math.pi, len(targets)))
@@ -210,7 +199,7 @@ def snapshot(
         y = y + s * _steering_entries(cfg, t, model)
     sigma2 = noise_variance(snr_db)
     noise = (rng.standard_normal(n) + 1j * rng.standard_normal(n)) * math.sqrt(sigma2 / 2.0)
-    return Snapshot(y=y + noise, snr_db=snr_db, seed=seed, truth=targets, amplitudes=amps)
+    return y + noise
 
 
 def array_factor(cfg: ArrayConfig, grid: np.ndarray, aperture: str = "elaa") -> np.ndarray:

@@ -32,7 +32,7 @@ import numpy as np
 
 from .errors import AmbiguousDealias, EstimationError, IllConditioned, unwrap
 from .geometry import ArrayConfig
-from .signal_model import Snapshot, split_ulas
+from .signal_model import split_ulas
 from .subspace import default_pencil, max_sources, stacked_subspace
 
 COND_LIMIT = 1e12
@@ -267,10 +267,10 @@ def esprit_chunk(ys: np.ndarray, cfg: ArrayConfig, num_sources: int) -> list:
 
 
 def estimate_doa_esprit(
-    snap: Snapshot, cfg: ArrayConfig, num_sources: int
+    y: np.ndarray, cfg: ArrayConfig, num_sources: int
 ) -> tuple[np.ndarray, EspritDiagnostics]:
-    """Far-field DOAs from one snapshot, radians, sorted ascending, with diagnostics.
+    """Far-field DOAs from one observation ``y``, radians, sorted ascending, with diagnostics.
 
     The one-trial case of :func:`esprit_chunk`; a failure is raised.
     """
-    return unwrap(esprit_chunk(snap.y[None], cfg, num_sources)[0])
+    return unwrap(esprit_chunk(np.asarray(y)[None], cfg, num_sources)[0])

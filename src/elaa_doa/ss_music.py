@@ -39,7 +39,7 @@ import numpy as np
 
 from .errors import UnderResolved, unwrap
 from .geometry import ArrayConfig
-from .signal_model import Snapshot, split_ulas
+from .signal_model import split_ulas
 from .subspace import SubspacePair, default_pencil, hankel, split_subspaces
 
 DENOMINATOR_FLOOR = 1e-12
@@ -419,10 +419,10 @@ def music_chunk(
 
 
 def estimate_doa_music(
-    snap: Snapshot, cfg: ArrayConfig, num_sources: int, ula: int | None = None
+    y: np.ndarray, cfg: ArrayConfig, num_sources: int, ula: int | None = None
 ) -> np.ndarray:
-    """Far-field DOAs from a single snapshot, radians, tallest peak first.
+    """Far-field DOAs from one observation ``y``, radians, tallest peak first.
 
     The one-trial case of :func:`music_chunk`; a failure is raised.
     """
-    return unwrap(music_chunk(snap.y[None], cfg, num_sources, ula)[0])
+    return unwrap(music_chunk(np.asarray(y)[None], cfg, num_sources, ula)[0])

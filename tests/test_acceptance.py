@@ -256,7 +256,7 @@ def test_truth_seeded_polish_hits_a_fifth_of_fig4_near_b():
         snap = snapshot(
             spec.array, spec.targets, spec.snr_grid_db[0], seed, model=spec.steering_model
         )
-        found, _ = _polish(snap.y.astype(complex), spec.array, list(truth))
+        found, _ = _polish(snap.astype(complex), spec.array, list(truth))
         hits += bool(np.all(match_errors(np.array(found), truth) <= 0.1))
     assert (spec.n_trials, spec.base_seed) == (500, 42)
     assert abs(hits - 101) <= 5, hits
@@ -296,12 +296,12 @@ def test_criterion_4_property_checks(paper_cfg):
             Target(range=_far_range(paper_cfg), angle=math.radians(a)) for a in angles
         ]
         snap = snapshot(paper_cfg, targets, math.inf, seed=40 + k)
-        s = np.linalg.svd(hankel(split_ulas(snap.y)[0], 8), compute_uv=False)
+        s = np.linalg.svd(hankel(split_ulas(snap)[0], 8), compute_uv=False)
         assert s[k - 1] > 1e6 * s[k], f"rank defect for K={k}"
         assert np.all(s[k:] < 1e-10 * s[0]), f"rank excess for K={k}"
 
     # subspace bases are orthonormal and mutually orthogonal
-    sub = split_subspaces(hankel(split_ulas(snap.y)[0], 8), 3)
+    sub = split_subspaces(hankel(split_ulas(snap)[0], 8), 3)
     eye_s = sub.signal.conj().T @ sub.signal
     eye_n = sub.noise.conj().T @ sub.noise
     assert np.allclose(eye_s, np.eye(eye_s.shape[0]), atol=1e-10)
@@ -316,7 +316,7 @@ def test_criterion_4_property_checks(paper_cfg):
         math.inf,
         seed=47,
     )
-    ya, yb = split_ulas(two.y)
+    ya, yb = split_ulas(two)
     basis = stacked_subspace(ya, yb, 8, 2).signal
     coarse, fine, _ = pair_eigenvalues(basis)
     assert np.abs(coarse) == pytest.approx(1.0, abs=1e-9)
@@ -404,7 +404,7 @@ def test_criterion_6_geometry_identities():
     hold only under the doubled-spacing reading.
     """
     lam = 299792458.0 / 76e9
-    cfg = ArrayConfig(elements_per_ula=16, gap=150.0 * lam, carrier_freq=76e9)
+    cfg = ArrayConfig(elements_per_ula=16, gap=150.0 * lam, wavelength=lam)
 
     assert cfg.gap == pytest.approx(0.5917, rel=0.01)
     assert cfg.sub_aperture == pytest.approx(7.5 * lam)

@@ -24,10 +24,10 @@ def _recorded_run(monkeypatch, spec):
     seen = []
     run_cell = harness._run_cell
 
-    def recording(algorithm, snaps, spec):
-        out = run_cell(algorithm, snaps, spec)
-        assert len(snaps) <= CELL_CHUNK
-        seen.extend(zip(snaps, out))
+    def recording(algorithm, ys, spec):
+        out = run_cell(algorithm, ys, spec)
+        assert len(ys) <= CELL_CHUNK
+        seen.extend(zip(ys, out))
         return out
 
     monkeypatch.setattr(harness, "_run_cell", recording)
@@ -94,12 +94,12 @@ def test_a_failed_trial_leaves_its_chunk_unchanged(monkeypatch, algorithm):
     nan_seed, zero_seed = (derive_trial_seed(spec.base_seed, algorithm, 0, t) for t in (3, 7))
     draw = harness.snapshot
 
-    def spoiled(*args, **kwargs):
-        snap = draw(*args, **kwargs)
-        if snap.seed == nan_seed:
-            snap.y[[3, 20]] = math.nan  # a sample in each sub-array
-        elif snap.seed == zero_seed:
-            snap = replace(snap, y=np.zeros_like(snap.y))
+    def spoiled(cfg, targets, snr_db, seed, model=None):
+        snap = draw(cfg, targets, snr_db, seed, model=model)
+        if seed == nan_seed:
+            snap[[3, 20]] = math.nan  # a sample in each sub-array
+        elif seed == zero_seed:
+            snap = np.zeros_like(snap)
         return snap
 
     monkeypatch.setattr(harness, "snapshot", spoiled)

@@ -84,6 +84,60 @@ def test_bad_values_name_flag_or_line_once(tiny_scenario, tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize(
+    "old, new, message",
+    [
+        # nf_localize misses a target this far by about its range, whose
+        # square overflows: once an inf RMSE at 1e154 m and a traceback at 1e160 m
+        (
+            "range_m = 400.0",
+            "range_m = 1e154",
+            "line 6: target.1.range_m is 1e+154 m, more than 1e+100 m;"
+            " position errors that large overflow when squared",
+        ),
+        (
+            "range_m = 400.0",
+            "range_m = 1e160",
+            "line 6: target.1.range_m is 1e+160 m, more than 1e+100 m;"
+            " position errors that large overflow when squared",
+        ),
+        (
+            "= 76e9",
+            "= 1e-310",
+            "line 4: array.carrier_freq_hz gives wavelength inf m; the wavelength must be finite",
+        ),
+        (
+            "= 150",
+            "= 1e308",
+            "line 5: array.gap_wavelengths: the Fraunhofer distance 2 * total_aperture**2"
+            " / wavelength of a 3.9446376052631584e+305 m aperture at wavelength"
+            " 0.003944637605263158 m overflows",
+        ),
+    ],
+    ids=["range_1e154", "range_1e160", "carrier_1e-310", "gap_1e308"],
+)
+def test_overflowing_values_exit_two(tmp_path, capsys, old, new, message):
+    path = tmp_path / "far.scenario"
+    path.write_text(TINY.replace(old, new))
+    out = tmp_path / "r.csv"
+    args = ["--algos", "nf_localize,ss_esprit", "--out", str(out), "--quiet"]
+    assert cli.main(["run", "--scenario", str(path), *args]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not out.exists()
+
+
+@pytest.mark.filterwarnings("error")
+def test_a_target_at_the_range_limit_gives_finite_metrics(tmp_path):
+    path = tmp_path / "far.scenario"
+    path.write_text(TINY.replace("range_m = 400.0", "range_m = 1e100"))
+    out = tmp_path / "r.csv"
+    args = ["--algos", "nf_localize,ss_esprit", "--out", str(out), "--quiet"]
+    assert cli.main(["run", "--scenario", str(path), *args]) == 0
+    rmse = [float(line.split(",")[3]) for line in out.read_text().splitlines()[1:]]
+    assert len(rmse) == 2 and all(np.isfinite(rmse))
+
+
 def test_negative_seed(tiny_scenario, tmp_path, capsys):
     out = tmp_path / "r.csv"
     args = ["--scenario", tiny_scenario, "--seed", "-1", "--out", str(out)]
@@ -138,6 +192,23 @@ def test_run_grid_and_trial_overrides(tiny_scenario, tmp_path):
     assert len(lines) == 4
     assert [ln.split(",")[1] for ln in lines[1:]] == ["10.0", "15.0", "20.0"]
     assert all(ln.split(",")[2] == "1" for ln in lines[1:])
+
+
+def test_run_overrides_set_only_the_given_fields(tiny_scenario, tmp_path):
+    # --trials, --snr and --seed set their fields as the scenario keys do,
+    # and a run without them keeps the file's values
+    flags = tmp_path / "flags.csv"
+    args = ["--trials", "7", "--snr", "10", "--seed", "1", "--out", str(flags), "--quiet"]
+    assert cli.main(["run", "--scenario", tiny_scenario, *args]) == 0
+    path = tmp_path / "keys.scenario"
+    text = TINY.replace("n_trials = 2", "n_trials = 7").replace("= 30", "= 10")
+    path.write_text(text + "base_seed = 1\n")
+    keys = tmp_path / "keys.csv"
+    assert cli.main(["run", "--scenario", str(path), "--out", str(keys), "--quiet"]) == 0
+    assert flags.read_bytes() == keys.read_bytes()
+    plain = tmp_path / "plain.csv"
+    assert cli.main(["run", "--scenario", tiny_scenario, "--out", str(plain), "--quiet"]) == 0
+    assert plain.read_text().splitlines()[1].split(",")[1:3] == ["30.0", "2"]
 
 
 def test_run_debug_out(tiny_scenario, tmp_path):
@@ -227,8 +298,15 @@ def test_overflowing_noise_variance_exits_two(tmp_path, capsys):
         # hits are within 0.5 degrees or 0.1 m, by the metric's unit
         ("hit_tolerance_deg = 0.25", "unknown key 'hit_tolerance_deg'"),
         ("hit_tolerance_m = 0.05", "unknown key 'hit_tolerance_m'"),
+        # an array is given by its carrier, and its lengths in its wavelengths
+        ("array.wavelength_m = 0.004", "unknown key 'array.wavelength_m'"),
+        ("array.gap_m = 0.6", "unknown key 'array.gap_m'"),
+        ("array.spacing_m = 0.0015", "unknown key 'array.spacing_m'"),
     ],
-    ids=["pencil", "grid_step_deg", "nf_shared_doa", "hit_tolerance_deg", "hit_tolerance_m"],
+    ids=[
+        "pencil", "grid_step_deg", "nf_shared_doa", "hit_tolerance_deg", "hit_tolerance_m",
+        "wavelength_m", "gap_m", "spacing_m",
+    ],
 )
 def test_retired_settings_exit_two(tmp_path, capsys, line, message):
     path = tmp_path / "retired.scenario"

@@ -336,7 +336,7 @@ def test_csv_fields():
 def test_non_finite_snapshot_is_a_typed_failure(scenario, algorithm, bad):
     spec = builtin_scenarios()[scenario]
     snap = snapshot(spec.array, spec.targets, 30.0, seed=1)
-    snap.y[20] = bad
+    snap[20] = bad
     assert _run_cell(algorithm, [snap], spec) == [(None, "NonFiniteSnapshot", {})]
 
 

@@ -130,12 +130,14 @@ def test_snapshot_entries_are_the_localizer_atom(paper_cfg):
     # atom bit for bit, and a noiseless snapshot is that atom turned by its phase
     targets = [Target(5.0, math.radians(-10.0)), Target(4.0, 0.0), Target(60.0, 0.3)]
     targets += [Target.from_position(*p) for p in _band_corners(paper_cfg)]
+    # the source phase is the seed's first draw, as snapshot documents
+    phase = np.exp(1j * np.random.default_rng(0).uniform(0.0, 2.0 * math.pi, 1))[0]
     for target in targets:
         atom = nearfield_atoms(paper_cfg, *target.position)[:, 0]
         entries = steering(paper_cfg, target, model=SteeringModel.NF_LOCAL_PLANAR)
         assert np.array_equal(entries, atom), target
         snap = snapshot(paper_cfg, [target], math.inf, seed=0, model=SteeringModel.NF_LOCAL_PLANAR)
-        assert np.array_equal(snap.y, snap.amplitudes[0] * atom), target
+        assert np.array_equal(snap, phase * atom), target
 
 
 def test_atoms_batch_matches_single_points(paper_cfg):
@@ -387,7 +389,7 @@ def test_polish_cost_stop_saves_evaluations_not_fit(monkeypatch):
             30.0,
             derive_trial_seed(spec.base_seed, "nf_localize", 0, trial),
             model=spec.steering_model,
-        ).y.astype(complex)
+        ).astype(complex)
         for trial in range(200)
     ]
     points = _record_points(monkeypatch)
@@ -668,7 +670,7 @@ def test_localize_pair_route_skips_deflation_at_the_noise_floor(monkeypatch):
     assert sorted(t.pair for t in result.targets) == sorted(result.association.pairs)
     # the residual is the fit of the polished pairs the result reports
     reported = [t.position for t in result.targets]
-    y = snap.y.astype(complex)
+    y = snap.astype(complex)
     assert result.residual == pytest.approx(_project_residual(y, reported, cfg)[1], rel=1e-9)
 
 
@@ -726,7 +728,7 @@ def test_pair_gate_from_degrees_of_freedom(paper_cfg):
 @pytest.mark.parametrize("steps, deflates", [(0.9, False), (1.1, True)])
 def test_localize_pair_the_polish_walks_runs_deflation(monkeypatch, steps, deflates):
     cfg, snap = _fig4_near_a_snapshot(30.0, seed=3)
-    y = snap.y.astype(complex)
+    y = snap.astype(complex)
     full = associate(*local_doas(snap, cfg, 2)[:2], snap, cfg)
     best, _ = _polish(y, cfg, list(full.positions))
     # triangulation put the first atom ``steps`` capped log-range steps
@@ -783,7 +785,7 @@ def test_localize_pins_fig4_near_b_trials():
 def test_localize_fallback_weighs_deflation_against_the_triangulated_pairs(monkeypatch):
     cfg, snap = _fig4_near_a_snapshot(30.0, seed=3)
     assoc = associate(*local_doas(snap, cfg, 2)[:2], snap, cfg)
-    _, pair_res = nf_localizer._polish(snap.y.astype(complex), cfg, list(assoc.positions))
+    _, pair_res = nf_localizer._polish(snap.astype(complex), cfg, list(assoc.positions))
     assert pair_res < assoc.residual
     monkeypatch.setattr(nf_localizer, "_pair_gate", lambda *args: -1.0)
     far = [np.array([-20.0, 100.0]), np.array([20.0, 100.0])]

@@ -4,14 +4,13 @@ import math
 import pytest
 
 from elaa_doa.errors import ScenarioError
-from elaa_doa.geometry import Target
+from elaa_doa.geometry import SPEED_OF_LIGHT, Target
 from elaa_doa.scenarios import (
     _SPEC_KEYS,
     ScenarioSpec,
     builtin_scenarios,
     parse_scenario,
     paper_array,
-    with_overrides,
 )
 from elaa_doa.signal_model import SteeringModel
 
@@ -40,12 +39,8 @@ def test_parse_minimal():
 
 
 def test_parse_full_options():
-    si_array = (
-        MINIMAL.replace("array.carrier_freq_hz = 76e9", "array.wavelength_m = 0.004")
-        .replace("array.gap_wavelengths = 150", "array.gap_m = 0.6")
-    )
-    text = si_array + (
-        "array.spacing_m = 0.0015\n"
+    text = MINIMAL.replace("= 76e9", "= 75e9") + (
+        "array.spacing_wavelengths = 0.375\n"
         "name = demo\n"
         "n_trials = 25\n"
         "algorithms = ss_esprit\n"
@@ -53,9 +48,10 @@ def test_parse_full_options():
         "steering_model = farfield\n"
     )
     spec = parse_scenario(text)
-    assert spec.array.wavelength == 0.004
-    assert spec.array.gap == 0.6
-    assert spec.array.spacing == 0.0015
+    wavelength = SPEED_OF_LIGHT / 75e9
+    assert spec.array.wavelength == wavelength
+    assert spec.array.gap == 150.0 * wavelength
+    assert spec.array.spacing == 0.375 * wavelength
     assert spec.name == "demo"
     assert spec.n_trials == 25
     assert spec.algorithms == ("ss_esprit",)
@@ -75,15 +71,42 @@ def test_parse_full_options():
         (MINIMAL + "algorithms = music\n", "unknown algorithm"),
         (MINIMAL + "no_equals_here\n", "expected 'key = value'"),
         (MINIMAL + "target.3.range_m = 9.0\n", "needs both"),
-        (MINIMAL.replace("array.carrier_freq_hz = 76e9\n", ""), "exactly one"),
         (
-            MINIMAL + "array.wavelength_m = 0.004\n",
-            "exactly one",
+            MINIMAL.replace("array.carrier_freq_hz = 76e9\n", ""),
+            r"^missing key array\.carrier_freq_hz$",
+        ),
+        (
+            MINIMAL.replace("array.gap_wavelengths = 150\n", ""),
+            r"^missing key array\.gap_wavelengths$",
         ),
         (MINIMAL.replace("= 150", "= abc"), "must be a number"),
         (MINIMAL.replace("= 76e9", "= nan"), r"line 3: array.carrier_freq_hz must be finite"),
         (MINIMAL.replace("= 76e9", "= 0"), r"line 3: array.carrier_freq_hz must be finite"),
         (MINIMAL.replace("= 76e9", "= 1e-320"), "wavelength must be finite"),
+        # a derived length or distance that overflows names the key it came from
+        (
+            MINIMAL.replace("= 76e9", "= 1e-310"),
+            r"^line 3: array\.carrier_freq_hz gives wavelength inf m;"
+            r" the wavelength must be finite$",
+        ),
+        (
+            MINIMAL.replace("= 76e9", "= 1").replace("= 150", "= 1e308"),
+            r"^line 4: array\.gap_wavelengths gives inf m; a length must be finite and positive$",
+        ),
+        (
+            MINIMAL.replace("= 150", "= 1e308"),
+            r"^line 4: array\.gap_wavelengths: the Fraunhofer distance 2 \* total_aperture\*\*2"
+            r" / wavelength of a [0-9.e+]+ m aperture at wavelength [0-9.e-]+ m overflows$",
+        ),
+        (
+            MINIMAL.replace("= 150", "= 1e-323"),
+            r"^line 4: array\.gap_wavelengths gives 0\.0 m; a length must be finite and positive$",
+        ),
+        (
+            MINIMAL.replace("range_m = 250.0", "range_m = 1e154", 1),
+            r"^line 5: target\.1\.range_m is 1e\+154 m, more than 1e\+100 m;"
+            r" position errors that large overflow when squared$",
+        ),
         (MINIMAL.replace("range_m = 250.0", "range_m = inf", 1), "target.1: range must be finite"),
         # each value error carries its location exactly once
         (
@@ -109,8 +132,8 @@ def test_parse_full_options():
         (MINIMAL + "n_trials = 2.5\n", r"^line 10: n_trials must be an integer, got '2\.5'$"),
         # array values name the key and line they came from, and the value as given
         (
-            MINIMAL.replace("_wavelengths = 150", "_m = nan"),
-            r"^line 4: array\.gap_m must be finite and positive, got nan$",
+            MINIMAL.replace("= 150", "= nan"),
+            r"^line 4: array\.gap_wavelengths must be finite and positive, got nan$",
         ),
         (
             MINIMAL.replace("= 150", "= -5"),
@@ -121,16 +144,12 @@ def test_parse_full_options():
             r"^line 2: array\.elements_per_ula must be at least 2, got 1$",
         ),
         (
-            MINIMAL.replace("carrier_freq_hz = 76e9", "wavelength_m = -0.004"),
-            r"^line 3: array\.wavelength_m must be finite and positive, got -0\.004$",
+            MINIMAL.replace("= 76e9", "= -76e9"),
+            r"^line 3: array\.carrier_freq_hz must be finite and positive, got -76000000000\.0$",
         ),
         (
-            MINIMAL.replace("carrier_freq_hz = 76e9", "wavelength_m = nan"),
-            r"^line 3: array\.wavelength_m must be finite and positive, got nan$",
-        ),
-        (
-            MINIMAL + "array.spacing_m = nan\n",
-            r"^line 10: array\.spacing_m must be finite and positive, got nan$",
+            MINIMAL + "array.spacing_wavelengths = nan\n",
+            r"^line 10: array\.spacing_wavelengths must be finite and positive, got nan$",
         ),
         (
             MINIMAL + "array.spacing_wavelengths = 1.3\n",
@@ -221,14 +240,3 @@ def test_spec_rejects_more_targets_than_the_pencil_resolves(n_targets):
     targets = tuple(Target(250.0, math.radians(a)) for a in range(n_targets))
     with pytest.raises(ScenarioError, match="resolves at most 7"):
         ScenarioSpec(name="x", array=paper_array(), targets=targets, snr_grid_db=(0.0,))
-
-
-def test_with_overrides():
-    spec = builtin_scenarios()["fig4_near_a"]
-    same = with_overrides(spec)
-    assert same is spec
-    bumped = with_overrides(spec, n_trials=7, snr_grid_db=(10.0,), base_seed=1)
-    assert bumped.n_trials == 7
-    assert bumped.snr_grid_db == (10.0,)
-    assert bumped.base_seed == 1
-    assert bumped.targets == spec.targets

@@ -22,6 +22,11 @@ from elaa_doa.signal_model import (
 angles = st.floats(-1.4, 1.4)
 
 
+def _phases(seed: int, k: int) -> np.ndarray:
+    """The unit source amplitudes of a snapshot, redrawn from its seed as snapshot documents."""
+    return np.exp(1j * np.random.default_rng(seed).uniform(0.0, 2.0 * math.pi, k))
+
+
 @given(angle=angles)
 def test_steering_unit_modulus_farfield(paper_cfg, angle):
     v = steering_farfield(paper_cfg, angle)
@@ -70,7 +75,7 @@ def test_locally_planar_up_to_fraunhofer_on_a_narrow_gap():
     # modules' local ones that a shared-DOA model once took those ranges;
     # auto selection must keep the locally planar model up to Fraunhofer
     lam = SPEED_OF_LIGHT / 76e9
-    cfg = ArrayConfig(elements_per_ula=16, gap=10.0 * lam, carrier_freq=76e9)
+    cfg = ArrayConfig(elements_per_ula=16, gap=10.0 * lam, wavelength=lam)
     reg = field_regions(cfg)
     assert reg.fraunhofer == pytest.approx(1250.0 * lam)
     assert reg.local_farfield == pytest.approx(112.5 * lam)
@@ -99,18 +104,18 @@ def test_snapshot_noiseless_is_exact_sum(paper_cfg):
     t = [Target(range=250.0, angle=0.05), Target(range=250.0, angle=-0.02)]
     snap = snapshot(paper_cfg, t, math.inf, seed=3)
     # the noiseless zero-phase data is the steering sum; a snapshot turns each term by its phase
-    expected = sum(s * steering(paper_cfg, target) for s, target in zip(snap.amplitudes, t))
-    assert np.array_equal(snap.y, expected)
-    assert np.array_equal(np.abs(snap.amplitudes), np.ones(2))
+    expected = sum(s * steering(paper_cfg, target) for s, target in zip(_phases(3, 2), t))
+    assert np.array_equal(snap, expected)
+    assert snap.shape == (paper_cfg.n_elements,) and snap.dtype == complex
 
 
 def test_snapshot_deterministic(paper_cfg):
     t = [Target(range=250.0, angle=0.05), Target(range=250.0, angle=-0.02)]
     a = snapshot(paper_cfg, t, 10.0, seed=1234)
     b = snapshot(paper_cfg, t, 10.0, seed=1234)
-    assert np.array_equal(a.y, b.y)
+    assert np.array_equal(a, b)
     c = snapshot(paper_cfg, t, 10.0, seed=1235)
-    assert not np.array_equal(a.y, c.y)
+    assert not np.array_equal(a, c)
 
 
 @pytest.mark.parametrize("model", [None, *SteeringModel])
@@ -122,8 +127,8 @@ def test_snapshot_reuses_read_only_steering(paper_cfg, model):
     assert np.array_equal(entries, steering(paper_cfg, t, model=model))
     # every later snapshot sums the shared entries, bit for bit a fresh build
     snap = snapshot(paper_cfg, [t], math.inf, seed=2, model=model)
-    fresh = snap.amplitudes[0] * steering(paper_cfg, t, model=model)
-    assert np.array_equal(snap.y, fresh)
+    fresh = _phases(2, 1)[0] * steering(paper_cfg, t, model=model)
+    assert np.array_equal(snap, fresh)
 
 
 def test_snapshot_noise_power_matches_snr(paper_cfg):
@@ -135,7 +140,7 @@ def test_snapshot_noise_power_matches_snr(paper_cfg):
     n_seeds = 200
     for seed in range(n_seeds):
         noisy = snapshot(paper_cfg, [t], snr_db, seed=seed)
-        total += float(np.mean(np.abs(noisy.y - noisy.amplitudes[0] * clean) ** 2))
+        total += float(np.mean(np.abs(noisy - _phases(seed, 1)[0] * clean) ** 2))
     measured = total / n_seeds
     assert measured == pytest.approx(10.0 ** (-snr_db / 10.0), rel=0.05)
 
@@ -144,8 +149,12 @@ def test_snapshot_random_phase_changes_amplitudes(paper_cfg):
     t = [Target(range=250.0, angle=0.05)]
     a = snapshot(paper_cfg, t, math.inf, seed=5)
     b = snapshot(paper_cfg, t, math.inf, seed=6)
-    assert abs(a.amplitudes[0]) == pytest.approx(1.0)
-    assert a.amplitudes[0] != b.amplitudes[0]
+    entries = steering(paper_cfg, t[0])
+    # a noiseless one-target snapshot is the steering turned by its seed's phase
+    phase_a, phase_b = a[0] / entries[0], b[0] / entries[0]
+    assert phase_a == pytest.approx(_phases(5, 1)[0])
+    assert abs(phase_a) == pytest.approx(1.0)
+    assert phase_a != pytest.approx(phase_b)
 
 
 def test_split_ulas_roundtrip(paper_cfg):

@@ -58,7 +58,7 @@ def test_shift_baselines(paper_cfg):
     # sub-array center separation
     theta = math.radians(2.0)
     snap = snapshot(paper_cfg, _far_targets(paper_cfg, [2.0]), math.inf, seed=4)
-    y1, y2 = split_ulas(snap.y)
+    y1, y2 = split_ulas(snap)
     coarse, fine, _ = pair_eigenvalues(stacked_subspace(y1, y2, 3, 1).signal)
     for eig, delta in ((coarse, paper_cfg.spacing), (fine, paper_cfg.center_separation)):
         expected = cmath.exp(2j * math.pi * delta / paper_cfg.wavelength * math.sin(theta))
@@ -82,7 +82,7 @@ def _far_targets(cfg, angles_deg):
 
 def test_eigenvalues_unit_modulus_noiseless(paper_cfg):
     snap = snapshot(paper_cfg, _far_targets(paper_cfg, [-3.0, 7.5]), math.inf, seed=5)
-    y1, y2 = split_ulas(snap.y)
+    y1, y2 = split_ulas(snap)
     sub = stacked_subspace(y1, y2, 8, 2)
     coarse, fine, quality = pair_eigenvalues(sub.signal)
     assert np.abs(coarse) == pytest.approx(1.0, abs=1e-9)
@@ -303,4 +303,4 @@ def test_esprit_wide_spacing_array_is_rejected():
     # array is built
     lam = SPEED_OF_LIGHT / 76e9
     with pytest.raises(ValueError, match="exceeds half the wavelength"):
-        ArrayConfig(16, 150.0 * lam, carrier_freq=76e9, spacing=1.3 * lam)
+        ArrayConfig(16, 150.0 * lam, wavelength=lam, spacing=1.3 * lam)

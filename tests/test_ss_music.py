@@ -72,7 +72,7 @@ def test_hankel_steering_matrix_rows():
 
 def test_pseudospectrum_null_at_truth(paper_cfg):
     snap = _far_snapshot(paper_cfg, [4.0])
-    y1, _ = split_ulas(snap.y)
+    y1, _ = split_ulas(snap)
     sub = split_subspaces(hankel(y1, 8), 1)
     grid = default_grid(0.01)
     a = hankel_steering_matrix(9, paper_cfg.spacing, paper_cfg.wavelength, grid)
@@ -125,7 +125,7 @@ def test_pseudospectrum_finite_at_noiseless_null(pencil):
 
 def test_pseudospectrum_shape_checks(paper_cfg):
     snap = _far_snapshot(paper_cfg, [4.0])
-    y1, _ = split_ulas(snap.y)
+    y1, _ = split_ulas(snap)
     sub = split_subspaces(hankel(y1, 8), 1)
     grid = default_grid(1.0)
     with pytest.raises(ValueError):
@@ -136,10 +136,10 @@ def test_fused_spectrum_is_the_product_of_the_module_spectra():
     spec = builtin_scenarios()["fig3_small_sep"]
     k = len(spec.targets)
     snap = snapshot(spec.array, spec.targets, 20.0, seed=1)
-    modules = [module_subspace(y, spec.array, k) for y in split_ulas(snap.y)]
+    modules = [module_subspace(y, spec.array, k) for y in split_ulas(snap)]
     scan = modules[0][1]
     v1, v2 = (pseudospectrum(sub, scan.grid, scan.steering).values for sub, _ in modules)
-    got = fused_spectrum(snap.y, spec.array, k)
+    got = fused_spectrum(snap, spec.array, k)
     np.testing.assert_array_equal(got.grid, scan.grid)
     np.testing.assert_array_equal(got.values, v1 * v2)
 
@@ -347,7 +347,7 @@ def _subspaces(name, snr_db, seed, modules, step_deg=0.01):
     """The chosen modules' subspaces of one snapshot of a builtin, and their scan."""
     spec = builtin_scenarios()[name]
     snap = snapshot(spec.array, spec.targets, snr_db, seed, model=spec.steering_model)
-    halves = split_ulas(snap.y)
+    halves = split_ulas(snap)
     k = len(spec.targets)
     subs = [module_subspace(halves[m], spec.array, k)[0] for m in modules]
     return subs, _scan(spec.array, step_deg)
@@ -461,7 +461,7 @@ def test_a_maximum_in_the_partial_last_cell_is_picked(paper_cfg):
     # samples; the noiseless target at sample 25 712 has its maximum there
     grid = default_grid(0.007)
     snap = _far_snapshot(paper_cfg, [math.degrees(grid[25_712]), 0.0])
-    subs = [module_subspace(y, paper_cfg, 2)[0] for y in split_ulas(snap.y)]
+    subs = [module_subspace(y, paper_cfg, 2)[0] for y in split_ulas(snap)]
     scan = _scan(paper_cfg, 0.007)
     assert (len(scan.grid), scan.stride, len(scan.coarse_grid)) == (25_714, 7, 3_674)
     picks = pick_doas(subs, scan, 2)
@@ -478,7 +478,7 @@ def test_maxima_at_the_denominator_floor_tie_as_on_the_full_grid(paper_cfg):
     # tie goes to the lower angle, as on the whole grid
     grid = default_grid(0.01)
     snap = _far_snapshot(paper_cfg, np.degrees(grid[[9554, 9954]]))
-    split = [module_subspace(y, paper_cfg, 2) for y in split_ulas(snap.y)]
+    split = [module_subspace(y, paper_cfg, 2) for y in split_ulas(snap)]
     subs, scan = [sub for sub, _ in split], split[0][1]
     values = _whole_grid(subs, scan)
     assert values[9554] == values[9954] == DENOMINATOR_FLOOR**-2
@@ -528,7 +528,7 @@ def test_a_fallback_trial_in_a_chunk_is_picked_as_on_its_own(monkeypatch):
     # trial whose floored pick falls short, and a trial with a NaN sample:
     # each outcome is its chunk-of-one outcome and its whole-grid pick
     spec = builtin_scenarios()["fig3_small_sep"]
-    ys = [snapshot(spec.array, spec.targets, snr, seed).y for snr, seed in ((20.0, 1), (0.0, 2))]
+    ys = [snapshot(spec.array, spec.targets, snr, seed) for snr, seed in ((20.0, 1), (0.0, 2))]
     ys.insert(1, ys[0].copy())
     ys[1][3] = np.nan
     real, scan = module_subspace(split_ulas(np.stack(ys))[0][:, None], spec.array, 2)
