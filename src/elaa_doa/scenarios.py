@@ -26,6 +26,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import re
 from dataclasses import dataclass
 
 from .errors import ScenarioError
@@ -132,6 +133,12 @@ def builtin_scenarios() -> dict[str, ScenarioSpec]:
     return {spec.name: spec for spec in specs}
 
 
+_ARRAY_AND_TARGET_KEYS = re.compile(
+    r"array\.(elements_per_ula|carrier_freq_hz|gap_wavelengths|spacing_wavelengths)"
+    r"|target\.[1-9][0-9]*\.(range_m|angle_deg)"
+)
+
+
 def _parse_kv(text: str) -> dict[str, tuple[int, str]]:
     table: dict[str, tuple[int, str]] = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -145,6 +152,9 @@ def _parse_kv(text: str) -> dict[str, tuple[int, str]]:
             raise ScenarioError(f"line {lineno}: empty key or value")
         if key in table:
             raise ScenarioError(f"line {lineno}: duplicate key {key!r}")
+        # refused at its line before any key is found missing: a retired key, say
+        if not (key in _SPEC_KEYS or _ARRAY_AND_TARGET_KEYS.fullmatch(key)):
+            raise ScenarioError(f"line {lineno}: unknown key {key!r}")
         table[key] = (lineno, value)
     return table
 
@@ -174,17 +184,22 @@ def _as_wavelength(key: str, value: str) -> float:
 
 
 def _as_range(key: str, value: str) -> float:
-    """A target range in meters, at most ``MAX_RANGE_M`` when finite.
-
-    :class:`~elaa_doa.geometry.Target` refuses the rest, naming the target.
-    """
-    number = _as_float(key, value)
-    if math.isfinite(number) and number > MAX_RANGE_M:
+    """A target range in meters, finite, positive and at most ``MAX_RANGE_M``."""
+    number = _as_positive(key, value)
+    if number > MAX_RANGE_M:
         raise ScenarioError(
             f"{key} is {number!r} m, more than {MAX_RANGE_M!r} m; position errors that"
             " large overflow when squared"
         )
     return number
+
+
+def _as_angle(key: str, value: str) -> float:
+    """A target angle given in degrees, in radians inside (-pi/2, pi/2) as a target takes it."""
+    number = _as_float(key, value)
+    if not -math.pi / 2 < math.radians(number) < math.pi / 2:
+        raise ScenarioError(f"{key} must lie in (-90, 90) degrees, got {number!r}")
+    return math.radians(number)
 
 
 def _as_int(key: str, value: str) -> int:
@@ -225,10 +240,12 @@ def _as_model(key: str, value: str) -> SteeringModel | None:
         raise ScenarioError(f"unknown {key} {value!r}") from None
 
 
-def _parsed(table, key: str, parse):
-    """Remove and parse ``key``'s value (None when absent); errors name its line."""
+def _parsed(table, key: str, parse, required: bool = False):
+    """Remove and parse ``key``'s value (None if absent and optional); errors name its line."""
     lineno, value = table.pop(key, (None, None))
     if value is None:
+        if required:
+            raise ScenarioError(f"missing key {key}")
         return None
     try:
         return parse(key, value)
@@ -252,13 +269,8 @@ def parse_scenario(text: str) -> ScenarioSpec:
     """Parse scenario text; raises :class:`ScenarioError` with line numbers."""
     table = _parse_kv(text)
 
-    elements = _parsed(table, "array.elements_per_ula", _as_elements)
-    if elements is None:
-        raise ScenarioError("missing key array.elements_per_ula")
-
-    wavelength = _parsed(table, "array.carrier_freq_hz", _as_wavelength)
-    if wavelength is None:
-        raise ScenarioError("missing key array.carrier_freq_hz")
+    elements = _parsed(table, "array.elements_per_ula", _as_elements, required=True)
+    wavelength = _parsed(table, "array.carrier_freq_hz", _as_wavelength, required=True)
 
     def in_wavelengths(key: str, value: str) -> float:
         """``value`` wavelengths in meters.
@@ -277,9 +289,7 @@ def parse_scenario(text: str) -> ScenarioSpec:
         return length
 
     gap_line = table.get("array.gap_wavelengths", (None,))[0]
-    gap = _parsed(table, "array.gap_wavelengths", in_wavelengths)
-    if gap is None:
-        raise ScenarioError("missing key array.gap_wavelengths")
+    gap = _parsed(table, "array.gap_wavelengths", in_wavelengths, required=True)
     spacing = _parsed(table, "array.spacing_wavelengths", in_wavelengths)
     try:
         array = ArrayConfig(elements, gap, wavelength, spacing)
@@ -290,25 +300,18 @@ def parse_scenario(text: str) -> ScenarioSpec:
 
     targets = []
     for index in itertools.count(1):
-        range_m = _parsed(table, f"target.{index}.range_m", _as_range)
-        angle_deg = _parsed(table, f"target.{index}.angle_deg", _as_float)
-        if range_m is None and angle_deg is None:
+        range_m = _parsed(table, f"target.{index}.range_m", _as_range, required=index == 1)
+        angle = _parsed(table, f"target.{index}.angle_deg", _as_angle)
+        if range_m is None and angle is None:
             break
-        if range_m is None or angle_deg is None:
+        if range_m is None or angle is None:
             raise ScenarioError(f"target.{index} needs both range_m and angle_deg")
-        try:
-            targets.append(Target(range=range_m, angle=math.radians(angle_deg)))
-        except ValueError as exc:
-            raise ScenarioError(f"target.{index}: {exc}") from exc
-    if not targets:
-        raise ScenarioError("scenario needs target.1.range_m and target.1.angle_deg")
+        targets.append(Target(range=range_m, angle=angle))
 
-    if "snr_grid_db" not in table:
-        raise ScenarioError("missing key snr_grid_db")
     kwargs = {"name": "scenario"}
     for key, parse in _SPEC_KEYS.items():
-        if key in table:
-            kwargs[key] = _parsed(table, key, parse)
+        if key in table or key == "snr_grid_db":
+            kwargs[key] = _parsed(table, key, parse, required=True)
 
     if table:
         key, (lineno, _) = next(iter(table.items()))

@@ -16,10 +16,9 @@ spectrum on its own.
 Estimates never evaluate the whole grid (:func:`pick_chunk`).  The
 polynomial's degree bounds how far it bends between samples of a coarse
 subgrid (every fifth angle of the 0.01 degree grid), so the fine grid is
-evaluated only on the coarse cells that can hold a maximum tall enough to
-be picked, and the pick is the whole grid's up to rounding in the last
-bits.  Only the ``spectrum`` command builds the whole-grid surface
-(:func:`fused_spectrum`).
+evaluated only in blocks of ``BLOCK`` angles around the coarse cells
+that can hold a maximum tall enough to be picked, and the pick is the
+whole grid's bit for bit.  Only :func:`fused_spectrum` evaluates it all.
 
 Estimates take a chunk of trials at once, each with one or two modules:
 one stacked SVD and one stacked coarse scan for the chunk, whose values
@@ -45,6 +44,7 @@ from .subspace import SubspacePair, default_pencil, hankel, split_subspaces
 DENOMINATOR_FLOOR = 1e-12
 PEAK_SEPARATION_DEG = 0.2
 BOUND_MARGIN = 1e-9  # slack on pick_chunk's cell bounds, in units of values**-2
+BLOCK = 16  # grid angles per block of the fine pass; the grid is 1 125 blocks
 
 
 @dataclass(frozen=True)
@@ -65,9 +65,9 @@ class Spectrum:
             raise ValueError("grid must be strictly increasing")
 
 
-def default_grid(step_deg: float = 0.01) -> np.ndarray:
-    """Uniform angle grid [-90, 90) degrees, returned in radians."""
-    return np.deg2rad(-90.0 + step_deg * np.arange(int(round(180.0 / step_deg))))
+def default_grid() -> np.ndarray:
+    """Uniform 0.01 degree angle grid [-90, 90) degrees, returned in radians."""
+    return np.deg2rad(-90.0 + 0.01 * np.arange(18_000))
 
 
 def hankel_steering_matrix(
@@ -102,16 +102,13 @@ class Scan(NamedTuple):
 
 
 @functools.lru_cache(maxsize=8)
-def _cached_steering(
-    n_rows: int, spacing: float, wavelength: float, step_deg: float = 0.01
-) -> Scan:
+def _cached_steering(n_rows: int, spacing: float, wavelength: float) -> Scan:
     """Default grid, steering matrix and coarse subgrid, shared read-only by every caller.
 
-    The stride is a quarter of the peak separation in grid steps (5 at
-    0.01 degrees, 1 at 0.05 degrees and coarser), so the separation floor
-    spans four coarse steps.
+    The stride is a quarter of the peak separation in grid steps, 5, so
+    the separation floor spans four coarse steps.
     """
-    grid = default_grid(step_deg)
+    grid = default_grid()
     a = hankel_steering_matrix(n_rows, spacing, wavelength, grid)
     stride = max(1, _peak_distance(grid) // 4)
     coarse_grid = np.ascontiguousarray(grid[::stride])
@@ -186,15 +183,13 @@ def module_subspace(
 
 
 def _refine_peak(grid: np.ndarray, values: np.ndarray, idx: int) -> float:
-    """Sub-grid peak position from a parabola on the reciprocal surface.
+    """Sub-grid position of the maximum at inner sample ``idx``, from a parabola.
 
     The null surface ``1 / values**2`` is locally quadratic around a true
     DOA, so the vertex of a three-point parabola through it recovers the
     off-grid minimum accurately even when the peak itself is a near
     singularity.
     """
-    if idx == 0 or idx == len(grid) - 1:
-        return float(grid[idx])
     q = 1.0 / (values[idx - 1 : idx + 2] ** 2)
     denom = q[0] - 2.0 * q[1] + q[2]
     if denom <= 0.0:
@@ -283,30 +278,30 @@ def _peaks(values: np.ndarray) -> np.ndarray:
     return np.flatnonzero((inner > values[:-2]) & (inner > values[2:])) + 1
 
 
-def _fine_surface(sums: np.ndarray, scan: Scan, cells: np.ndarray) -> tuple[np.ndarray, ...]:
-    """Grid indices, angles and fused surface of one trial on the coarse cells it marks.
+def _fine_surface(sums: np.ndarray, scan: Scan, cells: np.ndarray) -> tuple[np.ndarray, Spectrum]:
+    """Grid indices and fused spectrum of one trial on the coarse cells it marks.
 
     ``sums`` holds the trial's modules' projector sums
     (:attr:`~elaa_doa.subspace.SubspacePair.projector_sums`), and ``cells``
     one mark per coarse cell.  Cell ``j`` spans grid indices ``j * stride``
     to ``(j + 1) * stride``, and one more either side; the partial cell
-    past the last is always taken.  The pass gathers at most one grid of
-    steering columns and evaluates the trial's :func:`pseudospectrum`
-    polynomial on them.  Its values may still differ from the whole grid's
-    on those columns in the last bits: OpenBLAS ``zgemv`` rounds a column
-    according to its place among the product's columns and to the number
-    of BLAS threads.
+    past the last is always taken.  The pass takes every aligned block of
+    ``BLOCK`` grid angles that holds a sample of a marked cell, and
+    evaluates the trial's :func:`pseudospectrum` polynomial on their
+    steering columns.  Each column then keeps its place modulo ``BLOCK``
+    in a product whose width is a multiple of ``BLOCK``, so its value is
+    the whole grid's bit for bit, at any number of BLAS threads.
     """
-    n_points, stride = len(scan.grid), scan.stride
-    inside = np.zeros(n_points + stride + 2, dtype=bool)  # shifted one sample up
-    starts = np.flatnonzero(cells) * stride
-    inside[(starts[:, None] + np.arange(stride + 3)).ravel()] = True
-    inside[len(cells) * stride :] = True
-    index = np.flatnonzero(inside[1 : n_points + 1])
-    # a C-ordered gather (a fancy-indexed one comes out F-ordered): a
-    # column's product depends on its place among the gathered columns
-    steering = np.take(scan.steering, index, axis=1)
-    return index, scan.grid[index], _product(_surface(sums, steering))
+    blocks = scan.steering.reshape(len(scan.steering), -1, BLOCK)  # a view, no copy
+    marked = np.zeros(blocks.shape[1], dtype=bool)
+    starts = np.flatnonzero(cells) * scan.stride
+    # each window's end blocks (cell 0's -1 marks the last block, taken anyway)
+    marked[np.concatenate((starts - 1, starts + scan.stride + 1)) // BLOCK] = True
+    marked[len(cells) * scan.stride // BLOCK :] = True
+    taken = np.flatnonzero(marked)
+    index = (taken[:, None] * BLOCK + np.arange(BLOCK)).ravel()
+    steering = np.take(blocks, taken, axis=1).reshape(len(blocks), -1)
+    return index, Spectrum(grid=scan.grid[index], values=_product(_surface(sums, steering)))
 
 
 def _coarse_cells(sub: SubspacePair, scan: Scan) -> tuple[np.ndarray, ...]:
@@ -338,10 +333,13 @@ def pick_chunk(sub: SubspacePair, scan: Scan, num_peaks: int) -> list:
     unfloored pick.
 
     Each trial is picked as :func:`peak_pick` on the whole grid would,
-    up to the rounding :func:`_fine_surface` notes, evaluating only part
-    of it.  ``Q = values**-2`` is the product of ``L`` normalised nulls
-    ``a^H P a / n``, each a trigonometric polynomial of degree ``n - 1`` in
-    ``w = k*d*sin(angle)`` with values in [0, 1].
+    bit for bit, evaluating only part of it.  The coarse surface's last
+    bits may vary with the number of BLAS threads; they only choose the
+    cells and the floor, and the fine values the pick reads are the whole
+    grid's (:func:`_fine_surface`).  ``Q = values**-2`` is the product of
+    ``L`` normalised nulls ``a^H P a / n``, each a trigonometric
+    polynomial of degree ``n - 1`` in ``w = k*d*sin(angle)`` with values in
+    [0, 1].
     Bernstein's inequality on ``Q - 1/2``, of degree ``N = L*(n - 1)``,
     bounds ``|dQ/dw|`` by ``N/2`` and ``|d2Q/dw2|`` by ``N**2/2``, so
     ``|d2Q/dangle2| <= M = (N**2*(k*d)**2 + N*k*d) / 2``.  On a coarse cell
@@ -381,8 +379,7 @@ def pick_chunk(sub: SubspacePair, scan: Scan, num_peaks: int) -> list:
             floor = float(coarse[t, top[keep[-1]]])
             passes.insert(0, (turning[t] & (least[t] <= 1.0 / (floor * floor)), floor))
         for cells, floor in passes:
-            index, grid, fine = _fine_surface(sums[t], scan, cells)
-            spectrum = Spectrum(grid=grid, values=fine)
+            index, spectrum = _fine_surface(sums[t], scan, cells)
             try:
                 out[t] = peak_pick(spectrum, num_peaks, index=index, floor=floor)
                 break

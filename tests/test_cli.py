@@ -1,3 +1,6 @@
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -289,32 +292,42 @@ def test_overflowing_noise_variance_exits_two(tmp_path, capsys):
 
 
 @pytest.mark.parametrize(
-    "line, message",
+    "line, message, replaces",
     [
         # the pencil is half the module and the grid 0.01 degrees: neither is a key
-        ("pencil = 7", "unknown key 'pencil'"),
-        ("grid_step_deg = 0.05", "unknown key 'grid_step_deg'"),
-        ("steering_model = nf_shared_doa", "unknown steering_model 'nf_shared_doa'"),
+        ("pencil = 7", "unknown key 'pencil'", None),
+        ("grid_step_deg = 0.05", "unknown key 'grid_step_deg'", None),
+        ("steering_model = nf_shared_doa", "unknown steering_model 'nf_shared_doa'", None),
         # hits are within 0.5 degrees or 0.1 m, by the metric's unit
-        ("hit_tolerance_deg = 0.25", "unknown key 'hit_tolerance_deg'"),
-        ("hit_tolerance_m = 0.05", "unknown key 'hit_tolerance_m'"),
+        ("hit_tolerance_deg = 0.25", "unknown key 'hit_tolerance_deg'", None),
+        ("hit_tolerance_m = 0.05", "unknown key 'hit_tolerance_m'", None),
         # an array is given by its carrier, and its lengths in its wavelengths
-        ("array.wavelength_m = 0.004", "unknown key 'array.wavelength_m'"),
-        ("array.gap_m = 0.6", "unknown key 'array.gap_m'"),
-        ("array.spacing_m = 0.0015", "unknown key 'array.spacing_m'"),
+        ("array.wavelength_m = 0.004", "unknown key 'array.wavelength_m'", None),
+        ("array.gap_m = 0.6", "unknown key 'array.gap_m'", None),
+        ("array.spacing_m = 0.0015", "unknown key 'array.spacing_m'", None),
+        # given in place of the key that replaced it, the retired key is
+        # named at its line before the new one is found missing
+        (
+            "array.wavelength_m = 0.004",
+            "unknown key 'array.wavelength_m'",
+            "array.carrier_freq_hz",
+        ),
+        ("array.gap_m = 0.6", "unknown key 'array.gap_m'", "array.gap_wavelengths"),
     ],
     ids=[
         "pencil", "grid_step_deg", "nf_shared_doa", "hit_tolerance_deg", "hit_tolerance_m",
-        "wavelength_m", "gap_m", "spacing_m",
+        "wavelength_m", "gap_m", "spacing_m", "wavelength_m_in_place", "gap_m_in_place",
     ],
 )
-def test_retired_settings_exit_two(tmp_path, capsys, line, message):
+def test_retired_settings_exit_two(tmp_path, capsys, line, message, replaces):
+    lines = TINY.splitlines(True)
+    text = "".join(ln for ln in lines if not (replaces and ln.startswith(replaces)))
     path = tmp_path / "retired.scenario"
-    path.write_text(TINY + line + "\n")
+    path.write_text(text + line + "\n")
     out = tmp_path / "out.csv"
     assert cli.main(["run", "--scenario", str(path), "--out", str(out), "--quiet"]) == 2
     err = capsys.readouterr().err
-    assert err == f"error: line {len(TINY.splitlines()) + 1}: {message}\n"
+    assert err == f"error: line {len(text.splitlines()) + 1}: {message}\n"
     assert err.count("line") == 1
     assert not out.exists()
 
@@ -474,3 +487,22 @@ def test_unreadable_scenario_exits_two(tmp_path, capsys):
         err = capsys.readouterr().err
         assert err.startswith("error: ") and str(path) in err and reason in err
     assert not out.exists()
+
+
+def test_run_files_are_the_same_at_one_and_two_blas_threads(tmp_path):
+    # OpenBLAS splits a product's columns across threads, and rounds a
+    # column by its place in its share; the fused MUSIC pick must not move
+    src = str(Path(cli.__file__).resolve().parents[1])
+    files = []
+    for threads in ("1", "2"):
+        out, debug = tmp_path / f"run_{threads}.csv", tmp_path / f"debug_{threads}.csv"
+        env = {**os.environ, "PYTHONPATH": src, "OPENBLAS_NUM_THREADS": threads}
+        subprocess.run(
+            [sys.executable, "-m", "elaa_doa.cli", "run", "--scenario", "fig3_small_sep",
+             "--algos", "ss_music_elaa", "--trials", "16", "--seed", "42", "--quiet",
+             "--out", str(out), "--debug-out", str(debug)],
+            check=True, env=env, capture_output=True,
+        )
+        files.append((out.read_bytes(), debug.read_bytes()))
+    assert files[0][0] == files[1][0]
+    assert files[0][1] == files[1][1]

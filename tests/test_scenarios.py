@@ -107,7 +107,10 @@ def test_parse_full_options():
             r"^line 5: target\.1\.range_m is 1e\+154 m, more than 1e\+100 m;"
             r" position errors that large overflow when squared$",
         ),
-        (MINIMAL.replace("range_m = 250.0", "range_m = inf", 1), "target.1: range must be finite"),
+        (
+            MINIMAL.replace("range_m = 250.0", "range_m = inf", 1),
+            r"^line 5: target\.1\.range_m must be finite and positive, got inf$",
+        ),
         # each value error carries its location exactly once
         (
             MINIMAL.replace("range_m = 250.0", "range_m = abc", 1),
@@ -117,9 +120,26 @@ def test_parse_full_options():
             MINIMAL.replace("angle_deg = 0.2", "angle_deg = east"),
             r"^line 8: target\.2\.angle_deg must be a number, got 'east'$",
         ),
+        # a target's range and angle name their key and line, as every value does
         (
             MINIMAL.replace("range_m = 250.0", "range_m = -1.0", 1),
-            r"^target\.1: range must be finite and positive, got -1\.0$",
+            r"^line 5: target\.1\.range_m must be finite and positive, got -1\.0$",
+        ),
+        (
+            MINIMAL.replace("angle_deg = -0.2", "angle_deg = 95"),
+            r"^line 6: target\.1\.angle_deg must lie in \(-90, 90\) degrees, got 95\.0$",
+        ),
+        (
+            MINIMAL.replace("angle_deg = 0.2", "angle_deg = -90"),
+            r"^line 8: target\.2\.angle_deg must lie in \(-90, 90\) degrees, got -90\.0$",
+        ),
+        (
+            MINIMAL.replace("angle_deg = 0.2", "angle_deg = nan"),
+            r"^line 8: target\.2\.angle_deg must lie in \(-90, 90\) degrees, got nan$",
+        ),
+        (
+            "".join(line for line in MINIMAL.splitlines(True) if not line.startswith("target.")),
+            r"^missing key target\.1\.range_m$",
         ),
         (
             MINIMAL.replace("= 76e9", "= nan"),

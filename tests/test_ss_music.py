@@ -13,6 +13,7 @@ from elaa_doa.harness import derive_trial_seed, render_csv, write_csv
 from elaa_doa.scenarios import builtin_scenarios
 from elaa_doa.signal_model import snapshot, split_ulas
 from elaa_doa.ss_music import (
+    BLOCK,
     DENOMINATOR_FLOOR,
     PEAK_SEPARATION_DEG,
     Spectrum,
@@ -30,7 +31,7 @@ from elaa_doa.ss_music import (
     pick_chunk,
     pseudospectrum,
 )
-from elaa_doa.subspace import SubspacePair, default_pencil, hankel, split_subspaces
+from elaa_doa.subspace import SubspacePair, hankel, split_subspaces
 
 
 def _chunk(*trials):
@@ -52,13 +53,17 @@ def _far_snapshot(cfg, angles_deg, snr_db=math.inf, seed=0):
     return snapshot(cfg, targets, snr_db, seed=seed)
 
 
+def _uniform_grid(step_deg):
+    """A uniform angle grid [-90, 90) degrees of ``step_deg``, in radians."""
+    return np.deg2rad(-90.0 + step_deg * np.arange(int(round(180.0 / step_deg))))
+
+
 def test_default_grid_shape():
-    grid = default_grid(0.5)
-    assert len(grid) == 360
-    assert grid[0] == pytest.approx(math.radians(-90.0))
-    assert grid[-1] == pytest.approx(math.radians(89.5))
-    assert len(default_grid(60.0)) == 3
-    assert len(default_grid()) == 18_000
+    grid = default_grid()
+    assert len(grid) == 18_000 == 1_125 * BLOCK
+    assert grid[0] == math.radians(-90.0)
+    assert grid[-1] == pytest.approx(math.radians(89.99))
+    np.testing.assert_array_equal(grid, _uniform_grid(0.01))
 
 
 def test_hankel_steering_matrix_rows():
@@ -74,7 +79,7 @@ def test_pseudospectrum_null_at_truth(paper_cfg):
     snap = _far_snapshot(paper_cfg, [4.0])
     y1, _ = split_ulas(snap)
     sub = split_subspaces(hankel(y1, 8), 1)
-    grid = default_grid(0.01)
+    grid = default_grid()
     a = hankel_steering_matrix(9, paper_cfg.spacing, paper_cfg.wavelength, grid)
     spec = pseudospectrum(sub, grid, a)
     peak = grid[np.argmax(spec.values)]
@@ -100,7 +105,7 @@ def test_pseudospectrum_polynomial_matches_projection(seed, pencil, data):
     rng = np.random.default_rng(seed)
     basis, _ = np.linalg.qr(rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n)))
     sub = SubspacePair(signal=basis[:, :k], noise=basis[:, k:], singular_values=np.ones(n))
-    grid = default_grid(0.05)
+    grid = _uniform_grid(0.05)
     a = hankel_steering_matrix(n, 0.5, 1.0 + rng.uniform(), grid)
     want, relative_den = _projection_reference(sub, a)
     got = pseudospectrum(sub, grid, a).values
@@ -112,7 +117,7 @@ def test_pseudospectrum_polynomial_matches_projection(seed, pencil, data):
 @pytest.mark.parametrize("pencil", [2, 5, 8])
 def test_pseudospectrum_finite_at_noiseless_null(pencil):
     n = pencil + 1
-    grid = default_grid(0.05)
+    grid = _uniform_grid(0.05)
     a = hankel_steering_matrix(n, 0.5, 1.0, grid)
     null = 1234
     basis, _ = np.linalg.qr(np.column_stack([a[:, null], np.eye(n)[:, : n - 1]]))
@@ -127,7 +132,7 @@ def test_pseudospectrum_shape_checks(paper_cfg):
     snap = _far_snapshot(paper_cfg, [4.0])
     y1, _ = split_ulas(snap)
     sub = split_subspaces(hankel(y1, 8), 1)
-    grid = default_grid(1.0)
+    grid = _uniform_grid(1.0)
     with pytest.raises(ValueError):
         pseudospectrum(sub, grid, np.ones((4, len(grid))))
 
@@ -227,7 +232,7 @@ def test_peak_distance_from_mean_step(step_deg):
     # either count is a rounding tie
     ratio = PEAK_SEPARATION_DEG / step_deg
     assume(abs(ratio - math.floor(ratio) - 0.5) > 1e-6)
-    grid = default_grid(step_deg)
+    grid = _uniform_grid(step_deg)
     assert _peak_distance(grid) == _median_step_distance(
         grid, PEAK_SEPARATION_DEG
     )
@@ -323,34 +328,29 @@ def test_peak_pick_windows_count_separation_on_the_whole_grid():
             assert peak_pick(spectrum, 2, index=index) == pytest.approx(grid[[3, 10]])
 
 
-@pytest.mark.parametrize("step_deg, stride", [(0.01, 5), (0.007, 7), (0.05, 1), (0.5, 1)])
-def test_coarse_subgrid_stride(step_deg, stride):
-    scan = _cached_steering(9, 0.5, 1.0, step_deg)
-    assert scan.stride == stride
-    assert np.array_equal(scan.coarse_grid, scan.grid[::stride])
-    assert np.array_equal(scan.coarse_steering, scan.steering[:, ::stride])
+def test_coarse_subgrid_stride():
+    scan = _cached_steering(9, 0.5, 1.0)
+    assert scan.stride == 5
+    assert np.array_equal(scan.coarse_grid, scan.grid[::5])
+    assert np.array_equal(scan.coarse_steering, scan.steering[:, ::5])
     assert scan.coarse_steering.flags.c_contiguous
+    # the fine pass reads whole blocks of the steering matrix as a view
+    assert scan.steering.flags.c_contiguous
     for array in scan[:2] + scan[3:5]:
         assert not array.flags.writeable
     # spacing / wavelength = 0.5: the top harmonic of nine rows is 8*pi*sin
-    assert scan.coarse_step == pytest.approx(math.radians(stride * step_deg), rel=1e-9)
+    assert scan.coarse_step == pytest.approx(math.radians(0.05), rel=1e-9)
     assert scan.harmonic_step == pytest.approx(8 * math.pi * scan.coarse_step, rel=1e-12)
 
 
-def _scan(cfg, step_deg):
-    """The scan of the estimators' pencil on a grid of ``step_deg`` (theirs is 0.01 degrees)."""
-    rows = default_pencil(cfg.elements_per_ula) + 1
-    return _cached_steering(rows, cfg.spacing, cfg.wavelength, step_deg)
-
-
-def _subspaces(name, snr_db, seed, modules, step_deg=0.01):
+def _subspaces(name, snr_db, seed, modules):
     """The chosen modules' subspaces of one snapshot of a builtin, and their scan."""
     spec = builtin_scenarios()[name]
     snap = snapshot(spec.array, spec.targets, snr_db, seed, model=spec.steering_model)
     halves = split_ulas(snap)
     k = len(spec.targets)
-    subs = [module_subspace(halves[m], spec.array, k)[0] for m in modules]
-    return subs, _scan(spec.array, step_deg)
+    split = [module_subspace(halves[m], spec.array, k) for m in modules]
+    return [sub for sub, _ in split], split[0][1]
 
 
 def _whole_grid(subs, scan):
@@ -376,10 +376,9 @@ def _outcome(pick, *args):
     st.one_of(st.floats(min_value=0.0, max_value=40.0), st.just(math.inf)),
     st.integers(min_value=0, max_value=2**32 - 1),
     st.sampled_from([(0, 1), (0,), (1,)]),
-    st.sampled_from([0.01, 0.007, 0.05]),
 )
-def test_windowed_pick_matches_the_full_grid(name, snr_db, seed, modules, step_deg):
-    subs, scan = _subspaces(name, snr_db, seed, modules, step_deg)
+def test_windowed_pick_matches_the_full_grid(name, snr_db, seed, modules):
+    subs, scan = _subspaces(name, snr_db, seed, modules)
     k = len(builtin_scenarios()[name].targets)
     want = _outcome(_full_grid_pick, subs, scan, k)
     got = _outcome(pick_doas, subs, scan, k)
@@ -434,15 +433,14 @@ def test_trial_346_shallow_maximum_the_fused_coarse_samples_fall_across():
     st.one_of(st.floats(min_value=0.0, max_value=40.0), st.just(math.inf)),
     st.integers(min_value=0, max_value=2**32 - 1),
     st.sampled_from([(0, 1), (0,), (1,)]),
-    st.sampled_from([0.01, 0.007, 0.05]),
 )
-def test_cell_bounds_hold_on_real_surfaces(name, snr_db, seed, modules, step_deg):
+def test_cell_bounds_hold_on_real_surfaces(name, snr_db, seed, modules):
     # every fine sample of a coarse cell is at or above the cell's least
     # value, so a cell whose least value is above a level holds no sample
     # that reaches it; and every whole-grid maximum lies in a cell that can
     # turn (on a coarse sample, in one of the two cells it ends), or in the
     # partial cell past the last coarse sample
-    subs, scan = _subspaces(name, snr_db, seed, modules, step_deg)
+    subs, scan = _subspaces(name, snr_db, seed, modules)
     _, _, turning, least = (rows[0] for rows in _coarse_cells(_chunk(subs), scan))
     values = _whole_grid(subs, scan)
     q = 1.0 / (values * values)
@@ -456,27 +454,27 @@ def test_cell_bounds_hold_on_real_surfaces(name, snr_db, seed, modules, step_deg
 
 
 def test_a_maximum_in_the_partial_last_cell_is_picked(paper_cfg):
-    # at 0.007 degrees the grid has 25 714 points and the stride is 7, so
-    # the last coarse sample is 25 711 and the cell after it holds two more
-    # samples; the noiseless target at sample 25 712 has its maximum there
-    grid = default_grid(0.007)
-    snap = _far_snapshot(paper_cfg, [math.degrees(grid[25_712]), 0.0])
-    subs = [module_subspace(y, paper_cfg, 2)[0] for y in split_ulas(snap)]
-    scan = _scan(paper_cfg, 0.007)
-    assert (len(scan.grid), scan.stride, len(scan.coarse_grid)) == (25_714, 7, 3_674)
+    # the last coarse sample is 17 995, and the cell after it holds the
+    # grid's last four samples; the noiseless target at sample 17 998 has
+    # its maximum there
+    grid = default_grid()
+    snap = _far_snapshot(paper_cfg, [math.degrees(grid[17_998]), 0.0])
+    split = [module_subspace(y, paper_cfg, 2) for y in split_ulas(snap)]
+    subs, scan = [sub for sub, _ in split], split[0][1]
+    assert (scan.stride, len(scan.coarse_grid)) == (5, 3_600)
     picks = pick_doas(subs, scan, 2)
     assert np.array_equal(picks, _full_grid_pick(subs, scan, 2))
     values = _whole_grid(subs, scan)
-    assert 25_712 in _peaks(values)
+    assert 17_998 in _peaks(values)
     # refined within half a step of the sample
-    assert np.sort(np.degrees(picks)) == pytest.approx([0.0, 89.984], abs=0.0035)
+    assert np.sort(np.degrees(picks)) == pytest.approx([0.0, 89.98385], abs=1e-5)
 
 
 def test_maxima_at_the_denominator_floor_tie_as_on_the_full_grid(paper_cfg):
     # noiseless targets on grid angles: both modules' nulls reach the
     # floor, so both fused maxima are (1 / DENOMINATOR_FLOOR)**2 and the
     # tie goes to the lower angle, as on the whole grid
-    grid = default_grid(0.01)
+    grid = default_grid()
     snap = _far_snapshot(paper_cfg, np.degrees(grid[[9554, 9954]]))
     split = [module_subspace(y, paper_cfg, 2) for y in split_ulas(snap)]
     subs, scan = [sub for sub, _ in split], split[0][1]
@@ -498,7 +496,7 @@ def test_coarse_picks_that_merge_on_the_fine_grid_fall_back_to_every_turning_cel
     # maxima at 10 000 and 10 020 are four coarse steps apart, the floor, but
     # the fine maxima are 19 steps apart and collapse into one pick; the
     # second pick must come from below the coarse floor
-    scan = _cached_steering(9, 0.5, 1.0, 0.01)
+    scan = _cached_steering(9, 0.5, 1.0)
     subs = [_two_null_module(scan, [10_001, 10_020])]
     evaluated = _recorder(monkeypatch, ss_music, "pseudospectrum")
     fine = _recorder(monkeypatch, ss_music, "_fine_surface")
