@@ -101,8 +101,8 @@ def _parse_snr(text: str) -> tuple[float, ...]:
 def _cmd_run(args) -> int:
     overrides = dict(
         n_trials=args.trials,
-        snr_grid_db=_parse_snr(args.snr) if args.snr else None,
-        algorithms=_as_list("--algos", args.algos) if args.algos else None,
+        snr_grid_db=None if args.snr is None else _parse_snr(args.snr),
+        algorithms=None if args.algos is None else _as_list("--algos", args.algos),
         base_seed=args.seed,
     )
     spec = replace(

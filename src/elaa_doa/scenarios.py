@@ -307,6 +307,10 @@ def parse_scenario(text: str) -> ScenarioSpec:
         if range_m is None or angle is None:
             raise ScenarioError(f"target.{index} needs both range_m and angle_deg")
         targets.append(Target(range=range_m, angle=angle))
+    for key, (lineno, _) in table.items():
+        if key.startswith("target."):
+            # targets are numbered 1, 2, ... without a gap
+            raise ScenarioError(f"line {lineno}: {key} follows a missing target.{index}")
 
     kwargs = {"name": "scenario"}
     for key, parse in _SPEC_KEYS.items():

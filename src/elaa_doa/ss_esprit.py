@@ -89,7 +89,11 @@ def alias_rungs(xi: complex, ratio: float, lo: int, hi: int) -> list[tuple[int, 
     """
     if xi == 0:
         raise ValueError("zero eigenvalue has no phase")
-    nu = float(np.angle(xi)) / (2.0 * math.pi)
+    return _rungs(float(np.angle(xi)) / (2.0 * math.pi), ratio, lo, hi)
+
+
+def _rungs(nu: float, ratio: float, lo: int, hi: int) -> list[tuple[int, float]]:
+    """:func:`alias_rungs` of an eigenvalue with phase fraction ``nu``."""
     out = []
     for q in range(max(lo, math.ceil(-ratio - nu)), min(hi, math.floor(ratio - nu)) + 1):
         arg = (nu + q) / ratio
@@ -102,20 +106,20 @@ def alias_rungs(xi: complex, ratio: float, lo: int, hi: int) -> list[tuple[int, 
     return out
 
 
-def _bracket(xi: complex, ratio: float, theta: float) -> list[tuple[int, float]]:
-    """The visible rungs ``q0 - 1 .. q0 + 2`` of ``xi`` around angle ``theta``.
+def _bracket(nu: float, ratio: float, theta: float) -> list[tuple[int, float]]:
+    """The visible rungs ``q0 - 1 .. q0 + 2`` of phase fraction ``nu`` around angle ``theta``.
 
     Rung angles grow with ``q``, and rung ``q`` lies at or below ``theta`` when
     ``q <= ratio * sin(theta) - nu``: rungs ``q0``, the floor of that bound, and
     ``q0 + 1`` hold the rung nearest ``theta``, their neighbours the runner-up.
     """
-    q0 = math.floor(ratio * math.sin(theta) - float(np.angle(xi)) / (2.0 * math.pi))
-    return alias_rungs(xi, ratio, q0 - 1, q0 + 2)
+    q0 = math.floor(ratio * math.sin(theta) - nu)
+    return _rungs(nu, ratio, q0 - 1, q0 + 2)
 
 
-def _coarse_angle(xi: complex, ratio: float) -> float:
-    """The rung of ``xi`` nearest broadside (the lower one on an exact +-tie)."""
-    rungs = _bracket(xi, ratio, 0.0)
+def _coarse_angle(nu: float, ratio: float) -> float:
+    """The rung of phase fraction ``nu`` nearest broadside (the lower one on an exact +-tie)."""
+    rungs = _bracket(nu, ratio, 0.0)
     if not rungs:
         raise IllConditioned("coarse eigenvalue has no visible candidate")
     return min((abs(angle), angle) for _, angle in rungs)[1]
@@ -184,32 +188,33 @@ def pair_eigenvalues(signal_basis: np.ndarray) -> tuple[np.ndarray, np.ndarray, 
 
 
 def dealias(
-    coarse_angles: np.ndarray, fine_eigs: np.ndarray, ratio: float
+    coarse_angles: list[float], fine_fractions: list[float], ratio: float
 ) -> tuple[np.ndarray, tuple[DealiasReport, ...]]:
     """Pick, per source, the fine alias rung nearest the coarse angle.
 
-    ``ratio`` is the fine baseline in wavelengths.  The picks and margins
-    from the four bracketing rungs equal those of a scan of the whole
-    lattice.  Raises :class:`AmbiguousDealias` when the two best rungs
-    sit within ``TIE_FRACTION`` of the local rung spacing of each other
-    in distance to the coarse estimate.  Angles are returned sorted
-    ascending with their reports aligned.
+    ``fine_fractions`` are the fine eigenvalues' phase fractions
+    ``arg(xi) / (2*pi)``, and ``ratio`` is the fine baseline in
+    wavelengths.  The picks and margins from the four bracketing rungs
+    equal those of a scan of the whole lattice.  Raises
+    :class:`AmbiguousDealias` when the two best rungs sit within
+    ``TIE_FRACTION`` of the local rung spacing of each other in distance
+    to the coarse estimate.  Angles are returned sorted ascending with
+    their reports aligned.
     """
-    if len(coarse_angles) != len(fine_eigs):
+    if len(coarse_angles) != len(fine_fractions):
         raise ValueError("need one coarse angle per fine eigenvalue")
     picks = []
-    for theta_c, xi in zip(coarse_angles, fine_eigs):
-        rungs = _bracket(xi, ratio, theta_c)
+    for theta_c, nu in zip(coarse_angles, fine_fractions):
+        rungs = _bracket(nu, ratio, theta_c)
         if not rungs:
             raise AmbiguousDealias("no visible-region candidate for eigenvalue")
-        angles = np.array([angle for _, angle in rungs])
-        dist = np.abs(angles - theta_c)
-        order = np.argsort(dist)
-        best = int(order[0])
-        if len(angles) > 1:
-            second = int(order[1])
-            spacing = float(np.min(np.abs(np.delete(angles, best) - angles[best])))
-            margin = float(dist[second] - dist[best])
+        dist = [abs(angle - theta_c) for _, angle in rungs]
+        # nearest first, the lower rung on a tie
+        best, *rest = sorted(range(len(rungs)), key=dist.__getitem__)
+        q, angle = rungs[best]
+        if rest:
+            spacing = min(abs(other - angle) for i, (_, other) in enumerate(rungs) if i != best)
+            margin = dist[rest[0]] - dist[best]
             if margin < TIE_FRACTION * spacing:
                 raise AmbiguousDealias(
                     f"alias tie: margin {margin:.3e} rad below "
@@ -217,16 +222,8 @@ def dealias(
                 )
         else:
             margin = math.inf
-        picks.append(
-            (
-                float(angles[best]),
-                DealiasReport(
-                    alias_index=rungs[best][0],
-                    disagreement=float(dist[best]),
-                    margin=margin,
-                ),
-            )
-        )
+        report = DealiasReport(alias_index=q, disagreement=dist[best], margin=margin)
+        picks.append((angle, report))
     picks.sort(key=lambda p: p[0])
     return np.array([p[0] for p in picks]), tuple(p[1] for p in picks)
 
@@ -238,8 +235,9 @@ def esprit_chunk(ys: np.ndarray, cfg: ArrayConfig, num_sources: int) -> list:
     the dealiased fine-shift angles together with diagnostics (the
     coarse angles, the joint-diagonalization quality and the per source
     dealiasing reports), or the :class:`~elaa_doa.errors.EstimationError`
-    that ends the trial.  The subspace and the rotations run once for the
-    chunk; the coarse angles and :func:`dealias` run per trial.
+    that ends the trial.  The subspace, the rotations and the eigenvalues'
+    phases run once for the chunk; the coarse angles and :func:`dealias`
+    run per trial on Python floats.
     """
     m = cfg.elements_per_ula
     limit = max_sources(m)
@@ -248,6 +246,10 @@ def esprit_chunk(ys: np.ndarray, cfg: ArrayConfig, num_sources: int) -> list:
     y1, y2 = split_ulas(np.asarray(ys))
     sub = stacked_subspace(y1, y2, default_pencil(m), num_sources)
     coarse_eigs, fine_eigs, quality = pair_eigenvalues(sub.signal)
+    # the phase fractions of the whole chunk at once, then Python floats
+    fractions_c = (np.angle(coarse_eigs) / (2.0 * math.pi)).tolist()
+    fractions_f = (np.angle(fine_eigs) / (2.0 * math.pi)).tolist()
+    phaseless = ((coarse_eigs == 0) | (fine_eigs == 0)).any(axis=-1).tolist()
     coarse_ratio = cfg.spacing / cfg.wavelength
     fine_ratio = cfg.center_separation / cfg.wavelength
     out = []
@@ -256,12 +258,16 @@ def esprit_chunk(ys: np.ndarray, cfg: ArrayConfig, num_sources: int) -> list:
             unwrap(failure)
             if math.isnan(pairing):
                 raise IllConditioned("a rotation's selection or eigenbasis is singular")
-            coarse = np.array([_coarse_angle(xi, coarse_ratio) for xi in coarse_eigs[t]])
-            angles, reports = dealias(coarse, fine_eigs[t], fine_ratio)
+            if phaseless[t]:
+                raise IllConditioned("a zero eigenvalue has no phase")
+            coarse = [_coarse_angle(nu, coarse_ratio) for nu in fractions_c[t]]
+            angles, reports = dealias(coarse, fractions_f[t], fine_ratio)
         except EstimationError as exc:
             out.append(exc)
             continue
-        diag = EspritDiagnostics(coarse_angles=coarse, pairing_quality=pairing, reports=reports)
+        diag = EspritDiagnostics(
+            coarse_angles=np.array(coarse), pairing_quality=pairing, reports=reports
+        )
         out.append((angles, diag))
     return out
 

@@ -21,10 +21,10 @@ that can hold a maximum tall enough to be picked, and the pick is the
 whole grid's bit for bit.  Only :func:`fused_spectrum` evaluates it all.
 
 Estimates take a chunk of trials at once, each with one or two modules:
-one stacked SVD and one stacked coarse scan for the chunk, whose values
-are bit-identical to one trial's own, then one fine pass and one pick per
-trial; a one-trial estimate is the chunk of one
-(:func:`estimate_doa_music`).
+one stacked SVD, whose factors are bit-identical to one trial's own, and
+one coarse scan for the chunk, a real product whose last bits only
+choose cells; then one fine pass and one pick per trial.  A one-trial
+estimate is the chunk of one (:func:`estimate_doa_music`).
 """
 
 from __future__ import annotations
@@ -45,6 +45,7 @@ DENOMINATOR_FLOOR = 1e-12
 PEAK_SEPARATION_DEG = 0.2
 BOUND_MARGIN = 1e-9  # slack on pick_chunk's cell bounds, in units of values**-2
 BLOCK = 16  # grid angles per block of the fine pass; the grid is 1 125 blocks
+_OFFSETS = np.arange(BLOCK)
 
 
 @dataclass(frozen=True)
@@ -87,16 +88,17 @@ class Scan(NamedTuple):
     """A default grid, its steering columns, and the coarse subgrid scanned first.
 
     The coarse subgrid is every ``stride``-th grid angle, starting at the
-    first, with contiguous copies of those steering columns.  Over its
-    largest step, ``coarse_step`` radians, the top harmonic's phase moves
-    by at most ``harmonic_step`` (see :func:`pick_chunk`).
+    first.  ``coarse_trig`` holds its steering columns in real form, the
+    rows ``1``, ``cos(m*w)`` and ``sin(m*w)`` for ``m = 1 .. n - 1``.  Over
+    its largest step, ``coarse_step`` radians, the top harmonic's phase
+    moves by at most ``harmonic_step`` (see :func:`pick_chunk`).
     """
 
     grid: np.ndarray
     steering: np.ndarray
     stride: int
     coarse_grid: np.ndarray
-    coarse_steering: np.ndarray
+    coarse_trig: np.ndarray
     coarse_step: float
     harmonic_step: float
 
@@ -112,9 +114,11 @@ def _cached_steering(n_rows: int, spacing: float, wavelength: float) -> Scan:
     a = hankel_steering_matrix(n_rows, spacing, wavelength, grid)
     stride = max(1, _peak_distance(grid) // 4)
     coarse_grid = np.ascontiguousarray(grid[::stride])
+    coarse = a[:, ::stride]
+    trig = np.concatenate((coarse[:1].real, coarse[1:].real, coarse[1:].imag))
     h = float(np.max(np.diff(coarse_grid)))
     rate = (n_rows - 1) * 2.0 * math.pi * spacing / wavelength
-    scan = Scan(grid, a, stride, coarse_grid, np.ascontiguousarray(a[:, ::stride]), h, rate * h)
+    scan = Scan(grid, a, stride, coarse_grid, trig, h, rate * h)
     for array in scan[:2] + scan[3:5]:
         array.setflags(write=False)
     return scan
@@ -153,9 +157,14 @@ def _surface(c: np.ndarray, steering: np.ndarray) -> np.ndarray:
 
     ``c`` ends in the sums axis; its leading axes lead the result.
     """
+    return math.sqrt(steering.shape[0]) / np.sqrt(_null(c, steering))
+
+
+def _null(c: np.ndarray, steering: np.ndarray) -> np.ndarray:
+    """The floored ``||U_noise^H a||**2`` of :func:`_surface`, whose root it divides."""
     num = math.sqrt(steering.shape[0])
     den2 = c[..., :1].real + 2.0 * (c[..., None, 1:] @ steering[1:])[..., 0, :].real
-    return num / np.sqrt(np.maximum(den2, (DENOMINATOR_FLOOR * num) ** 2))
+    return np.maximum(den2, (DENOMINATOR_FLOOR * num) ** 2)
 
 
 def _product(values: np.ndarray) -> np.ndarray:
@@ -190,13 +199,14 @@ def _refine_peak(grid: np.ndarray, values: np.ndarray, idx: int) -> float:
     off-grid minimum accurately even when the peak itself is a near
     singularity.
     """
-    q = 1.0 / (values[idx - 1 : idx + 2] ** 2)
-    denom = q[0] - 2.0 * q[1] + q[2]
+    q0, q1, q2 = (1.0 / (v * v) for v in values[idx - 1 : idx + 2].tolist())
+    denom = q0 - 2.0 * q1 + q2
+    before, at, after = grid[idx - 1 : idx + 2].tolist()
     if denom <= 0.0:
-        return float(grid[idx])
-    h = float(grid[idx + 1] - grid[idx - 1]) / 2.0
-    delta = float(0.5 * h * (q[0] - q[2]) / denom)
-    return float(grid[idx] + min(max(delta, -h), h))
+        return at
+    h = (after - before) / 2.0
+    delta = 0.5 * h * (q0 - q2) / denom
+    return at + min(max(delta, -h), h)
 
 
 def _peak_distance(grid: np.ndarray, index: np.ndarray | None = None) -> int:
@@ -210,15 +220,14 @@ def _peak_distance(grid: np.ndarray, index: np.ndarray | None = None) -> int:
     return max(1, int(round(math.radians(PEAK_SEPARATION_DEG) / step)))
 
 
-def _greedy(heights: np.ndarray, positions: np.ndarray, distance: int, count: int) -> list[int]:
+def _greedy(heights: list, positions: list, distance: int, count: int) -> list[int]:
     """Up to ``count`` entries, tallest first, each ``distance`` or more from those kept before.
 
     Ties go to the lower position.
     """
-    at = positions.tolist()
     keep: list[int] = []
-    for i in np.lexsort((positions, -heights)).tolist():
-        if all(abs(at[i] - at[k]) >= distance for k in keep):
+    for _, at, i in sorted(zip([-h for h in heights], positions, range(len(heights)))):
+        if all(abs(at - positions[k]) >= distance for k in keep):
             keep.append(i)
             if len(keep) == count:
                 break
@@ -256,10 +265,12 @@ def peak_pick(
     if floor:
         idx = idx[values[idx] >= floor]
     position = idx if index is None else index[idx]
-    keep = _greedy(values[idx], position, _peak_distance(spectrum.grid, index), num_peaks)
+    distance = _peak_distance(spectrum.grid, index)
+    keep = _greedy(values[idx].tolist(), position.tolist(), distance, num_peaks)
+    idx = idx.tolist()
     if len(keep) < num_peaks:
         raise UnderResolved(f"found {len(keep)} peaks, need {num_peaks}")
-    return np.array([_refine_peak(spectrum.grid, values, i) for i in idx[keep].tolist()])
+    return np.array([_refine_peak(spectrum.grid, values, idx[i]) for i in keep])
 
 
 def _peaks(values: np.ndarray) -> np.ndarray:
@@ -278,45 +289,71 @@ def _peaks(values: np.ndarray) -> np.ndarray:
     return np.flatnonzero((inner > values[:-2]) & (inner > values[2:])) + 1
 
 
-def _fine_surface(sums: np.ndarray, scan: Scan, cells: np.ndarray) -> tuple[np.ndarray, Spectrum]:
-    """Grid indices and fused spectrum of one trial on the coarse cells it marks.
+def _blocks(scan: Scan, cells: np.ndarray) -> np.ndarray:
+    """Per row of coarse cell marks, the marks of the aligned blocks the fine pass takes.
+
+    Cell ``j`` spans grid indices ``j * stride`` to ``(j + 1) * stride``,
+    and one more either side; a block of ``BLOCK`` grid angles is marked
+    when it holds a sample of a marked cell's window, and so is every
+    block from the last coarse sample on, which covers the partial cell
+    past the last.
+    """
+    rows, starts = np.divmod(np.flatnonzero(cells), cells.shape[-1])
+    starts *= scan.stride
+    marked = np.zeros((len(cells), len(scan.grid) // BLOCK), dtype=bool)
+    marked[:, cells.shape[-1] * scan.stride // BLOCK :] = True
+    # each window's end blocks (cell 0's -1 marks the last block, taken anyway)
+    marked[rows, (starts - 1) // BLOCK] = True
+    marked[rows, (starts + scan.stride + 1) // BLOCK] = True
+    return marked
+
+
+def _fine_surface(sums: np.ndarray, scan: Scan, blocks: np.ndarray) -> tuple[np.ndarray, Spectrum]:
+    """Grid indices and fused spectrum of one trial on the blocks it marks.
 
     ``sums`` holds the trial's modules' projector sums
-    (:attr:`~elaa_doa.subspace.SubspacePair.projector_sums`), and ``cells``
-    one mark per coarse cell.  Cell ``j`` spans grid indices ``j * stride``
-    to ``(j + 1) * stride``, and one more either side; the partial cell
-    past the last is always taken.  The pass takes every aligned block of
-    ``BLOCK`` grid angles that holds a sample of a marked cell, and
-    evaluates the trial's :func:`pseudospectrum` polynomial on their
-    steering columns.  Each column then keeps its place modulo ``BLOCK``
-    in a product whose width is a multiple of ``BLOCK``, so its value is
-    the whole grid's bit for bit, at any number of BLAS threads.
+    (:attr:`~elaa_doa.subspace.SubspacePair.projector_sums`), and
+    ``blocks`` one mark per aligned block of ``BLOCK`` grid angles
+    (:func:`_blocks`).  The pass evaluates the trial's
+    :func:`pseudospectrum` polynomial on the marked blocks' steering
+    columns.  Each column then keeps its place modulo ``BLOCK`` in a
+    product whose width is a multiple of ``BLOCK``, so its value is the
+    whole grid's bit for bit, at any number of BLAS threads.
     """
-    blocks = scan.steering.reshape(len(scan.steering), -1, BLOCK)  # a view, no copy
-    marked = np.zeros(blocks.shape[1], dtype=bool)
-    starts = np.flatnonzero(cells) * scan.stride
-    # each window's end blocks (cell 0's -1 marks the last block, taken anyway)
-    marked[np.concatenate((starts - 1, starts + scan.stride + 1)) // BLOCK] = True
-    marked[len(cells) * scan.stride // BLOCK :] = True
-    taken = np.flatnonzero(marked)
-    index = (taken[:, None] * BLOCK + np.arange(BLOCK)).ravel()
-    steering = np.take(blocks, taken, axis=1).reshape(len(blocks), -1)
+    taken = np.flatnonzero(blocks)
+    index = (taken[:, None] * BLOCK + _OFFSETS).ravel()
+    rows = len(scan.steering)
+    steering = np.take(scan.steering.reshape(rows, -1, BLOCK), taken, axis=1).reshape(rows, -1)
     return index, Spectrum(grid=scan.grid[index], values=_product(_surface(sums, steering)))
 
 
+def _coarse_nulls(sums: np.ndarray, scan: Scan) -> np.ndarray:
+    """:func:`_null` on the coarse subgrid, in real arithmetic, from projector sums ``sums``.
+
+    ``a^H P a = c_0 + 2*Re(c_m)*cos(m*w) - 2*Im(c_m)*sin(m*w)`` summed over
+    ``m``: one real product of every module's coefficients against
+    ``Scan.coarse_trig``.  It agrees with :func:`_null` up to rounding.
+    """
+    re, im = sums.real, sums.imag
+    coef = np.concatenate((re[..., :1], 2.0 * re[..., 1:], -2.0 * im[..., 1:]), axis=-1)
+    den2 = coef.reshape(-1, coef.shape[-1]) @ scan.coarse_trig
+    np.maximum(den2, (DENOMINATOR_FLOOR * math.sqrt(sums.shape[-1])) ** 2, out=den2)
+    return den2.reshape(sums.shape[:-1] + den2.shape[-1:])
+
+
 def _coarse_cells(sub: SubspacePair, scan: Scan) -> tuple[np.ndarray, ...]:
-    """Coarse surface; per coarse cell, the rise of ``Q``, whether it can turn, its least value.
+    """Coarse ``Q``; per coarse cell, whether it can turn and its least value.
 
     ``sub`` has axes (trial, module); every result has a row per trial.
+    ``Q`` is the product of the modules' :func:`_coarse_nulls` over ``n``.
     """
-    coarse = _product(pseudospectrum(sub, scan.coarse_grid, scan.coarse_steering).values)
-    q = 1.0 / (coarse * coarse)
-    u = sub.noise.shape[-3] * scan.harmonic_step
+    sums = sub.projector_sums
+    q = _product(_coarse_nulls(sums, scan)) * float(sums.shape[-1]) ** -sums.shape[-2]
+    u = sums.shape[-2] * scan.harmonic_step
     bend = (u * u + u * scan.coarse_step) / 2.0  # M * h**2
-    rise = q[..., 1:] - q[..., :-1]
-    turning = np.abs(rise) <= bend / 2.0 + BOUND_MARGIN
-    least = np.minimum(q[..., 1:], q[..., :-1]) - (bend / 8.0 + BOUND_MARGIN)
-    return coarse, rise, turning, least
+    turning = np.abs(q[:, 1:] - q[:, :-1]) <= bend / 2.0 + BOUND_MARGIN
+    least = np.minimum(q[:, 1:], q[:, :-1]) - (bend / 8.0 + BOUND_MARGIN)
+    return q, turning, least
 
 
 def pick_chunk(sub: SubspacePair, scan: Scan, num_peaks: int) -> list:
@@ -326,20 +363,24 @@ def pick_chunk(sub: SubspacePair, scan: Scan, num_peaks: int) -> list:
     trial, its peaks or the :class:`~elaa_doa.errors.EstimationError` that
     ends it (:class:`~elaa_doa.errors.NonFiniteSnapshot`,
     :class:`UnderResolved`).  The coarse scan and its cell tests run once
-    for the whole chunk.  Each trial then gets one fine pass over the
-    cells it chose (:func:`_fine_surface`) and one :func:`peak_pick`
-    floored at its coarse pick; only a trial whose floored pick falls
-    short gets a second pass, over every cell that can turn, and an
-    unfloored pick.
+    for the whole chunk, on ``Q`` itself (:func:`_coarse_cells`), and so
+    does the block marking (:func:`_blocks`).  Each trial then gets one
+    fine pass over the blocks it chose (:func:`_fine_surface`) and one
+    :func:`peak_pick` floored at the fine surface's own value at its
+    coarse pick; only a trial whose floored pick falls short gets a
+    second pass, over every cell that can turn, and an unfloored pick.
 
     Each trial is picked as :func:`peak_pick` on the whole grid would,
-    bit for bit, evaluating only part of it.  The coarse surface's last
-    bits may vary with the number of BLAS threads; they only choose the
-    cells and the floor, and the fine values the pick reads are the whole
-    grid's (:func:`_fine_surface`).  ``Q = values**-2`` is the product of
-    ``L`` normalised nulls ``a^H P a / n``, each a trigonometric
-    polynomial of degree ``n - 1`` in ``w = k*d*sin(angle)`` with values in
-    [0, 1].
+    bit for bit, evaluating only part of it.  The coarse values' last
+    bits may vary with the chunk and the number of BLAS threads; they
+    only choose the cells and the floor's sample, and the fine values the
+    pick reads, the floor among them, are the whole grid's
+    (:func:`_fine_surface`).  A floored pick keeps the whole grid's
+    picks or falls short, whatever the floor, because a greedy pick
+    depends only on the maxima at or above it.  ``Q = values**-2`` is the
+    product of ``L`` normalised nulls ``a^H P a / n``, each a
+    trigonometric polynomial of degree ``n - 1`` in ``w = k*d*sin(angle)``
+    with values in [0, 1].
     Bernstein's inequality on ``Q - 1/2``, of degree ``N = L*(n - 1)``,
     bounds ``|dQ/dw|`` by ``N/2`` and ``|d2Q/dw2|`` by ``N**2/2``, so
     ``|d2Q/dangle2| <= M = (N**2*(k*d)**2 + N*k*d) / 2``.  On a coarse cell
@@ -355,37 +396,64 @@ def pick_chunk(sub: SubspacePair, scan: Scan, num_peaks: int) -> list:
     and a greedy pick depends only on the maxima at or above it, so the
     pick floored at ``T`` is the whole grid's; if it gives fewer than
     ``num_peaks`` picks, or the coarse maxima do, every cell that can turn
-    is evaluated and the pick has no floor.
+    is evaluated and the pick has no floor.  The block that holds the
+    pick's own sample is always taken, so ``T`` is read off the fine pass.
 
     Both tests carry ``BOUND_MARGIN`` for rounding (1.2e-15 in ``Q`` per
-    module against a long-double evaluation) and the 1e-24 floor: rounding
-    turns a monotone run over only where the slope is below it, which the
-    turning test admits with ``2*(stride + 1)`` times the rounding.  The
-    margin is negligible against ``M*h**2/8`` (3e-5 for one module on a
-    0.05 degree cell).
+    module against a long-double evaluation, and at most 1.7e-15 between
+    the real coarse product and the complex fine one on the builtins) and
+    the 1e-24 floor: rounding turns a monotone run over only where the
+    slope is below it, which the turning test admits with
+    ``2*(stride + 1)`` times the rounding.  The margin is negligible
+    against ``M*h**2/8`` (3e-5 for one module on a 0.05 degree cell).
     """
-    coarse, rise, turning, least = _coarse_cells(sub, scan)
-    maxima = (rise[:, :-1] < 0.0) & (rise[:, 1:] > 0.0)  # of the inner coarse samples
+    q, turning, least = _coarse_cells(sub, scan)
+    # the coarse maxima, Q's strict minima at inner samples, by trial; -Q ranks them
+    inner = q[:, 1:-1]
+    rows, top = np.divmod(np.flatnonzero((inner < q[:, :-2]) & (inner < q[:, 2:])), inner.shape[1])
+    top += 1
+    heights = (-q[rows, top]).tolist()
+    ends = np.searchsorted(rows, np.arange(1, len(q) + 1)).tolist()
+    top = top.tolist()
     distance = _peak_distance(scan.coarse_grid)
-    sums = sub.projector_sums
     out = sub.failures()
+    at = [None] * len(out)  # grid index of each trial's floor sample, if it has a floor
+    level = np.full(len(out), math.inf)  # 1 / T**2, Q at that sample
+    for t, (start, end) in enumerate(zip([0] + ends, ends)):
+        if out[t] is not None:
+            continue
+        keep = _greedy(heights[start:end], top[start:end], distance, num_peaks)
+        if len(keep) == num_peaks:
+            sample = top[start + keep[-1]]
+            at[t], level[t] = sample * scan.stride, q[t, sample]
+    first = _blocks(scan, turning & (least <= level[:, None]))
+    floored = [t for t, i in enumerate(at) if i is not None]
+    first[floored, [at[t] // BLOCK for t in floored]] = True
+    sums = sub.projector_sums
     for t, failure in enumerate(out):
         if failure is not None:
             continue
-        top = np.flatnonzero(maxima[t]) + 1
-        keep = _greedy(coarse[t, top], top, distance, num_peaks)
-        passes = [(turning[t], 0.0)]  # every cell that can turn, with no floor
-        if len(keep) == num_peaks:
-            floor = float(coarse[t, top[keep[-1]]])
-            passes.insert(0, (turning[t] & (least[t] <= 1.0 / (floor * floor)), floor))
-        for cells, floor in passes:
-            index, spectrum = _fine_surface(sums[t], scan, cells)
-            try:
-                out[t] = peak_pick(spectrum, num_peaks, index=index, floor=floor)
-                break
-            except UnderResolved as exc:
-                out[t] = exc
+        out[t] = _fine_pick(sums[t], scan, first[t], num_peaks, at[t])
+        if at[t] is not None and isinstance(out[t], UnderResolved):
+            # the floored pick fell short: every cell that can turn, and no floor
+            out[t] = _fine_pick(sums[t], scan, _blocks(scan, turning[t : t + 1])[0], num_peaks)
     return out
+
+
+def _fine_pick(
+    sums: np.ndarray, scan: Scan, blocks: np.ndarray, num_peaks: int, at: int | None = None
+):
+    """One trial's :func:`peak_pick` on the blocks it marks, or its :class:`UnderResolved`.
+
+    With grid index ``at``, the pick is floored at the fine surface's
+    value there.
+    """
+    index, spectrum = _fine_surface(sums, scan, blocks)
+    floor = 0.0 if at is None else float(spectrum.values[np.searchsorted(index, at)])
+    try:
+        return peak_pick(spectrum, num_peaks, index=index, floor=floor)
+    except UnderResolved as exc:
+        return exc
 
 
 def fused_spectrum(y: np.ndarray, cfg: ArrayConfig, num_sources: int) -> Spectrum:

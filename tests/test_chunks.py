@@ -6,7 +6,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from elaa_doa import harness
+from elaa_doa import harness, ss_music
 from elaa_doa.errors import EstimationError
 from elaa_doa.harness import CELL_CHUNK, derive_trial_seed, run_monte_carlo
 from elaa_doa.scenarios import builtin_scenarios
@@ -92,17 +92,18 @@ def test_a_failed_trial_leaves_its_chunk_unchanged(monkeypatch, algorithm):
     )
     clean = _recorded_run(monkeypatch, spec)
     nan_seed, zero_seed = (derive_trial_seed(spec.base_seed, algorithm, 0, t) for t in (3, 7))
-    draw = harness.snapshot
+    draw = harness.snapshots
 
-    def spoiled(cfg, targets, snr_db, seed, model=None):
-        snap = draw(cfg, targets, snr_db, seed, model=model)
-        if seed == nan_seed:
-            snap[[3, 20]] = math.nan  # a sample in each sub-array
-        elif seed == zero_seed:
-            snap = np.zeros_like(snap)
-        return snap
+    def spoiled(cfg, targets, snr_db, seeds, model=None):
+        snaps = draw(cfg, targets, snr_db, seeds, model=model)
+        for snap, seed in zip(snaps, seeds):
+            if seed == nan_seed:
+                snap[[3, 20]] = math.nan  # a sample in each sub-array
+            elif seed == zero_seed:
+                snap[:] = 0.0
+        return snaps
 
-    monkeypatch.setattr(harness, "snapshot", spoiled)
+    monkeypatch.setattr(harness, "snapshots", spoiled)
     spoilt = _recorded_run(monkeypatch, spec)
     statuses = [status for _, (_, status, _) in spoilt]
     assert statuses[3] == "NonFiniteSnapshot"
@@ -111,3 +112,25 @@ def test_a_failed_trial_leaves_its_chunk_unchanged(monkeypatch, algorithm):
         if t not in (3, 7):
             _assert_same(got, want)
             _assert_same(got, _one_trial(algorithm, snap, spec))
+
+
+@pytest.mark.parametrize("name", ["fig3_small_sep", "fig3_large_sep"])
+def test_every_music_trial_makes_one_fine_pass(monkeypatch, name):
+    # the floor is the fine surface's own value at the coarse pick, so the
+    # floored pick never falls short for want of a last bit
+    calls = []
+    fine = ss_music._fine_surface
+
+    def counting(*args):
+        calls.append(1)
+        return fine(*args)
+
+    monkeypatch.setattr(ss_music, "_fine_surface", counting)
+    spec = replace(
+        builtin_scenarios()[name],
+        algorithms=("ss_music_elaa", "ss_music_ula1", "ss_music_ula2"),
+        n_trials=200,
+    )
+    rows = run_monte_carlo(spec)
+    assert all(row.failure_rate == 0.0 for row in rows)
+    assert len(calls) == sum(row.n_trials for row in rows) == 3 * 9 * 200

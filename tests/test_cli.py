@@ -80,6 +80,11 @@ def test_bad_values_name_flag_or_line_once(tiny_scenario, tmp_path, capsys):
     args = ["run", "--scenario", tiny_scenario, "--out", str(out), "--quiet"]
     assert cli.main([*args, "--snr", "10,x"]) == 2
     assert capsys.readouterr().err == "error: --snr must be a comma list of numbers, got '10,x'\n"
+    # an empty list given explicitly is refused, not read as the scenario's own
+    for flag, what in (("--algos", "algorithm"), ("--snr", "SNR point")):
+        for value in ("", ","):
+            assert cli.main([*args, flag, value]) == 2
+            assert capsys.readouterr().err == f"error: scenario needs at least one {what}\n"
     path = tmp_path / "bad_range.scenario"
     path.write_text(TINY.replace("range_m = 400.0", "range_m = abc"))
     assert cli.main(["run", "--scenario", str(path), "--out", str(out), "--quiet"]) == 2

@@ -141,6 +141,15 @@ def test_parse_full_options():
             "".join(line for line in MINIMAL.splitlines(True) if not line.startswith("target.")),
             r"^missing key target\.1\.range_m$",
         ),
+        # a target numbered past a gap names the missing one
+        (
+            MINIMAL.replace("target.2.", "target.3."),
+            r"^line 7: target\.3\.range_m follows a missing target\.2$",
+        ),
+        (
+            MINIMAL + "target.4.angle_deg = 1.0\n",
+            r"^line 10: target\.4\.angle_deg follows a missing target\.3$",
+        ),
         (
             MINIMAL.replace("= 76e9", "= nan"),
             r"^line 3: array\.carrier_freq_hz must be finite and positive, got nan$",

@@ -7,9 +7,11 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from elaa_doa import ss_esprit
-from elaa_doa.errors import AmbiguousDealias, IllConditioned
+from elaa_doa.errors import AmbiguousDealias, EstimationError, IllConditioned
 from elaa_doa.geometry import SPEED_OF_LIGHT, ArrayConfig, Target, field_regions
-from elaa_doa.signal_model import snapshot, split_ulas
+from elaa_doa.harness import derive_trial_seed
+from elaa_doa.scenarios import builtin_scenarios
+from elaa_doa.signal_model import snapshot, snapshots, split_ulas
 from elaa_doa.ss_esprit import (
     ASIN_CLAMP,
     TIE_FRACTION,
@@ -17,11 +19,12 @@ from elaa_doa.ss_esprit import (
     _coarse_angle,
     alias_rungs,
     dealias,
+    esprit_chunk,
     estimate_doa_esprit,
     pair_eigenvalues,
     solve_psi,
 )
-from elaa_doa.subspace import stacked_subspace
+from elaa_doa.subspace import default_pencil, stacked_subspace
 
 
 def _all_rungs(xi, ratio):
@@ -32,6 +35,11 @@ def _all_rungs(xi, ratio):
 
 def _eig(nu):
     return cmath.exp(2j * math.pi * nu)
+
+
+def _fraction(xi):
+    """The phase fraction ``arg(xi) / (2*pi)`` that the alias picks take."""
+    return float(np.angle(xi)) / (2.0 * math.pi)
 
 
 def test_shift_rows(paper_cfg, monkeypatch):
@@ -125,7 +133,7 @@ def test_alias_rungs_rejects_zero():
 
 def test_dealias_picks_nearest():
     # ten wavelengths, zero phase: rungs at sin = q / 10
-    picked, reports = dealias(np.array([0.1]), np.array([_eig(0.0)]), 10.0)
+    picked, reports = dealias([0.1], [0.0], 10.0)
     assert picked[0] == math.asin(0.1)
     assert reports[0].alias_index == 1
     assert reports[0].disagreement == pytest.approx(math.asin(0.1) - 0.1)
@@ -136,11 +144,11 @@ def test_dealias_picks_nearest():
 def test_dealias_tie_raises():
     midway = 0.5 * (math.asin(0.1) + math.asin(0.2))
     with pytest.raises(AmbiguousDealias, match="alias tie"):
-        dealias(np.array([midway]), np.array([_eig(0.0)]), 10.0)
+        dealias([midway], [0.0], 10.0)
 
 
 def test_dealias_single_candidate_margin():
-    picked, reports = dealias(np.array([0.3]), np.array([_eig(0.14)]), 0.5)
+    picked, reports = dealias([0.3], [0.14], 0.5)
     assert picked[0] == pytest.approx(math.asin(0.28))
     assert math.isinf(reports[0].margin)
 
@@ -149,12 +157,12 @@ def test_dealias_empty_lattice_raises():
     # a tenth of a wavelength cannot explain a phase fraction of 0.3
     assert _all_rungs(_eig(0.3), 0.1) == []
     with pytest.raises(AmbiguousDealias, match="no visible-region candidate"):
-        dealias(np.array([0.0]), np.array([_eig(0.3)]), 0.1)
+        dealias([0.0], [_fraction(_eig(0.3))], 0.1)
 
 
 def test_dealias_length_mismatch():
     with pytest.raises(ValueError):
-        dealias(np.array([0.1, 0.2]), np.array([_eig(0.0)]), 10.0)
+        dealias([0.1, 0.2], [0.0], 10.0)
 
 
 def _full_lattice_dealias(theta_c, xi, ratio, tie_fraction):
@@ -228,7 +236,7 @@ def _dealias_case(draw):
 def test_bracketed_dealias_matches_full_lattice(case):
     theta_c, xi, ratio, tie_fraction = case
     with mock.patch.object(ss_esprit, "TIE_FRACTION", tie_fraction):
-        got = _outcome(lambda: dealias(np.array([theta_c]), np.array([xi]), ratio))
+        got = _outcome(lambda: dealias([theta_c], [_fraction(xi)], ratio))
     want = _outcome(lambda: _full_lattice_dealias(theta_c, xi, ratio, tie_fraction))
     if want[0] == "AmbiguousDealias":
         assert got == want
@@ -257,7 +265,7 @@ def _nearest_broadside(xi, ratio):
 @example(0.3, complex(-1.0, 0.0))
 @example(1.3, complex(-1.0, -0.0))
 def test_bracketed_coarse_pick_matches_full_lattice(ratio, xi):
-    got = _outcome(lambda: _coarse_angle(xi, ratio), IllConditioned)
+    got = _outcome(lambda: _coarse_angle(_fraction(xi), ratio), IllConditioned)
     assert got == _outcome(lambda: _nearest_broadside(xi, ratio), IllConditioned)
     if abs(np.angle(xi)) == math.pi:
         # an exact +-tie keeps the lower angle; 0.3 wavelengths cannot
@@ -266,6 +274,66 @@ def test_bracketed_coarse_pick_matches_full_lattice(ratio, xi):
             assert got == -math.asin(0.5 / ratio)
         else:
             assert got == ("IllConditioned", "coarse eigenvalue has no visible candidate")
+
+
+def _lattice_outcome(coarse_eigs, fine_eigs, pairing, cfg):
+    """One trial's ESPRIT outcome from scans of every rung of each eigenvalue."""
+    if math.isnan(pairing):
+        return "IllConditioned"
+    try:
+        coarse = [_nearest_broadside(xi, cfg.spacing / cfg.wavelength) for xi in coarse_eigs]
+        fine_ratio = cfg.center_separation / cfg.wavelength
+        picks = sorted(
+            (
+                _full_lattice_dealias(theta, xi, fine_ratio, TIE_FRACTION)
+                for theta, xi in zip(coarse, fine_eigs)
+            ),
+            key=lambda pick: pick[0],
+        )
+    except EstimationError as exc:
+        return type(exc).__name__
+    return [angle for angle, _ in picks], [report for _, report in picks], coarse
+
+
+@pytest.mark.parametrize("name", ["fig3_small_sep", "fig3_large_sep"])
+def test_chunk_picks_match_scans_of_every_rung(name):
+    # 1 000 stacked trials per builtin at 0-40 dB, as the harness draws them
+    spec = builtin_scenarios()[name]
+    cfg, k = spec.array, len(spec.targets)
+    seeds = [[derive_trial_seed(5, "ss_esprit", i, t) for t in range(200)] for i in range(5)]
+    ys = np.concatenate([
+        snapshots(cfg, spec.targets, snr, cell_seeds)
+        for snr, cell_seeds in zip((0.0, 10.0, 20.0, 30.0, 40.0), seeds)
+    ])
+    y1, y2 = split_ulas(ys)
+    sub = stacked_subspace(y1, y2, default_pencil(cfg.elements_per_ula), k)
+    coarse_eigs, fine_eigs, quality = pair_eigenvalues(sub.signal)
+    got = esprit_chunk(ys, cfg, k)
+    statuses = set()
+    for t, outcome in enumerate(got):
+        want = _lattice_outcome(coarse_eigs[t], fine_eigs[t], quality[t], cfg)
+        if isinstance(outcome, EstimationError):
+            assert type(outcome).__name__ == want
+        else:
+            angles, diag = outcome
+            want_angles, want_reports, want_coarse = want
+            assert angles.tolist() == want_angles
+            assert diag.reports == tuple(want_reports)
+            assert diag.coarse_angles.tolist() == want_coarse
+            assert diag.pairing_quality == quality[t]
+        statuses.add(want if isinstance(want, str) else "ok")
+    assert len(got) == 1000 and "ok" in statuses
+    if name == "fig3_small_sep":
+        assert "AmbiguousDealias" in statuses
+
+
+def test_a_silent_sub_array_is_ill_conditioned(paper_cfg):
+    # the fine rotation of a zero bottom block is zero: its eigenvalues
+    # have no phase, which once escaped as a ValueError
+    snap = snapshot(paper_cfg, _far_targets(paper_cfg, [-1.2, 1.2]), 20.0, seed=1)
+    snap[paper_cfg.elements_per_ula :] = 0.0
+    with pytest.raises(IllConditioned, match="zero eigenvalue"):
+        estimate_doa_esprit(snap, paper_cfg, 2)
 
 
 def test_esprit_noiseless_two_sources(paper_cfg):

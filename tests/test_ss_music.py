@@ -19,6 +19,8 @@ from elaa_doa.ss_music import (
     Spectrum,
     _cached_steering,
     _coarse_cells,
+    _coarse_nulls,
+    _null,
     _peak_distance,
     _peaks,
     _refine_peak,
@@ -328,12 +330,27 @@ def test_peak_pick_windows_count_separation_on_the_whole_grid():
             assert peak_pick(spectrum, 2, index=index) == pytest.approx(grid[[3, 10]])
 
 
+@pytest.mark.parametrize("name", ["fig3_small_sep", "fig4_near_b"])
+@pytest.mark.parametrize("snr_db", [0.0, 20.0, math.inf])
+def test_coarse_nulls_are_the_nulls_up_to_rounding(name, snr_db):
+    # the coarse scan's real product against the complex one of the fine
+    # pass and the whole grid: it only chooses cells and the floor sample
+    subs, scan = _subspaces(name, snr_db, 3, (0, 1))
+    sums = _chunk(subs).projector_sums
+    want = _null(sums, scan.steering[:, :: scan.stride])
+    got = _coarse_nulls(sums, scan)
+    assert got.shape == want.shape == (1, 2, 3600)
+    np.testing.assert_allclose(got, want, rtol=0, atol=1e-13)
+    assert got.min() >= (DENOMINATOR_FLOOR * 3.0) ** 2
+
+
 def test_coarse_subgrid_stride():
     scan = _cached_steering(9, 0.5, 1.0)
     assert scan.stride == 5
     assert np.array_equal(scan.coarse_grid, scan.grid[::5])
-    assert np.array_equal(scan.coarse_steering, scan.steering[:, ::5])
-    assert scan.coarse_steering.flags.c_contiguous
+    coarse = scan.steering[:, ::5]
+    assert np.array_equal(scan.coarse_trig, np.vstack([coarse[:1].real, coarse[1:].real, coarse[1:].imag]))
+    assert scan.coarse_trig.flags.c_contiguous and scan.coarse_trig.dtype == float
     # the fine pass reads whole blocks of the steering matrix as a view
     assert scan.steering.flags.c_contiguous
     for array in scan[:2] + scan[3:5]:
@@ -422,9 +439,9 @@ def test_trial_346_shallow_maximum_the_fused_coarse_samples_fall_across():
     picks = pick_doas(subs, scan, 2)
     assert np.degrees(picks) == pytest.approx([-0.096, 0.123], abs=1e-3)
     assert np.array_equal(picks, _full_grid_pick(subs, scan, 2))
-    coarse = _coarse_cells(_chunk(subs), scan)[0][0]
+    q = _coarse_cells(_chunk(subs), scan)[0][0]
     at = np.flatnonzero(np.isclose(np.degrees(scan.coarse_grid), 0.05))[0]
-    assert np.all(np.diff(coarse[at : at + 3]) < 0)  # 0.05, 0.10, 0.15 degrees
+    assert np.all(np.diff(q[at : at + 3]) > 0)  # 0.05, 0.10, 0.15 degrees
 
 
 @settings(max_examples=40, deadline=None)
@@ -441,7 +458,7 @@ def test_cell_bounds_hold_on_real_surfaces(name, snr_db, seed, modules):
     # turn (on a coarse sample, in one of the two cells it ends), or in the
     # partial cell past the last coarse sample
     subs, scan = _subspaces(name, snr_db, seed, modules)
-    _, _, turning, least = (rows[0] for rows in _coarse_cells(_chunk(subs), scan))
+    _, turning, least = (rows[0] for rows in _coarse_cells(_chunk(subs), scan))
     values = _whole_grid(subs, scan)
     q = 1.0 / (values * values)
     stride, cells = scan.stride, len(least)
@@ -498,14 +515,14 @@ def test_coarse_picks_that_merge_on_the_fine_grid_fall_back_to_every_turning_cel
     # second pick must come from below the coarse floor
     scan = _cached_steering(9, 0.5, 1.0)
     subs = [_two_null_module(scan, [10_001, 10_020])]
-    evaluated = _recorder(monkeypatch, ss_music, "pseudospectrum")
+    evaluated = _recorder(monkeypatch, ss_music, "_coarse_nulls")
     fine = _recorder(monkeypatch, ss_music, "_fine_surface")
     picked = _recorder(monkeypatch, ss_music, "peak_pick")
     picks = pick_doas(subs, scan, 2)
     # coarse, then the floored cells and a floored pick that falls short,
     # then every turning cell and an unfloored pick
     assert len(evaluated) == 1 and len(fine) == 2 and len(picked) == 2
-    assert np.count_nonzero(fine[1]["cells"]) > np.count_nonzero(fine[0]["cells"])
+    assert np.count_nonzero(fine[1]["blocks"]) > np.count_nonzero(fine[0]["blocks"])
     assert picked[0]["floor"] > 0.0 and picked[1]["floor"] == 0.0
     assert len(picked[1]["spectrum"].grid) > len(picked[0]["spectrum"].grid)
     assert np.array_equal(picks, _full_grid_pick(subs, scan, 2))
@@ -540,7 +557,7 @@ def test_a_fallback_trial_in_a_chunk_is_picked_as_on_its_own(monkeypatch):
     # the two-null trial, and it alone, takes the second pass
     assert len(fine) == len(rows)
     assert np.array_equal(fine[1]["sums"], fine[2]["sums"])
-    assert np.count_nonzero(fine[2]["cells"]) > np.count_nonzero(fine[1]["cells"])
+    assert np.count_nonzero(fine[2]["blocks"]) > np.count_nonzero(fine[1]["blocks"])
     assert isinstance(got[1], NonFiniteSnapshot)
     assert isinstance(pick_chunk(_chunk(rows[1]), scan, 2)[0], NonFiniteSnapshot)
     for t in (0, 2, 3):
@@ -568,21 +585,23 @@ def _recorder(monkeypatch, module, name):
 def test_every_evaluation_and_pick_goes_through_the_module_globals(monkeypatch):
     spec = builtin_scenarios()["fig3_small_sep"]
     snap = snapshot(spec.array, spec.targets, 20.0, 1)
-    evaluated = _recorder(monkeypatch, ss_music, "pseudospectrum")
+    evaluated = _recorder(monkeypatch, ss_music, "_coarse_nulls")
     fine = _recorder(monkeypatch, ss_music, "_fine_surface")
     picked = _recorder(monkeypatch, ss_music, "peak_pick")
     estimate_doa_music(snap, spec.array, 2)
     # the coarse scan of both modules at once, then one pass over the
-    # trial's chosen cells of both modules and one floored pick
+    # trial's chosen blocks of both modules and one floored pick
     assert len(evaluated) == len(fine) == len(picked) == 1
-    ((sub, grid, steering),) = (call.values() for call in evaluated)
-    assert sub.noise.shape[:2] == (1, 2) and len(grid) == 3600
-    assert steering.shape == (sub.noise.shape[-2], len(grid))
-    ((sums, scan, cells),) = (call.values() for call in fine)
-    assert sums.shape == (2, sub.noise.shape[-2]) and 0 < np.count_nonzero(cells) < 100
+    ((sums, scan),) = (call.values() for call in evaluated)
+    assert sums.shape == (1, 2, 9) and scan.coarse_trig.shape == (17, 3600)
+    ((trial_sums, fine_scan, blocks),) = (call.values() for call in fine)
+    assert np.array_equal(trial_sums, sums[0]) and fine_scan is scan
+    assert 0 < np.count_nonzero(blocks) < 32
     ((spectrum, num_peaks, index, floor),) = (call.values() for call in picked)
     assert num_peaks == 2 and floor > 0.0 and len(index) < 500
     assert np.array_equal(spectrum.grid, scan.grid[index])
+    # the floor is the fine surface's own value at a coarse sample
+    assert floor in spectrum.values[index % scan.stride == 0]
     evaluated.clear()
     fine.clear()
     picked.clear()
