@@ -1,17 +1,16 @@
 """Monte Carlo driver: seeded trials, matching, RMSE / hit / failure rates.
 
-``ESTIMATORS`` is the one table of algorithm names.  A cell's trials run
-in chunks of ``CELL_CHUNK``.  Each trial draws its own seeded snapshot,
-and a chunk's snapshots are drawn in one call
-(:func:`~elaa_doa.signal_model.snapshots`).  The far-field estimators run
-a chunk as one stack (one SVD, one coarse scan, one set of rotations).
-Every result is bit-identical to one trial at a time, and a failure
-stays with its own trial.  Each trial's estimates are matched to the
-truth once, and a cell's RMSE and hit rate come from those errors, a hit
-being an error within the fixed ``HIT_TOLERANCE`` of the metric's unit.
-Every CSV the package writes, the metrics and debug tables and the
-``spectrum`` and ``array-factor`` exports, goes through
-:func:`write_csv`; the debug CSV has the columns ``DEBUG_COLUMNS``.
+``ESTIMATORS`` is the one table of algorithm names.  Each trial draws its
+own seeded snapshot, and a cell's trials reach the estimator in chunks of
+``CELL_CHUNK``: the far-field estimators run a chunk as one stack (one
+SVD, one coarse scan, one set of rotations), with results bit-identical
+to one trial at a time, and a failure stays with its own trial.  Each
+trial's estimates are matched to the truth once, and a cell's RMSE and
+hit rate come from those errors, a hit being an error within the fixed
+``HIT_TOLERANCE`` of the metric's unit.  Every CSV the package writes,
+the metrics and debug tables and the ``spectrum`` and ``array-factor``
+exports, goes through :func:`write_csv`; the debug CSV has the columns
+``DEBUG_COLUMNS``.
 
 Seeding is reproducible and documented bit-exactly: the per-trial seed is
 
@@ -38,7 +37,7 @@ import numpy as np
 
 from .errors import EstimationError, Unpaired
 from .nf_localizer import localize
-from .signal_model import snapshots
+from .signal_model import snapshot
 from .ss_esprit import esprit_chunk
 from .ss_music import music_chunk
 
@@ -73,18 +72,15 @@ def _splitmix64(x: int) -> int:
     return z ^ (z >> 31)
 
 
-def _cell_seed(base_seed: int, algorithm: str, snr_index: int) -> int:
-    """The mix of a cell's (base seed, algorithm, SNR index), shared by its trials' seeds."""
+def derive_trial_seed(base_seed: int, algorithm: str, snr_index: int, trial_index: int) -> int:
+    """Stable 64-bit per-trial seed; see the module docstring for the mix."""
     algo_hash = int.from_bytes(
         hashlib.blake2b(algorithm.encode(), digest_size=8).digest(), "big"
     )
     x = _splitmix64((base_seed & _MASK64) ^ algo_hash)
-    return _splitmix64(x ^ (snr_index & _MASK64))
-
-
-def derive_trial_seed(base_seed: int, algorithm: str, snr_index: int, trial_index: int) -> int:
-    """Stable 64-bit per-trial seed; see the module docstring for the mix."""
-    return _splitmix64(_cell_seed(base_seed, algorithm, snr_index) ^ (trial_index & _MASK64))
+    x = _splitmix64(x ^ (snr_index & _MASK64))
+    x = _splitmix64(x ^ (trial_index & _MASK64))
+    return x
 
 
 def _matched(estimates: np.ndarray, truth: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -251,11 +247,13 @@ def run_monte_carlo(
             truth = np.array([math.degrees(t.angle) for t in spec.targets])
         for snr_index, snr_db in enumerate(spec.snr_grid_db):
             records: list[_TrialRecord] = []
-            cell_seed = _cell_seed(spec.base_seed, algorithm, snr_index)
             for start in range(0, spec.n_trials, CELL_CHUNK):
                 trials = range(start, min(start + CELL_CHUNK, spec.n_trials))
-                seeds = [_splitmix64(cell_seed ^ t) for t in trials]
-                ys = snapshots(spec.array, spec.targets, snr_db, seeds, model=spec.steering_model)
+                seeds = [derive_trial_seed(spec.base_seed, algorithm, snr_index, t) for t in trials]
+                ys = np.stack([
+                    snapshot(spec.array, spec.targets, snr_db, seed, model=spec.steering_model)
+                    for seed in seeds
+                ])
                 results = _run_cell(algorithm, ys, spec)
                 for trial, seed, (estimates, status, extra) in zip(trials, seeds, results):
                     errors = None if estimates is None else match_errors(estimates, truth)

@@ -308,8 +308,9 @@ def parse_scenario(text: str) -> ScenarioSpec:
             raise ScenarioError(f"target.{index} needs both range_m and angle_deg")
         targets.append(Target(range=range_m, angle=angle))
     for key, (lineno, _) in table.items():
-        if key.startswith("target."):
-            # targets are numbered 1, 2, ... without a gap
+        # targets are numbered 1, 2, ... without a gap, so a target key left
+        # here is numbered past target.{index}; any other key is unknown
+        if re.fullmatch(r"target\.[1-9][0-9]*\.(range_m|angle_deg)", key):
             raise ScenarioError(f"line {lineno}: {key} follows a missing target.{index}")
 
     kwargs = {"name": "scenario"}

@@ -189,41 +189,16 @@ def snapshot(
     noise exactly; a noiseless zero-phase observation is the sum of the
     targets' :func:`steering`.  Identical arguments give bitwise-identical
     output.  Each target's steering entries are built once per (array,
-    target, model) and reused by later calls.  The one-trial case of
-    :func:`snapshots`.
+    target, model) and reused by later calls.
     """
-    return snapshots(cfg, targets, snr_db, [seed], model=model)[0]
-
-
-def snapshots(
-    cfg: ArrayConfig,
-    targets: tuple[Target, ...] | list[Target],
-    snr_db: float,
-    seeds,
-    model: SteeringModel | None = None,
-) -> np.ndarray:
-    """One :func:`snapshot` per seed, stacked along the first axis.
-
-    Each trial draws from its own ``np.random.default_rng(seed)``: the
-    phases, then the noise's real parts, then its imaginary parts.  The
-    steering sum and the noise scaling then run once on the whole stack,
-    with the same operations as a lone trial, so row ``t`` is
-    ``snapshot(cfg, targets, snr_db, seeds[t], model)`` bit for bit.
-    """
+    rng = np.random.default_rng(seed)
     n = cfg.n_elements
-    draws = np.empty((len(seeds), len(targets)))
-    normals = np.empty((len(seeds), 2, n))
-    for t, seed in enumerate(seeds):
-        rng = np.random.default_rng(seed)
-        rng.random(out=draws[t])
-        rng.standard_normal(out=normals[t])
-    # uniform(0.0, 2*pi) is 0.0 + 2*pi * random(), and adding 0.0 changes no phase
-    amps = np.exp(1j * (draws * (2.0 * math.pi)))
-    y = np.zeros((len(seeds), n), dtype=complex)
-    for k, target in enumerate(targets):
-        y = y + amps[:, k, None] * _steering_entries(cfg, target, model)
+    amps = np.exp(1j * rng.uniform(0.0, 2.0 * math.pi, len(targets)))
+    y = np.zeros(n, dtype=complex)
+    for t, s in zip(targets, amps):
+        y = y + s * _steering_entries(cfg, t, model)
     sigma2 = noise_variance(snr_db)
-    noise = (normals[:, 0] + 1j * normals[:, 1]) * math.sqrt(sigma2 / 2.0)
+    noise = (rng.standard_normal(n) + 1j * rng.standard_normal(n)) * math.sqrt(sigma2 / 2.0)
     return y + noise
 
 

@@ -92,18 +92,17 @@ def test_a_failed_trial_leaves_its_chunk_unchanged(monkeypatch, algorithm):
     )
     clean = _recorded_run(monkeypatch, spec)
     nan_seed, zero_seed = (derive_trial_seed(spec.base_seed, algorithm, 0, t) for t in (3, 7))
-    draw = harness.snapshots
+    draw = harness.snapshot
 
-    def spoiled(cfg, targets, snr_db, seeds, model=None):
-        snaps = draw(cfg, targets, snr_db, seeds, model=model)
-        for snap, seed in zip(snaps, seeds):
-            if seed == nan_seed:
-                snap[[3, 20]] = math.nan  # a sample in each sub-array
-            elif seed == zero_seed:
-                snap[:] = 0.0
-        return snaps
+    def spoiled(cfg, targets, snr_db, seed, model=None):
+        snap = draw(cfg, targets, snr_db, seed, model=model)
+        if seed == nan_seed:
+            snap[[3, 20]] = math.nan  # a sample in each sub-array
+        elif seed == zero_seed:
+            snap = np.zeros_like(snap)
+        return snap
 
-    monkeypatch.setattr(harness, "snapshots", spoiled)
+    monkeypatch.setattr(harness, "snapshot", spoiled)
     spoilt = _recorded_run(monkeypatch, spec)
     statuses = [status for _, (_, status, _) in spoilt]
     assert statuses[3] == "NonFiniteSnapshot"

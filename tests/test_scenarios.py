@@ -150,6 +150,15 @@ def test_parse_full_options():
             MINIMAL + "target.4.angle_deg = 1.0\n",
             r"^line 10: target\.4\.angle_deg follows a missing target\.3$",
         ),
+        # a misspelt target key in a file whose targets are complete is unknown
+        (
+            MINIMAL + "target.1.angel_deg = 1.0\n",
+            r"^line 10: unknown key 'target\.1\.angel_deg'$",
+        ),
+        (
+            MINIMAL + "target.x.range_m = 1.0\n",
+            r"^line 10: unknown key 'target\.x\.range_m'$",
+        ),
         (
             MINIMAL.replace("= 76e9", "= nan"),
             r"^line 3: array\.carrier_freq_hz must be finite and positive, got nan$",

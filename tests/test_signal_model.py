@@ -6,16 +6,13 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from elaa_doa.geometry import SPEED_OF_LIGHT, ArrayConfig, Target, field_regions
-from elaa_doa.scenarios import builtin_scenarios
 from elaa_doa.signal_model import (
     SteeringModel,
     _steering_entries,
     array_factor,
     nearfield_atoms,
     select_model,
-    noise_variance,
     snapshot,
-    snapshots,
     split_ulas,
     steering,
     steering_exact,
@@ -132,33 +129,6 @@ def test_snapshot_reuses_read_only_steering(paper_cfg, model):
     snap = snapshot(paper_cfg, [t], math.inf, seed=2, model=model)
     fresh = _phases(2, 1)[0] * steering(paper_cfg, t, model=model)
     assert np.array_equal(snap, fresh)
-
-
-def _one_trial(cfg, targets, snr_db, seed, model):
-    """A snapshot drawn as its docstring states, one trial at a time."""
-    rng = np.random.default_rng(seed)
-    amps = np.exp(1j * rng.uniform(0.0, 2.0 * math.pi, len(targets)))
-    y = np.zeros(cfg.n_elements, dtype=complex)
-    for target, s in zip(targets, amps):
-        y = y + s * steering(cfg, target, model=model)
-    n = cfg.n_elements
-    noise = rng.standard_normal(n) + 1j * rng.standard_normal(n)
-    return y + noise * math.sqrt(noise_variance(snr_db) / 2.0)
-
-
-@pytest.mark.parametrize("name", sorted(builtin_scenarios()))
-@pytest.mark.parametrize("size", [1, 4, 16])
-def test_chunk_snapshots_are_each_trials_own_bits(name, size):
-    spec = builtin_scenarios()[name]
-    cfg, targets, model = spec.array, spec.targets, spec.steering_model
-    for snr_db in (0.0, 17.0, 30.0, 40.0, -20.0, math.inf):
-        seeds = [(2**61 + 7919 * i + int(min(snr_db, 99.0)) * 101) % 2**64 for i in range(size)]
-        chunk = snapshots(cfg, targets, snr_db, seeds, model=model)
-        assert chunk.shape == (size, cfg.n_elements) and chunk.dtype == complex
-        rows = np.stack([snapshot(cfg, targets, snr_db, seed, model=model) for seed in seeds])
-        alone = np.stack([_one_trial(cfg, targets, snr_db, seed, model) for seed in seeds])
-        assert np.array_equal(chunk.view(np.uint64), rows.view(np.uint64))
-        assert np.array_equal(chunk.view(np.uint64), alone.view(np.uint64))
 
 
 def test_snapshot_noise_power_matches_snr(paper_cfg):

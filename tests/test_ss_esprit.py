@@ -11,7 +11,7 @@ from elaa_doa.errors import AmbiguousDealias, EstimationError, IllConditioned
 from elaa_doa.geometry import SPEED_OF_LIGHT, ArrayConfig, Target, field_regions
 from elaa_doa.harness import derive_trial_seed
 from elaa_doa.scenarios import builtin_scenarios
-from elaa_doa.signal_model import snapshot, snapshots, split_ulas
+from elaa_doa.signal_model import snapshot, split_ulas
 from elaa_doa.ss_esprit import (
     ASIN_CLAMP,
     TIE_FRACTION,
@@ -301,9 +301,10 @@ def test_chunk_picks_match_scans_of_every_rung(name):
     spec = builtin_scenarios()[name]
     cfg, k = spec.array, len(spec.targets)
     seeds = [[derive_trial_seed(5, "ss_esprit", i, t) for t in range(200)] for i in range(5)]
-    ys = np.concatenate([
-        snapshots(cfg, spec.targets, snr, cell_seeds)
+    ys = np.stack([
+        snapshot(cfg, spec.targets, snr, seed)
         for snr, cell_seeds in zip((0.0, 10.0, 20.0, 30.0, 40.0), seeds)
+        for seed in cell_seeds
     ])
     y1, y2 = split_ulas(ys)
     sub = stacked_subspace(y1, y2, default_pencil(cfg.elements_per_ula), k)

@@ -20,10 +20,10 @@ from elaa_doa.ss_music import (
     _cached_steering,
     _coarse_cells,
     _coarse_nulls,
-    _null,
     _peak_distance,
     _peaks,
     _refine_peak,
+    _surface,
     default_grid,
     estimate_doa_music,
     fused_spectrum,
@@ -337,11 +337,12 @@ def test_coarse_nulls_are_the_nulls_up_to_rounding(name, snr_db):
     # pass and the whole grid: it only chooses cells and the floor sample
     subs, scan = _subspaces(name, snr_db, 3, (0, 1))
     sums = _chunk(subs).projector_sums
-    want = _null(sums, scan.steering[:, :: scan.stride])
+    n = sums.shape[-1]
+    want = n / _surface(sums, scan.steering[:, :: scan.stride]) ** 2
     got = _coarse_nulls(sums, scan)
     assert got.shape == want.shape == (1, 2, 3600)
     np.testing.assert_allclose(got, want, rtol=0, atol=1e-13)
-    assert got.min() >= (DENOMINATOR_FLOOR * 3.0) ** 2
+    assert got.min() >= (DENOMINATOR_FLOOR * math.sqrt(n)) ** 2
 
 
 def test_coarse_subgrid_stride():
