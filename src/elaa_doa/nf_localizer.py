@@ -61,9 +61,7 @@ PARALLEL_TOL = 1e-6
 ENVELOPE_U_POINTS = 120
 ENVELOPE_R_POINTS = 12
 RANGE_SCAN_POINTS = 40
-RANGE_SPLIT_POINTS = 80
 COMB_LADDER = 8
-POLISH_STARTS = 2
 FIELD_EDGE_U = 0.866
 RANGE_SPLIT_SKIP_FRACTION = 0.03
 U_LIMIT = 0.999999
@@ -541,19 +539,38 @@ def _envelope_direction(res: np.ndarray, cfg: ArrayConfig) -> float:
     return float(us[best])
 
 
+@functools.lru_cache(maxsize=8)
+def _range_ladder(lo: float, hi: float) -> tuple[np.ndarray, ...]:
+    """The near-field search's one range ladder over a band, and its pairs.
+
+    Returns the ``RANGE_SCAN_POINTS`` log-spaced ranges, the pair
+    indices ``i < j`` and their flat indices ``i * RANGE_SCAN_POINTS +
+    j`` into a Gram matrix.  The comb scan and the range split both read
+    it, shared read-only.
+    """
+    ranges = np.geomspace(lo, hi, RANGE_SCAN_POINTS)
+    ii, jj = np.triu_indices(RANGE_SCAN_POINTS, k=1)
+    out = (ranges, ii, jj, ii * RANGE_SCAN_POINTS + jj)
+    for arr in out:
+        arr.setflags(write=False)
+    return out
+
+
 @functools.lru_cache(maxsize=4)
 def _comb_grid(cfg: ArrayConfig, u_center: float) -> tuple[np.ndarray, np.ndarray]:
     """The comb scan's grid points around ``u_center`` and their conjugated atoms.
 
-    ``u_center`` is one of the envelope scan's fixed directions, so the
-    few grids a trial's picks need are built once and shared read-only.
+    The grid crosses a ladder of direction sines at half comb-crest
+    spacing, so no crest falls between grid lines, with the range
+    ladder.  ``u_center`` is one of the envelope scan's fixed
+    directions, so the few grids a trial's picks need are built once and
+    shared read-only.
     """
     spacing = _ridge_spacing_u(cfg)
     qs = np.arange(-2 * COMB_LADDER, 2 * COMB_LADDER + 1) * (spacing / 2.0)
     us = u_center + qs
     us = us[np.abs(us) < FIELD_EDGE_U]
-    lo, hi = _range_band(cfg)
-    pts = _grid_positions(us, np.geomspace(lo, hi, RANGE_SCAN_POINTS))
+    pts = _grid_positions(us, _range_ladder(*_range_band(cfg))[0])
     filters = nearfield_atoms(cfg, pts[:, 0], pts[:, 1])
     # in place: no second atom-sized array to count in peak memory
     out = (pts, np.conjugate(filters, out=filters))
@@ -562,63 +579,15 @@ def _comb_grid(cfg: ArrayConfig, u_center: float) -> tuple[np.ndarray, np.ndarra
     return out
 
 
-def _comb_candidates(
-    res: np.ndarray, cfg: ArrayConfig, u_center: float
-) -> list[np.ndarray]:
-    """The ``POLISH_STARTS`` best diverse comb-crest candidates near a bearing.
-
-    The candidate grid crosses a ladder of direction sines at comb-crest
-    spacing around ``u_center`` with a log-spaced range sweep, sampled at
-    half spacing so no crest falls between grid lines.  The strongest
-    points win subject to a diversity rule (a fresh candidate must sit on
-    another crest or at a clearly different range), so runner-up targets
-    are kept even when one target dominates the response.
-    """
-    spacing = _ridge_spacing_u(cfg)
-    pts, filters = _comb_grid(cfg, u_center)
-    response = np.abs(filters.T @ res)
-    chosen: list[np.ndarray] = []
-    for i in np.argsort(response)[::-1]:
-        p = pts[i]
-        u, r = p[0] / math.hypot(p[0], p[1]), math.hypot(p[0], p[1])
-        distinct = True
-        for q in chosen:
-            uq, rq = q[0] / math.hypot(q[0], q[1]), math.hypot(q[0], q[1])
-            if abs(u - uq) < 0.45 * spacing and abs(math.log(r / rq)) < 0.08:
-                distinct = False
-                break
-        if distinct:
-            chosen.append(p)
-        if len(chosen) == POLISH_STARTS:
-            break
-    return chosen
-
-
 def _pick_position(res: np.ndarray, cfg: ArrayConfig) -> np.ndarray:
     """Best single-target position explaining a residual.
 
     Envelope scan for the bearing, comb scan for the crest and range,
-    local polish of the few strongest candidates.
+    and a local polish of the comb's strongest point.
     """
-    u_center = _envelope_direction(res, cfg)
-    fits = [_polish(res, cfg, [s]) for s in _comb_candidates(res, cfg, u_center)]
-    return min(fits, key=lambda fit: fit[1])[0][0]
-
-
-@functools.lru_cache(maxsize=8)
-def _split_ladder(lo: float, hi: float) -> tuple[np.ndarray, ...]:
-    """The range split's range ladder over a band and its pair indices.
-
-    Returns the ranges, the pair indices ``i < j`` and their flat
-    indices ``i * RANGE_SPLIT_POINTS + j`` into a Gram matrix, shared
-    read-only.
-    """
-    ranges = np.geomspace(lo, hi, RANGE_SPLIT_POINTS)
-    ii, jj = np.triu_indices(RANGE_SPLIT_POINTS, k=1)
-    out = (ranges, ii, jj, ii * RANGE_SPLIT_POINTS + jj)
-    for arr in out:
-        arr.setflags(write=False)
-    return out
+    pts, filters = _comb_grid(cfg, _envelope_direction(res, cfg))
+    start = pts[np.argsort(np.abs(filters.T @ res))[-1]]
+    return _polish(res, cfg, [start])[0][0]
 
 
 def _range_split_positions(
@@ -630,20 +599,21 @@ def _range_split_positions(
     scan and to greedy single-atom picks, which settle on blends between
     the true ranges.  Restricted to one bearing, the two-atom fit is
     cheap in closed form (2x2 Gram solve per range pair), so all pairs
-    of a log-spaced range ladder are tested exhaustively; the bearing
-    itself is swept over a ladder of comb-crest offsets around
-    ``u_center`` because a greedy pick may sit on the wrong crest.
+    of the comb scan's range ladder are tested exhaustively; the bearing
+    itself is swept over a ladder of whole comb-crest offsets around
+    ``u_center``, a greedy pick's own bearing, because the pick may sit
+    on the wrong crest.
     Returns the best pair, or None when no pair is well-conditioned.
     """
     spacing = _ridge_spacing_u(cfg)
-    ranges, ii, jj, flat = _split_ladder(*_range_band(cfg))
+    ranges, ii, jj, flat = _range_ladder(*_range_band(cfg))
     us = [u_center + q * spacing for q in range(-COMB_LADDER, COMB_LADDER + 1)]
     us = [u for u in us if -FIELD_EDGE_U < u < FIELD_EDGE_U]
     roots = [math.sqrt(1.0 - u * u) for u in us]
     # every rung's atoms from one call; each rung is copied contiguous so
     # its products see the layout, and give the bits, of a rung built alone
     rungs = nearfield_atoms(cfg, np.outer(us, ranges), np.outer(roots, ranges))
-    rungs = rungs.reshape(cfg.n_elements, len(us), RANGE_SPLIT_POINTS).transpose(1, 0, 2)
+    rungs = rungs.reshape(cfg.n_elements, len(us), len(ranges)).transpose(1, 0, 2)
     y_sq = float(np.vdot(y, y).real)
     best: tuple[float, float, int, int] | None = None
     # every pair is computed, then those the polish would call coincident are barred

@@ -18,7 +18,6 @@ from elaa_doa.nf_localizer import (
     POLISH_LOG_R_CAP,
     POLISH_MAX_STEPS,
     RANGE_SCAN_POINTS,
-    RANGE_SPLIT_POINTS,
     Association,
     _comb_grid,
     _envelope_grid,
@@ -29,9 +28,9 @@ from elaa_doa.nf_localizer import (
     _polish,
     _project_residual,
     _range_band,
+    _range_ladder,
     _range_split_positions,
     _ridge_spacing_u,
-    _split_ladder,
     associate,
     local_doas,
     localize,
@@ -594,9 +593,15 @@ def test_range_split_recovers_ladder(paper_cfg):
     y = sum(steering(paper_cfg, target) for target in targets)
     pair = _range_split_positions(y, paper_cfg, 0.0)
     assert pair is not None
+    # each split range is one of the two ladder rungs around its truth
+    ladder = _range_ladder(*_range_band(paper_cfg))[0]
     ranges = sorted(float(np.hypot(p[0], p[1])) for p in pair)
-    assert ranges[0] == pytest.approx(4.0, abs=0.5)
-    assert ranges[1] == pytest.approx(6.0, abs=0.5)
+    for r, truth in zip(ranges, (4.0, 6.0)):
+        above = int(np.searchsorted(ladder, truth))
+        assert r in (ladder[above - 1], ladder[above]), (r, truth)
+    # and one joint polish from the split reaches both truths
+    polished, _ = _polish(y, paper_cfg, pair)
+    assert _match(polished, truths) < 1e-6
 
 
 def test_localize_noiseless_split_bearings(paper_cfg):
@@ -756,15 +761,16 @@ def test_localize_pins_fig4_near_b_trials():
     # the scan grids cached; neither changes a digit on these trials.  The
     # deflation trials are recorded again since snapshots take their
     # near-field entries from the localizer's atom builder, which moves
-    # them by a few nanometres
+    # them by a few nanometres, and again since the search reads one
+    # range ladder and polishes one comb start per pick (up to 1.3e-5 m)
     spec = builtin_scenarios()["fig4_near_b"]
     pinned = [
-        (42, 2, "deflation", [(2.463176821879929e-05, 4.014109269159362),
-                              (3.589979370808631e-05, 6.0598883876423235)]),
-        (42, 3, "deflation", [(6.464324185741826e-06, 4.06619759742697),
-                              (7.861281015920819e-05, 6.141763611885326)]),
-        (42, 4, "deflation", [(4.932117693517801e-05, 5.802464213491472),
-                              (-4.0090416525863406e-05, 3.94993102241141)]),
+        (42, 2, "deflation", [(2.4631760529013398e-05, 4.014110952122057),
+                              (3.58996705509823e-05, 6.0598815391215135)]),
+        (42, 3, "deflation", [(6.4655345810394685e-06, 4.066207780879484),
+                              (7.861003982692109e-05, 6.14175421063719)]),
+        (42, 4, "deflation", [(4.9318876944016716e-05, 5.8024766737374724),
+                              (-4.008890302515818e-05, 3.9499229811751477)]),
         (42, 323, "pair", [(0.1389648108940638, 4.837636809062943),
                            (-0.14581894967151224, 5.063166052191361)]),
         (7, 350, "pair", [(-0.1466565055459237, 4.304783464450319),
@@ -780,6 +786,30 @@ def test_localize_pins_fig4_near_b_trials():
                 base_seed,
                 trial,
             )
+
+
+def test_range_split_is_anchored_on_a_greedy_pick_bearing(monkeypatch):
+    # the range split centres its whole-crest rungs on the bearing of a
+    # greedy pick, not on the envelope direction the comb scan starts from
+    spec = builtin_scenarios()["fig4_near_b"]
+    picks = _record_calls(monkeypatch, nf_localizer, "_pick_position")
+    envelopes = _record_calls(monkeypatch, nf_localizer, "_envelope_direction")
+    anchors = []
+    split = nf_localizer._range_split_positions
+
+    def recorded(y, cfg, u_center):
+        anchors.append((u_center, list(picks), list(envelopes)))
+        return split(y, cfg, u_center)
+
+    monkeypatch.setattr(nf_localizer, "_range_split_positions", recorded)
+    for trial in (2, 3, 4):
+        seed = derive_trial_seed(42, "nf_localize", 0, trial)
+        snap = snapshot(spec.array, spec.targets, 30.0, seed, model=spec.steering_model)
+        assert localize(snap, spec.array, 2).route == "deflation"
+    assert len(anchors) >= 3
+    for u_center, picked, scanned in anchors:
+        assert u_center in [float(p[0] / math.hypot(p[0], p[1])) for p in picked[-2:]]
+        assert u_center not in scanned
 
 
 def test_localize_fallback_weighs_deflation_against_the_triangulated_pairs(monkeypatch):
@@ -832,14 +862,23 @@ def test_comb_grid_is_built_once_and_read_only(paper_cfg):
         assert np.array_equal(filters, nearfield_atoms(paper_cfg, fresh[:, 0], fresh[:, 1]).conj())
 
 
-def test_split_ladder_is_built_once_and_read_only(paper_cfg):
+def test_comb_grid_and_range_split_read_one_range_ladder(paper_cfg, monkeypatch):
     lo, hi = _range_band(paper_cfg)
-    ladder = _split_ladder(lo, hi)
-    assert _split_ladder(lo, hi)[0] is ladder[0]
+    ladder = _range_ladder(lo, hi)
+    assert _range_ladder(lo, hi)[0] is ladder[0]
     assert not any(arr.flags.writeable for arr in ladder)
     ranges, ii, jj, flat = ladder
-    assert np.array_equal(ranges, np.geomspace(lo, hi, RANGE_SPLIT_POINTS))
-    fresh_ii, fresh_jj = np.triu_indices(RANGE_SPLIT_POINTS, k=1)
+    assert np.array_equal(ranges, np.geomspace(lo, hi, RANGE_SCAN_POINTS))
+    fresh_ii, fresh_jj = np.triu_indices(RANGE_SCAN_POINTS, k=1)
     assert np.array_equal(ii, fresh_ii) and np.array_equal(jj, fresh_jj)
-    square = np.arange(RANGE_SPLIT_POINTS**2).reshape(RANGE_SPLIT_POINTS, -1)
+    square = np.arange(RANGE_SCAN_POINTS**2).reshape(RANGE_SCAN_POINTS, -1)
     assert np.array_equal(square.take(flat), square[fresh_ii, fresh_jj])
+    # both scans of one trial get that same array
+    read = _record_calls(monkeypatch, nf_localizer, "_range_ladder")
+    _comb_grid.cache_clear()
+    rng = np.random.default_rng(3)
+    y = rng.normal(size=paper_cfg.n_elements) + 1j * rng.normal(size=paper_cfg.n_elements)
+    nf_localizer._pick_position(y, paper_cfg)
+    _range_split_positions(y, paper_cfg, 0.0)
+    assert len(read) == 2
+    assert all(out[0] is ranges for out in read)
