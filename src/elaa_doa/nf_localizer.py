@@ -124,22 +124,52 @@ class LocalizationResult:
 def triangulate(angles: tuple[float, float], cfg: ArrayConfig) -> np.ndarray:
     """Intersection of a (ULA1, ULA2) local-DOA pair's bearings.
 
+    The one-pair case of :func:`_intersections`: raises its
+    ``ParallelBearings`` or ``BehindArray`` when the pair has no
+    intersection in front of the array.
+    """
+    points, errors = _intersections([angles[0]], [angles[1]], cfg)
+    if errors[0] is not None:
+        raise errors[0]
+    return points[0]
+
+
+def _intersections(
+    angles1: list[float], angles2: list[float], cfg: ArrayConfig
+) -> tuple[np.ndarray, list[EstimationError | None]]:
+    """Intersections of many (ULA1, ULA2) bearing pairs, and why each failed.
+
     Each bearing is a ray from its sub-array's reference element.  The
     ranges along the rays solve the 2x2 system that makes their points
     meet; in the plane non-parallel lines always do, and the midpoint of
-    the two points is returned.
+    the two points is the pair's row of the returned ``(N, 2)`` array.
+    All systems are one stacked solve, one LAPACK ``gesv`` per system as
+    for a system alone.  A pair's error is ``ParallelBearings`` or
+    ``BehindArray`` when it has no intersection in front of the array
+    (its row is then meaningless), and None otherwise.
     """
     refs = reference_positions(cfg)
-    d1, d2 = (np.array([math.sin(a), math.cos(a)]) for a in angles)
-    cross = d1[0] * d2[1] - d1[1] * d2[0]
-    if abs(cross) < PARALLEL_TOL:
-        raise ParallelBearings(f"|sin| of bearing angle difference {abs(cross):.2e}")
-    ranges = np.linalg.solve(np.column_stack([d1, -d2]), [refs[1] - refs[0], 0.0])
-    if ranges[0] <= 0 or ranges[1] <= 0:
-        raise BehindArray(f"intersection ranges {ranges[0]:.3g}, {ranges[1]:.3g}")
-    p1 = np.array([refs[0], 0.0]) + ranges[0] * d1
-    p2 = np.array([refs[1], 0.0]) + ranges[1] * d2
-    return (p1 + p2) / 2.0
+    d1, d2 = (
+        np.array([(math.sin(a), math.cos(a)) for a in angles]) for angles in (angles1, angles2)
+    )
+    cross = d1[:, 0] * d2[:, 1] - d1[:, 1] * d2[:, 0]
+    parallel = np.abs(cross) < PARALLEL_TOL
+    systems = np.stack([d1, -d2], axis=2)
+    # parallel pairs solve a stand-in system; their rows are never used
+    systems[parallel] = np.eye(2)
+    rhs = np.tile([refs[1] - refs[0], 0.0], (len(d1), 1))
+    ranges = np.linalg.solve(systems, rhs[..., None])[..., 0]
+    p1 = np.array([refs[0], 0.0]) + ranges[:, :1] * d1
+    p2 = np.array([refs[1], 0.0]) + ranges[:, 1:] * d2
+    errors: list[EstimationError | None] = []
+    for c, (r1, r2), flat in zip(cross.tolist(), ranges.tolist(), parallel.tolist()):
+        if flat:
+            errors.append(ParallelBearings(f"|sin| of bearing angle difference {abs(c):.2e}"))
+        elif r1 <= 0 or r2 <= 0:
+            errors.append(BehindArray(f"intersection ranges {r1:.3g}, {r2:.3g}"))
+        else:
+            errors.append(None)
+    return (p1 + p2) / 2.0, errors
 
 
 def local_doas(
@@ -186,15 +216,13 @@ def associate(
     if k == 0:
         raise ValueError("per-sub-array DOA lists are empty")
     y = np.asarray(y, dtype=complex)
-    points: dict[tuple[int, int], np.ndarray] = {}
-    for i in range(k):
-        for j in range(k):
-            try:
-                pos = triangulate((float(doas1[i]), float(doas2[j])), cfg)
-            except EstimationError:
-                continue
-            if pos[1] > 0.0:
-                points[(i, j)] = pos
+    candidates = list(itertools.product(range(k), repeat=2))
+    xy, errors = _intersections(
+        [float(doas1[i]) for i, _ in candidates], [float(doas2[j]) for _, j in candidates], cfg
+    )
+    points = {
+        p: pos for p, pos, err in zip(candidates, xy, errors) if err is None and pos[1] > 0.0
+    }
     best: tuple[float, tuple[int, ...], tuple[tuple[int, int], ...]] | None = None
     for perm in itertools.permutations(range(k)):
         pairs = tuple((i, perm[i]) for i in range(k) if (i, perm[i]) in points)
@@ -256,9 +284,19 @@ def _polar_atom(layout: NearfieldLayout, us, log_rs, y: np.ndarray) -> np.ndarra
     return rows
 
 
-def _matched_response(res: np.ndarray, cfg: ArrayConfig, pos: np.ndarray) -> float:
-    atom = nearfield_atoms(cfg, pos[0], pos[1])[:, 0]
-    return float(abs(np.vdot(atom, res))) / math.sqrt(len(atom))
+def _matched_responses(
+    res: np.ndarray, cfg: ArrayConfig, positions: list[np.ndarray]
+) -> list[float]:
+    """``|<atom, res>| / sqrt(n)`` at each position, from one atom build.
+
+    Each atom is a contiguous row, so its product gives the bits of an
+    atom built alone.
+    """
+    if not positions:
+        return []
+    xy = np.array(positions)
+    atoms = np.ascontiguousarray(nearfield_atoms(cfg, xy[:, 0], xy[:, 1]).T)
+    return [float(abs(np.vdot(atom, res))) / math.sqrt(len(atom)) for atom in atoms]
 
 
 def _project_residual(
@@ -556,7 +594,7 @@ def _range_ladder(lo: float, hi: float) -> tuple[np.ndarray, ...]:
     return out
 
 
-@functools.lru_cache(maxsize=4)
+@functools.lru_cache(maxsize=8)
 def _comb_grid(cfg: ArrayConfig, u_center: float) -> tuple[np.ndarray, np.ndarray]:
     """The comb scan's grid points around ``u_center`` and their conjugated atoms.
 
@@ -592,7 +630,7 @@ def _pick_position(res: np.ndarray, cfg: ArrayConfig) -> np.ndarray:
 
 def _range_split_positions(
     y: np.ndarray, cfg: ArrayConfig, u_center: float
-) -> list[np.ndarray] | None:
+) -> tuple[list[np.ndarray] | None, float]:
     """Best two same-bearing atoms at different ranges, jointly fitted.
 
     Targets that share a bearing are invisible to every per-sub-array
@@ -603,52 +641,70 @@ def _range_split_positions(
     itself is swept over a ladder of whole comb-crest offsets around
     ``u_center``, a greedy pick's own bearing, because the pick may sit
     on the wrong crest.
-    Returns the best pair, or None when no pair is well-conditioned.
+    Returns the best pair and its raw squared residual, the snapshot's
+    energy less the pair's fitted energy; with no well-conditioned pair,
+    None and infinity.
     """
     spacing = _ridge_spacing_u(cfg)
     ranges, ii, jj, flat = _range_ladder(*_range_band(cfg))
     us = [u_center + q * spacing for q in range(-COMB_LADDER, COMB_LADDER + 1)]
     us = [u for u in us if -FIELD_EDGE_U < u < FIELD_EDGE_U]
+    if not us:
+        return None, math.inf
     roots = [math.sqrt(1.0 - u * u) for u in us]
-    # every rung's atoms from one call; each rung is copied contiguous so
-    # its products see the layout, and give the bits, of a rung built alone
-    rungs = nearfield_atoms(cfg, np.outer(us, ranges), np.outer(roots, ranges))
-    rungs = rungs.reshape(cfg.n_elements, len(us), len(ranges)).transpose(1, 0, 2)
+    # every rung's atoms from one call, copied so that each rung is one
+    # contiguous block: the stacked products then make, rung by rung, the
+    # BLAS calls of a rung built alone, and give its bits
+    n_ranges = len(ranges)
+    atoms = np.ascontiguousarray(
+        nearfield_atoms(cfg, np.outer(us, ranges), np.outer(roots, ranges))
+        .reshape(cfg.n_elements, len(us), n_ranges)
+        .transpose(1, 0, 2)
+    )
+    filters = atoms.conj().transpose(0, 2, 1)
+    b = filters @ y
+    gram = (filters @ atoms).reshape(len(us), -1)
+    # the pair algebra runs on every rung at once, in place where it can,
+    # with only the Gram entries it reads kept alive: a small peak memory
+    del atoms, filters
+    diag = gram[:, :: n_ranges + 1].real.copy()
+    gij = gram.take(flat, axis=1)
+    del gram
     y_sq = float(np.vdot(y, y).real)
-    best: tuple[float, float, int, int] | None = None
-    # every pair is computed, then those the polish would call coincident are barred
+    # every pair of every rung is computed, then those the polish would
+    # call coincident are barred
     with np.errstate(divide="ignore", invalid="ignore"):
-        for u, atoms in zip(us, rungs):
-            atoms = np.ascontiguousarray(atoms)
-            filters = atoms.conj()
-            b = filters.T @ y
-            gram = filters.T @ atoms
-            diag = gram.diagonal().real
-            b_sq = np.abs(b) ** 2
-            gii = diag.take(ii)
-            gjj = diag.take(jj)
-            gij = gram.take(flat)
-            det = gii * gjj - np.abs(gij) ** 2
-            quad = (
-                gjj * b_sq.take(ii)
-                + gii * b_sq.take(jj)
-                - 2.0 * np.real(gij * np.conj(b.take(ii)) * b.take(jj))
-            ) / det
-            quad[~(det > COINCIDENT_GRAM * gii * gjj)] = -np.inf
-            k = int(np.argmax(quad))
-            if quad[k] == -np.inf:
-                continue
-            residual_sq = y_sq - float(quad[k])
-            if best is None or residual_sq < best[0]:
-                best = (residual_sq, u, int(ii[k]), int(jj[k]))
+        b_sq = np.abs(b) ** 2
+        gii = diag.take(ii, axis=1)
+        gjj = diag.take(jj, axis=1)
+        det = gii * gjj
+        det -= np.abs(gij) ** 2
+        cross = gij * np.conj(b).take(ii, axis=1)
+        del gij
+        cross *= b.take(jj, axis=1)
+        quad = gjj * b_sq.take(ii, axis=1)
+        quad += gii * b_sq.take(jj, axis=1)
+        quad -= 2.0 * cross.real
+        del cross
+        quad /= det
+        quad[~(det > COINCIDENT_GRAM * gii * gjj)] = -np.inf
+    picks = np.argmax(quad, axis=1)
+    tops = quad[np.arange(len(us)), picks]
+    best: tuple[float, float, int, int] | None = None
+    for u, top, k in zip(us, tops.tolist(), picks.tolist()):
+        if top == -math.inf:
+            continue
+        residual_sq = y_sq - top
+        if best is None or residual_sq < best[0]:
+            best = (residual_sq, u, int(ii[k]), int(jj[k]))
     if best is None:
-        return None
-    _, u, i, j = best
+        return None, math.inf
+    raw, u, i, j = best
     root = math.sqrt(1.0 - u * u)
     return [
         np.array([ranges[i] * u, ranges[i] * root]),
         np.array([ranges[j] * u, ranges[j] * root]),
-    ]
+    ], raw
 
 
 def _matched_filter_positions(
@@ -666,9 +722,12 @@ def _matched_filter_positions(
     snapshot down to a small fraction of its energy, since a blend
     leaves behind a signal-level residual no matter the noise.  Both
     routes end with one joint polish of their atoms, and the smaller
-    joint residual wins.  No further ladder runs once the best fit so
-    far has a squared residual of at most ``floor``, the noise a correct
-    model leaves behind.  Returns the positions and that residual norm.
+    joint residual wins.  A ladder's pair is polished only when its raw
+    (unpolished) fit is better than every earlier ladder's: a ladder
+    that fits no better is split but not polished.  No further ladder
+    runs once the best fit so far has a squared residual of at most
+    ``floor``, the noise a correct model leaves behind.  Returns the
+    positions and that residual norm.
     """
     picks: list[np.ndarray] = []
     for _ in range(num_sources):
@@ -682,6 +741,7 @@ def _matched_filter_positions(
         log_lo, log_hi = (math.log(v) for v in _range_band(cfg))
         half_cell = 0.5 * (log_hi - log_lo) / (RANGE_SCAN_POINTS - 1)
         tried: list[float] = []
+        best_raw = math.inf
         for p in picks:
             if best[1] ** 2 <= floor:
                 break
@@ -695,9 +755,11 @@ def _matched_filter_positions(
             if any(abs(u - t) < 0.3 * spacing for t in tried):
                 continue
             tried.append(u)
-            split = _range_split_positions(y, cfg, u)
-            if split is None:
+            split, raw = _range_split_positions(y, cfg, u)
+            # a ladder with no pair (raw is infinite) or no better raw fit
+            if not raw < best_raw:
                 continue
+            best_raw = raw
             candidate = _polish(y, cfg, split)
             if candidate[1] < best[1]:
                 best = candidate
@@ -774,8 +836,8 @@ def localize(y: np.ndarray, cfg: ArrayConfig, num_sources: int) -> LocalizationR
             positions, route, residual = defl_positions, "deflation", defl_res
             pairs = (None,) * num_sources
     entries = [
-        LocalizedTarget(position=p, score=_matched_response(y, cfg, p) / y_norm, pair=pair)
-        for p, pair in zip(positions, pairs)
+        LocalizedTarget(position=p, score=response / y_norm, pair=pair)
+        for p, response, pair in zip(positions, _matched_responses(y, cfg, positions), pairs)
     ]
     unpaired = LocalizedTarget(position=None, score=0.0, pair=None, error="Unpaired")
     entries += [unpaired] * (num_sources - len(entries))

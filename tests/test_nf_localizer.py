@@ -23,7 +23,8 @@ from elaa_doa.nf_localizer import (
     _envelope_grid,
     _grid_positions,
     _pair_gate,
-    _matched_response,
+    _intersections,
+    _matched_responses,
     _polar_atom,
     _polish,
     _project_residual,
@@ -92,6 +93,53 @@ def test_triangulate_exact(r, angle):
     geo = local_geometry(cfg, target)
     point = triangulate((float(geo.angles[0]), float(geo.angles[1])), cfg)
     assert point == pytest.approx(list(target.position), rel=1e-9, abs=1e-9)
+
+
+def _triangulate_alone(angles, cfg):
+    """One pair's intersection from its own 2x2 solve, the stack's reference."""
+    refs = reference_positions(cfg)
+    d1, d2 = (np.array([math.sin(a), math.cos(a)]) for a in angles)
+    ranges = np.linalg.solve(np.column_stack([d1, -d2]), [refs[1] - refs[0], 0.0])
+    p1 = np.array([refs[0], 0.0]) + ranges[0] * d1
+    p2 = np.array([refs[1], 0.0]) + ranges[1] * d2
+    return (p1 + p2) / 2.0
+
+
+def test_intersections_stack_gives_each_pair_its_own_bits(paper_cfg):
+    # the local bearings of targets in front of the array, crossed
+    rng = np.random.default_rng(4)
+    targets = [
+        Target(range=r, angle=a)
+        for r, a in zip(rng.uniform(2.0, 50.0, 4), rng.uniform(-0.6, 0.6, 4))
+    ]
+    bearings = [local_geometry(paper_cfg, t).angles for t in targets]
+    angles1 = [float(b1[0]) for b1 in bearings for _ in bearings]
+    angles2 = [float(b2[1]) for _ in bearings for b2 in bearings]
+    # a parallel pair and one that meets behind the array, mid-stack
+    angles1[1] = angles2[1] = 0.3
+    angles1[2], angles2[2] = -math.pi / 4.0, math.pi / 4.0
+    points, errors = _intersections(angles1, angles2, paper_cfg)
+    assert isinstance(errors[1], ParallelBearings)
+    assert isinstance(errors[2], BehindArray)
+    for n, (a1, a2) in enumerate(zip(angles1, angles2)):
+        if errors[n] is None:
+            assert np.array_equal(points[n], _triangulate_alone((a1, a2), paper_cfg)), n
+            assert np.array_equal(points[n], triangulate((a1, a2), paper_cfg)), n
+    # every target's own pair meets at the target
+    for n, target in enumerate(targets):
+        assert points[5 * n] == pytest.approx(list(target.position), rel=1e-9)
+
+
+def test_matched_responses_are_each_positions_own(paper_cfg):
+    positions = list(_grid_positions(np.array([-0.2, 0.0, 0.3]), np.array([4.0, 6.0])))
+    rng = np.random.default_rng(6)
+    y = rng.normal(size=paper_cfg.n_elements) + 1j * rng.normal(size=paper_cfg.n_elements)
+    responses = _matched_responses(y, paper_cfg, positions)
+    assert len(responses) == len(positions)
+    for pos, response in zip(positions, responses):
+        atom = nearfield_atoms(paper_cfg, pos[0], pos[1])[:, 0]
+        assert response == float(abs(np.vdot(atom, y))) / math.sqrt(len(atom))
+    assert _matched_responses(y, paper_cfg, []) == []
 
 
 def _band_corners(cfg):
@@ -278,8 +326,8 @@ def test_polish_never_lowers_the_matched_response(paper_cfg):
         )
         (found,), _ = _polish(y, paper_cfg, [seed])
         # a polish that takes no step returns its seed up to rounding
-        before = _matched_response(y, paper_cfg, seed)
-        assert _matched_response(y, paper_cfg, found) >= before * (1.0 - 1e-12)
+        before, after = _matched_responses(y, paper_cfg, [seed, found])
+        assert after >= before * (1.0 - 1e-12)
 
 
 @pytest.mark.parametrize("n_atoms", [1, 2, 3])
@@ -494,7 +542,7 @@ def test_range_split_skips_picks_on_the_band_edge(paper_cfg, monkeypatch):
 
     def split(y, cfg, u_center):
         anchors.append(u_center)
-        return None
+        return None, math.inf
 
     monkeypatch.setattr(nf_localizer, "_range_split_positions", split)
     rng = np.random.default_rng(5)
@@ -508,7 +556,8 @@ def test_range_split_skips_picks_on_the_band_edge(paper_cfg, monkeypatch):
 def test_deflation_ladders_stop_at_the_noise_floor(paper_cfg, monkeypatch, floor, ladders):
     # two in-band picks on distinct bearings; the joint polish leaves a
     # squared residual of 0.25 and the first ladder's polish 0.16, so a
-    # floor between them stops the search after one ladder
+    # floor between them stops the search after one ladder.  The second
+    # ladder's raw pair fits better than the first's, so it is polished
     picks = iter(_grid_positions(np.array([-0.3, 0.1]), np.array([5.0])))
     monkeypatch.setattr(nf_localizer, "_pick_position", lambda res, cfg: next(picks))
     fits = iter([0.5, 0.4, 0.3])
@@ -516,10 +565,11 @@ def test_deflation_ladders_stop_at_the_noise_floor(paper_cfg, monkeypatch, floor
         nf_localizer, "_polish", lambda y, cfg, seeds: (list(seeds), next(fits))
     )
     anchors = []
+    raws = iter([0.9, 0.8])
 
     def split(y, cfg, u_center):
         anchors.append(u_center)
-        return [np.array([0.0, 4.0]), np.array([0.0, 6.0])]
+        return [np.array([0.0, 4.0]), np.array([0.0, 6.0])], next(raws)
 
     monkeypatch.setattr(nf_localizer, "_range_split_positions", split)
     # a signal-level residual, far above the skip fraction of the snapshot
@@ -527,6 +577,39 @@ def test_deflation_ladders_stop_at_the_noise_floor(paper_cfg, monkeypatch, floor
     _, residual = nf_localizer._matched_filter_positions(y, paper_cfg, 2, floor)
     assert anchors == [pytest.approx(-0.3), pytest.approx(0.1)][:ladders]
     assert residual == [0.5, 0.4, 0.3][ladders]
+
+
+@pytest.mark.parametrize("second_raw, polishes", [(0.9, 2), (1.0, 2), (0.8, 3)])
+def test_deflation_polishes_a_ladder_only_when_its_raw_pair_fits_better(
+    paper_cfg, monkeypatch, second_raw, polishes
+):
+    # the first ladder's raw pair leaves 0.9; a second ladder whose raw
+    # pair leaves as much or more is split but not polished, and one that
+    # leaves less is polished and wins with its smaller polished residual
+    picks = iter(_grid_positions(np.array([-0.3, 0.1]), np.array([5.0])))
+    monkeypatch.setattr(nf_localizer, "_pick_position", lambda res, cfg: next(picks))
+    fits = iter([0.5, 0.4, 0.3])
+    monkeypatch.setattr(
+        nf_localizer, "_polish", lambda y, cfg, seeds: (list(seeds), next(fits))
+    )
+    first = [np.array([0.0, 4.0]), np.array([0.0, 6.0])]
+    second = [np.array([0.5, 4.0]), np.array([0.5, 6.0])]
+    splits = iter([(first, 0.9), (second, second_raw)])
+    anchors = []
+
+    def split(y, cfg, u_center):
+        anchors.append(u_center)
+        return next(splits)
+
+    monkeypatch.setattr(nf_localizer, "_range_split_positions", split)
+    polished = _record_calls(monkeypatch, nf_localizer, "_polish")
+    y = np.full(paper_cfg.n_elements, 0.1 + 0j)
+    positions, residual = nf_localizer._matched_filter_positions(y, paper_cfg, 2, 0.0)
+    assert anchors == [pytest.approx(-0.3), pytest.approx(0.1)]
+    assert len(polished) == polishes
+    assert residual == [0.5, 0.4, 0.3][polishes - 1]
+    winner = second if polishes == 3 else first
+    assert all(np.array_equal(p, q) for p, q in zip(positions, winner))
 
 
 def test_deflation_floor_saves_ladders_not_hits(monkeypatch):
@@ -591,8 +674,10 @@ def test_range_split_recovers_ladder(paper_cfg):
     targets = [Target.from_position(p[0], p[1]) for p in truths]
     # noiseless zero-phase data: the steering sum
     y = sum(steering(paper_cfg, target) for target in targets)
-    pair = _range_split_positions(y, paper_cfg, 0.0)
+    pair, raw = _range_split_positions(y, paper_cfg, 0.0)
     assert pair is not None
+    # the raw residual is the squared residual of the pair's joint fit
+    assert raw == pytest.approx(_project_residual(y, pair, paper_cfg)[1] ** 2, rel=1e-6)
     # each split range is one of the two ladder rungs around its truth
     ladder = _range_ladder(*_range_band(paper_cfg))[0]
     ranges = sorted(float(np.hypot(p[0], p[1])) for p in pair)
@@ -602,6 +687,54 @@ def test_range_split_recovers_ladder(paper_cfg):
     # and one joint polish from the split reaches both truths
     polished, _ = _polish(y, paper_cfg, pair)
     assert _match(polished, truths) < 1e-6
+
+
+def _range_split_rung_by_rung(y, cfg, u_center):
+    """The range split's best pair and raw residual, one rung at a time."""
+    spacing = _ridge_spacing_u(cfg)
+    ranges, ii, jj, flat = _range_ladder(*_range_band(cfg))
+    y_sq = float(np.vdot(y, y).real)
+    best = None
+    for q in range(-COMB_LADDER, COMB_LADDER + 1):
+        u = u_center + q * spacing
+        if not -FIELD_EDGE_U < u < FIELD_EDGE_U:
+            continue
+        root = math.sqrt(1.0 - u * u)
+        atoms = nearfield_atoms(cfg, ranges * u, ranges * root)
+        filters = atoms.conj()
+        b = filters.T @ y
+        gram = filters.T @ atoms
+        diag = gram.diagonal().real
+        gii, gjj, gij = diag.take(ii), diag.take(jj), gram.take(flat)
+        det = gii * gjj - np.abs(gij) ** 2
+        b_sq = np.abs(b) ** 2
+        with np.errstate(divide="ignore", invalid="ignore"):
+            quad = (
+                gjj * b_sq.take(ii)
+                + gii * b_sq.take(jj)
+                - 2.0 * np.real(gij * np.conj(b.take(ii)) * b.take(jj))
+            ) / det
+        quad[~(det > nf_localizer.COINCIDENT_GRAM * gii * gjj)] = -np.inf
+        k = int(np.argmax(quad))
+        if quad[k] > -np.inf and (best is None or y_sq - float(quad[k]) < best[0]):
+            best = (y_sq - float(quad[k]), u, int(ii[k]), int(jj[k]))
+    raw, u, i, j = best
+    root = math.sqrt(1.0 - u * u)
+    return [ranges[i] * np.array([u, root]), ranges[j] * np.array([u, root])], raw
+
+
+@pytest.mark.parametrize("u_center", [0.0, 0.31, -0.8])
+def test_range_split_stacked_rungs_give_each_rungs_own_bits(paper_cfg, u_center):
+    # all rungs go through stacked products and one pass of pair algebra;
+    # each rung's products and pairs keep the bits of that rung alone
+    rng = np.random.default_rng(17)
+    n = paper_cfg.n_elements
+    for _ in range(10):
+        y = rng.normal(size=n) + 1j * rng.normal(size=n)
+        pair, raw = _range_split_positions(y, paper_cfg, u_center)
+        alone, raw_alone = _range_split_rung_by_rung(y, paper_cfg, u_center)
+        assert raw == raw_alone
+        assert all(np.array_equal(p, q) for p, q in zip(pair, alone))
 
 
 def test_localize_noiseless_split_bearings(paper_cfg):
@@ -843,7 +976,15 @@ def test_range_split_zero_width_band_has_no_pair(paper_cfg, monkeypatch):
     y = nearfield_atoms(paper_cfg, truth[0], truth[1])[:, 0]
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        assert _range_split_positions(y, paper_cfg, 0.0) is None
+        assert _range_split_positions(y, paper_cfg, 0.0) == (None, math.inf)
+
+
+def test_range_split_beyond_the_field_edge_has_no_pair(paper_cfg):
+    # a polished pick can end beyond the scanned field, where every rung
+    # of its ladder is cut
+    y = np.ones(paper_cfg.n_elements, dtype=complex)
+    u_center = FIELD_EDGE_U + (COMB_LADDER + 1) * _ridge_spacing_u(paper_cfg)
+    assert _range_split_positions(y, paper_cfg, u_center) == (None, math.inf)
 
 
 def test_comb_grid_is_built_once_and_read_only(paper_cfg):
@@ -860,6 +1001,27 @@ def test_comb_grid_is_built_once_and_read_only(paper_cfg):
         )
         assert np.array_equal(pts, fresh)
         assert np.array_equal(filters, nearfield_atoms(paper_cfg, fresh[:, 0], fresh[:, 1]).conj())
+
+
+def test_comb_grid_keeps_eight_envelope_directions(paper_cfg):
+    assert _comb_grid.cache_info().maxsize == 8
+    us = _envelope_grid(paper_cfg)[0]
+    _comb_grid.cache_clear()
+    for u_center in us[:8]:
+        _comb_grid(paper_cfg, float(u_center))
+    # the first of eight directions is still held
+    _comb_grid(paper_cfg, float(us[0]))
+    info = _comb_grid.cache_info()
+    assert (info.hits, info.misses) == (1, 8)
+    # a pick whose envelope direction repeats reads the grid it built
+    rng = np.random.default_rng(11)
+    y = rng.normal(size=paper_cfg.n_elements) + 1j * rng.normal(size=paper_cfg.n_elements)
+    _comb_grid.cache_clear()
+    first = nf_localizer._pick_position(y, paper_cfg)
+    again = nf_localizer._pick_position(y, paper_cfg)
+    info = _comb_grid.cache_info()
+    assert (info.hits, info.misses) == (1, 1)
+    assert np.array_equal(first, again)
 
 
 def test_comb_grid_and_range_split_read_one_range_ladder(paper_cfg, monkeypatch):
@@ -879,6 +1041,7 @@ def test_comb_grid_and_range_split_read_one_range_ladder(paper_cfg, monkeypatch)
     rng = np.random.default_rng(3)
     y = rng.normal(size=paper_cfg.n_elements) + 1j * rng.normal(size=paper_cfg.n_elements)
     nf_localizer._pick_position(y, paper_cfg)
-    _range_split_positions(y, paper_cfg, 0.0)
+    pair, _ = _range_split_positions(y, paper_cfg, 0.0)
+    assert pair is not None
     assert len(read) == 2
     assert all(out[0] is ranges for out in read)
