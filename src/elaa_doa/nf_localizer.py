@@ -54,7 +54,7 @@ from .signal_model import (
     split_ulas,
     sub_array_atoms,
 )
-from .ss_music import module_subspace, pick_chunk
+from .ss_music import _peaks, module_subspace, pick_chunk
 from .subspace import default_pencil
 
 PARALLEL_TOL = 1e-6
@@ -564,15 +564,14 @@ def _envelope_direction(res: np.ndarray, cfg: ArrayConfig) -> float:
     Summing the two per-sub-array matched-filter magnitudes discards the
     inter-sub-array phase, leaving the smooth product of the sub-array
     beams; a coarse global grid cannot miss its beamwidth-scale maxima.
-    The strongest interior local maximum wins, the first of equals; with
-    none, the envelope's maximum.
+    The strongest local maximum (:func:`~elaa_doa.ss_music._peaks`) wins,
+    the first of equals; with none, the envelope's maximum.
     """
     us, filters1, filters2 = _envelope_grid(cfg)
     half = filters1.shape[1]
     env = np.abs(filters1 @ res[:half]) + np.abs(filters2 @ res[half:])
     env_u = env.reshape(len(us), ENVELOPE_R_POINTS).max(axis=1)
-    interior = (env_u[1:-1] >= env_u[:-2]) & (env_u[1:-1] >= env_u[2:])
-    peaks = np.flatnonzero(interior) + 1
+    peaks = _peaks(env_u)
     best = peaks[np.argmax(env_u[peaks])] if len(peaks) else np.argmax(env_u)
     return float(us[best])
 

@@ -33,7 +33,7 @@ from .errors import ScenarioError
 from .geometry import SPEED_OF_LIGHT, ArrayConfig, Target
 from .harness import ESTIMATORS
 from .nf_localizer import MAX_SOURCES
-from .signal_model import SteeringModel, noise_variance
+from .signal_model import SteeringModel, noise_variance, steering_exact
 from .subspace import max_sources
 
 
@@ -53,6 +53,8 @@ class ScenarioSpec:
     def __post_init__(self) -> None:
         if not self.targets:
             raise ScenarioError("scenario needs at least one target")
+        for index, target in enumerate(self.targets, start=1):
+            _clear_of_elements(self.array, index, target)
         if not self.snr_grid_db:
             raise ScenarioError("scenario needs at least one SNR point")
         for snr_db in self.snr_grid_db:
@@ -87,6 +89,14 @@ class ScenarioSpec:
                 f"{len(self.targets)} targets; nf_localize takes at most {MAX_SOURCES},"
                 f" as its association scores all {len(self.targets)}! DOA matchings"
             )
+
+
+def _clear_of_elements(array: ArrayConfig, index: int, target: Target, where: str = "") -> None:
+    """Refuse target ``index`` on an array element, where the exact wavefront has no phase."""
+    try:
+        steering_exact(array, target)
+    except ValueError:
+        raise ScenarioError(f"{where}target.{index} coincides with an array element") from None
 
 
 # A position error is about its target's range when the localizer misses,
@@ -300,6 +310,7 @@ def parse_scenario(text: str) -> ScenarioSpec:
 
     targets = []
     for index in itertools.count(1):
+        line = table.get(f"target.{index}.range_m", (None,))[0]
         range_m = _parsed(table, f"target.{index}.range_m", _as_range, required=index == 1)
         angle = _parsed(table, f"target.{index}.angle_deg", _as_angle)
         if range_m is None and angle is None:
@@ -307,6 +318,7 @@ def parse_scenario(text: str) -> ScenarioSpec:
         if range_m is None or angle is None:
             raise ScenarioError(f"target.{index} needs both range_m and angle_deg")
         targets.append(Target(range=range_m, angle=angle))
+        _clear_of_elements(array, index, targets[-1], f"line {line}: ")
     for key, (lineno, _) in table.items():
         # targets are numbered 1, 2, ... without a gap, so a target key left
         # here is numbered past target.{index}; any other key is unknown

@@ -18,13 +18,13 @@ two shift operators are paired by joint diagonalization so the
 selection stays per source.
 
 A chunk of snapshots runs as one: one stacked SVD and one stacked set of
-rotations, eigendecompositions and condition tests, then the alias
+rotations and eigendecompositions, every least-squares solve and its
+condition test through one thin SVD (:func:`solve_psi`), then the alias
 picks trial by trial (:func:`esprit_chunk`).
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 
@@ -63,19 +63,19 @@ class EspritDiagnostics:
 
 
 def solve_psi(ua: np.ndarray, ub: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Least-squares rotations ``(Ua^H Ua)^-1 Ua^H Ub`` between two row selections.
+    """Least-squares solutions ``X`` of ``Ua X = Ub``, from one thin SVD of ``Ua`` per trial.
 
-    Leading axes are trials.  Also returns which trials' selection is
-    numerically rank deficient (condition number above ``COND_LIMIT``):
-    those solve an identity stand-in, so they cannot fail the others.
+    Leading axes are trials.  With ``Ua = U diag(s) V^H``, ``X = V
+    diag(1/s) U^H Ub``.  Also returns which trials' ``Ua`` is numerically
+    rank deficient, its condition number ``s[0] / s[-1]`` above
+    ``COND_LIMIT`` or undefined: their inverse singular values are
+    zeroed, so they get the zero solution and cannot fail the others.
     """
-    ill = (np.linalg.norm(ua, axis=(-2, -1)) < 1e-300) | (np.linalg.cond(ua) > COND_LIMIT)
-    if ill.any():
-        stand_in = np.eye(*ua.shape[-2:])
-        ua = np.where(ill[..., None, None], stand_in, ua)
-        ub = np.where(ill[..., None, None], stand_in, ub)
-    ua_h = ua.conj().swapaxes(-1, -2)
-    return np.linalg.solve(ua_h @ ua, ua_h @ ub), ill
+    u, s, vh = np.linalg.svd(ua, full_matrices=False)
+    ill = ~(s[..., 0] < COND_LIMIT * s[..., -1])
+    inverse = np.divide(1.0, s, out=np.zeros_like(s), where=~ill[..., None])
+    x = inverse[..., None] * (u.conj().swapaxes(-1, -2) @ ub)
+    return vh.conj().swapaxes(-1, -2) @ x, ill
 
 
 def alias_rungs(xi: complex, ratio: float, lo: int, hi: int) -> list[tuple[int, float]]:
@@ -127,10 +127,8 @@ def _coarse_angle(nu: float, ratio: float) -> float:
 
 def _min_eigengap(evals: np.ndarray) -> np.ndarray:
     """Least distance between two of each trial's eigenvalues (inf for one)."""
-    gap = np.full(evals.shape[:-1], math.inf)
-    for i, j in itertools.combinations(range(evals.shape[-1]), 2):
-        gap = np.minimum(gap, np.abs(evals[..., i] - evals[..., j]))
-    return gap
+    gaps = np.abs(evals[..., :, None] - evals[..., None, :])
+    return np.where(np.eye(evals.shape[-1], dtype=bool), math.inf, gaps).min(axis=(-2, -1))
 
 
 def pair_eigenvalues(signal_basis: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -152,15 +150,16 @@ def pair_eigenvalues(signal_basis: np.ndarray) -> tuple[np.ndarray, np.ndarray, 
     eigenvectors.
 
     Leading axes of ``signal_basis`` are trials, and every step runs on
-    the whole stack.  A trial whose row selection or eigenbasis fails its
-    condition test goes on with identity stand-ins and gets a NaN
-    quality; its caller reports it as :class:`IllConditioned`.
+    the whole stack.  Both rotations and the transform into the
+    eigenbasis are least-squares solves (:func:`solve_psi`).  A trial whose
+    row selection or eigenbasis fails the condition test goes on with a
+    zero solution and gets a NaN quality; its caller reports it as
+    :class:`IllConditioned`.
     """
     *lead, rows, k = signal_basis.shape
     blocks = signal_basis.reshape(-1, 2, rows // 2, k)
-    trials = len(blocks)
     psi_c, ill_c = solve_psi(
-        blocks[:, :, :-1].reshape(trials, -1, k), blocks[:, :, 1:].reshape(trials, -1, k)
+        blocks[:, :, :-1].reshape(-1, rows - 2, k), blocks[:, :, 1:].reshape(-1, rows - 2, k)
     )
     psi_f, ill_f = solve_psi(blocks[:, 0], blocks[:, 1])
     evals_c, evecs_c = np.linalg.eig(psi_c)
@@ -169,22 +168,16 @@ def pair_eigenvalues(signal_basis: np.ndarray) -> tuple[np.ndarray, np.ndarray, 
     base_vecs = np.where(on_c[..., None], evecs_c, evecs_f)
     base_vals = np.where(on_c, evals_c, evals_f)
     other = np.where(on_c[..., None], psi_f, psi_c)
-    singular = np.linalg.cond(base_vecs) > COND_LIMIT
-    if singular.any():
-        base_vecs = np.where(singular[:, None, None], np.eye(k), base_vecs)
-    m = np.linalg.solve(base_vecs, other @ base_vecs)
-    transformed = np.diagonal(m, axis1=1, axis2=2).copy()
-    off = m.copy()
-    off[:, np.arange(k), np.arange(k)] = 0.0
-    quality = np.full(trials, math.nan)
-    for t in np.flatnonzero(~(ill_c | ill_f | singular)).tolist():
-        # one norm per trial: a stacked norm sums in another order
-        denom = max(float(np.linalg.norm(transformed[t]) ** 2), 1e-300)
-        quality[t] = float(np.linalg.norm(off[t]) ** 2) / denom
+    m, singular = solve_psi(base_vecs, other @ base_vecs)
+    transformed = np.diagonal(m, axis1=1, axis2=2)
+    # each trial's energies are sums over its own row of a (trials, entries) array
+    diagonal = np.eye(k, dtype=bool)
+    power = m.real**2 + m.imag**2
+    quality = power[:, ~diagonal].sum(axis=-1) / np.maximum(power[:, diagonal].sum(axis=-1), 1e-300)
+    quality[ill_c | ill_f | singular] = math.nan
     coarse = np.where(on_c, base_vals, transformed)
     fine = np.where(on_c, transformed, base_vals)
-    shape = tuple(lead)
-    return coarse.reshape(shape + (k,)), fine.reshape(shape + (k,)), quality.reshape(shape)
+    return coarse.reshape(*lead, k), fine.reshape(*lead, k), quality.reshape(lead)
 
 
 def dealias(

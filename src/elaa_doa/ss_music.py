@@ -22,9 +22,9 @@ whole grid's bit for bit.  Only :func:`fused_spectrum` evaluates it all.
 
 Estimates take a chunk of trials at once, each with one or two modules:
 one stacked SVD, whose factors are bit-identical to one trial's own, and
-one coarse scan for the chunk, a real product whose last bits only
-choose cells; then one fine pass and one pick per trial.  A one-trial
-estimate is the chunk of one (:func:`estimate_doa_music`).
+one coarse scan for the chunk, whose last bits only choose cells; then
+one fine pass and one pick per trial.  A one-trial estimate is the chunk
+of one (:func:`estimate_doa_music`).
 """
 
 from __future__ import annotations
@@ -45,7 +45,6 @@ DENOMINATOR_FLOOR = 1e-12
 PEAK_SEPARATION_DEG = 0.2
 BOUND_MARGIN = 1e-9  # slack on pick_chunk's cell bounds, in units of values**-2
 BLOCK = 16  # grid angles per block of the fine pass; the grid is 1 125 blocks
-_OFFSETS = np.arange(BLOCK)
 
 
 @dataclass(frozen=True)
@@ -84,18 +83,23 @@ def hankel_steering_matrix(
     return np.exp(1j * k * np.outer(np.arange(n_rows), np.sin(grid)))
 
 
-class Scan(NamedTuple):
-    """A default grid, its steering columns, and the coarse subgrid scanned first.
+def _trig(steering: np.ndarray) -> np.ndarray:
+    """Steering columns in real form, the rows ``1``, ``cos(m*w)`` and ``sin(m*w)``, ``m >= 1``."""
+    return np.concatenate((steering[:1].real, steering[1:].real, steering[1:].imag))
 
-    The coarse subgrid is every ``stride``-th grid angle, starting at the
-    first.  ``coarse_trig`` holds its steering columns in real form, the
-    rows ``1``, ``cos(m*w)`` and ``sin(m*w)`` for ``m = 1 .. n - 1``.  Over
-    its largest step, ``coarse_step`` radians, the top harmonic's phase
-    moves by at most ``harmonic_step`` (see :func:`pick_chunk`).
+
+class Scan(NamedTuple):
+    """A default grid, its real steering table, and the coarse subgrid scanned first.
+
+    ``trig`` holds each grid angle's steering column in real form
+    (:func:`_trig`), and ``coarse_trig`` a contiguous copy of the columns
+    of the coarse subgrid, every ``stride``-th grid angle from the first.
+    Over its largest step, ``coarse_step`` radians, the top harmonic's
+    phase moves by at most ``harmonic_step`` (see :func:`pick_chunk`).
     """
 
     grid: np.ndarray
-    steering: np.ndarray
+    trig: np.ndarray
     stride: int
     coarse_grid: np.ndarray
     coarse_trig: np.ndarray
@@ -105,20 +109,18 @@ class Scan(NamedTuple):
 
 @functools.lru_cache(maxsize=8)
 def _cached_steering(n_rows: int, spacing: float, wavelength: float) -> Scan:
-    """Default grid, steering matrix and coarse subgrid, shared read-only by every caller.
+    """Default grid, steering table and coarse subgrid, shared read-only by every caller.
 
     The stride is a quarter of the peak separation in grid steps, 5, so
     the separation floor spans four coarse steps.
     """
     grid = default_grid()
-    a = hankel_steering_matrix(n_rows, spacing, wavelength, grid)
+    trig = _trig(hankel_steering_matrix(n_rows, spacing, wavelength, grid))
     stride = max(1, _peak_distance(grid) // 4)
     coarse_grid = np.ascontiguousarray(grid[::stride])
-    coarse = a[:, ::stride]
-    trig = np.concatenate((coarse[:1].real, coarse[1:].real, coarse[1:].imag))
     h = float(np.max(np.diff(coarse_grid)))
     rate = (n_rows - 1) * 2.0 * math.pi * spacing / wavelength
-    scan = Scan(grid, a, stride, coarse_grid, trig, h, rate * h)
+    scan = Scan(grid, trig, stride, coarse_grid, trig[:, ::stride].copy(), h, rate * h)
     for array in scan[:2] + scan[3:5]:
         array.setflags(write=False)
     return scan
@@ -133,33 +135,39 @@ def pseudospectrum(sub: SubspacePair, grid: np.ndarray, steering: np.ndarray) ->
     projector ``P = U_noise U_noise^H`` and its diagonal sums
     ``c_m = trace(P, offset=m)``, the squared projection norm is the real
     trigonometric polynomial ``a^H P a = c_0 + 2*Re(sum_m c_m exp(j*m*w))``,
-    evaluated with one product against the steering rows.  It is floored
-    at ``(1e-12 * ||a||)**2`` so noiseless nulls stay finite.
-
+    evaluated by :func:`_nulls` on the steering columns' real form.  It is
+    floored at ``(1e-12 * ||a||)**2`` so noiseless nulls stay finite.
     Noise bases stacked along leading axes of ``sub`` give surfaces with
-    those leading axes.  Each basis's polynomial is one ``(1, n - 1) @
-    (n - 1, G)`` product of a stacked matmul, whose columns are
-    bit-identical to those of a lone basis; a ``(B, n - 1) @ (n - 1, G)``
-    product is not, so the sums are never laid out as one matrix.
+    those leading axes.
     """
     noise = sub.noise
     if noise.shape[-1] == 0:
         raise ValueError("noise subspace is empty; reduce the source count")
-    a = np.asarray(steering)
-    n = noise.shape[-2]
-    if a.shape != (n, len(grid)):
+    if np.shape(steering) != (noise.shape[-2], len(grid)):
         raise ValueError("steering matrix shape does not match subspace/grid")
-    return Spectrum(grid=np.asarray(grid, dtype=float), values=_surface(sub.projector_sums, a))
+    values = _surface(sub.projector_sums, _trig(np.asarray(steering)))
+    return Spectrum(grid=np.asarray(grid, dtype=float), values=values)
 
 
-def _surface(c: np.ndarray, steering: np.ndarray) -> np.ndarray:
-    """``||a|| / ||U_noise^H a||`` on the steering columns, from projector sums ``c``, floored.
+def _nulls(sums: np.ndarray, trig: np.ndarray) -> np.ndarray:
+    """The floored nulls ``a^H P a`` on a real table's columns (:func:`_trig`), from projector sums.
 
-    ``c`` ends in the sums axis; its leading axes lead the result.
+    ``a^H P a = c_0 + 2*Re(c_m)*cos(m*w) - 2*Im(c_m)*sin(m*w)`` summed over
+    ``m``: one real product of the coefficients against ``trig``.  The
+    shape of ``sums`` sets the product's layout: ``(B, n)`` sums make one
+    ``(B, k) @ (k, G)`` product, whose last bits may vary with ``B`` and
+    the BLAS threads; ``(..., 1, n)`` sums make one ``(1, k) @ (k, G)``
+    product per basis, whose columns are bit-identical to a lone basis's.
     """
-    num = math.sqrt(steering.shape[0])
-    den2 = c[..., :1].real + 2.0 * (c[..., None, 1:] @ steering[1:])[..., 0, :].real
-    return num / np.sqrt(np.maximum(den2, (DENOMINATOR_FLOOR * num) ** 2))
+    re, im = sums.real, sums.imag
+    coef = np.concatenate((re[..., :1], 2.0 * re[..., 1:], -2.0 * im[..., 1:]), axis=-1)
+    den2 = coef @ trig
+    return np.maximum(den2, (DENOMINATOR_FLOOR * math.sqrt(sums.shape[-1])) ** 2, out=den2)
+
+
+def _surface(sums: np.ndarray, trig: np.ndarray) -> np.ndarray:
+    """``||a|| / ||U_noise^H a||`` on the table's columns, one product per basis in ``sums``."""
+    return math.sqrt(sums.shape[-1]) / np.sqrt(_nulls(sums[..., None, :], trig)[..., 0, :])
 
 
 def _product(values: np.ndarray) -> np.ndarray:
@@ -310,43 +318,32 @@ def _fine_surface(sums: np.ndarray, scan: Scan, blocks: np.ndarray) -> tuple[np.
     (:attr:`~elaa_doa.subspace.SubspacePair.projector_sums`), and
     ``blocks`` one mark per aligned block of ``BLOCK`` grid angles
     (:func:`_blocks`).  The pass evaluates the trial's
-    :func:`pseudospectrum` polynomial on the marked blocks' steering
+    :func:`pseudospectrum` polynomial on the marked blocks' table
     columns.  Each column then keeps its place modulo ``BLOCK`` in a
     product whose width is a multiple of ``BLOCK``, so its value is the
     whole grid's bit for bit, at any number of BLAS threads.
     """
     taken = np.flatnonzero(blocks)
-    index = (taken[:, None] * BLOCK + _OFFSETS).ravel()
-    rows = len(scan.steering)
-    steering = np.take(scan.steering.reshape(rows, -1, BLOCK), taken, axis=1).reshape(rows, -1)
-    return index, Spectrum(grid=scan.grid[index], values=_product(_surface(sums, steering)))
-
-
-def _coarse_nulls(sums: np.ndarray, scan: Scan) -> np.ndarray:
-    """The floored nulls ``a^H P a`` on the coarse subgrid, from projector sums ``sums``.
-
-    ``a^H P a = c_0 + 2*Re(c_m)*cos(m*w) - 2*Im(c_m)*sin(m*w)`` summed over
-    ``m``: one real product of every module's coefficients against
-    ``Scan.coarse_trig``.  These are the ``n / values**2`` of
-    :func:`_surface`, evaluated another way; :func:`pick_chunk` is correct
-    only while the two agree to far less than ``BOUND_MARGIN`` (they differ
-    by at most 1.1e-14 on the builtins, against 1e-9).
-    """
-    re, im = sums.real, sums.imag
-    coef = np.concatenate((re[..., :1], 2.0 * re[..., 1:], -2.0 * im[..., 1:]), axis=-1)
-    den2 = coef.reshape(-1, coef.shape[-1]) @ scan.coarse_trig
-    np.maximum(den2, (DENOMINATOR_FLOOR * math.sqrt(sums.shape[-1])) ** 2, out=den2)
-    return den2.reshape(sums.shape[:-1] + den2.shape[-1:])
+    index = (taken[:, None] * BLOCK + np.arange(BLOCK)).ravel()
+    rows = len(scan.trig)
+    trig = np.take(scan.trig.reshape(rows, -1, BLOCK), taken, axis=1).reshape(rows, -1)
+    return index, Spectrum(grid=scan.grid[index], values=_product(_surface(sums, trig)))
 
 
 def _coarse_cells(sub: SubspacePair, scan: Scan) -> tuple[np.ndarray, ...]:
     """Coarse ``Q``; per coarse cell, whether it can turn and its least value.
 
     ``sub`` has axes (trial, module); every result has a row per trial.
-    ``Q`` is the product of the modules' :func:`_coarse_nulls` over ``n``.
+    ``Q`` is the product of the modules' :func:`_nulls` over ``n``, from
+    one product for the whole chunk.  These are the ``n / values**2`` of
+    :func:`_surface` in another layout; :func:`pick_chunk` is correct only
+    while the two agree to far less than ``BOUND_MARGIN`` (they differ by
+    at most 1.3e-14 on the builtins, against 1e-9).
     """
     sums = sub.projector_sums
-    q = _product(_coarse_nulls(sums, scan)) * float(sums.shape[-1]) ** -sums.shape[-2]
+    n = sums.shape[-1]
+    nulls = _nulls(sums.reshape(-1, n), scan.coarse_trig).reshape(sums.shape[:-1] + (-1,))
+    q = _product(nulls) * float(n) ** -sums.shape[-2]
     u = sums.shape[-2] * scan.harmonic_step
     bend = (u * u + u * scan.coarse_step) / 2.0  # M * h**2
     turning = np.abs(q[:, 1:] - q[:, :-1]) <= bend / 2.0 + BOUND_MARGIN
@@ -373,9 +370,7 @@ def pick_chunk(sub: SubspacePair, scan: Scan, num_peaks: int) -> list:
     bits may vary with the chunk and the number of BLAS threads; they
     only choose the cells and the floor's sample, and the fine values the
     pick reads, the floor among them, are the whole grid's
-    (:func:`_fine_surface`).  A floored pick keeps the whole grid's
-    picks or falls short, whatever the floor, because a greedy pick
-    depends only on the maxima at or above it.  ``Q = values**-2`` is the
+    (:func:`_fine_surface`).  ``Q = values**-2`` is the
     product of ``L`` normalised nulls ``a^H P a / n``, each a
     trigonometric polynomial of degree ``n - 1`` in ``w = k*d*sin(angle)``
     with values in [0, 1].
@@ -398,8 +393,8 @@ def pick_chunk(sub: SubspacePair, scan: Scan, num_peaks: int) -> list:
     pick's own sample is always taken, so ``T`` is read off the fine pass.
 
     Both tests carry ``BOUND_MARGIN`` for rounding (1.2e-15 in ``Q`` per
-    module against a long-double evaluation, and at most 1.7e-15 between
-    the real coarse product and the complex fine one on the builtins) and
+    module against a long-double evaluation, and at most 1.8e-15 between
+    the chunk-wide coarse product and the per-basis one on the builtins) and
     the 1e-24 floor: rounding turns a monotone run over only where the
     slope is below it, which the turning test admits with
     ``2*(stride + 1)`` times the rounding.  The margin is negligible
@@ -459,8 +454,7 @@ def fused_spectrum(y: np.ndarray, cfg: ArrayConfig, num_sources: int) -> Spectru
     sub, scan = module_subspace(np.stack(split_ulas(y)), cfg, num_sources)
     for failure in sub.failures():
         unwrap(failure)
-    values = pseudospectrum(sub, scan.grid, scan.steering).values
-    return Spectrum(grid=scan.grid, values=_product(values))
+    return Spectrum(grid=scan.grid, values=_product(_surface(sub.projector_sums, scan.trig)))
 
 
 def music_chunk(

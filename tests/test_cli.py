@@ -89,7 +89,22 @@ def test_bad_values_name_flag_or_line_once(tiny_scenario, tmp_path, capsys):
     path.write_text(TINY.replace("range_m = 400.0", "range_m = abc"))
     assert cli.main(["run", "--scenario", str(path), "--out", str(out), "--quiet"]) == 2
     assert capsys.readouterr().err == "error: line 6: target.1.range_m must be a number, got 'abc'\n"
-    assert not out.exists()
+    # a target on an array element is refused before the sweep, by run and by spectrum
+    path = tmp_path / "on_element.scenario"
+    path.write_text(
+        TINY.replace("range_m = 400.0", "range_m = 0.29584782039473684").replace(
+            "angle_deg = 3.0", "angle_deg = 89.99999999999999"
+        )
+    )
+    spectrum = tmp_path / "s.csv"
+    for command, dest in (
+        (["run", "--trials", "2", "--quiet"], out),
+        (["spectrum", "--snr", "20", "--seed", "1"], spectrum),
+    ):
+        assert cli.main([*command, "--scenario", str(path), "--out", str(dest)]) == 2
+        err = capsys.readouterr().err
+        assert err == "error: line 6: target.1 coincides with an array element\n"
+    assert not out.exists() and not spectrum.exists()
 
 
 @pytest.mark.filterwarnings("error")
@@ -496,18 +511,25 @@ def test_unreadable_scenario_exits_two(tmp_path, capsys):
 
 def test_run_files_are_the_same_at_one_and_two_blas_threads(tmp_path):
     # OpenBLAS splits a product's columns across threads, and rounds a
-    # column by its place in its share; the fused MUSIC pick must not move
+    # column by its place in its share; neither the fused MUSIC pick nor
+    # the whole-grid spectrum may move
     src = str(Path(cli.__file__).resolve().parents[1])
     files = []
     for threads in ("1", "2"):
         out, debug = tmp_path / f"run_{threads}.csv", tmp_path / f"debug_{threads}.csv"
+        spectrum = tmp_path / f"spectrum_{threads}.csv"
         env = {**os.environ, "PYTHONPATH": src, "OPENBLAS_NUM_THREADS": threads}
-        subprocess.run(
-            [sys.executable, "-m", "elaa_doa.cli", "run", "--scenario", "fig3_small_sep",
-             "--algos", "ss_music_elaa", "--trials", "16", "--seed", "42", "--quiet",
-             "--out", str(out), "--debug-out", str(debug)],
-            check=True, env=env, capture_output=True,
-        )
-        files.append((out.read_bytes(), debug.read_bytes()))
+        for args in (
+            ["run", "--scenario", "fig3_small_sep", "--algos", "ss_music_elaa", "--trials", "16",
+             "--seed", "42", "--quiet", "--out", str(out), "--debug-out", str(debug)],
+            ["spectrum", "--scenario", "fig3_small_sep", "--snr", "20", "--seed", "1",
+             "--out", str(spectrum)],
+        ):
+            subprocess.run(
+                [sys.executable, "-m", "elaa_doa.cli", *args],
+                check=True, env=env, capture_output=True,
+            )
+        files.append((out.read_bytes(), debug.read_bytes(), spectrum.read_bytes()))
     assert files[0][0] == files[1][0]
     assert files[0][1] == files[1][1]
+    assert files[0][2] == files[1][2]

@@ -14,6 +14,10 @@ from elaa_doa.scenarios import (
 )
 from elaa_doa.signal_model import SteeringModel
 
+# the x coordinate of the paper array's second module's first element, half
+# the 150-wavelength gap from the centre
+_ON_ELEMENT_M = 0.29584782039473684
+
 MINIMAL = """
 array.elements_per_ula = 16
 array.carrier_freq_hz = 76e9
@@ -195,6 +199,14 @@ def test_parse_full_options():
             r" wavelength [0-9.e-]+ m; wider modules have grating lobes$",
         ),
         (MINIMAL + "algorithms = ss_esprit, ss_esprit\n", r"^algorithm 'ss_esprit' is listed twice$"),
+        # a target within 1e-12 m of an element has no wavefront phase: the
+        # second module's first element, seen at endfire
+        (
+            MINIMAL.replace("range_m = 250.0", f"range_m = {_ON_ELEMENT_M!r}", 1).replace(
+                "angle_deg = -0.2", "angle_deg = 89.99999999999999"
+            ),
+            r"^line 5: target\.1 coincides with an array element$",
+        ),
     ],
 )
 def test_parse_errors(mutation, fragment):
@@ -271,6 +283,11 @@ def test_spec_validation():
             )
     # +inf is the documented noiseless snapshot
     ScenarioSpec(name="x", array=cfg, targets=(Target(5.0, 0.0),), snr_grid_db=(math.inf,))
+    on_element = Target(_ON_ELEMENT_M, math.radians(89.99999999999999))
+    with pytest.raises(ScenarioError, match="^target.2 coincides with an array element$"):
+        ScenarioSpec(
+            name="x", array=cfg, targets=(Target(5.0, 0.0), on_element), snr_grid_db=(0.0,)
+        )
 
 
 @pytest.mark.parametrize("n_targets", [8, 9])

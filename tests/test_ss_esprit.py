@@ -1,4 +1,5 @@
 import cmath
+import itertools
 import math
 from unittest import mock
 
@@ -17,6 +18,7 @@ from elaa_doa.ss_esprit import (
     TIE_FRACTION,
     DealiasReport,
     _coarse_angle,
+    _min_eigengap,
     alias_rungs,
     dealias,
     esprit_chunk,
@@ -44,7 +46,7 @@ def _fraction(xi):
 
 def test_shift_rows(paper_cfg, monkeypatch):
     # label each row of a one-column basis by its index and record the
-    # row selections handed to the rotation solver
+    # row selections handed to the least-squares solver
     seen = []
 
     def recording_solve(ua, ub):
@@ -54,7 +56,10 @@ def test_shift_rows(paper_cfg, monkeypatch):
 
     monkeypatch.setattr(ss_esprit, "solve_psi", recording_solve)
     pair_eigenvalues(np.arange(8, dtype=complex)[:, None])
-    (coarse_a, coarse_b), (fine_a, fine_b) = seen
+    # the coarse rotation, the fine rotation, then the transform into the
+    # one-source eigenbasis, a 1 x 1 solve
+    (coarse_a, coarse_b), (fine_a, fine_b), (base, _) = seen
+    assert len(base) == 1
     assert coarse_a == (0, 1, 2, 4, 5, 6)
     assert coarse_b == (1, 2, 3, 5, 6, 7)
     assert fine_a == (0, 1, 2, 3)
@@ -81,6 +86,38 @@ def test_solve_psi_recovers_rotation():
     psi, ill = solve_psi(basis[:4], basis[4:])
     assert not ill
     assert np.allclose(psi, phi, atol=1e-12)
+    # a stack of trials solves each on its own, bit for bit
+    stack, ill = solve_psi(np.stack([basis[:4], basis[4:]]), np.stack([basis[4:], basis[:4]]))
+    assert not ill.any()
+    assert np.array_equal(stack[0], psi)
+    assert np.array_equal(stack[1], solve_psi(basis[4:], basis[:4])[0])
+
+
+def test_solve_psi_zeroes_a_rank_deficient_trial():
+    # two equal columns: the selection has rank one, and only its own
+    # trial is marked ill and solved as zero, with no floating-point warning
+    rng = np.random.default_rng(3)
+    good = rng.normal(size=(4, 2)) + 1j * rng.normal(size=(4, 2))
+    column = rng.normal(size=(4, 1)) + 1j * rng.normal(size=(4, 1))
+    ua = np.stack([good, np.hstack([column, column]), np.zeros((4, 2))])
+    ub = rng.normal(size=(3, 4, 2)) + 1j * rng.normal(size=(3, 4, 2))
+    with np.errstate(all="raise"):
+        psi, ill = solve_psi(ua, ub)
+    assert ill.tolist() == [False, True, True]
+    assert np.all(np.isfinite(psi))
+    assert np.array_equal(psi[1:], np.zeros((2, 2, 2)))
+    assert np.array_equal(psi[0], solve_psi(good, ub[0])[0])
+
+
+@pytest.mark.parametrize("k", [1, 2, 3, 7])
+def test_min_eigengap_is_the_least_pairwise_distance(k):
+    # against a loop over the pairs, bit for bit
+    rng = np.random.default_rng(k)
+    evals = rng.normal(size=(16, k)) + 1j * rng.normal(size=(16, k))
+    want = np.full(16, math.inf)
+    for i, j in itertools.combinations(range(k), 2):
+        want = np.minimum(want, np.abs(evals[:, i] - evals[:, j]))
+    assert np.array_equal(_min_eigengap(evals), want)
 
 
 def _far_targets(cfg, angles_deg):

@@ -19,7 +19,7 @@ from elaa_doa.ss_music import (
     Spectrum,
     _cached_steering,
     _coarse_cells,
-    _coarse_nulls,
+    _nulls,
     _peak_distance,
     _peaks,
     _refine_peak,
@@ -145,7 +145,8 @@ def test_fused_spectrum_is_the_product_of_the_module_spectra():
     snap = snapshot(spec.array, spec.targets, 20.0, seed=1)
     modules = [module_subspace(y, spec.array, k) for y in split_ulas(snap)]
     scan = modules[0][1]
-    v1, v2 = (pseudospectrum(sub, scan.grid, scan.steering).values for sub, _ in modules)
+    a = hankel_steering_matrix(9, spec.array.spacing, spec.array.wavelength, scan.grid)
+    v1, v2 = (pseudospectrum(sub, scan.grid, a).values for sub, _ in modules)
     got = fused_spectrum(snap, spec.array, k)
     np.testing.assert_array_equal(got.grid, scan.grid)
     np.testing.assert_array_equal(got.values, v1 * v2)
@@ -333,27 +334,32 @@ def test_peak_pick_windows_count_separation_on_the_whole_grid():
 @pytest.mark.parametrize("name", ["fig3_small_sep", "fig4_near_b"])
 @pytest.mark.parametrize("snr_db", [0.0, 20.0, math.inf])
 def test_coarse_nulls_are_the_nulls_up_to_rounding(name, snr_db):
-    # the coarse scan's real product against the complex one of the fine
-    # pass and the whole grid: it only chooses cells and the floor sample
+    # the coarse scan's one product for every module against the product
+    # per module of the fine pass and the whole grid: it only chooses cells
+    # and the floor sample
     subs, scan = _subspaces(name, snr_db, 3, (0, 1))
-    sums = _chunk(subs).projector_sums
+    sums = _chunk(subs).projector_sums[0]
     n = sums.shape[-1]
-    want = n / _surface(sums, scan.steering[:, :: scan.stride]) ** 2
-    got = _coarse_nulls(sums, scan)
-    assert got.shape == want.shape == (1, 2, 3600)
+    want = n / _surface(sums, scan.coarse_trig) ** 2
+    got = _nulls(sums, scan.coarse_trig)
+    assert got.shape == want.shape == (2, 3600)
     np.testing.assert_allclose(got, want, rtol=0, atol=1e-13)
     assert got.min() >= (DENOMINATOR_FLOOR * math.sqrt(n)) ** 2
+    # the per-basis layout is the whole grid's, column for column
+    whole = _surface(sums, scan.trig)
+    assert np.array_equal(_surface(sums, scan.coarse_trig), whole[:, :: scan.stride])
 
 
 def test_coarse_subgrid_stride():
     scan = _cached_steering(9, 0.5, 1.0)
     assert scan.stride == 5
     assert np.array_equal(scan.coarse_grid, scan.grid[::5])
-    coarse = scan.steering[:, ::5]
-    assert np.array_equal(scan.coarse_trig, np.vstack([coarse[:1].real, coarse[1:].real, coarse[1:].imag]))
+    a = hankel_steering_matrix(9, 0.5, 1.0, scan.grid)
+    assert np.array_equal(scan.trig, np.vstack([a[:1].real, a[1:].real, a[1:].imag]))
+    assert np.array_equal(scan.coarse_trig, scan.trig[:, ::5])
     assert scan.coarse_trig.flags.c_contiguous and scan.coarse_trig.dtype == float
-    # the fine pass reads whole blocks of the steering matrix as a view
-    assert scan.steering.flags.c_contiguous
+    # the fine pass reads whole blocks of the table as a view
+    assert scan.trig.flags.c_contiguous and scan.trig.dtype == float
     for array in scan[:2] + scan[3:5]:
         assert not array.flags.writeable
     # spacing / wavelength = 0.5: the top harmonic of nine rows is 8*pi*sin
@@ -373,7 +379,7 @@ def _subspaces(name, snr_db, seed, modules):
 
 def _whole_grid(subs, scan):
     """The surface over the whole grid: one module's, or the modules' product."""
-    return np.prod([pseudospectrum(sub, scan.grid, scan.steering).values for sub in subs], axis=0)
+    return np.prod([_surface(sub.projector_sums, scan.trig) for sub in subs], axis=0)
 
 
 def _full_grid_pick(subs, scan, num_peaks):
@@ -493,19 +499,20 @@ def test_maxima_at_the_denominator_floor_tie_as_on_the_full_grid(paper_cfg):
     # floor, so both fused maxima are (1 / DENOMINATOR_FLOOR)**2 and the
     # tie goes to the lower angle, as on the whole grid
     grid = default_grid()
-    snap = _far_snapshot(paper_cfg, np.degrees(grid[[9554, 9954]]))
+    snap = _far_snapshot(paper_cfg, np.degrees(grid[[9569, 9969]]))
     split = [module_subspace(y, paper_cfg, 2) for y in split_ulas(snap)]
     subs, scan = [sub for sub, _ in split], split[0][1]
     values = _whole_grid(subs, scan)
-    assert values[9554] == values[9954] == DENOMINATOR_FLOOR**-2
+    assert values[9569] == values[9969] == DENOMINATOR_FLOOR**-2
     picks = pick_doas(subs, scan, 2)
     assert np.array_equal(picks, _full_grid_pick(subs, scan, 2))
-    assert picks == pytest.approx(grid[[9554, 9954]], abs=1e-5)
+    assert picks == pytest.approx(grid[[9569, 9969]], abs=1e-5)
 
 
 def _two_null_module(scan, nulls):
     """A noiseless one-module subspace whose surface has exact nulls at ``nulls``."""
-    basis, _ = np.linalg.qr(np.column_stack([scan.steering[:, nulls], np.eye(9)]))
+    a = hankel_steering_matrix(9, 0.5, 1.0, scan.grid[nulls])
+    basis, _ = np.linalg.qr(np.column_stack([a, np.eye(9)]))
     return SubspacePair(signal=basis[:, :2], noise=basis[:, 2:], singular_values=np.ones(8))
 
 
@@ -516,7 +523,7 @@ def test_coarse_picks_that_merge_on_the_fine_grid_fall_back_to_every_turning_cel
     # second pick must come from below the coarse floor
     scan = _cached_steering(9, 0.5, 1.0)
     subs = [_two_null_module(scan, [10_001, 10_020])]
-    evaluated = _recorder(monkeypatch, ss_music, "_coarse_nulls")
+    evaluated = _recorder(monkeypatch, ss_music, "_coarse_cells")
     fine = _recorder(monkeypatch, ss_music, "_fine_surface")
     picked = _recorder(monkeypatch, ss_music, "peak_pick")
     picks = pick_doas(subs, scan, 2)
@@ -586,14 +593,15 @@ def _recorder(monkeypatch, module, name):
 def test_every_evaluation_and_pick_goes_through_the_module_globals(monkeypatch):
     spec = builtin_scenarios()["fig3_small_sep"]
     snap = snapshot(spec.array, spec.targets, 20.0, 1)
-    evaluated = _recorder(monkeypatch, ss_music, "_coarse_nulls")
+    evaluated = _recorder(monkeypatch, ss_music, "_coarse_cells")
     fine = _recorder(monkeypatch, ss_music, "_fine_surface")
     picked = _recorder(monkeypatch, ss_music, "peak_pick")
     estimate_doa_music(snap, spec.array, 2)
     # the coarse scan of both modules at once, then one pass over the
     # trial's chosen blocks of both modules and one floored pick
     assert len(evaluated) == len(fine) == len(picked) == 1
-    ((sums, scan),) = (call.values() for call in evaluated)
+    ((sub, scan),) = (call.values() for call in evaluated)
+    sums = sub.projector_sums
     assert sums.shape == (1, 2, 9) and scan.coarse_trig.shape == (17, 3600)
     ((trial_sums, fine_scan, blocks),) = (call.values() for call in fine)
     assert np.array_equal(trial_sums, sums[0]) and fine_scan is scan
