@@ -113,8 +113,6 @@ class LocalizationResult:
     """
 
     targets: tuple[LocalizedTarget, ...]
-    doas_ula1: np.ndarray
-    doas_ula2: np.ndarray
     association: Association
     route: str
     noise_ratio: float | None
@@ -220,9 +218,7 @@ def associate(
     xy, errors = _intersections(
         [float(doas1[i]) for i, _ in candidates], [float(doas2[j]) for _, j in candidates], cfg
     )
-    points = {
-        p: pos for p, pos, err in zip(candidates, xy, errors) if err is None and pos[1] > 0.0
-    }
+    points = {p: pos for p, pos, err in zip(candidates, xy, errors) if err is None}
     best: tuple[float, tuple[int, ...], tuple[tuple[int, int], ...]] | None = None
     for perm in itertools.permutations(range(k)):
         pairs = tuple((i, perm[i]) for i in range(k) if (i, perm[i]) in points)
@@ -532,11 +528,21 @@ def _range_band(cfg: ArrayConfig) -> tuple[float, float]:
     return max(reg.local_farfield, 10.0 * cfg.wavelength), reg.fraunhofer
 
 
-def _grid_positions(us: np.ndarray, ranges: np.ndarray) -> np.ndarray:
-    """Cartesian points for every (direction sine, range) combination."""
+def _lattice(
+    cfg: ArrayConfig, us: np.ndarray, ranges: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Points and atoms of every (direction sine, range) combination.
+
+    The one builder of the search's grids: the envelope scan, the comb
+    scan and the range split's rungs each pass their sines, which lie
+    within ``FIELD_EDGE_U`` of zero, and their range ladder.  Points are
+    rows ``(x, y)``, sine-major, and their atoms the columns of
+    :func:`~elaa_doa.signal_model.nearfield_atoms` in the same order.
+    """
     uu = np.repeat(us, len(ranges))
     rr = np.tile(ranges, len(us))
-    return np.column_stack([rr * uu, rr * np.sqrt(1.0 - uu * uu)])
+    pts = np.column_stack([rr * uu, rr * np.sqrt(1.0 - uu * uu)])
+    return pts, nearfield_atoms(cfg, pts[:, 0], pts[:, 1])
 
 
 @functools.lru_cache(maxsize=8)
@@ -548,9 +554,7 @@ def _envelope_grid(cfg: ArrayConfig) -> tuple[np.ndarray, np.ndarray, np.ndarray
     sub-array.  The arrays are shared by every caller and read-only.
     """
     us = np.linspace(-FIELD_EDGE_U, FIELD_EDGE_U, ENVELOPE_U_POINTS)
-    lo, hi = _range_band(cfg)
-    pts = _grid_positions(us, np.geomspace(lo, hi, ENVELOPE_R_POINTS))
-    atoms = nearfield_atoms(cfg, pts[:, 0], pts[:, 1])
+    atoms = _lattice(cfg, us, np.geomspace(*_range_band(cfg), ENVELOPE_R_POINTS))[1]
     half = atoms.shape[0] // 2
     out = (us, atoms[:half].conj().T.copy(), atoms[half:].conj().T.copy())
     for arr in out:
@@ -607,8 +611,7 @@ def _comb_grid(cfg: ArrayConfig, u_center: float) -> tuple[np.ndarray, np.ndarra
     qs = np.arange(-2 * COMB_LADDER, 2 * COMB_LADDER + 1) * (spacing / 2.0)
     us = u_center + qs
     us = us[np.abs(us) < FIELD_EDGE_U]
-    pts = _grid_positions(us, _range_ladder(*_range_band(cfg))[0])
-    filters = nearfield_atoms(cfg, pts[:, 0], pts[:, 1])
+    pts, filters = _lattice(cfg, us, _range_ladder(*_range_band(cfg))[0])
     # in place: no second atom-sized array to count in peak memory
     out = (pts, np.conjugate(filters, out=filters))
     for arr in out:
@@ -623,7 +626,7 @@ def _pick_position(res: np.ndarray, cfg: ArrayConfig) -> np.ndarray:
     and a local polish of the comb's strongest point.
     """
     pts, filters = _comb_grid(cfg, _envelope_direction(res, cfg))
-    start = pts[np.argsort(np.abs(filters.T @ res))[-1]]
+    start = pts[np.argmax(np.abs(filters.T @ res))]
     return _polish(res, cfg, [start])[0][0]
 
 
@@ -644,21 +647,18 @@ def _range_split_positions(
     energy less the pair's fitted energy; with no well-conditioned pair,
     None and infinity.
     """
-    spacing = _ridge_spacing_u(cfg)
     ranges, ii, jj, flat = _range_ladder(*_range_band(cfg))
-    us = [u_center + q * spacing for q in range(-COMB_LADDER, COMB_LADDER + 1)]
-    us = [u for u in us if -FIELD_EDGE_U < u < FIELD_EDGE_U]
-    if not us:
+    us = u_center + np.arange(-COMB_LADDER, COMB_LADDER + 1) * _ridge_spacing_u(cfg)
+    us = us[np.abs(us) < FIELD_EDGE_U]
+    if not len(us):
         return None, math.inf
-    roots = [math.sqrt(1.0 - u * u) for u in us]
-    # every rung's atoms from one call, copied so that each rung is one
+    n_ranges = len(ranges)
+    # every rung's atoms from one build, copied so that each rung is one
     # contiguous block: the stacked products then make, rung by rung, the
     # BLAS calls of a rung built alone, and give its bits
-    n_ranges = len(ranges)
+    pts, atoms = _lattice(cfg, us, ranges)
     atoms = np.ascontiguousarray(
-        nearfield_atoms(cfg, np.outer(us, ranges), np.outer(roots, ranges))
-        .reshape(cfg.n_elements, len(us), n_ranges)
-        .transpose(1, 0, 2)
+        atoms.reshape(cfg.n_elements, len(us), n_ranges).transpose(1, 0, 2)
     )
     filters = atoms.conj().transpose(0, 2, 1)
     b = filters @ y
@@ -689,21 +689,17 @@ def _range_split_positions(
         quad[~(det > COINCIDENT_GRAM * gii * gjj)] = -np.inf
     picks = np.argmax(quad, axis=1)
     tops = quad[np.arange(len(us)), picks]
-    best: tuple[float, float, int, int] | None = None
-    for u, top, k in zip(us, tops.tolist(), picks.tolist()):
+    best: tuple[float, int, int, int] | None = None
+    for rung, (top, k) in enumerate(zip(tops.tolist(), picks.tolist())):
         if top == -math.inf:
             continue
         residual_sq = y_sq - top
         if best is None or residual_sq < best[0]:
-            best = (residual_sq, u, int(ii[k]), int(jj[k]))
+            best = (residual_sq, rung, int(ii[k]), int(jj[k]))
     if best is None:
         return None, math.inf
-    raw, u, i, j = best
-    root = math.sqrt(1.0 - u * u)
-    return [
-        np.array([ranges[i] * u, ranges[i] * root]),
-        np.array([ranges[j] * u, ranges[j] * root]),
-    ], raw
+    raw, rung, i, j = best
+    return [pts[rung * n_ranges + i], pts[rung * n_ranges + j]], raw
 
 
 def _matched_filter_positions(
@@ -714,19 +710,18 @@ def _matched_filter_positions(
     Route one is greedy with deflation: pick the strongest atom of the
     current residual, remove the joint fit, repeat.  It handles targets
     on distinct bearings but blends targets that share one.  Route two
-    handles that shared-bearing case head-on for two sources: an
-    exhaustive same-bearing range-pair fit around each greedy bearing,
-    except the bearings of picks that ran to either end of the range
-    band.  Route two is skipped when route one already explains the
-    snapshot down to a small fraction of its energy, since a blend
-    leaves behind a signal-level residual no matter the noise.  Both
-    routes end with one joint polish of their atoms, and the smaller
-    joint residual wins.  A ladder's pair is polished only when its raw
-    (unpolished) fit is better than every earlier ladder's: a ladder
-    that fits no better is split but not polished.  No further ladder
-    runs once the best fit so far has a squared residual of at most
-    ``floor``, the noise a correct model leaves behind.  Returns the
-    positions and that residual norm.
+    handles that shared-bearing case head-on for two sources: each
+    greedy pick's own bearing, in pick order, anchors an exhaustive
+    same-bearing range-pair fit (a range-split ladder).  Route two is
+    skipped when route one already explains the snapshot down to a
+    small fraction of its energy, since a blend leaves behind a
+    signal-level residual no matter the noise.  Both routes end with one
+    joint polish of their atoms, and the smaller joint residual wins.  A
+    ladder's pair is polished only when its raw (unpolished) fit is
+    better than every earlier ladder's: a ladder that fits no better is
+    split but not polished.  No further ladder runs once the best fit so
+    far has a squared residual of at most ``floor``, the noise a correct
+    model leaves behind.  Returns the positions and that residual norm.
     """
     picks: list[np.ndarray] = []
     for _ in range(num_sources):
@@ -736,24 +731,11 @@ def _matched_filter_positions(
     if num_sources == 2 and best[1] > RANGE_SPLIT_SKIP_FRACTION * float(
         np.linalg.norm(y)
     ):
-        spacing = _ridge_spacing_u(cfg)
-        log_lo, log_hi = (math.log(v) for v in _range_band(cfg))
-        half_cell = 0.5 * (log_hi - log_lo) / (RANGE_SCAN_POINTS - 1)
-        tried: list[float] = []
         best_raw = math.inf
         for p in picks:
             if best[1] ** 2 <= floor:
                 break
-            r = math.hypot(p[0], p[1])
-            # a pick in the end cell of the comb's range grid ran to the
-            # band's edge: a plane-wave fit whose bearing has no range
-            # information to anchor the ladder on
-            if not log_lo + half_cell < math.log(r) < log_hi - half_cell:
-                continue
-            u = float(p[0] / r)
-            if any(abs(u - t) < 0.3 * spacing for t in tried):
-                continue
-            tried.append(u)
+            u = float(p[0] / math.hypot(p[0], p[1]))
             split, raw = _range_split_positions(y, cfg, u)
             # a ladder with no pair (raw is infinite) or no better raw fit
             if not raw < best_raw:
@@ -843,8 +825,6 @@ def localize(y: np.ndarray, cfg: ArrayConfig, num_sources: int) -> LocalizationR
     entries.sort(key=lambda t: -t.score)
     return LocalizationResult(
         targets=tuple(entries),
-        doas_ula1=doas1,
-        doas_ula2=doas2,
         association=assoc,
         route=route,
         noise_ratio=noise_ratio,

@@ -143,10 +143,13 @@ def builtin_scenarios() -> dict[str, ScenarioSpec]:
     return {spec.name: spec for spec in specs}
 
 
-_ARRAY_AND_TARGET_KEYS = re.compile(
-    r"array\.(elements_per_ula|carrier_freq_hz|gap_wavelengths|spacing_wavelengths)"
-    r"|target\.[1-9][0-9]*\.(range_m|angle_deg)"
+_ARRAY_KEYS = (
+    "array.elements_per_ula",
+    "array.carrier_freq_hz",
+    "array.gap_wavelengths",
+    "array.spacing_wavelengths",
 )
+_TARGET_KEY = re.compile(r"target\.[1-9][0-9]*\.(range_m|angle_deg)")
 
 
 def _parse_kv(text: str) -> dict[str, tuple[int, str]]:
@@ -163,7 +166,7 @@ def _parse_kv(text: str) -> dict[str, tuple[int, str]]:
         if key in table:
             raise ScenarioError(f"line {lineno}: duplicate key {key!r}")
         # refused at its line before any key is found missing: a retired key, say
-        if not (key in _SPEC_KEYS or _ARRAY_AND_TARGET_KEYS.fullmatch(key)):
+        if not (key in _SPEC_KEYS or key in _ARRAY_KEYS or _TARGET_KEY.fullmatch(key)):
             raise ScenarioError(f"line {lineno}: unknown key {key!r}")
         table[key] = (lineno, value)
     return table
@@ -321,18 +324,14 @@ def parse_scenario(text: str) -> ScenarioSpec:
         _clear_of_elements(array, index, targets[-1], f"line {line}: ")
     for key, (lineno, _) in table.items():
         # targets are numbered 1, 2, ... without a gap, so a target key left
-        # here is numbered past target.{index}; any other key is unknown
-        if re.fullmatch(r"target\.[1-9][0-9]*\.(range_m|angle_deg)", key):
+        # here is numbered past target.{index}
+        if _TARGET_KEY.fullmatch(key):
             raise ScenarioError(f"line {lineno}: {key} follows a missing target.{index}")
 
     kwargs = {"name": "scenario"}
     for key, parse in _SPEC_KEYS.items():
         if key in table or key == "snr_grid_db":
             kwargs[key] = _parsed(table, key, parse, required=True)
-
-    if table:
-        key, (lineno, _) = next(iter(table.items()))
-        raise ScenarioError(f"line {lineno}: unknown key {key!r}")
 
     return ScenarioSpec(array=array, targets=tuple(targets), **kwargs)
 

@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import pathlib
 import warnings
 
 import numpy as np
@@ -21,9 +22,9 @@ from elaa_doa.nf_localizer import (
     Association,
     _comb_grid,
     _envelope_grid,
-    _grid_positions,
     _pair_gate,
     _intersections,
+    _lattice,
     _matched_responses,
     _polar_atom,
     _polish,
@@ -37,7 +38,7 @@ from elaa_doa.nf_localizer import (
     localize,
     triangulate,
 )
-from elaa_doa.scenarios import builtin_scenarios
+from elaa_doa.scenarios import builtin_scenarios, load_scenario
 from elaa_doa.signal_model import (
     SteeringModel,
     nearfield_atoms,
@@ -131,7 +132,7 @@ def test_intersections_stack_gives_each_pair_its_own_bits(paper_cfg):
 
 
 def test_matched_responses_are_each_positions_own(paper_cfg):
-    positions = list(_grid_positions(np.array([-0.2, 0.0, 0.3]), np.array([4.0, 6.0])))
+    positions = list(_lattice(paper_cfg, np.array([-0.2, 0.0, 0.3]), np.array([4.0, 6.0]))[0])
     rng = np.random.default_rng(6)
     y = rng.normal(size=paper_cfg.n_elements) + 1j * rng.normal(size=paper_cfg.n_elements)
     responses = _matched_responses(y, paper_cfg, positions)
@@ -144,9 +145,8 @@ def test_matched_responses_are_each_positions_own(paper_cfg):
 
 def _band_corners(cfg):
     """Points at both ends of the scanned range band, at +-FIELD_EDGE_U and 0."""
-    return _grid_positions(
-        np.array([-FIELD_EDGE_U, 0.0, FIELD_EDGE_U]), np.array(_range_band(cfg))
-    )
+    us = np.array([-FIELD_EDGE_U, 0.0, FIELD_EDGE_U])
+    return _lattice(cfg, us, np.array(_range_band(cfg)))[0]
 
 
 def test_atoms_match_steering(paper_cfg):
@@ -339,7 +339,7 @@ def test_polish_residual_is_the_fit_of_its_positions(paper_cfg, monkeypatch, n_a
     for _ in range(10):
         y = rng.normal(size=n) + 1j * rng.normal(size=n)
         seeds = list(
-            _grid_positions(rng.uniform(-0.8, 0.8, n_atoms), np.ones(1))
+            _lattice(paper_cfg, rng.uniform(-0.8, 0.8, n_atoms), np.ones(1))[0]
             * np.exp(rng.uniform(math.log(lo), math.log(hi), (n_atoms, 1)))
         )
         points.clear()
@@ -360,9 +360,9 @@ def test_polish_ends_inside_the_range_band(paper_cfg):
     lo, hi = _range_band(paper_cfg)
     n = paper_cfg.n_elements
     # targets beyond both ends of the band pull the polish toward its edges
-    pulls = _grid_positions(np.array([-0.4, 0.1]), np.array([0.2, 5.0, 2000.0]))
+    pulls = _lattice(paper_cfg, np.array([-0.4, 0.1]), np.array([0.2, 5.0, 2000.0]))[0]
     seeds = list(_band_corners(paper_cfg)) + list(
-        _grid_positions(rng.uniform(-0.8, 0.8, 6), np.geomspace(lo, hi, 5))
+        _lattice(paper_cfg, rng.uniform(-0.8, 0.8, 6), np.geomspace(lo, hi, 5))[0]
     )
     for i, seed in enumerate(seeds):
         picks = pulls[rng.choice(len(pulls), size=2, replace=False)]
@@ -397,7 +397,8 @@ def test_polish_takes_seeds_on_the_band_ends(paper_cfg, monkeypatch):
     # comb seeds on the band's ends, as the scans place them; the polar
     # round trip puts some of them an ulp outside the band
     lo, hi = _range_band(paper_cfg)
-    seeds = _grid_positions(np.linspace(-FIELD_EDGE_U, FIELD_EDGE_U, 21), np.array([lo, hi]))
+    us = np.linspace(-FIELD_EDGE_U, FIELD_EDGE_U, 21)
+    seeds = _lattice(paper_cfg, us, np.array([lo, hi]))[0]
     assert any(math.log(float(np.hypot(*p))) < math.log(lo) for p in seeds)
     truth = _polar(5.0, 10.0)
     y = nearfield_atoms(paper_cfg, truth[0], truth[1])[:, 0]
@@ -529,11 +530,11 @@ def test_polish_coincident_barrier(paper_cfg):
     assert residual == _project_residual(y, [p, p], paper_cfg)[1]
 
 
-def test_range_split_skips_picks_on_the_band_edge(paper_cfg, monkeypatch):
-    # a greedy pick that ran to the band's top carries no range, so only
-    # the interior pick's bearing anchors the range-split ladder
+def test_range_split_anchors_a_ladder_on_every_pick_in_pick_order(paper_cfg, monkeypatch):
+    # a greedy pick that ran to the band's top anchors a ladder on its
+    # bearing as the interior pick does, first, as it was picked first
     lo, hi = _range_band(paper_cfg)
-    edge, interior = _grid_positions(np.array([-0.3, 0.1]), np.array([hi, 5.0]))[[0, 3]]
+    edge, interior = _lattice(paper_cfg, np.array([-0.3, 0.1]), np.array([hi, 5.0]))[0][[0, 3]]
     assert float(np.hypot(*edge)) == pytest.approx(hi)
     assert float(np.hypot(*interior)) == pytest.approx(5.0)
     picks = iter([edge, interior])
@@ -549,7 +550,7 @@ def test_range_split_skips_picks_on_the_band_edge(paper_cfg, monkeypatch):
     n = paper_cfg.n_elements
     y = rng.normal(size=n) + 1j * rng.normal(size=n)
     nf_localizer._matched_filter_positions(y, paper_cfg, 2, floor=0.0)
-    assert anchors == [pytest.approx(0.1)]
+    assert anchors == [pytest.approx(-0.3), pytest.approx(0.1)]
 
 
 @pytest.mark.parametrize("floor, ladders", [(0.5, 0), (0.2, 1), (0.0, 2)])
@@ -558,7 +559,7 @@ def test_deflation_ladders_stop_at_the_noise_floor(paper_cfg, monkeypatch, floor
     # squared residual of 0.25 and the first ladder's polish 0.16, so a
     # floor between them stops the search after one ladder.  The second
     # ladder's raw pair fits better than the first's, so it is polished
-    picks = iter(_grid_positions(np.array([-0.3, 0.1]), np.array([5.0])))
+    picks = iter(_lattice(paper_cfg, np.array([-0.3, 0.1]), np.array([5.0]))[0])
     monkeypatch.setattr(nf_localizer, "_pick_position", lambda res, cfg: next(picks))
     fits = iter([0.5, 0.4, 0.3])
     monkeypatch.setattr(
@@ -586,7 +587,7 @@ def test_deflation_polishes_a_ladder_only_when_its_raw_pair_fits_better(
     # the first ladder's raw pair leaves 0.9; a second ladder whose raw
     # pair leaves as much or more is split but not polished, and one that
     # leaves less is polished and wins with its smaller polished residual
-    picks = iter(_grid_positions(np.array([-0.3, 0.1]), np.array([5.0])))
+    picks = iter(_lattice(paper_cfg, np.array([-0.3, 0.1]), np.array([5.0]))[0])
     monkeypatch.setattr(nf_localizer, "_pick_position", lambda res, cfg: next(picks))
     fits = iter([0.5, 0.4, 0.3])
     monkeypatch.setattr(
@@ -921,6 +922,29 @@ def test_localize_pins_fig4_near_b_trials():
             )
 
 
+def test_localize_pins_the_hybrid_scene_routes():
+    # one target at 5 m and one at 250 m, beyond the top of the range band
+    # (about 215 m).  The pair route triangulates the far target's nearly
+    # parallel bearings far beyond the band; deflation stops it at the
+    # band's top.  Neither places it right: this records today's answers
+    spec = load_scenario(pathlib.Path(__file__).parent / "data" / "hybrid.scenario")
+    cfg = spec.array
+    hi = _range_band(cfg)[1]
+    routes = []
+    for trial in range(40):
+        seed = derive_trial_seed(spec.base_seed, "nf_localize", 0, trial)
+        snap = snapshot(cfg, spec.targets, 30.0, seed, model=spec.steering_model)
+        result = localize(snap, cfg, 2)
+        near, far = sorted(float(np.hypot(*t.position)) for t in result.targets)
+        assert near == pytest.approx(5.0, abs=0.5), trial
+        if result.route == "pair":
+            assert far > hi, trial
+        else:
+            assert 0.99 * hi < far <= hi * (1.0 + 1e-12), trial
+        routes.append(result.route)
+    assert [t for t, route in enumerate(routes) if route == "pair"] == [12, 16, 30, 34, 35, 39]
+
+
 def test_range_split_is_anchored_on_a_greedy_pick_bearing(monkeypatch):
     # the range split centres its whole-crest rungs on the bearing of a
     # greedy pick, not on the envelope direction the comb scan starts from
@@ -996,11 +1020,10 @@ def test_comb_grid_is_built_once_and_read_only(paper_cfg):
         assert _comb_grid(paper_cfg, u_center)[1] is filters
         assert not pts.flags.writeable and not filters.flags.writeable
         ladder = u_center + np.arange(-2 * COMB_LADDER, 2 * COMB_LADDER + 1) * (spacing / 2.0)
-        fresh = _grid_positions(
-            ladder[np.abs(ladder) < FIELD_EDGE_U], np.geomspace(lo, hi, RANGE_SCAN_POINTS)
-        )
+        ranges = np.geomspace(lo, hi, RANGE_SCAN_POINTS)
+        fresh, atoms = _lattice(paper_cfg, ladder[np.abs(ladder) < FIELD_EDGE_U], ranges)
         assert np.array_equal(pts, fresh)
-        assert np.array_equal(filters, nearfield_atoms(paper_cfg, fresh[:, 0], fresh[:, 1]).conj())
+        assert np.array_equal(filters, atoms.conj())
 
 
 def test_comb_grid_keeps_eight_envelope_directions(paper_cfg):
@@ -1035,7 +1058,15 @@ def test_comb_grid_and_range_split_read_one_range_ladder(paper_cfg, monkeypatch)
     assert np.array_equal(ii, fresh_ii) and np.array_equal(jj, fresh_jj)
     square = np.arange(RANGE_SCAN_POINTS**2).reshape(RANGE_SCAN_POINTS, -1)
     assert np.array_equal(square.take(flat), square[fresh_ii, fresh_jj])
-    # both scans of one trial get that same array
+    # both scans of one trial build their grids on that same array
+    built = []
+    lattice = nf_localizer._lattice
+
+    def recorded(cfg, us, ranges):
+        built.append(ranges)
+        return lattice(cfg, us, ranges)
+
+    monkeypatch.setattr(nf_localizer, "_lattice", recorded)
     read = _record_calls(monkeypatch, nf_localizer, "_range_ladder")
     _comb_grid.cache_clear()
     rng = np.random.default_rng(3)
@@ -1045,3 +1076,5 @@ def test_comb_grid_and_range_split_read_one_range_ladder(paper_cfg, monkeypatch)
     assert pair is not None
     assert len(read) == 2
     assert all(out[0] is ranges for out in read)
+    assert len(built) == 2
+    assert all(arr is ranges for arr in built)

@@ -1,4 +1,5 @@
 import cmath
+import dataclasses
 import itertools
 import math
 from unittest import mock
@@ -10,7 +11,7 @@ from hypothesis import example, given, settings, strategies as st
 from elaa_doa import ss_esprit
 from elaa_doa.errors import AmbiguousDealias, EstimationError, IllConditioned
 from elaa_doa.geometry import SPEED_OF_LIGHT, ArrayConfig, Target, field_regions
-from elaa_doa.harness import derive_trial_seed
+from elaa_doa.harness import derive_trial_seed, run_monte_carlo
 from elaa_doa.scenarios import builtin_scenarios
 from elaa_doa.signal_model import snapshot, split_ulas
 from elaa_doa.ss_esprit import (
@@ -410,3 +411,25 @@ def test_esprit_wide_spacing_array_is_rejected():
     lam = SPEED_OF_LIGHT / 76e9
     with pytest.raises(ValueError, match="exceeds half the wavelength"):
         ArrayConfig(16, 150.0 * lam, wavelength=lam, spacing=1.3 * lam)
+
+
+def test_a_degenerate_fine_spectrum_is_decomposed_on_the_coarse_rotation():
+    # at +-3.64028 degrees the fine baseline of 157.5 wavelengths wraps the
+    # two targets' phases onto one point (157.5 * delta sin = 20): the fine
+    # rotation's eigenbasis is degenerate, and only the coarse one, with
+    # the wider eigenvalue separation, pairs the sources.  Always taking
+    # the fine rotation as the base hits in about 30% of these trials
+    spec = builtin_scenarios()["fig3_large_sep"]
+    half = math.radians(3.64028)
+    spec = dataclasses.replace(
+        spec,
+        targets=(Target(250.0, -half), Target(250.0, half)),
+        snr_grid_db=(30.0,),
+        n_trials=200,
+        algorithms=("ss_esprit",),
+        base_seed=42,
+    )
+    cfg = spec.array
+    assert 2.0 * math.sin(half) * cfg.center_separation / cfg.wavelength == pytest.approx(20.0, abs=1e-4)
+    (row,) = run_monte_carlo(spec)
+    assert row.hit_rate >= 0.95
